@@ -157,8 +157,12 @@ double time_per_call(const std::function<void()>& fn) {
 
 struct DispatchResult {
   double per_element_ns = 0;  ///< seed-style std::function per element.
-  double batched_ns = 0;      ///< one region body per range.
+  double batched_ns = 0;      ///< the region body par_loop stores.
+  double raw_ns = 0;          ///< hand-written loop, same kernel + arrays.
   double speedup() const { return per_element_ns / batched_ns; }
+  /// The dispatch tax: how much slower the region body runs than the
+  /// hand-written loop (1 = none).
+  double batched_over_raw() const { return batched_ns / raw_ns; }
 };
 
 /// Direct loop: two dim-2 direct args, the cheapest realistic kernel, so
@@ -186,18 +190,19 @@ DispatchResult bench_direct_dispatch() {
     kernel(cd::resolve_arg(rargs[0], i, false),
            cd::resolve_arg(rargs[1], i, false));
   };
-  // Batched: one type-erased call per region; resolution hoisted.
-  std::function<void(lidx_t, lidx_t)> region =
-      [kernel, rargs](lidx_t begin, lidx_t end) {
-        cd::invoke_kernel_range(kernel, rargs, begin, end, false, "bench",
-                                std::make_index_sequence<2>{});
-      };
+  // Batched: the range body par_loop stores for this (all-AoS) loop.
+  const std::function<void(lidx_t, lidx_t)> region =
+      cd::make_loop_bodies<2>(kernel, rargs, false, "bench").range;
 
   DispatchResult r;
   r.per_element_ns = 1e9 / kN * time_per_call([&] {
                        for (lidx_t i = 0; i < kN; ++i) element(i);
                      });
   r.batched_ns = 1e9 / kN * time_per_call([&] { region(0, kN); });
+  r.raw_ns = 1e9 / kN * time_per_call([&] {
+               for (std::size_t i = 0; i < static_cast<std::size_t>(kN); ++i)
+                 kernel(a.data() + 2 * i, b.data() + 2 * i);
+             });
   return r;
 }
 
@@ -233,17 +238,22 @@ DispatchResult bench_indirect_dispatch() {
            cd::resolve_arg(rargs[2], i, false),
            cd::resolve_arg(rargs[3], i, false));
   };
-  std::function<void(lidx_t, lidx_t)> region =
-      [kernel, rargs](lidx_t begin, lidx_t end) {
-        cd::invoke_kernel_range(kernel, rargs, begin, end, false, "bench",
-                                std::make_index_sequence<4>{});
-      };
+  const std::function<void(lidx_t, lidx_t)> region =
+      cd::make_loop_bodies<4>(kernel, rargs, false, "bench").range;
 
   DispatchResult r;
   r.per_element_ns = 1e9 / kEdges * time_per_call([&] {
                        for (lidx_t i = 0; i < kEdges; ++i) element(i);
                      });
   r.batched_ns = 1e9 / kEdges * time_per_call([&] { region(0, kEdges); });
+  r.raw_ns = 1e9 / kEdges * time_per_call([&] {
+    for (std::size_t e = 0; e < static_cast<std::size_t>(kEdges); ++e) {
+      const auto n0 = static_cast<std::size_t>(map[2 * e]);
+      const auto n1 = static_cast<std::size_t>(map[2 * e + 1]);
+      kernel(res.data() + 2 * n0, res.data() + 2 * n1, pres.data() + 2 * n0,
+             pres.data() + 2 * n1);
+    }
+  });
   return r;
 }
 
@@ -393,14 +403,10 @@ ThreadedSweepResult bench_threaded_sweep() {
     rargs[static_cast<std::size_t>(j)].idx = j % 2;
     rargs[static_cast<std::size_t>(j)].bind_layout(aos2);
   }
-  const auto region = [kernel, &rargs](lidx_t begin, lidx_t end) {
-    cd::invoke_kernel_range(kernel, rargs, begin, end, false, "bench",
-                            std::make_index_sequence<4>{});
-  };
-  const auto list = [kernel, &rargs](const lidx_t* idx, std::size_t n) {
-    cd::invoke_kernel_list(kernel, rargs, idx, n, false, "bench",
-                           std::make_index_sequence<4>{});
-  };
+  const cd::LoopBodies bodies =
+      cd::make_loop_bodies<4>(kernel, rargs, false, "bench");
+  const auto& region = bodies.range;
+  const auto& list = bodies.list;
 
   const mesh::ColourMapView view{map.data(), 2, kEdges, kNodes};
   const mesh::Colouring col = mesh::greedy_colouring(kEdges, {&view, 1});
@@ -951,10 +957,14 @@ void write_hotpath_json(const char* path) {
      << "  \"dispatch\": {\n"
      << "    \"direct\": {\"per_element_ns\": " << direct.per_element_ns
      << ", \"batched_ns\": " << direct.batched_ns
-     << ", \"speedup\": " << direct.speedup() << "},\n"
+     << ", \"raw_ns\": " << direct.raw_ns
+     << ", \"speedup\": " << direct.speedup()
+     << ", \"batched_over_raw\": " << direct.batched_over_raw() << "},\n"
      << "    \"indirect\": {\"per_element_ns\": " << indirect.per_element_ns
      << ", \"batched_ns\": " << indirect.batched_ns
-     << ", \"speedup\": " << indirect.speedup() << "}\n"
+     << ", \"raw_ns\": " << indirect.raw_ns
+     << ", \"speedup\": " << indirect.speedup()
+     << ", \"batched_over_raw\": " << indirect.batched_over_raw() << "}\n"
      << "  },\n"
      << "  \"grouped\": {\n"
      << "    \"pack_send\": {\"seed_style_gbps\": "

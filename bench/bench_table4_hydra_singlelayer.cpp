@@ -28,8 +28,8 @@ void print_chain(const bench::BenchConfig& cfg, const mesh::MeshDef& m,
       if (!exchanged.empty()) exchanged += ", ";
       exchanged += m.dat(dat).name;
     }
-    if (exchanged.empty()) exchanged = "-";
-    t.add_row({loop.name, m.set(loop.set).name, exchanged,
+    t.add_row({loop.name, m.set(loop.set).name,
+               exchanged.empty() ? std::string(1, '-') : exchanged,
                static_cast<std::int64_t>(an.he_alg3[l])});
   }
   bench::emit(cfg, t);

@@ -24,7 +24,6 @@ Problem build_problem(gidx_t target_nodes, std::uint64_t seed) {
 
   const auto nn = static_cast<std::size_t>(m.set(p.an.nodes).size);
   const auto ne = static_cast<std::size_t>(m.set(p.an.edges).size);
-  const auto np = static_cast<std::size_t>(m.set(p.an.pedges).size);
   const auto nb = static_cast<std::size_t>(m.set(p.an.bnd).size);
   const auto nc = static_cast<std::size_t>(m.set(p.an.cbnd).size);
 

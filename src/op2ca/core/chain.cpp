@@ -248,11 +248,12 @@ void flush_tiles(RankState& st) {
       execute_chain_ca_tiled(st, name, key, fused, n_inv);
       return;
     }
-    if (st.tile_fallbacks.insert(key).second)
+    if (st.tile_fallbacks.insert(key).second) {
       OP2CA_LOG_WARN << "chain '" << name << "': fused tile of " << n_inv
                      << " invocations is infeasible (inspector rejection, "
                         "halo plan too shallow, or over the chain's depth "
                         "cap) — falling back to per-invocation execution";
+    }
   }
 
   // Per-invocation execution: a single queued invocation, or the loud

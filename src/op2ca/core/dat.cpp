@@ -88,4 +88,12 @@ void RankState::refresh_dat_from_global(
   }
 }
 
+void RankState::recycle_payload(rank_t src, ByteBuf buf) {
+  RankState* sender = world->ranks_[static_cast<std::size_t>(src)].get();
+  if (sender != nullptr)
+    sender->staging.give_back(std::move(buf));
+  else
+    staging.release(std::move(buf));
+}
+
 }  // namespace op2ca::core::detail

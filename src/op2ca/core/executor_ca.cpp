@@ -89,6 +89,12 @@ ChainExchange& chain_exchange(RankState& st, ChainPlan& cp,
   }
   ex.plan = halo::build_grouped_plan(st.rank_plan(), ex.specs);
   ex.recv_bufs.resize(ex.plan.sides.size());
+  std::size_t sends = 0, max_send = 0;
+  for (const halo::GroupedPlan::Side& side : ex.plan.sides) {
+    sends += side.send_bytes > 0;
+    max_send = std::max(max_send, side.send_bytes);
+  }
+  st.staging.reserve_spares(kSparesPerSend * sends, max_send);
 
   // Persistent channels (a la MPI_Send_init): negotiate one fixed
   // (peer, tag, size) slot per grouped side, keyed by the same structural
@@ -301,7 +307,7 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
       halo::unpack_grouped(ex->plan.sides[s], ex->specs, ex->recv_bufs[s],
                            st.pool.get());
       if (dev != nullptr) dev->stage_in(ex->plan.sides[s].recv_bytes);
-      st.staging.release(std::move(ex->recv_bufs[s]));
+      st.recycle_payload(ex->plan.sides[s].q, std::move(ex->recv_bufs[s]));
     }
     for (std::size_t i = 0; i < ex->dats.size(); ++i) {
       RankDat& rd = st.rank_dat(ex->dats[i]);

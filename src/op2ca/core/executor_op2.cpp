@@ -8,9 +8,9 @@
 // written dats' halos stale.
 //
 // The per-dat message lists are flattened into a cached LoopExchange on
-// first use, and staging buffers cycle through the rank's BufferPool (the
-// zero-copy isend hands each send buffer to the receiver, which releases
-// it back into its own pool after unpacking) — steady-state loops walk no
+// first use, and staging buffers cycle through the ranks' BufferPools (the
+// zero-copy isend hands each send buffer to the receiver, which gives it
+// back to the sender's pool after unpacking) — steady-state loops walk no
 // maps and allocate nothing.
 #include <algorithm>
 
@@ -68,6 +68,10 @@ LoopExchange& loop_exchange(RankState& st, mesh::dat_id d,
   add(&slot->recvs, nl.imp_exec, tag_exec);
   add(&slot->recvs, nl.imp_nonexec, tag_nonexec);
   slot->recv_bufs.resize(slot->recvs.size());
+  std::size_t max_send = 0;
+  for (const LoopExchange::Segment& seg : slot->sends)
+    max_send = std::max(max_send, seg.bytes);
+  st.staging.reserve_spares(kSparesPerSend * slot->sends.size(), max_send);
 
   // Persistent channels: one slot per cached segment, keyed by the dat
   // (both ends derive the identical hash — the exchange is invalidated
@@ -104,7 +108,6 @@ LoopExchange& loop_exchange(RankState& st, mesh::dat_id d,
 LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
   WallTimer timer;
   const halo::SetLayout& lay = st.layout(rec.set);
-  const mesh::MeshDef& mesh = st.world->mesh();
   st.comm.stats().reset_epoch();
   const std::int64_t allocs_before = st.staging.allocations();
   const std::int64_t regions_before = st.dispatch_regions;
@@ -238,7 +241,7 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
           rd.data.data(), &rd.layout, rd.dim, *seg.idx, buf, 0);
       OP2CA_ASSERT(used == buf.size(), "level-1 halo unpack short");
       if (dev != nullptr) dev->stage_in(seg.bytes);  // device-side unpack
-      st.staging.release(std::move(buf));
+      st.recycle_payload(seg.q, std::move(buf));
     }
     rd.fresh_depth = std::max(rd.fresh_depth, 1);
   }

@@ -11,6 +11,7 @@
 // chain is enabled in the ChainConfig.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -201,6 +202,11 @@ struct ResolvedArg {
     cstride = lay.cstride;
     brow = lay.brow;
   }
+
+  /// True when elements are plain rows: element t starts at
+  /// base + t * brow and its components are contiguous. Holds for AoS
+  /// dats and every gbl arg.
+  bool is_aos() const { return bshift == 0 && cstride == 1; }
 };
 
 /// A fully-resolved loop ready to execute (or be captured by a chain).
@@ -218,12 +224,13 @@ struct LoopRecord {
   std::function<void(const lidx_t*, std::size_t)> list_body;
 };
 
-void raise_out_of_region(const char* loop_name);
+[[noreturn]] void raise_out_of_region(const char* loop_name);
 
-/// Resolves one argument at iteration `i`. Inline so the batch loops in
-/// invoke_kernel_range/_list keep it out of the per-element path. The
-/// shift/mask element addressing is division-free for every layout; for
-/// AoS it constant-folds to the legacy base + i * dim.
+/// Resolves one argument at iteration `i` under any layout: the generic
+/// shift/mask element addressing, division-free but computed from
+/// run-time layout fields for every argument of every element. Loops
+/// whose args are all AoS never come here — par_loop stores the
+/// raw-row-pointer bodies (invoke_kernel_range_aos) for them instead.
 inline ElemRef resolve_arg(const ResolvedArg& a, lidx_t i, bool validate,
                            const char* loop_name = "") {
   if (a.is_gbl) return {a.base, 1};
@@ -239,11 +246,10 @@ inline ElemRef resolve_arg(const ResolvedArg& a, lidx_t i, bool validate,
           a.cstride};
 }
 
-/// Batched dispatch over a contiguous iteration range: argument state is
-/// copied into locals once per region, then the kernel runs the whole
-/// range inside one type-erased call. Direct args reduce to
-/// base-pointer + stride walks the optimiser can vectorise around;
-/// indirect args resolve their map row inside the batch loop.
+/// Batched dispatch over a contiguous iteration range (generic layouts):
+/// argument state is copied into locals once per region, then the kernel
+/// runs the whole range inside one type-erased call, receiving one
+/// strided ElemRef per argument.
 template <typename K, std::size_t... I>
 void invoke_kernel_range(const K& k, const std::vector<ResolvedArg>& rargs,
                          lidx_t begin, lidx_t end, bool validate,
@@ -263,6 +269,91 @@ void invoke_kernel_list(const K& k, const std::vector<ResolvedArg>& rargs,
     const lidx_t i = idx[j];
     k(resolve_arg(a[I], i, validate, name)...);
   }
+}
+
+/// One argument of an all-AoS loop, flattened once per region so the
+/// batch loop carries no layout fields and no gbl branch: `col` walks
+/// the arg's map column (null for direct and gbl args) and `step` is
+/// the row length in doubles — 0 for a gbl arg, so every iteration
+/// lands on its base.
+struct AosArg {
+  double* base = nullptr;
+  const lidx_t* col = nullptr;
+  std::size_t arity = 1;
+  std::size_t step = 0;
+
+  explicit AosArg(const ResolvedArg& a)
+      : base(a.base),
+        col(a.map_targets != nullptr ? a.map_targets + a.idx : nullptr),
+        arity(static_cast<std::size_t>(a.arity)),
+        step(a.is_gbl ? 0 : a.brow) {}
+
+  /// The row pointer resolve_arg would return for iteration `i`.
+  double* at(lidx_t i, bool validate, const char* loop_name) const {
+    if (col == nullptr) return base + static_cast<std::size_t>(i) * step;
+    const lidx_t t = col[static_cast<std::size_t>(i) * arity];
+    if (validate && t == kInvalidLocal) raise_out_of_region(loop_name);
+    return base + static_cast<std::size_t>(t) * step;
+  }
+};
+
+/// invoke_kernel_range for loops whose args are all is_aos(): the kernel
+/// receives plain `double*` rows (base + t * dim, or base for a gbl arg)
+/// at exactly the addresses resolve_arg computes, in the same order.
+template <typename K, std::size_t... I>
+void invoke_kernel_range_aos(const K& k,
+                             const std::vector<ResolvedArg>& rargs,
+                             lidx_t begin, lidx_t end, bool validate,
+                             const char* name, std::index_sequence<I...>) {
+  const AosArg a[sizeof...(I)] = {AosArg(rargs[I])...};
+  for (lidx_t i = begin; i < end; ++i) k(a[I].at(i, validate, name)...);
+}
+
+/// invoke_kernel_list for loops whose args are all is_aos().
+template <typename K, std::size_t... I>
+void invoke_kernel_list_aos(const K& k,
+                            const std::vector<ResolvedArg>& rargs,
+                            const lidx_t* idx, std::size_t n, bool validate,
+                            const char* name, std::index_sequence<I...>) {
+  const AosArg a[sizeof...(I)] = {AosArg(rargs[I])...};
+  for (std::size_t j = 0; j < n; ++j) {
+    const lidx_t i = idx[j];
+    k(a[I].at(i, validate, name)...);
+  }
+}
+
+/// The two region bodies of a loop record.
+struct LoopBodies {
+  std::function<void(lidx_t, lidx_t)> range;
+  std::function<void(const lidx_t*, std::size_t)> list;
+};
+
+/// Builds a loop's region bodies, choosing the addressing form once from
+/// the layouts bound into `ra`: the raw-row-pointer AoS loops when every
+/// arg is_aos(), the generic ElemRef loops otherwise.
+template <std::size_t N, typename K>
+LoopBodies make_loop_bodies(K kf, std::vector<ResolvedArg> ra, bool validate,
+                            std::string name) {
+  using Seq = std::make_index_sequence<N>;
+  const bool aos = std::all_of(ra.begin(), ra.end(),
+                               [](const ResolvedArg& a) { return a.is_aos(); });
+  if (aos)
+    return {[kf, ra, validate, name](lidx_t begin, lidx_t end) {
+              invoke_kernel_range_aos(kf, ra, begin, end, validate,
+                                      name.c_str(), Seq{});
+            },
+            [kf, ra, validate, name](const lidx_t* idx, std::size_t n) {
+              invoke_kernel_list_aos(kf, ra, idx, n, validate, name.c_str(),
+                                     Seq{});
+            }};
+  return {[kf, ra, validate, name](lidx_t begin, lidx_t end) {
+            invoke_kernel_range(kf, ra, begin, end, validate, name.c_str(),
+                                Seq{});
+          },
+          [kf, ra, validate, name](const lidx_t* idx, std::size_t n) {
+            invoke_kernel_list(kf, ra, idx, n, validate, name.c_str(),
+                               Seq{});
+          }};
 }
 }  // namespace detail
 
@@ -295,20 +386,10 @@ public:
     static_assert(sizeof...(Args) > 0, "par_loop needs at least one arg");
     detail::LoopRecord rec =
         make_record(name, s, std::vector<Arg>{args...});
-    const std::vector<detail::ResolvedArg>& ra = record_args(rec);
-    auto kf = std::forward<Kernel>(kernel);
-    const bool validate = validation_enabled();
-    set_bodies(
-        rec,
-        [kf, ra, validate, name](lidx_t begin, lidx_t end) {
-          detail::invoke_kernel_range(kf, ra, begin, end, validate,
-                                      name.c_str(),
-                                      std::index_sequence_for<Args...>{});
-        },
-        [kf, ra, validate, name](const lidx_t* idx, std::size_t n) {
-          detail::invoke_kernel_list(kf, ra, idx, n, validate, name.c_str(),
-                                     std::index_sequence_for<Args...>{});
-        });
+    detail::LoopBodies bodies = detail::make_loop_bodies<sizeof...(Args)>(
+        std::forward<Kernel>(kernel), record_args(rec), validation_enabled(),
+        name);
+    set_bodies(rec, std::move(bodies.range), std::move(bodies.list));
     submit(std::move(rec));
   }
 

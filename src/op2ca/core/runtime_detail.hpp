@@ -27,6 +27,15 @@ namespace op2ca::core::detail {
 inline constexpr sim::tag_t kChainTag = 512;
 inline constexpr sim::tag_t kLoopTagBase = 1024;  // + dat*2 + class.
 
+/// Staging spares a cached exchange reserves per send when it is built
+/// (BufferPool::reserve_spares). A send buffer comes back only when its
+/// receiver has unpacked it (RankState::recycle_payload), and the sender
+/// may pack its next exchanges with that peer before then: the peer's
+/// unpack is ordered before its next post, so at most two exchanges'
+/// sends per peer are outstanding. Two spare sets keep every pack
+/// served from the pool, whichever rank runs ahead.
+inline constexpr std::size_t kSparesPerSend = 2;
+
 /// One dat's per-rank storage.
 struct RankDat {
   int dim = 0;
@@ -225,6 +234,12 @@ struct RankState {
   /// Re-gathers a dat's local copy from a global array (owned + halos).
   void refresh_dat_from_global(mesh::dat_id d,
                                const std::vector<double>& global_data);
+
+  /// Hands a consumed receive payload from rank `src` back to the
+  /// staging pool of `src` — the pool that sized it — so ranks that send
+  /// more than they receive stop allocating every epoch. In SPMD mode the
+  /// payload came off the wire and stays in this rank's pool.
+  void recycle_payload(rank_t src, ByteBuf buf);
 };
 
 /// Executes one loop with the classic OP2 executor (Alg 1). Returns the

@@ -3,11 +3,13 @@
 // The zero-copy transport moves send payloads into the destination
 // mailbox, so a sender cannot keep reusing one staging buffer: every
 // isend gives its storage away. The pool closes the loop instead: after a
-// rank unpacks a received message it releases the (moved-in) payload
-// here, and the next pack acquires it. In a symmetric exchange every rank
-// receives as many buffers per epoch as it sends, so after a warm-up
-// epoch or two (while capacities converge to the largest message) the
-// steady state performs zero heap allocations.
+// rank unpacks a received message it hands the (moved-in) payload back to
+// the pool of the rank that SENT it (give_back), and that rank's next
+// pack acquires it. Every buffer therefore returns to the pool that sized
+// it, whatever the exchange's shape: a rank that sends more, or larger,
+// messages than it receives still gets each of its buffers back. With the
+// spares cached exchanges reserve for the buffers still in flight
+// (reserve_spares), the steady state performs zero heap allocations.
 //
 // The high-water mark DECAYS: demand is tracked per window of
 // kDecayWindow takes, and when a window closes the mark drops to that
@@ -17,13 +19,15 @@
 // steady workload — whose window maximum equals its message size — keeps
 // its buffers and its zero-allocation property.
 //
-// Not thread-safe: one pool belongs to one rank thread. Buffers crossing
-// ranks are handed over through the transport's mutex-protected mailbox.
+// One pool belongs to one rank thread: take / release are not
+// thread-safe. Only give_back may be called from other ranks' threads;
+// it parks the buffer behind a mutex until the owner's next take().
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "op2ca/util/aligned.hpp"
@@ -41,6 +45,7 @@ public:
   /// stays line-granular (ByteBuf's allocator provides the 64-byte
   /// block starts themselves).
   ByteBuf take(std::size_t bytes) {
+    reclaim();
     high_water_ = std::max(high_water_, round_line(bytes));
     window_max_ = std::max(window_max_, round_line(bytes));
     if (++window_takes_ >= kDecayWindow) decay();
@@ -79,6 +84,38 @@ public:
     free_.push_back(std::move(buf));
   }
 
+  /// Makes sure the pool has parked at least `count` spare buffers that
+  /// hold `bytes` each; new ones count as allocations. A cached exchange
+  /// reserves spares for its sends when it is built: a payload comes back
+  /// only once its receiver has unpacked it, which can be after the
+  /// sender has packed its next exchange, so the buffers the sender packs
+  /// into next must already exist. A rank runs its exchanges one after
+  /// another, so one spare set serves them all: it grows to the largest
+  /// count asked for, and is replaced by a fresh set only when a larger
+  /// size is asked for.
+  void reserve_spares(std::size_t count, std::size_t bytes) {
+    high_water_ = std::max(high_water_, round_line(bytes));
+    if (bytes > spare_bytes_) {
+      spare_bytes_ = bytes;
+      spares_ = 0;
+    }
+    for (; spares_ < count && free_.size() < kMaxPooled; ++spares_) {
+      ++allocations_;
+      ByteBuf buf;
+      buf.reserve(high_water_);
+      free_.push_back(std::move(buf));
+    }
+  }
+
+  /// Returns a buffer this pool lent out, from any thread (a peer rank
+  /// that has finished unpacking the payload). The owner's next take()
+  /// moves it into the free list under the release() rules.
+  void give_back(ByteBuf buf) {
+    if (buf.capacity() == 0) return;
+    std::lock_guard<std::mutex> lock(returned_mu_);
+    returned_.push_back(std::move(buf));
+  }
+
   /// Times take() had to allocate or grow storage (steady state: flat).
   std::int64_t allocations() const { return allocations_; }
   std::size_t pooled() const { return free_.size(); }
@@ -92,7 +129,10 @@ public:
   std::size_t high_water() const { return high_water_; }
 
 private:
-  static constexpr std::size_t kMaxPooled = 64;
+  /// Runaway guard on parked buffers. Every buffer returns to the pool
+  /// that allocated it, so a pool holds at most its own sends in flight
+  /// plus the spare set; the guard sits well above that.
+  static constexpr std::size_t kMaxPooled = 256;
   /// take() calls per demand window; one window of smaller requests is
   /// enough for the mark to follow demand down.
   static constexpr std::size_t kDecayWindow = 64;
@@ -120,11 +160,24 @@ private:
                 free_.end());
   }
 
+  /// Owner side of give_back: folds the parked buffers into the free
+  /// list. clear() keeps the parking vector's capacity, so steady-state
+  /// returns allocate nothing either.
+  void reclaim() {
+    std::lock_guard<std::mutex> lock(returned_mu_);
+    for (ByteBuf& b : returned_) release(std::move(b));
+    returned_.clear();
+  }
+
   std::vector<ByteBuf> free_;
+  std::mutex returned_mu_;
+  std::vector<ByteBuf> returned_;  ///< given back, not yet reclaimed.
   std::int64_t allocations_ = 0;
   std::size_t high_water_ = 0;   ///< decaying demand estimate.
   std::size_t window_max_ = 0;   ///< largest request this window.
   std::size_t window_takes_ = 0;
+  std::size_t spares_ = 0;       ///< spare set size (reserve_spares).
+  std::size_t spare_bytes_ = 0;  ///< size the spare set was reserved at.
 };
 
 }  // namespace op2ca

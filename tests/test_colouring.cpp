@@ -46,10 +46,11 @@ void expect_valid_brute_force(const Colouring& c, lidx_t n,
   for (lidx_t a = 0; a < n; ++a)
     for (lidx_t b = a + 1; b < n; ++b)
       if (c.colour[static_cast<std::size_t>(a)] ==
-          c.colour[static_cast<std::size_t>(b)])
+          c.colour[static_cast<std::size_t>(b)]) {
         EXPECT_FALSE(conflicts(a, b, views))
             << "elements " << a << " and " << b << " share colour "
             << c.colour[static_cast<std::size_t>(a)] << " but conflict";
+      }
 }
 
 void expect_classes_partition(const Colouring& c, lidx_t n) {

@@ -271,5 +271,69 @@ TEST(Collectives, ManySequentialReductionsStayConsistent) {
   });
 }
 
+TEST(StagingReturn, AsymmetricExchangeKeepsBothPoolsFlat) {
+  // Rank 0 sends three 64 KiB payloads per epoch, rank 1 one 1 KiB
+  // payload back. Each receiver gives every consumed payload back to the
+  // sender's pool. A payload is back before its sender packs two epochs
+  // later (the receiver unpacks before it posts its next message), so
+  // the two spare sets a cached exchange parks at build time cover every
+  // pack: both pools stay at their spare count. Releasing payloads into
+  // the receiver's own pool instead would drain rank 0 by two buffers
+  // per epoch.
+  constexpr int kEpochs = 12;
+  Transport t(2);
+  BufferPool pools[2];
+  std::int64_t after_two[2] = {0, 0};
+  spmd(t, 2, [&](Comm& c) {
+    const rank_t me = c.rank(), peer = 1 - me;
+    const int sends = me == 0 ? 3 : 1, recvs = me == 0 ? 1 : 3;
+    const std::size_t bytes = me == 0 ? 64 * 1024 : 1024;
+    pools[me].reserve_spares(2 * static_cast<std::size_t>(sends), bytes);
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      for (int m = 0; m < sends; ++m) {
+        ByteBuf buf = pools[me].take(bytes);
+        std::memset(buf.data(), epoch, buf.size());
+        c.isend(peer, m, std::move(buf));
+      }
+      for (int m = 0; m < recvs; ++m) {
+        ByteBuf buf;
+        Request r = c.irecv(peer, m, &buf);
+        c.wait(r);
+        EXPECT_EQ(buf.size(), me == 0 ? 1024u : 64u * 1024u);
+        EXPECT_EQ(buf[0], static_cast<std::byte>(epoch));
+        pools[peer].give_back(std::move(buf));
+      }
+      if (epoch == 1) after_two[me] = pools[me].allocations();
+    }
+  });
+  EXPECT_EQ(pools[0].allocations(), after_two[0]);
+  EXPECT_EQ(pools[1].allocations(), after_two[1]);
+  EXPECT_EQ(pools[0].allocations(), 6);  // the spares, nothing more
+  EXPECT_EQ(pools[1].allocations(), 2);
+}
+
+TEST(StagingReturn, GiveBackFromAnotherThreadIsReclaimedOnTake) {
+  BufferPool pool;
+  ByteBuf buf = pool.take(4096);
+  const std::byte* storage = buf.data();
+  std::thread peer([&] { pool.give_back(std::move(buf)); });
+  peer.join();
+  EXPECT_EQ(pool.pooled(), 0u);  // parked until the owner's next take
+  const ByteBuf again = pool.take(4096);
+  EXPECT_EQ(again.data(), storage);
+  EXPECT_EQ(pool.allocations(), 1);
+}
+
+TEST(StagingReturn, SparesServeTakesWithoutFurtherAllocation) {
+  BufferPool pool;
+  pool.reserve_spares(3, 1000);
+  EXPECT_EQ(pool.allocations(), 3);
+  pool.reserve_spares(2, 800);  // one spare set serves every exchange
+  EXPECT_EQ(pool.allocations(), 3);
+  ByteBuf a = pool.take(1000), b = pool.take(600), c = pool.take(1000);
+  EXPECT_EQ(pool.allocations(), 3);
+  EXPECT_GE(b.capacity(), 1000u);  // every spare fits the largest send
+}
+
 }  // namespace
 }  // namespace op2ca::sim

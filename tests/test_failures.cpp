@@ -180,9 +180,10 @@ TEST(WorldFailures, ValidationCatchesOutOfRegionAccess) {
   // unresolved (kInvalidLocal) map slots. We provoke it by running a loop
   // over cells (which land in fringe regions of neighbouring ranks)
   // through a map whose deep targets are absent at depth 1.
-  // Constructed directly on the detail API is intrusive; instead verify
-  // the guard exists by checking the documented error path: a chain that
-  // requires depth 2 on a depth-1 world raises before any execution.
+  // The iteration-time guard itself is driven over hand-built args on
+  // both addressing paths in test_hotpath (Dispatch.Validation*); here
+  // check the documented world-level error path: a chain that requires
+  // depth 2 on a depth-1 world raises before any execution.
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(900, 1);
   WorldConfig cfg;
   cfg.nranks = 4;

@@ -78,8 +78,9 @@ TEST(HaloPlan, LayoutInvariants) {
         const lidx_t c = lay.core_count(shrink);
         for (lidx_t i = 0; i < c; ++i)
           EXPECT_GT(lay.owned_din[static_cast<size_t>(i)], shrink);
-        if (c < lay.num_owned)
+        if (c < lay.num_owned) {
           EXPECT_LE(lay.owned_din[static_cast<size_t>(c)], shrink);
+        }
       }
     }
   }

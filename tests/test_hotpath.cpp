@@ -1,12 +1,17 @@
 // Hot-path infrastructure tests: BufferPool recycling, GroupedPlan
 // pack/unpack against the reference (map-walking) implementation,
-// zero-copy transport semantics, and the steady-state zero-allocation /
-// zero-rebuild guarantee of the cached exchange plans.
+// zero-copy transport semantics, the region bodies' two addressing paths
+// (raw AoS rows vs generic strided views) and their validation guard,
+// and the steady-state zero-allocation / zero-rebuild guarantee of the
+// cached exchange plans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <span>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/comm/comm.hpp"
@@ -212,6 +217,200 @@ TEST(ZeroCopy, SpanSendStillCopies) {
   EXPECT_EQ(recv, buf);
   EXPECT_EQ(c0.stats().sends_copied, 1);
   EXPECT_EQ(c0.stats().sends_moved, 0);
+}
+
+// -- Region bodies: addressing paths and the validation guard. ----------
+
+namespace cd = core::detail;
+
+constexpr int kDim = 3;
+constexpr lidx_t kEdges = 30;
+constexpr lidx_t kNodes = 40;
+
+/// Hand-built args of an edge loop: a direct dat, the same node dat
+/// through both columns of an arity-2 map, a gbl READ and a gbl INC.
+/// `direct` / `indirect` pick the two dats' layouts (AoSoA blocks of 4).
+struct DispatchArgs {
+  std::vector<double> edge_data, node_data;
+  std::vector<lidx_t> map;
+  double gbl_read[kDim] = {1, 2, 3};
+  double gbl_inc[kDim] = {0, 0, 0};
+  std::vector<cd::ResolvedArg> rargs;
+
+  DispatchArgs(mesh::LayoutKind direct, mesh::LayoutKind indirect) {
+    const mesh::DatLayout el = mesh::DatLayout::make(direct, kDim, kEdges, 4);
+    const mesh::DatLayout nl =
+        mesh::DatLayout::make(indirect, kDim, kNodes, 4);
+    edge_data.assign(el.alloc_doubles(), 0.0);
+    node_data.assign(nl.alloc_doubles(), 0.0);
+    for (lidx_t e = 0; e < kEdges; ++e) {
+      map.push_back((e * 7) % kNodes);
+      map.push_back((e * 11 + 3) % kNodes);
+    }
+    cd::ResolvedArg d;
+    d.base = edge_data.data();
+    d.bind_layout(el);
+    rargs.push_back(d);
+    for (int col = 0; col < 2; ++col) {
+      cd::ResolvedArg a;
+      a.base = node_data.data();
+      a.bind_layout(nl);
+      a.map_targets = map.data();
+      a.arity = 2;
+      a.idx = col;
+      rargs.push_back(a);
+    }
+    for (double* g : {gbl_read, gbl_inc}) {
+      cd::ResolvedArg a;
+      a.base = g;
+      a.dim = kDim;
+      a.is_gbl = true;
+      rargs.push_back(a);
+    }
+  }
+};
+
+/// Records every component address the kernel is handed, per call, and
+/// whether the args arrived as raw row pointers (the AoS path) or as
+/// strided ElemRef views (the generic path).
+struct AddressRecorder {
+  std::vector<std::vector<const double*>>* calls;
+  bool* raw;
+
+  template <typename... A>
+  void operator()(A&&... args) const {
+    std::vector<const double*> row;
+    auto add = [&row](auto&& a) {
+      for (int c = 0; c < kDim; ++c) row.push_back(&a[c]);
+    };
+    (add(args), ...);
+    calls->push_back(std::move(row));
+    *raw = (std::is_pointer_v<std::decay_t<A>> && ...);
+  }
+};
+
+/// What resolve_arg computes for each iteration of `order`.
+std::vector<std::vector<const double*>> expected_addresses(
+    const std::vector<cd::ResolvedArg>& rargs,
+    const std::vector<lidx_t>& order) {
+  std::vector<std::vector<const double*>> out;
+  for (lidx_t i : order) {
+    std::vector<const double*> row;
+    for (const cd::ResolvedArg& a : rargs) {
+      const cd::ElemRef r = cd::resolve_arg(a, i, false);
+      for (int c = 0; c < kDim; ++c) row.push_back(&r[c]);
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+const std::vector<lidx_t> kListOrder = {5, 2, 17, 29, 0, 11};
+
+std::vector<lidx_t> range_order(lidx_t begin, lidx_t end) {
+  std::vector<lidx_t> out;
+  for (lidx_t i = begin; i < end; ++i) out.push_back(i);
+  return out;
+}
+
+using Seq5 = std::make_index_sequence<5>;
+
+TEST(Dispatch, GenericPathMatchesResolveArgUnderEveryLayout) {
+  for (const auto kind : {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA,
+                          mesh::LayoutKind::AoSoA}) {
+    DispatchArgs f(kind, kind);
+    std::vector<std::vector<const double*>> calls;
+    bool raw = true;
+    const AddressRecorder k{&calls, &raw};
+    cd::invoke_kernel_range(k, f.rargs, 3, 21, true, "loop", Seq5{});
+    EXPECT_EQ(calls, expected_addresses(f.rargs, range_order(3, 21)))
+        << mesh::layout_name(kind);
+    EXPECT_FALSE(raw);
+    calls.clear();
+    cd::invoke_kernel_list(k, f.rargs, kListOrder.data(), kListOrder.size(),
+                           true, "loop", Seq5{});
+    EXPECT_EQ(calls, expected_addresses(f.rargs, kListOrder))
+        << mesh::layout_name(kind);
+  }
+}
+
+TEST(Dispatch, AosPathHandsRawRowsAtResolveArgAddresses) {
+  DispatchArgs f(mesh::LayoutKind::AoS, mesh::LayoutKind::AoS);
+  std::vector<std::vector<const double*>> calls;
+  bool raw = false;
+  const AddressRecorder k{&calls, &raw};
+  cd::invoke_kernel_range_aos(k, f.rargs, 0, kEdges, true, "loop", Seq5{});
+  EXPECT_EQ(calls, expected_addresses(f.rargs, range_order(0, kEdges)));
+  EXPECT_TRUE(raw);
+  calls.clear();
+  cd::invoke_kernel_list_aos(k, f.rargs, kListOrder.data(),
+                             kListOrder.size(), true, "loop", Seq5{});
+  EXPECT_EQ(calls, expected_addresses(f.rargs, kListOrder));
+  // Spot-check the legacy row arithmetic behind those addresses.
+  EXPECT_EQ(calls[0][0], f.edge_data.data() + 5 * kDim);
+  EXPECT_EQ(calls[0][kDim], f.node_data.data() + f.map[10] * kDim);
+  EXPECT_EQ(calls[0][3 * kDim], f.gbl_read);
+  EXPECT_EQ(calls[0][4 * kDim + 2], f.gbl_inc + 2);
+}
+
+TEST(Dispatch, RecordBodiesPickTheAosPathOnlyWhenEveryArgIsAos) {
+  struct Case {
+    mesh::LayoutKind direct, indirect;
+    bool raw;
+  };
+  for (const Case c : {Case{mesh::LayoutKind::AoS, mesh::LayoutKind::AoS, true},
+                       Case{mesh::LayoutKind::SoA, mesh::LayoutKind::SoA, false},
+                       Case{mesh::LayoutKind::AoSoA, mesh::LayoutKind::AoSoA,
+                            false},
+                       Case{mesh::LayoutKind::AoS, mesh::LayoutKind::SoA, false},
+                       Case{mesh::LayoutKind::SoA, mesh::LayoutKind::AoS,
+                            false}}) {
+    DispatchArgs f(c.direct, c.indirect);
+    std::vector<std::vector<const double*>> calls;
+    bool raw = !c.raw;
+    const cd::LoopBodies b = cd::make_loop_bodies<5>(
+        AddressRecorder{&calls, &raw}, f.rargs, true, "loop");
+    b.range(0, kEdges);
+    b.list(kListOrder.data(), kListOrder.size());
+    std::vector<lidx_t> order = range_order(0, kEdges);
+    order.insert(order.end(), kListOrder.begin(), kListOrder.end());
+    EXPECT_EQ(calls, expected_addresses(f.rargs, order));
+    EXPECT_EQ(raw, c.raw) << mesh::layout_name(c.direct) << "+"
+                          << mesh::layout_name(c.indirect);
+  }
+}
+
+/// Runs `body` expecting the out-of-region Error naming "bad_loop".
+template <typename F>
+void expect_names_loop(F body) {
+  try {
+    body();
+    ADD_FAILURE() << "no error raised";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'bad_loop'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Dispatch, ValidationNamesTheLoopOnBothPaths) {
+  for (const auto kind : {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA}) {
+    DispatchArgs f(kind, kind);
+    f.map[2 * 4 + 1] = kInvalidLocal;  // edge 4, second column
+    std::vector<std::vector<const double*>> calls;
+    bool raw = false;
+    const cd::LoopBodies b = cd::make_loop_bodies<5>(
+        AddressRecorder{&calls, &raw}, f.rargs, true, "bad_loop");
+    expect_names_loop([&] { b.range(0, kEdges); });
+    EXPECT_EQ(calls.size(), 4u);  // edges 0-3 ran, edge 4 raised
+    const lidx_t idx[] = {7, 4};
+    expect_names_loop([&] { b.list(idx, 2); });
+    EXPECT_EQ(raw, kind == mesh::LayoutKind::AoS);
+    // Without validation the hole is not checked (the production
+    // default): iterations that avoid it run normally.
+    const cd::LoopBodies quiet = cd::make_loop_bodies<5>(
+        AddressRecorder{&calls, &raw}, f.rargs, false, "bad_loop");
+    EXPECT_NO_THROW(quiet.range(0, 4));
+  }
 }
 
 // -- Steady-state plan reuse: zero rebuilds, zero staging allocations. --

@@ -100,8 +100,9 @@ TEST(HydraMetrics, CaReducesMessageCountForEveryChain) {
   for (const std::string& name : chain_names()) {
     ASSERT_TRUE(op2.count(name)) << name;
     ASSERT_TRUE(ca.count(name)) << name;
-    if (op2.at(name).msgs > 0)
+    if (op2.at(name).msgs > 0) {
       EXPECT_LT(ca.at(name).msgs, op2.at(name).msgs) << name;
+    }
   }
 }
 

@@ -112,8 +112,11 @@ TEST(DatLayout, PaddingIsZeroFilled) {
   std::set<std::size_t> valid;
   for (lidx_t i = 0; i < 13; ++i)
     for (int c = 0; c < 2; ++c) valid.insert(lay.offset(i, c));
-  for (std::size_t off = 0; off < store.size(); ++off)
-    if (valid.count(off) == 0) EXPECT_EQ(store[off], 0.0) << off;
+  for (std::size_t off = 0; off < store.size(); ++off) {
+    if (valid.count(off) == 0) {
+      EXPECT_EQ(store[off], 0.0) << off;
+    }
+  }
 }
 
 TEST(DatLayout, NonPowerOfTwoBlockRaises) {
@@ -259,8 +262,7 @@ TEST(WorldLayout, FetchDatRoundTripsAcrossLayouts) {
 
 TEST(WorldLayout, RankStorageAlignedAndDescribed) {
   mesh::Hex3D h = mesh::make_hex3d(9, 9, 9);
-  const mesh::dat_id d2 =
-      h.mesh.add_dat("d2", h.nodes, 2);
+  h.mesh.add_dat("d2", h.nodes, 2);
 
   for (const LayoutKind kind :
        {LayoutKind::AoS, LayoutKind::SoA, LayoutKind::AoSoA}) {

@@ -4,6 +4,8 @@
 // bracketing must keep dirty-bit bookkeeping coherent.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include <tuple>
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
@@ -60,10 +62,11 @@ INSTANTIATE_TEST_SUITE_P(
                           partition::Kind::KWay),
         ::testing::Values(1, 3), ::testing::Values(2, 3)),
     [](const ::testing::TestParamInfo<SynthParam>& info) {
-      return "r" + std::to_string(std::get<0>(info.param)) +
-             std::string(partition::kind_name(std::get<1>(info.param))) +
-             "c" + std::to_string(std::get<2>(info.param)) + "d" +
-             std::to_string(std::get<3>(info.param));
+      std::ostringstream name;
+      name << "r" << std::get<0>(info.param)
+           << partition::kind_name(std::get<1>(info.param)) << "c"
+           << std::get<2>(info.param) << "d" << std::get<3>(info.param);
+      return name.str();
     });
 
 // ---------------------------------------------------------------------
@@ -130,8 +133,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, HaloSweep,
                          ::testing::Combine(::testing::Values(2, 5, 9),
                                             ::testing::Values(1, 2, 3)),
                          [](const ::testing::TestParamInfo<HaloParam>& i) {
-                           return "r" + std::to_string(std::get<0>(i.param)) +
-                                  "d" + std::to_string(std::get<1>(i.param));
+                           std::ostringstream name;
+                           name << "r" << std::get<0>(i.param) << "d"
+                                << std::get<1>(i.param);
+                           return name.str();
                          });
 
 // ---------------------------------------------------------------------

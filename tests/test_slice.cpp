@@ -55,7 +55,9 @@ TEST(Slice, ListsAreSubsetsOfStructuralLayers) {
       for (size_t i = 0; i < lists[l].size(); ++i) {
         EXPECT_GE(lists[l][i], lo);
         EXPECT_LT(lists[l][i], hi);
-        if (i > 0) EXPECT_LT(lists[l][i - 1], lists[l][i]);
+        if (i > 0) {
+          EXPECT_LT(lists[l][i - 1], lists[l][i]);
+        }
       }
     }
   }
@@ -85,8 +87,9 @@ TEST(Slice, CoversOwnerComputeRequirement) {
         const lidx_t t = lm.targets[static_cast<size_t>(2 * e + c)];
         if (t != kInvalidLocal && t < nlay.num_owned) touches_owned = true;
       }
-      if (touches_owned)
+      if (touches_owned) {
         EXPECT_TRUE(in_list.count(e)) << "rank " << r << " edge " << e;
+      }
     }
   }
 }
