@@ -18,9 +18,6 @@
 //   --vector-width=X override the SIMD speedup factor applied for a
 //                  non-AoS layout (default: kDefaultLayoutSpeedup, the
 //                  measured direct-loop A/B ratio from BENCH_simd.json)
-//   --taskgraph    model dependency-driven block sweeps instead of
-//                  colour barriers (Machine::taskgraph; executing
-//                  benches also set WorldConfig::taskgraph)
 //   --rails=N      stripe large messages across N network rails (0 =
 //                  keep the machine preset's rail count; model benches
 //                  override Machine::net.net_rails, executing benches
@@ -90,7 +87,6 @@ struct BenchConfig {
   mesh::LayoutKind layout = mesh::LayoutKind::AoS;
   int aosoa_block = 8;
   double vector_width = 0;  ///< 0 = derive from `layout`.
-  bool taskgraph = false;
   int rails = 0;  ///< 0 = machine preset's rail count.
   bool persistent = false;
   std::string backend = "sim";
@@ -110,7 +106,6 @@ struct BenchConfig {
     cfg.layout = mesh::layout_by_name(opt.get_string("layout", "aos"));
     cfg.aosoa_block = static_cast<int>(opt.get_int("aosoa-block", 8));
     cfg.vector_width = opt.get_double("vector-width", 0);
-    cfg.taskgraph = opt.get_bool("taskgraph", false);
     cfg.rails = static_cast<int>(opt.get_int("rails", 0));
     cfg.persistent = opt.get_bool("persistent", false);
     cfg.backend = opt.get_string("backend", "sim");
@@ -141,7 +136,6 @@ struct BenchConfig {
   /// non-AoS layout divides them by Machine::vector_width.
   model::Machine apply_threads(model::Machine mach) const {
     mach.threads_per_rank = threads;
-    mach.taskgraph = taskgraph;
     if (vector_width > 0)
       mach.vector_width = vector_width;
     else if (layout != mesh::LayoutKind::AoS)
@@ -198,7 +192,7 @@ struct BenchConfig {
 
 inline std::set<std::string> standard_option_names() {
   return {"scale",      "csv",     "calibrate",  "threads",
-          "layout",     "aosoa-block", "vector-width", "taskgraph",
+          "layout",     "aosoa-block", "vector-width",
           "rails",      "persistent",  "backend",     "calibration",
           "device",     "device-mode", "pipeline-stages",
           "device-staging", "tile"};

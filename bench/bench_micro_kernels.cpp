@@ -409,7 +409,7 @@ ThreadedSweepResult bench_threaded_sweep() {
   const auto& list = bodies.list;
 
   const mesh::ColourMapView view{map.data(), 2, kEdges, kNodes};
-  const mesh::Colouring col = mesh::greedy_colouring(kEdges, {&view, 1});
+  const mesh::Colouring col = mesh::block_colouring(kEdges, {&view, 1}, 1);
 
   ThreadedSweepResult r;
   r.colours = col.num_colours;
@@ -828,45 +828,37 @@ void write_simd_json(const char* path, const std::string& only,
 }
 
 // ---------------------------------------------------------------------
-// Task-graph sweep harness (BENCH_hotpath.json "taskgraph_sweep"): the
+// Colour-sweep scaling harness (BENCH_hotpath.json "colour_sweep"): the
 // indirect-INC update over a scrambled hex3d mesh through the full World
-// executor. Serial baseline = scrambled partition order, width 1, colour
-// barriers. The graph rows run RCM-reordered at widths 2 and 4, once
-// with colour barriers and once with WorldConfig::taskgraph, so the JSON
-// separates what the locality layer buys from what dependency-driven
-// scheduling buys on top. `speedup` is graph vs the scrambled serial
-// baseline — the number CI gates on (>= 2x at 4 threads on multi-core
-// runners; on a single-core host it is carried by the reordering).
+// executor. Serial baseline = scrambled partition order, width 1. The
+// width rows run RCM-reordered with blocked colour-barrier sweeps at 2
+// and 4 threads, so `speedup` is what the locality layer and threading
+// buy together over the scrambled serial baseline — the number CI gates
+// on (>= 2x at 4 threads on multi-core runners; on a single-core host
+// it is carried by the reordering).
 // ---------------------------------------------------------------------
 
-struct TaskgraphCase {
-  double sweep_ns = 0;  ///< per edge, full executor path.
-  std::int64_t tasks = 0, steals = 0;
-  double dep_wait_s = 0;
-};
-
-TaskgraphCase bench_taskgraph_case(const mesh::MeshDef& m,
-                                   mesh::ReorderKind kind, int threads,
-                                   bool taskgraph) {
+/// Per-edge time of one sweep configuration through the full executor.
+double bench_colour_sweep_case(const mesh::MeshDef& m, mesh::ReorderKind kind,
+                               int threads) {
   core::WorldConfig cfg;
   cfg.nranks = 1;
   cfg.halo_depth = 1;
   cfg.threads_per_rank = threads;
   cfg.reorder.kind = kind;
-  cfg.taskgraph = taskgraph;
   core::World w(m, cfg);
 
   const auto num_edges =
       static_cast<double>(w.mesh().set(*w.mesh().find_set("edges")).size);
-  TaskgraphCase r;
+  double sweep_ns = 0;
   w.run([&](core::Runtime& rt) {
     const core::Set edges = rt.set("edges");
-    const core::Dat res = rt.dat("tg_res");
-    const core::Dat pres = rt.dat("tg_pres");
+    const core::Dat res = rt.dat("sweep_res");
+    const core::Dat pres = rt.dat("sweep_pres");
     const core::Map map = rt.map("e2n");
-    r.sweep_ns =
+    sweep_ns =
         1e9 / num_edges * time_per_call([&] {
-          rt.par_loop("tg_update", edges,
+          rt.par_loop("sweep_update", edges,
                       apps::mgcfd::kernels::synth_update,
                       core::arg_dat(res, 0, map, core::Access::INC),
                       core::arg_dat(res, 1, map, core::Access::INC),
@@ -874,70 +866,50 @@ TaskgraphCase bench_taskgraph_case(const mesh::MeshDef& m,
                       core::arg_dat(pres, 1, map, core::Access::READ));
         });
   });
-  const auto metrics = w.loop_metrics();
-  if (metrics.count("tg_update") != 0) {
-    const core::LoopMetrics& m2 = metrics.at("tg_update");
-    r.tasks = m2.tasks;
-    r.steals = m2.steals;
-    r.dep_wait_s = m2.dep_wait_seconds;
-  }
-  return r;
+  return sweep_ns;
 }
 
-struct TaskgraphWidthResult {
+struct ColourSweepWidth {
   int threads = 1;
-  double barrier_ns = 0;  ///< RCM, colour barriers.
-  double graph_ns = 0;    ///< RCM, task graph.
-  double speedup = 0;     ///< graph vs scrambled serial baseline.
-  double vs_barrier = 0;  ///< graph vs barrier at the same width.
-  std::int64_t tasks = 0, steals = 0;
-  double dep_wait_s = 0;
+  double sweep_ns = 0;  ///< RCM, colour barriers, per edge.
+  double speedup = 0;   ///< vs the scrambled serial baseline.
 };
 
-struct TaskgraphResult {
+struct ColourSweepResult {
   gidx_t nodes = 0, edges = 0;
   double serial_ns = 0;
-  std::vector<TaskgraphWidthResult> widths;
+  std::vector<ColourSweepWidth> widths;
   double best_speedup = 0;
 };
 
-TaskgraphResult bench_taskgraph_sweep() {
+ColourSweepResult bench_colour_sweep() {
   // Same sizing rationale as the locality harness: the gathered node
   // streams dwarf the LLC, so the scrambled serial baseline is
-  // gather-bound and both knobs under test (ordering, scheduling) are
+  // gather-bound and both knobs under test (ordering, threading) are
   // what the timer sees.
   mesh::Hex3D h = mesh::make_hex3d(108, 108, 108);
   const auto nodes = h.nodes;
-  h.mesh.add_dat("tg_res", nodes, 2);
+  h.mesh.add_dat("sweep_res", nodes, 2);
   {
     const gidx_t n = h.mesh.set(nodes).size;
     std::vector<double> pres(static_cast<std::size_t>(n) * 2);
     Rng rng(8);
     for (auto& v : pres) v = rng.next_range(0.5, 1.5);
-    h.mesh.add_dat("tg_pres", nodes, 2, std::move(pres));
+    h.mesh.add_dat("sweep_pres", nodes, 2, std::move(pres));
   }
   const mesh::MeshDef scrambled = mesh::scramble_mesh(h.mesh, 99);
 
-  TaskgraphResult r;
+  ColourSweepResult r;
   r.nodes = h.mesh.set(h.nodes).size;
   r.edges = h.mesh.set(h.edges).size;
   r.serial_ns =
-      bench_taskgraph_case(scrambled, mesh::ReorderKind::None, 1, false)
-          .sweep_ns;
+      bench_colour_sweep_case(scrambled, mesh::ReorderKind::None, 1);
   for (const int threads : {2, 4}) {
-    const TaskgraphCase barrier = bench_taskgraph_case(
-        scrambled, mesh::ReorderKind::RCM, threads, false);
-    const TaskgraphCase graph = bench_taskgraph_case(
-        scrambled, mesh::ReorderKind::RCM, threads, true);
-    TaskgraphWidthResult w;
+    ColourSweepWidth w;
     w.threads = threads;
-    w.barrier_ns = barrier.sweep_ns;
-    w.graph_ns = graph.sweep_ns;
-    w.speedup = r.serial_ns / graph.sweep_ns;
-    w.vs_barrier = barrier.sweep_ns / graph.sweep_ns;
-    w.tasks = graph.tasks;
-    w.steals = graph.steals;
-    w.dep_wait_s = graph.dep_wait_s;
+    w.sweep_ns =
+        bench_colour_sweep_case(scrambled, mesh::ReorderKind::RCM, threads);
+    w.speedup = r.serial_ns / w.sweep_ns;
     r.best_speedup = std::max(r.best_speedup, w.speedup);
     r.widths.push_back(w);
   }
@@ -949,7 +921,7 @@ void write_hotpath_json(const char* path) {
   const DispatchResult indirect = bench_indirect_dispatch();
   const GroupedResult grouped = bench_grouped_pack();
   const ThreadedSweepResult sweep = bench_threaded_sweep();
-  const TaskgraphResult tg = bench_taskgraph_sweep();
+  const ColourSweepResult cs = bench_colour_sweep();
 
   std::ofstream os(path);
   os.precision(5);
@@ -988,22 +960,18 @@ void write_hotpath_json(const char* path) {
   }
   os << "]\n"
      << "  },\n"
-     << "  \"taskgraph_sweep\": {\n"
-     << "    \"mesh\": {\"nodes\": " << tg.nodes
-     << ", \"edges\": " << tg.edges << "},\n"
-     << "    \"serial_ns\": " << tg.serial_ns << ",\n    \"widths\": [";
-  for (std::size_t i = 0; i < tg.widths.size(); ++i) {
-    const auto& w = tg.widths[i];
+     << "  \"colour_sweep\": {\n"
+     << "    \"mesh\": {\"nodes\": " << cs.nodes
+     << ", \"edges\": " << cs.edges << "},\n"
+     << "    \"serial_ns\": " << cs.serial_ns << ",\n    \"widths\": [";
+  for (std::size_t i = 0; i < cs.widths.size(); ++i) {
+    const auto& w = cs.widths[i];
     os << (i == 0 ? "" : ", ") << "{\"threads\": " << w.threads
-       << ", \"barrier_ns\": " << w.barrier_ns
-       << ", \"graph_ns\": " << w.graph_ns
-       << ", \"speedup\": " << w.speedup
-       << ", \"vs_barrier\": " << w.vs_barrier
-       << ", \"tasks\": " << w.tasks << ", \"steals\": " << w.steals
-       << ", \"dep_wait_s\": " << w.dep_wait_s << "}";
+       << ", \"sweep_ns\": " << w.sweep_ns
+       << ", \"speedup\": " << w.speedup << "}";
   }
   os << "],\n"
-     << "    \"best_speedup\": " << tg.best_speedup << "\n"
+     << "    \"best_speedup\": " << cs.best_speedup << "\n"
      << "  }\n"
      << "}\n";
   const double best_sweep =
@@ -1016,13 +984,11 @@ void write_hotpath_json(const char* path) {
       grouped.plan_unpack_gbps / grouped.ref_unpack_gbps,
       sweep.widths.empty() ? 0 : sweep.widths.back().threads, best_sweep,
       sweep.colours, path);
-  for (const TaskgraphWidthResult& w : tg.widths)
+  for (const ColourSweepWidth& w : cs.widths)
     std::printf(
-        "  taskgraph @%dt: %.2f ns/edge, %.2fx vs scrambled serial "
-        "(%.2f ns), %.2fx vs colour barriers, %lld tasks, %lld steals\n",
-        w.threads, w.graph_ns, w.speedup, tg.serial_ns, w.vs_barrier,
-        static_cast<long long>(w.tasks),
-        static_cast<long long>(w.steals));
+        "  RCM colour sweep @%dt: %.2f ns/edge, %.2fx vs scrambled serial "
+        "(%.2f ns)\n",
+        w.threads, w.sweep_ns, w.speedup, cs.serial_ns);
 }
 
 // ---------------------------------------------------------------------

@@ -64,7 +64,7 @@ Request Comm::post_send(rank_t dst, tag_t tag, Message msg) {
   msg.tag = tag;
   const std::size_t n = msg.payload.size();
 
-  // Concurrent pack tasks of one rank may isend simultaneously. Sends
+  // Pool workers of one rank may isend simultaneously. Sends
   // serialise per destination — posts to the same peer keep their
   // (src, dst, tag) FIFO order, posts to different peers proceed in
   // parallel instead of queueing behind one global lock.

@@ -90,10 +90,9 @@ private:
 ///
 /// A Comm belongs to exactly one rank thread, with one exception: isend /
 /// stripe_isend / channel_isend are safe to call concurrently from that
-/// rank's pool workers (taskgraph mode posts pack isends from whichever
-/// worker runs the pack task). Sends serialise per DESTINATION — one
-/// mutex per peer — so concurrent pack tasks aimed at different
-/// neighbours post without contending, while per-(src,dst,tag) FIFO
+/// rank's pool workers. Sends serialise per DESTINATION — one mutex per
+/// peer — so concurrent posts aimed at different neighbours proceed
+/// without contending, while per-(src,dst,tag) FIFO
 /// order is preserved; a separate mutex guards the statistics. Receives,
 /// waits, channel negotiation and collectives remain rank-thread-only.
 class Comm {

@@ -35,10 +35,10 @@ bool MpiBackend::launched_under_mpirun() {
 namespace op2ca::sim {
 
 // Real-MPI implementation. One MPI process per rank; worker threads of
-// the local rank may post concurrently (taskgraph pack isends), so every
-// MPI call runs under one mutex — MPI_THREAD_SERIALIZED is sufficient —
-// and blocking matches poll with the mutex released between probes so
-// concurrent posts make progress.
+// the local rank may post concurrently (Comm sends are worker-safe), so
+// every MPI call runs under one mutex — MPI_THREAD_SERIALIZED is
+// sufficient — and blocking matches poll with the mutex released between
+// probes so concurrent posts make progress.
 struct MpiBackend::Impl {
   std::mutex mu;
   std::deque<std::pair<MPI_Request, ByteBuf>> pending;
@@ -83,7 +83,7 @@ struct MpiEnv {
         "MpiBackend: the MPI library provides thread level " +
             std::to_string(provided) + " but MPI_THREAD_SERIALIZED (" +
             std::to_string(MPI_THREAD_SERIALIZED) +
-            ") is required — taskgraph pack workers post sends "
+            ") is required — pool workers may post sends "
             "concurrently under one mutex");
   }
 

@@ -35,31 +35,19 @@ void Runtime::chain_end() {
   if (!cfg.enabled(name)) {
     // CA disabled for this chain: run the loops as standard OP2 loops,
     // but still meter them under the chain's name so benches can compare
-    // the two execution modes of the same chain.
+    // the two execution modes of the same chain. One invocation is one
+    // call, untiled by definition, and max_rank_bytes stays the bytes this
+    // rank sent over the whole invocation.
     LoopMetrics chain_total;
-    chain_total.calls = 1;
-    chain_total.tile = 1;  // untiled by definition (per-loop OP2)
+    std::int64_t rank_bytes = 0;
     for (const auto& rec : loops) {
       const LoopMetrics m = detail::execute_loop_op2(*state_, rec);
-      chain_total.core_iters += m.core_iters;
-      chain_total.halo_iters += m.halo_iters;
-      chain_total.msgs += m.msgs;
-      chain_total.bytes += m.bytes;
-      chain_total.max_msg_bytes =
-          std::max(chain_total.max_msg_bytes, m.max_msg_bytes);
-      chain_total.max_rank_bytes += m.max_rank_bytes;
-      chain_total.max_neighbors =
-          std::max(chain_total.max_neighbors, m.max_neighbors);
-      chain_total.wall_seconds += m.wall_seconds;
-      chain_total.pack_seconds += m.pack_seconds;
-      chain_total.core_seconds += m.core_seconds;
-      chain_total.wait_seconds += m.wait_seconds;
-      chain_total.unpack_seconds += m.unpack_seconds;
-      chain_total.halo_seconds += m.halo_seconds;
-      chain_total.dispatch_regions += m.dispatch_regions;
-      chain_total.plan_builds += m.plan_builds;
-      chain_total.staging_allocs += m.staging_allocs;
+      chain_total.merge_from(m);
+      rank_bytes += m.max_rank_bytes;
     }
+    chain_total.calls = 1;
+    chain_total.tile = 1;
+    chain_total.max_rank_bytes = rank_bytes;
     LoopMetrics& agg = state_->chain_metrics[name];
     const std::int64_t prev_calls = agg.calls;
     agg.merge_from(chain_total);

@@ -11,25 +11,17 @@ RankState::RankState(World* w, sim::TransportBackend& transport, rank_t r)
       comm(transport, r, &w->config().cost, &w->config().transport) {
   const mesh::MeshDef& mesh = world->mesh();
   serial_dispatch = w->config().serial_dispatch;
-  // serial_dispatch wins over threading and the task graph: the
-  // per-element equivalence knob must reproduce the classic order exactly.
-  taskgraph = w->config().taskgraph && !serial_dispatch;
-  // Taskgraph mode needs a pool even at width 1 so that the width-1 FIFO
-  // graph path runs — keeping a single-thread taskgraph World bitwise
-  // equal to wider ones. Device mode needs one for the same reason: the
-  // hierarchical sweep dispatches blocks through the pool at any width,
-  // so a width-1 device World is bitwise equal to wider ones.
-  if ((w->config().threads_per_rank > 1 || taskgraph ||
-       w->config().device.enabled) &&
+  // Device mode needs a pool even at width 1: its hierarchical sweep
+  // dispatches blocks through the pool at any width, so a width-1 device
+  // World runs the same code as wider ones. serial_dispatch wins over
+  // both: the per-element equivalence knob must reproduce the classic
+  // order exactly.
+  if ((w->config().threads_per_rank > 1 || w->config().device.enabled) &&
       !serial_dispatch)
     pool = std::make_unique<util::ThreadPool>(w->config().threads_per_rank);
   // Blocked colouring rides with the locality layer: with reordering off
   // every dispatch path must stay bitwise-identical to earlier builds.
-  // The task graph always needs blocks (its dependency unit), so its
-  // block size wins whenever it is on.
-  if (taskgraph)
-    colour_block = std::max<lidx_t>(2, w->config().taskgraph_block);
-  else if (w->config().reorder.enabled())
+  if (w->config().reorder.enabled())
     colour_block = std::max<lidx_t>(1, w->config().reorder.colour_block);
   dats.resize(static_cast<std::size_t>(mesh.num_dats()));
   loop_exchanges.resize(static_cast<std::size_t>(mesh.num_dats()));

@@ -3,42 +3,33 @@
 //
 // Serial paths are unchanged from the pre-threading runtime: one
 // type-erased region body per range/list (or per element under
-// serial_dispatch). With a worker pool (threads_per_rank > 1):
+// serial_dispatch). With a worker pool (threads_per_rank > 1, or device
+// mode at any width):
 //
 //  * Loops without indirect writes split regions into contiguous chunks,
 //    one per pool thread. Every element writes only its own rows, so any
 //    chunking is race-free and bitwise-identical to serial execution.
-//  * Loops with indirect writes run colour-ordered sweeps: a greedy
-//    colouring of the iteration set (conflict = two elements sharing a
-//    target through any written-dat map) is computed once per (set,
-//    conflict maps) and cached in RankState next to the exchange plans.
-//    Colours execute in ascending order with a pool barrier between
-//    them; within a colour no two elements touch the same written
-//    element, so the intra-colour split across threads cannot affect any
-//    memory cell. Results are therefore a pure function of the colouring
-//    — deterministic at every pool width — though increment sums
-//    reassociate relative to the width-1 index order.
+//  * Loops with indirect writes run colour-ordered sweeps: a colouring of
+//    the iteration set (conflict = two elements sharing a target through
+//    any written-dat map) is computed once per (set, conflict maps) and
+//    cached in RankState next to the exchange plans. It is per-element by
+//    default, blocked under the locality layer, and the hierarchical
+//    two-level schedule in device mode. Colours execute in ascending
+//    order with a pool barrier between them; within a colour no two
+//    conflict units (elements, or blocks kept whole on one thread) touch
+//    the same written element, so the intra-colour split across threads
+//    cannot affect any memory cell. Results are therefore a pure function
+//    of the colouring — deterministic at every pool width — though
+//    increment sums reassociate relative to the width-1 index order.
 //  * Loops reducing into a global (arg_gbl INC) fall back to the serial
 //    region: the single accumulation buffer is inherently order- and
 //    sharing-sensitive.
-//
-// Taskgraph mode (WorldConfig::taskgraph) replaces the per-colour
-// barriers of the indirect-write path with a dependency-driven sweep: the
-// block-conflict DAG (edges oriented low colour -> high colour) is
-// compiled once per (loop, region) into dense successor/indegree arrays
-// and executed by the pool's work-stealing run_graph. A block's next
-// chunk becomes runnable the moment its conflicting neighbours of lower
-// colour finish — no barrier. Because every pair of conflicting blocks is
-// ordered by the DAG and intra-block order is ascending, each memory cell
-// sees the same write sequence at every pool width, so results are
-// bitwise-identical across widths (and to the blocked colour-barrier
-// sweep at the same block size). Executors additionally fold halo-pack
-// tasks into the epoch through run_range_tasks: a pack is a root and the
-// blocks writing its read rows depend on it, so staging overlaps the bulk
-// of core compute.
 #include <algorithm>
+#include <iterator>
+#include <span>
 
 #include "op2ca/core/runtime_detail.hpp"
+#include "op2ca/gpu/hierarchy.hpp"
 #include "op2ca/util/error.hpp"
 
 namespace op2ca::core::detail {
@@ -166,11 +157,14 @@ std::int64_t run_aware_span(const LoopRecord& rec, const lidx_t* idx,
 /// per-element colouring (block <= 1) conflict-freedom within the class
 /// makes any split race-free and width-independent; with blocked
 /// colouring the conflict-free unit is the block, so chunk boundaries
-/// advance to the next block edge (a block never straddles threads) and
-/// each chunk executes run-aware. Either way intra-chunk order is
-/// ascending, so results are a pure function of the colouring.
+/// advance to the next block edge (a block never straddles threads).
+/// Ascending chunks execute run-aware; a chunk in the device schedule's
+/// inner block order goes through one gathered-list body, since that
+/// order breaks runs into pieces too short to repay a range-body call.
+/// Either way each chunk runs in class order, so results are a pure
+/// function of the colouring.
 void sweep_class(RankState& st, const LoopRecord& rec, const lidx_t* idx,
-                 std::size_t n, lidx_t block) {
+                 std::size_t n, lidx_t block, bool ascending) {
   if (n == 0) return;
   if (block <= 1) {
     run_list_chunked(st, rec, idx, n);
@@ -188,9 +182,14 @@ void sweep_class(RankState& st, const LoopRecord& rec, const lidx_t* idx,
   pool.run([&](int t) {
     const std::size_t b = off[static_cast<std::size_t>(t)];
     const std::size_t e = off[static_cast<std::size_t>(t) + 1];
-    if (b < e)
+    if (b >= e) return;
+    if (ascending) {
       regions[static_cast<std::size_t>(t)] =
           run_aware_span(rec, idx + b, e - b);
+    } else {
+      rec.list_body(idx + b, e - b);
+      regions[static_cast<std::size_t>(t)] = 1;
+    }
   });
   for (int t = 0; t < pool.threads(); ++t) {
     st.dispatch_regions += regions[static_cast<std::size_t>(t)];
@@ -200,8 +199,7 @@ void sweep_class(RankState& st, const LoopRecord& rec, const lidx_t* idx,
 
 /// Builds the ColourMapViews of a conflict-map list (the -1 sentinel
 /// becomes an identity view backed by `identity`, which must outlive the
-/// returned views). Shared by the colouring and the block-graph builders
-/// so both see the exact same conflict structure.
+/// returned views).
 std::vector<mesh::ColourMapView> conflict_views(
     RankState& st, mesh::set_id set, const std::vector<mesh::map_id>& maps,
     LIdxVec& identity) {
@@ -233,50 +231,30 @@ std::vector<mesh::ColourMapView> conflict_views(
   return views;
 }
 
-/// One outer-colour phase of the hierarchical device sweep: the phase's
-/// blocks spread across the pool ("one block per thread block"), each
-/// block executing its elements serially in block_order — inner-colour
-/// rounds in ascending order, the simulated shared-memory schedule.
-/// Blocks of one outer colour never conflict and every block stays on
-/// one thread, so results are a pure function of the schedule —
-/// bitwise-identical at every pool width.
-void sweep_hier_colour(RankState& st, const LoopRecord& rec,
-                       const gpu::HierColouring& h, const LIdxVec& blocks,
-                       lidx_t begin, lidx_t end) {
-  if (blocks.empty()) return;
-  util::ThreadPool& pool = *st.pool;
-  const lidx_t be = h.blocks.block_elems;
-  const std::vector<std::size_t> off =
-      chunk_offsets(blocks.size(), pool.threads());
-  std::vector<std::int64_t> regions(
-      static_cast<std::size_t>(pool.threads()), 0);
-  pool.run([&](int t) {
-    LIdxVec partial;  // scratch for blocks straddling the region edge
-    for (std::size_t j = off[static_cast<std::size_t>(t)];
-         j < off[static_cast<std::size_t>(t) + 1]; ++j) {
-      const lidx_t b = blocks[j];
-      const std::size_t lo = h.block_off[static_cast<std::size_t>(b)];
-      const std::size_t hi = h.block_off[static_cast<std::size_t>(b) + 1];
-      if (b * be >= begin &&
-          b * be + static_cast<lidx_t>(hi - lo) <= end) {
-        // Block fully inside [begin, end): its order slice runs as-is.
-        rec.list_body(h.block_order.data() + lo, hi - lo);
-      } else {
-        partial.clear();
-        for (std::size_t k = lo; k < hi; ++k) {
-          const lidx_t e = h.block_order[k];
-          if (e >= begin && e < end) partial.push_back(e);
-        }
-        if (partial.empty()) continue;
-        rec.list_body(partial.data(), partial.size());
-      }
-      ++regions[static_cast<std::size_t>(t)];
-    }
-  });
-  for (int t = 0; t < pool.threads(); ++t) {
-    st.dispatch_regions += regions[static_cast<std::size_t>(t)];
-    st.dispatch_chunks += regions[static_cast<std::size_t>(t)] > 0;
+/// The part of colour class `cls` inside [begin, end), in class order.
+/// Blocks ascend within a class, so the blocks meeting the range form one
+/// contiguous slice. With ascending elements that slice, trimmed to the
+/// range, is found by binary search. Under an inner block order (the
+/// device schedule) the two blocks the range cuts mix elements inside
+/// and outside it, so the selected blocks are filtered into `scratch`.
+std::span<const lidx_t> class_slice(const mesh::Colouring& col,
+                                    const LIdxVec& cls, lidx_t begin,
+                                    lidx_t end, LIdxVec& scratch) {
+  if (col.ascending) {
+    const auto lo = std::lower_bound(cls.begin(), cls.end(), begin);
+    const auto hi = std::lower_bound(lo, cls.end(), end);
+    return {cls.data() + (lo - cls.begin()),
+            static_cast<std::size_t>(hi - lo)};
   }
+  const lidx_t b = col.block_elems;
+  const auto lo = std::partition_point(
+      cls.begin(), cls.end(), [&](lidx_t e) { return e / b < begin / b; });
+  const auto hi = std::partition_point(
+      lo, cls.end(), [&](lidx_t e) { return e / b <= (end - 1) / b; });
+  scratch.clear();
+  std::copy_if(lo, hi, std::back_inserter(scratch),
+               [&](lidx_t e) { return e >= begin && e < end; });
+  return scratch;
 }
 
 }  // namespace
@@ -291,53 +269,22 @@ const mesh::Colouring& loop_colouring(RankState& st, const LoopRecord& rec) {
   LIdxVec identity;
   const std::vector<mesh::ColourMapView> views =
       conflict_views(st, rec.set, maps, identity);
-  mesh::Colouring col =
-      st.colour_block > 1
-          ? mesh::block_colouring(lay.total, views, st.colour_block)
-          : mesh::greedy_colouring(lay.total, views);
+  mesh::Colouring col;
+  if (st.device != nullptr && st.device->config().hierarchical) {
+    const gpu::DeviceConfig& dc = st.device->config();
+    // The shared-memory clamp sizes a block's staging footprint by the
+    // widest dat row the mesh declares — conservative, and independent of
+    // the particular loop so the (set, maps) cache key stays sufficient.
+    int max_dim = 1;
+    const mesh::MeshDef& mesh = st.world->mesh();
+    for (mesh::dat_id d = 0; d < mesh.num_dats(); ++d)
+      max_dim = std::max(max_dim, mesh.dat(d).dim);
+    col = gpu::sweep_colouring(gpu::hierarchical_colouring(
+        lay.total, views, dc.block_elems, dc.shared_bytes, max_dim));
+  } else {
+    col = mesh::block_colouring(lay.total, views, st.colour_block);
+  }
   return st.colourings.emplace(key, std::move(col)).first->second;
-}
-
-const gpu::HierColouring& loop_hier(RankState& st, const LoopRecord& rec) {
-  const std::vector<mesh::map_id> maps = conflict_maps(rec);
-  const auto key = std::make_pair(rec.set, maps);
-  auto it = st.hier_colourings.find(key);
-  if (it != st.hier_colourings.end()) return it->second;
-
-  const halo::SetLayout& lay = st.layout(rec.set);
-  LIdxVec identity;
-  const std::vector<mesh::ColourMapView> views =
-      conflict_views(st, rec.set, maps, identity);
-  const gpu::DeviceConfig& dc = st.world->config().device;
-  // The shared-memory clamp sizes a block's staging footprint by the
-  // widest dat row the mesh declares — conservative, and independent of
-  // the particular loop so the (set, maps) cache key stays sufficient.
-  int max_dim = 1;
-  const mesh::MeshDef& mesh = st.world->mesh();
-  for (mesh::dat_id d = 0; d < mesh.num_dats(); ++d)
-    max_dim = std::max(max_dim, mesh.dat(d).dim);
-  gpu::HierColouring h = gpu::hierarchical_colouring(
-      lay.total, views, dc.block_elems, dc.shared_bytes, max_dim);
-  return st.hier_colourings.emplace(key, std::move(h)).first->second;
-}
-
-LoopGraph& loop_graph(RankState& st, const LoopRecord& rec) {
-  const std::vector<mesh::map_id> maps = conflict_maps(rec);
-  const auto key = std::make_pair(rec.set, maps);
-  auto it = st.loop_graphs.find(key);
-  if (it != st.loop_graphs.end()) return it->second;
-
-  const mesh::Colouring& col = loop_colouring(st, rec);
-  const halo::SetLayout& lay = st.layout(rec.set);
-  LIdxVec identity;
-  const std::vector<mesh::ColourMapView> views =
-      conflict_views(st, rec.set, maps, identity);
-  LoopGraph lg;
-  lg.maps = maps;
-  lg.graph = mesh::block_conflict_graph(lay.total, views, col);
-  lg.writer_off.resize(views.size());
-  lg.writer_blk.resize(views.size());
-  return st.loop_graphs.emplace(key, std::move(lg)).first->second;
 }
 
 const mesh::OrderingQuality& loop_quality(RankState& st,
@@ -366,223 +313,6 @@ const mesh::OrderingQuality& loop_quality(RankState& st,
   return st.loop_qualities.emplace(rec.name, q).first->second;
 }
 
-namespace {
-
-/// Compiles the block DAG restricted to [begin, end): dense task ids over
-/// the intersecting blocks, a successor CSR oriented low colour -> high
-/// colour (adjacent blocks always differ in colour), and in-range
-/// indegrees — predecessors outside the range are excluded, since region
-/// calls are already ordered sequentially on the rank thread. Cached per
-/// (begin, end); a loop's region boundaries are stable across calls, so
-/// steady-state epochs reuse the arrays untouched.
-const LoopGraph::Compiled& compile_range(LoopGraph& lg, lidx_t begin,
-                                         lidx_t end) {
-  const auto key = std::make_pair(begin, end);
-  auto it = lg.ranges.find(key);
-  if (it != lg.ranges.end()) return it->second;
-
-  const mesh::BlockGraph& g = lg.graph;
-  const lidx_t B = g.block_elems;
-  const lidx_t b0 = begin / B;
-  const lidx_t b1 = std::min<lidx_t>(g.num_blocks, (end - 1) / B + 1);
-  const auto T = static_cast<std::int32_t>(b1 - b0);
-  LoopGraph::Compiled c;
-  c.first_block = b0;
-  c.num_tasks = T;
-  c.succ_off.assign(static_cast<std::size_t>(T) + 1, 0);
-  c.indeg.assign(static_cast<std::size_t>(T), 0);
-  auto each_edge = [&](auto&& fn) {
-    for (lidx_t b = b0; b < b1; ++b)
-      for (std::size_t r = g.adj_off[static_cast<std::size_t>(b)];
-           r < g.adj_off[static_cast<std::size_t>(b) + 1]; ++r) {
-        const lidx_t nb = g.adj[r];
-        if (nb < b0 || nb >= b1) continue;
-        if (g.colour[static_cast<std::size_t>(b)] <
-            g.colour[static_cast<std::size_t>(nb)])
-          fn(static_cast<std::int32_t>(b - b0),
-             static_cast<std::int32_t>(nb - b0));
-      }
-  };
-  each_edge([&](std::int32_t t, std::int32_t nt) {
-    ++c.succ_off[static_cast<std::size_t>(t) + 1];
-    ++c.indeg[static_cast<std::size_t>(nt)];
-  });
-  for (std::int32_t t = 0; t < T; ++t)
-    c.succ_off[static_cast<std::size_t>(t) + 1] +=
-        c.succ_off[static_cast<std::size_t>(t)];
-  c.succ.resize(static_cast<std::size_t>(c.succ_off[static_cast<std::size_t>(T)]));
-  std::vector<std::int32_t> at(c.succ_off.begin(), c.succ_off.end() - 1);
-  each_edge([&](std::int32_t t, std::int32_t nt) {
-    c.succ[static_cast<std::size_t>(at[static_cast<std::size_t>(t)]++)] = nt;
-  });
-  return lg.ranges.emplace(key, std::move(c)).first->second;
-}
-
-/// Lazily builds view v's writer incidence: target row -> blocks holding
-/// an element that maps onto it (ascending, unique per row). Walked when
-/// a pack task's read rows must gate the blocks that overwrite them.
-void build_writer_csr(RankState& st, LoopGraph& lg, std::size_t v,
-                      mesh::map_id m) {
-  if (!lg.writer_off[v].empty()) return;
-  const halo::LocalMap& lm =
-      st.rank_plan().maps[static_cast<std::size_t>(m)];
-  const mesh::MapDef& md = st.world->mesh().map(m);
-  const lidx_t ntgt =
-      st.rank_plan().sets[static_cast<std::size_t>(md.to)].total;
-  const lidx_t B = lg.graph.block_elems;
-  const auto nelem = static_cast<lidx_t>(
-      lm.targets.size() / static_cast<std::size_t>(lm.arity));
-  auto& off = lg.writer_off[v];
-  auto& blk = lg.writer_blk[v];
-  off.assign(static_cast<std::size_t>(ntgt) + 1, 0);
-  // Elements ascend, so each target sees its blocks in ascending order
-  // and a last-seen array dedups adjacent repeats (count, then fill).
-  LIdxVec last(static_cast<std::size_t>(ntgt), kInvalidLocal);
-  auto each = [&](auto&& fn) {
-    for (lidx_t e = 0; e < nelem; ++e) {
-      const lidx_t b = e / B;
-      for (int k = 0; k < lm.arity; ++k) {
-        const lidx_t t =
-            lm.targets[static_cast<std::size_t>(e) *
-                           static_cast<std::size_t>(lm.arity) +
-                       static_cast<std::size_t>(k)];
-        if (t == kInvalidLocal) continue;
-        if (last[static_cast<std::size_t>(t)] == b) continue;
-        last[static_cast<std::size_t>(t)] = b;
-        fn(t, b);
-      }
-    }
-  };
-  each([&](lidx_t t, lidx_t) { ++off[static_cast<std::size_t>(t) + 1]; });
-  for (lidx_t t = 0; t < ntgt; ++t)
-    off[static_cast<std::size_t>(t) + 1] += off[static_cast<std::size_t>(t)];
-  blk.resize(static_cast<std::size_t>(off[static_cast<std::size_t>(ntgt)]));
-  std::fill(last.begin(), last.end(), kInvalidLocal);
-  std::vector<std::int32_t> at(off.begin(), off.end() - 1);
-  each([&](lidx_t t, lidx_t b) {
-    blk[static_cast<std::size_t>(at[static_cast<std::size_t>(t)]++)] =
-        static_cast<std::int32_t>(b);
-  });
-}
-
-/// Collects the in-range block-task ids that WRITE any row `pack` reads
-/// (sorted, unique) and appends them to `out` — the pack's successor
-/// list. Blocks that don't write a packed row never appear, which is the
-/// whole point: they run concurrently with the pack.
-void append_pack_successors(RankState& st, const LoopRecord& rec,
-                            LoopGraph& lg, const PackTask& pack, lidx_t b0,
-                            std::int32_t T, std::vector<std::int32_t>& out) {
-  const lidx_t B = lg.graph.block_elems;
-  std::vector<std::int32_t> blocks;
-  auto add = [&](lidx_t wb) {
-    if (wb >= b0 && wb < b0 + T)
-      blocks.push_back(static_cast<std::int32_t>(wb - b0));
-  };
-  for (const PackTask::Read& rd : pack.reads) {
-    for (const ArgSpec& a : rec.spec.args) {
-      if (a.dat != rd.dat || !writes(a.mode)) continue;
-      if (!a.indirect) {
-        // A directly-written row's writer is its own block (direct writes
-        // never conflict, so the identity view need not be in lg.maps).
-        for (lidx_t r : *rd.rows) add(r / B);
-        continue;
-      }
-      const auto vit = std::find(lg.maps.begin(), lg.maps.end(), a.map);
-      OP2CA_REQUIRE(vit != lg.maps.end(),
-                    "taskgraph: written map missing from conflict graph");
-      const auto v = static_cast<std::size_t>(vit - lg.maps.begin());
-      build_writer_csr(st, lg, v, a.map);
-      const auto& off = lg.writer_off[v];
-      const auto& blk = lg.writer_blk[v];
-      for (lidx_t r : *rd.rows)
-        for (std::int32_t i = off[static_cast<std::size_t>(r)];
-             i < off[static_cast<std::size_t>(r) + 1]; ++i)
-          add(blk[static_cast<std::size_t>(i)]);
-    }
-  }
-  std::sort(blocks.begin(), blocks.end());
-  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
-  out.insert(out.end(), blocks.begin(), blocks.end());
-}
-
-/// One dependency-graph epoch over a compiled range: block tasks are ids
-/// [0, T), pack tasks ride along as ids [T, T + P) — roots whose
-/// successors are exactly the blocks writing their read rows. Block-block
-/// edges are untouched by the packs, so per-cell write order (and hence
-/// the result) is identical with and without staging folded in.
-std::int64_t run_graph_epoch(RankState& st, const LoopRecord& rec,
-                             LoopGraph& lg, const LoopGraph::Compiled& c,
-                             lidx_t begin, lidx_t end,
-                             std::span<PackTask> packs) {
-  const lidx_t B = lg.graph.block_elems;
-  const lidx_t b0 = c.first_block;
-  const std::int32_t T = c.num_tasks;
-  const auto P = static_cast<std::int32_t>(packs.size());
-
-  const std::int32_t* soff = c.succ_off.data();
-  const std::int32_t* succ = c.succ.data();
-  const std::int32_t* ind = c.indeg.data();
-  std::vector<std::int32_t> xoff, xsucc, xind;
-  if (P > 0) {
-    xoff.assign(c.succ_off.begin(), c.succ_off.end());
-    xsucc.assign(c.succ.begin(), c.succ.end());
-    xind.assign(c.indeg.begin(), c.indeg.end());
-    xind.resize(static_cast<std::size_t>(T + P), 0);
-    for (std::int32_t p = 0; p < P; ++p) {
-      const std::size_t before = xsucc.size();
-      append_pack_successors(st, rec, lg, packs[static_cast<std::size_t>(p)],
-                             b0, T, xsucc);
-      for (std::size_t r = before; r < xsucc.size(); ++r)
-        ++xind[static_cast<std::size_t>(xsucc[r])];
-      xoff.push_back(static_cast<std::int32_t>(xsucc.size()));
-    }
-    soff = xoff.data();
-    succ = xsucc.data();
-    ind = xind.data();
-  }
-
-  const std::function<void(int)> body = [&](int t) {
-    if (t < T) {
-      const lidx_t b = b0 + static_cast<lidx_t>(t);
-      const lidx_t lo = std::max(begin, b * B);
-      const lidx_t hi = std::min(end, (b + 1) * B);
-      rec.range_body(lo, hi);
-    } else {
-      packs[static_cast<std::size_t>(t - T)].body();
-    }
-  };
-  util::GraphStats stats;
-  st.pool->run_graph(T + P, soff, succ, ind, body, &stats);
-  st.dispatch_tasks += stats.tasks;
-  st.dispatch_steals += stats.steals;
-  st.dispatch_dep_wait += stats.dep_wait_seconds;
-  st.dispatch_regions += T;
-  st.dispatch_chunks += T + P;
-  st.dispatch_max_colours =
-      std::max(st.dispatch_max_colours, lg.graph.num_colours);
-  return end - begin;
-}
-
-}  // namespace
-
-std::int64_t run_range_tasks(RankState& st, const LoopRecord& rec,
-                             lidx_t begin, lidx_t end,
-                             std::span<PackTask> packs) {
-  const bool graph =
-      st.taskgraph && st.pool != nullptr &&
-      !(st.device != nullptr && st.device->config().hierarchical) &&
-      !has_gbl_inc(rec) && rec.spec.has_indirect_write() && end > begin;
-  if (!graph) {
-    // Legacy order: stage first, then run the region — packs read
-    // pre-loop values either way.
-    for (PackTask& p : packs) p.body();
-    return run_range(st, rec, begin, end);
-  }
-  LoopGraph& lg = loop_graph(st, rec);
-  const LoopGraph::Compiled& c = compile_range(lg, begin, end);
-  return run_graph_epoch(st, rec, lg, c, begin, end, packs);
-}
-
 std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
                        lidx_t end) {
   if (end <= begin) return 0;
@@ -599,50 +329,16 @@ std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
   if (!rec.spec.has_indirect_write())
     return run_range_chunked(st, rec, begin, end);
 
-  // Hierarchical device sweep (device mode): outer colours execute in
-  // ascending order with a phase barrier; each phase launches its blocks
-  // across the pool, every block running its inner-colour rounds
-  // serially. Wins over taskgraph — the device schedule is the point of
-  // device mode.
-  if (st.device != nullptr && st.device->config().hierarchical) {
-    const gpu::HierColouring& h = loop_hier(st, rec);
-    st.dispatch_max_colours =
-        std::max(st.dispatch_max_colours, h.blocks.num_colours);
-    const lidx_t be = h.blocks.block_elems;
-    LIdxVec phase;
-    for (const LIdxVec& blocks : h.colour_blocks) {
-      phase.clear();
-      for (lidx_t b : blocks)
-        if (b * be < end &&
-            static_cast<lidx_t>(h.block_off[static_cast<std::size_t>(b) + 1]) >
-                static_cast<lidx_t>(h.block_off[static_cast<std::size_t>(b)]) &&
-            b * be + static_cast<lidx_t>(
-                         h.block_off[static_cast<std::size_t>(b) + 1] -
-                         h.block_off[static_cast<std::size_t>(b)]) > begin)
-          phase.push_back(b);
-      sweep_hier_colour(st, rec, h, phase, begin, end);
-    }
-    return end - begin;
-  }
-
-  // Dependency-driven block sweep (taskgraph mode): the conflict DAG, not
-  // a per-colour barrier, orders conflicting blocks.
-  if (st.taskgraph) {
-    LoopGraph& lg = loop_graph(st, rec);
-    const LoopGraph::Compiled& c = compile_range(lg, begin, end);
-    return run_graph_epoch(st, rec, lg, c, begin, end, {});
-  }
-
-  // Colour-ordered sweep. Classes hold ascending indices, so the slice
-  // inside [begin, end) is a contiguous subrange found by binary search.
+  // Colour-ordered sweep over each class's slice inside [begin, end).
   const mesh::Colouring& col = loop_colouring(st, rec);
   st.dispatch_max_colours = std::max(st.dispatch_max_colours,
                                      col.num_colours);
+  LIdxVec scratch;
   for (const LIdxVec& cls : col.classes) {
-    const auto lo = std::lower_bound(cls.begin(), cls.end(), begin);
-    const auto hi = std::lower_bound(lo, cls.end(), end);
-    sweep_class(st, rec, cls.data() + (lo - cls.begin()),
-                static_cast<std::size_t>(hi - lo), col.block_elems);
+    const std::span<const lidx_t> part =
+        class_slice(col, cls, begin, end, scratch);
+    sweep_class(st, rec, part.data(), part.size(), col.block_elems,
+                col.ascending);
   }
   return end - begin;
 }
@@ -664,7 +360,8 @@ std::int64_t run_list(RankState& st, const LoopRecord& rec,
     return run_list_chunked(st, rec, idx.data(), idx.size());
 
   // Bucket the list per colour (stable order — independent of width),
-  // then sweep the buckets colour by colour.
+  // then sweep the buckets colour by colour. Lists ascend, so a block's
+  // elements stay contiguous in its bucket and run in ascending order.
   const mesh::Colouring& col = loop_colouring(st, rec);
   st.dispatch_max_colours = std::max(st.dispatch_max_colours,
                                      col.num_colours);
@@ -678,7 +375,7 @@ std::int64_t run_list(RankState& st, const LoopRecord& rec,
   for (int c = 0; c < col.num_colours; ++c)
     sweep_class(st, rec, buckets[static_cast<std::size_t>(c)].data(),
                 buckets[static_cast<std::size_t>(c)].size(),
-                col.block_elems);
+                col.block_elems, /*ascending=*/true);
   return static_cast<std::int64_t>(idx.size());
 }
 

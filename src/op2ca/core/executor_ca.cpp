@@ -140,9 +140,6 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
   const std::int64_t regions_before = st.dispatch_regions;
   const std::int64_t chunks_before = st.dispatch_chunks;
   const double busy_before = st.pool ? st.pool->busy_seconds() : 0.0;
-  const std::int64_t tasks_before = st.dispatch_tasks;
-  const std::int64_t steals_before = st.dispatch_steals;
-  const double dep_wait_before = st.dispatch_dep_wait;
   st.dispatch_max_colours = 0;
   std::int64_t plan_builds = 0;
 
@@ -195,8 +192,6 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
 
   ChainExchange* ex = nullptr;
   std::int64_t halo_elems = 0;
-  std::vector<PackTask> packs;
-  const bool fold = st.taskgraph && st.pool != nullptr;
   if (mask != 0) {
     ex = &chain_exchange(st, cp, mask, &plan_builds);
     // Rebind data pointers: dat storage can be re-gathered between runs
@@ -204,94 +199,40 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
     for (std::size_t i = 0; i < ex->dats.size(); ++i)
       ex->specs[i].data = st.rank_dat(ex->dats[i]).data.data();
 
-    if (fold) {
-      // Taskgraph mode: each side's grouped pack becomes a graph task in
-      // the first loop's core epoch (the epoch drains before any later
-      // loop runs, so only the first loop's writers need gating). Staging
-      // buffers come off the rank thread; request slots are preallocated
-      // so workers fill them without racing; receives post here.
-      std::size_t nslots = 0;
-      for (const halo::GroupedPlan::Side& side : ex->plan.sides)
-        nslots += (side.send_bytes > 0) + (side.recv_bytes > 0);
-      ex->requests.assign(nslots, sim::Request{});
-      std::size_t slot = 0;
-      for (std::size_t s = 0; s < ex->plan.sides.size(); ++s) {
-        const halo::GroupedPlan::Side& side = ex->plan.sides[s];
-        if (side.send_bytes > 0) {
-          for (const LIdxVec& g : side.gather)
-            halo_elems += static_cast<std::int64_t>(g.size());
-          // Device-side grouped pack: metered on the rank thread even
-          // though the pack body may run on a worker.
-          if (dev != nullptr) dev->stage_out(side.send_bytes);
-          sim::Request* out = &ex->requests[slot++];
-          PackTask p;
-          for (std::size_t i = 0; i < ex->dats.size(); ++i)
-            p.reads.push_back({ex->dats[i], &side.gather[i]});
-          // The pack runs inside a graph task, so it must not re-enter
-          // the pool: serial pack_grouped (nullptr pool). Workers may
-          // post to different neighbours concurrently — Comm serialises
-          // per destination.
-          p.body = [&st, ex, &side, s, out,
-                    buf = st.staging.take(side.send_bytes)]() mutable {
-            halo::pack_grouped(side, ex->specs, buf.data(), nullptr);
-            *out = !ex->send_channels.empty()
-                       ? st.comm.channel_isend(ex->send_channels[s],
-                                               std::move(buf))
-                       : st.comm.stripe_isend(side.q, kChainTag,
-                                              std::move(buf));
-          };
-          packs.push_back(std::move(p));
-        }
-        if (side.recv_bytes > 0)
-          ex->requests[slot++] =
-              !ex->recv_channels.empty()
-                  ? st.comm.channel_irecv(ex->recv_channels[s],
-                                          &ex->recv_bufs[s])
-                  : st.comm.stripe_irecv(side.q, kChainTag,
-                                         &ex->recv_bufs[s],
-                                         side.recv_bytes);
+    ex->requests.clear();
+    for (std::size_t s = 0; s < ex->plan.sides.size(); ++s) {
+      const halo::GroupedPlan::Side& side = ex->plan.sides[s];
+      if (side.send_bytes > 0) {
+        ByteBuf buf = st.staging.take(side.send_bytes);
+        halo::pack_grouped(side, ex->specs, buf.data(), st.pool.get());
+        for (const LIdxVec& g : side.gather)
+          halo_elems += static_cast<std::int64_t>(g.size());
+        if (dev != nullptr) dev->stage_out(side.send_bytes);
+        ex->requests.push_back(
+            !ex->send_channels.empty()
+                ? st.comm.channel_isend(ex->send_channels[s],
+                                        std::move(buf))
+                : st.comm.stripe_isend(side.q, kChainTag,
+                                       std::move(buf)));
       }
-    } else {
-      ex->requests.clear();
-      for (std::size_t s = 0; s < ex->plan.sides.size(); ++s) {
-        const halo::GroupedPlan::Side& side = ex->plan.sides[s];
-        if (side.send_bytes > 0) {
-          ByteBuf buf = st.staging.take(side.send_bytes);
-          halo::pack_grouped(side, ex->specs, buf.data(), st.pool.get());
-          for (const LIdxVec& g : side.gather)
-            halo_elems += static_cast<std::int64_t>(g.size());
-          if (dev != nullptr) dev->stage_out(side.send_bytes);
-          ex->requests.push_back(
-              !ex->send_channels.empty()
-                  ? st.comm.channel_isend(ex->send_channels[s],
-                                          std::move(buf))
-                  : st.comm.stripe_isend(side.q, kChainTag,
-                                         std::move(buf)));
-        }
-        if (side.recv_bytes > 0)
-          ex->requests.push_back(
-              !ex->recv_channels.empty()
-                  ? st.comm.channel_irecv(ex->recv_channels[s],
-                                          &ex->recv_bufs[s])
-                  : st.comm.stripe_irecv(side.q, kChainTag,
-                                         &ex->recv_bufs[s],
-                                         side.recv_bytes));
-      }
+      if (side.recv_bytes > 0)
+        ex->requests.push_back(
+            !ex->recv_channels.empty()
+                ? st.comm.channel_irecv(ex->recv_channels[s],
+                                        &ex->recv_bufs[s])
+                : st.comm.stripe_irecv(side.q, kChainTag,
+                                       &ex->recv_bufs[s],
+                                       side.recv_bytes));
     }
   }
 
   const double t_pack = timer.elapsed();
 
-  // -- Core phase (lines 8-12): every loop's core in chain order. The
-  //    grouped packs ride in the first loop's epoch under taskgraph. ----
+  // -- Core phase (lines 8-12): every loop's core in chain order. -------
   std::int64_t core_iters = 0;
   for (std::size_t l = 0; l < loops.size(); ++l) {
     const halo::SetLayout& lay = st.layout(loops[l].set);
-    const lidx_t core_end = lay.core_count(an.shrink[l]);
-    if (l == 0 && fold)
-      core_iters += run_range_tasks(st, loops[l], 0, core_end, packs);
-    else
-      core_iters += run_range(st, loops[l], 0, core_end);
+    core_iters += run_range(st, loops[l], 0, lay.core_count(an.shrink[l]));
   }
 
   const double t_core = timer.elapsed();
@@ -372,9 +313,6 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
   metrics.max_colours = st.dispatch_max_colours;
   metrics.busy_seconds =
       st.pool ? st.pool->busy_seconds() - busy_before : 0.0;
-  metrics.tasks = st.dispatch_tasks - tasks_before;
-  metrics.steals = st.dispatch_steals - steals_before;
-  metrics.dep_wait_seconds = st.dispatch_dep_wait - dep_wait_before;
   for (const auto& rec : loops) {
     const mesh::OrderingQuality& oq = loop_quality(st, rec);
     metrics.gather_span = std::max(metrics.gather_span, oq.gather_span);

@@ -113,9 +113,6 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
   const std::int64_t regions_before = st.dispatch_regions;
   const std::int64_t chunks_before = st.dispatch_chunks;
   const double busy_before = st.pool ? st.pool->busy_seconds() : 0.0;
-  const std::int64_t tasks_before = st.dispatch_tasks;
-  const std::int64_t steals_before = st.dispatch_steals;
-  const double dep_wait_before = st.dispatch_dep_wait;
   st.dispatch_max_colours = 0;
   std::int64_t plan_builds = 0;
 
@@ -141,88 +138,36 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
   requests.clear();
 
   std::int64_t halo_elems = 0;
-  std::vector<PackTask> packs;
-  const bool fold = st.taskgraph && st.pool != nullptr;
-  if (fold) {
-    // Taskgraph mode: packing becomes graph tasks inside the core epoch.
-    // Buffers come out of the (not thread-safe) pool on the rank thread
-    // and move into the closures; request slots are preallocated so each
-    // pack writes its isend request without racing the vector. Receives
-    // stay on the rank thread (the transport buffers sends regardless).
-    std::size_t nslots = 0;
-    for (mesh::dat_id d : exch) {
-      LoopExchange& ex = loop_exchange(st, d, &plan_builds);
-      nslots += ex.sends.size() + ex.recvs.size();
+  for (mesh::dat_id d : exch) {
+    RankDat& rd = st.rank_dat(d);
+    LoopExchange& ex = loop_exchange(st, d, &plan_builds);
+    for (std::size_t si = 0; si < ex.sends.size(); ++si) {
+      const LoopExchange::Segment& seg = ex.sends[si];
+      ByteBuf buf = st.staging.take(seg.bytes);
+      halo::gather_region(rd.data.data(), &rd.layout, rd.dim, *seg.idx,
+                          buf.data());
+      halo_elems += static_cast<std::int64_t>(seg.idx->size());
+      if (dev != nullptr) dev->stage_out(seg.bytes);  // device-side pack
+      requests.push_back(
+          !ex.send_channels.empty()
+              ? st.comm.channel_isend(ex.send_channels[si],
+                                      std::move(buf))
+              : st.comm.stripe_isend(seg.q, seg.tag, std::move(buf)));
     }
-    requests.assign(nslots, sim::Request{});
-    std::size_t slot = 0;
-    for (mesh::dat_id d : exch) {
-      RankDat& rd = st.rank_dat(d);
-      LoopExchange& ex = *st.loop_exchanges[static_cast<std::size_t>(d)];
-      for (std::size_t si = 0; si < ex.sends.size(); ++si) {
-        const LoopExchange::Segment& seg = ex.sends[si];
-        halo_elems += static_cast<std::int64_t>(seg.idx->size());
-        // Device-side pack: export rows leave device memory for the
-        // transport staging (metered here on the rank thread; the pack
-        // body itself may run on any worker).
-        if (dev != nullptr) dev->stage_out(seg.bytes);
-        sim::Request* out = &requests[slot++];
-        PackTask p;
-        p.reads.push_back({d, seg.idx});
-        p.body = [&st, &rd, &ex, &seg, si, out,
-                  buf = st.staging.take(seg.bytes)]() mutable {
-          halo::gather_region(rd.data.data(), &rd.layout, rd.dim, *seg.idx,
-                              buf.data());
-          *out = !ex.send_channels.empty()
-                     ? st.comm.channel_isend(ex.send_channels[si],
-                                             std::move(buf))
-                     : st.comm.stripe_isend(seg.q, seg.tag, std::move(buf));
-        };
-        packs.push_back(std::move(p));
-      }
-      for (std::size_t i = 0; i < ex.recvs.size(); ++i)
-        requests[slot++] =
-            !ex.recv_channels.empty()
-                ? st.comm.channel_irecv(ex.recv_channels[i],
-                                        &ex.recv_bufs[i])
-                : st.comm.stripe_irecv(ex.recvs[i].q, ex.recvs[i].tag,
-                                       &ex.recv_bufs[i], ex.recvs[i].bytes);
-    }
-  } else {
-    for (mesh::dat_id d : exch) {
-      RankDat& rd = st.rank_dat(d);
-      LoopExchange& ex = loop_exchange(st, d, &plan_builds);
-      for (std::size_t si = 0; si < ex.sends.size(); ++si) {
-        const LoopExchange::Segment& seg = ex.sends[si];
-        ByteBuf buf = st.staging.take(seg.bytes);
-        halo::gather_region(rd.data.data(), &rd.layout, rd.dim, *seg.idx,
-                            buf.data());
-        halo_elems += static_cast<std::int64_t>(seg.idx->size());
-        if (dev != nullptr) dev->stage_out(seg.bytes);  // device-side pack
-        requests.push_back(
-            !ex.send_channels.empty()
-                ? st.comm.channel_isend(ex.send_channels[si],
-                                        std::move(buf))
-                : st.comm.stripe_isend(seg.q, seg.tag, std::move(buf)));
-      }
-      for (std::size_t i = 0; i < ex.recvs.size(); ++i)
-        requests.push_back(
-            !ex.recv_channels.empty()
-                ? st.comm.channel_irecv(ex.recv_channels[i],
-                                        &ex.recv_bufs[i])
-                : st.comm.stripe_irecv(ex.recvs[i].q, ex.recvs[i].tag,
-                                       &ex.recv_bufs[i], ex.recvs[i].bytes));
-    }
+    for (std::size_t i = 0; i < ex.recvs.size(); ++i)
+      requests.push_back(
+          !ex.recv_channels.empty()
+              ? st.comm.channel_irecv(ex.recv_channels[i],
+                                      &ex.recv_bufs[i])
+              : st.comm.stripe_irecv(ex.recvs[i].q, ex.recvs[i].tag,
+                                     &ex.recv_bufs[i], ex.recvs[i].bytes));
   }
 
   const double t_pack = timer.elapsed();
 
-  // -- 2. Core iterations overlap with the exchange (taskgraph mode also
-  //       runs the pack tasks inside this epoch). -----------------------
+  // -- 2. Core iterations overlap with the exchange. --------------------
   const lidx_t core_end = lay.core_count(1);
-  std::int64_t core_iters =
-      fold ? run_range_tasks(st, rec, 0, core_end, packs)
-           : run_range(st, rec, 0, core_end);
+  std::int64_t core_iters = run_range(st, rec, 0, core_end);
   const double t_core = timer.elapsed();
 
   // -- 3. MPI_Wait + unpack. -------------------------------------------
@@ -299,9 +244,6 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
   metrics.max_colours = st.dispatch_max_colours;
   metrics.busy_seconds =
       st.pool ? st.pool->busy_seconds() - busy_before : 0.0;
-  metrics.tasks = st.dispatch_tasks - tasks_before;
-  metrics.steals = st.dispatch_steals - steals_before;
-  metrics.dep_wait_seconds = st.dispatch_dep_wait - dep_wait_before;
   const mesh::OrderingQuality& oq = loop_quality(st, rec);
   metrics.gather_span = oq.gather_span;
   metrics.reuse_gap = oq.reuse_gap;

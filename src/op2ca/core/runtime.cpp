@@ -69,9 +69,6 @@ void LoopMetrics::merge_from(const LoopMetrics& other) {
   chunks += other.chunks;
   max_colours = std::max(max_colours, other.max_colours);
   busy_seconds += other.busy_seconds;
-  tasks += other.tasks;
-  steals += other.steals;
-  dep_wait_seconds += other.dep_wait_seconds;
   gather_span = std::max(gather_span, other.gather_span);
   reuse_gap = std::max(reuse_gap, other.reuse_gap);
   layout_code = std::max(layout_code, other.layout_code);

@@ -101,14 +101,6 @@ struct LoopMetrics {
   std::int64_t chunks = 0;
   int max_colours = 0;
   double busy_seconds = 0;
-  // Task-graph executor (WorldConfig::taskgraph): graph tasks executed
-  // (block ranges + folded pack tasks), tasks a participant stole from
-  // another worker's deque, and the summed time participants spent
-  // dependency-starved (nothing runnable anywhere — the residue of what
-  // the colour-barrier path spent idling at every colour boundary).
-  std::int64_t tasks = 0;
-  std::int64_t steals = 0;
-  double dep_wait_seconds = 0;
   // Locality proxies of the loop's dominant indirection in the order it
   // is actually walked (mesh::ordering_quality, worst rank): mean jump
   // between consecutive gathers and mean iteration gap before a target
@@ -476,27 +468,6 @@ struct WorldConfig {
   /// before the layout transpose, so blocked runs land in consecutive
   /// lanes of the same AoSoA block.
   mesh::LayoutConfig layout{};
-  /// Task-graph executor: replaces the per-colour pool barriers of
-  /// threaded indirect sweeps with a dependency-driven task graph over
-  /// contiguous element blocks (one task per block; block A waits only
-  /// on its conflicting lower-coloured neighbours, so fast blocks stream
-  /// ahead instead of idling at colour boundaries), executed by a
-  /// work-stealing pool. Halo pack/unpack staging folds into the same
-  /// graph: pack tasks run as roots and only the blocks that write
-  /// packed rows wait on them, so packing overlaps core compute.
-  /// Determinism: each element is written by exactly one task and every
-  /// conflicting block pair is ordered by its static colours, so results
-  /// are bitwise-identical at every pool width (including 1) — asserted
-  /// by the schedule-stress suite. Off by default; the legacy
-  /// colour-barrier sweep remains the fallback. Indirect-INC sums
-  /// reassociate relative to taskgraph-off runs (blocked colouring),
-  /// like any other iteration-order change. Ignored under
-  /// serial_dispatch.
-  bool taskgraph = false;
-  /// Elements per task block under `taskgraph` (the conflict and
-  /// scheduling granularity). Clamped to >= 2; defaults match the
-  /// locality layer's colour_block.
-  lidx_t taskgraph_block = 256;
   /// Device-resident execution (gpu/device_space): each rank's dat
   /// arrays become the device side of an explicit host/device mirror,
   /// halo staging is metered as D2H/H2D traffic, indirect-write loops

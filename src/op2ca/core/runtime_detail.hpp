@@ -3,17 +3,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "op2ca/core/runtime.hpp"
 #include "op2ca/gpu/device_space.hpp"
-#include "op2ca/gpu/hierarchy.hpp"
 #include "op2ca/halo/grouped.hpp"
 #include "op2ca/mesh/colouring.hpp"
 #include "op2ca/mesh/reorder.hpp"
@@ -102,45 +99,6 @@ struct ChainPlan {
   std::map<std::uint64_t, ChainExchange> exchanges;  ///< by stale mask.
 };
 
-/// A staging task folded into a loop's task-graph epoch (taskgraph
-/// mode): `body` gathers halo rows into a send buffer and posts the
-/// isend from whichever worker runs it. `reads` lists the rows the pack
-/// reads per dat — the blocks that WRITE any of those rows depend on the
-/// pack (it must observe pre-loop values), while every other block runs
-/// concurrently with it, which is how packing overlaps core compute.
-struct PackTask {
-  struct Read {
-    mesh::dat_id dat = -1;
-    const LIdxVec* rows = nullptr;  ///< target-set row ids.
-  };
-  std::function<void()> body;
-  std::vector<Read> reads;
-};
-
-/// The cached dependency structure of one (set, conflict maps) pair in
-/// taskgraph mode, living next to the colouring it derives from: the
-/// block-conflict adjacency (mesh::block_conflict_graph), lazily-built
-/// per-view writer incidence (target row -> writing blocks, walked to
-/// wire pack tasks ahead of the blocks that overwrite their rows), and
-/// per-(begin, end) compiled subgraphs — dense task ids, successor CSR
-/// oriented low colour -> high colour, and in-range indegrees — so
-/// steady-state epochs reuse arrays without touching the adjacency.
-struct LoopGraph {
-  std::vector<mesh::map_id> maps;  ///< conflict maps (view order).
-  mesh::BlockGraph graph;
-  /// writer_off[v]/writer_blk[v]: CSR of view v's targets -> blocks that
-  /// contain an element mapping onto the target. Empty until a pack of a
-  /// dat written through view v first needs it.
-  std::vector<std::vector<std::int32_t>> writer_off;
-  std::vector<std::vector<std::int32_t>> writer_blk;
-  struct Compiled {
-    lidx_t first_block = 0;
-    std::int32_t num_tasks = 0;
-    std::vector<std::int32_t> succ_off, succ, indeg;
-  };
-  std::map<std::pair<lidx_t, lidx_t>, Compiled> ranges;
-};
-
 struct RankState {
   World* world = nullptr;
   rank_t rank = -1;
@@ -178,10 +136,11 @@ struct RankState {
   std::vector<sim::Request> loop_requests;  ///< per-loop scratch, reused.
   std::int64_t dispatch_regions = 0;  ///< running region-body call count.
 
-  // Intra-rank threading (WorldConfig::threads_per_rank > 1): the worker
-  // pool, the colouring cache — one greedy colouring per (set, conflict
-  // maps) combination, living next to the exchange plans — and the
-  // per-colour gather scratch reused by threaded run_list calls.
+  // Intra-rank threading (WorldConfig::threads_per_rank > 1, or device
+  // mode at any width): the worker pool, the colouring cache — one
+  // colouring per (set, conflict maps) combination, living next to the
+  // exchange plans — and the per-colour gather scratch reused by threaded
+  // run_list calls.
   std::unique_ptr<util::ThreadPool> pool;
   std::map<std::pair<mesh::set_id, std::vector<mesh::map_id>>,
            mesh::Colouring>
@@ -189,32 +148,17 @@ struct RankState {
   std::vector<LIdxVec> colour_scratch;
   std::int64_t dispatch_chunks = 0;   ///< running pool-chunk count.
   int dispatch_max_colours = 0;       ///< reset per loop by the executors.
-
-  // Task-graph dispatch (WorldConfig::taskgraph): dependency-driven block
-  // sweeps replace the per-colour barriers. One LoopGraph per (set,
-  // conflict maps), cached next to the colouring it derives from, plus
-  // running counters the executors snapshot into LoopMetrics.
-  bool taskgraph = false;
-  std::map<std::pair<mesh::set_id, std::vector<mesh::map_id>>, LoopGraph>
-      loop_graphs;
-  std::int64_t dispatch_tasks = 0;   ///< graph task bodies executed.
-  std::int64_t dispatch_steals = 0;  ///< cross-deque steals.
-  double dispatch_dep_wait = 0;      ///< dependency-starved idle seconds.
   /// Conflict-block granularity for colour-ordered sweeps: > 1 switches
-  /// loop_colouring to mesh::block_colouring and run-aware dispatch
+  /// loop_colouring to blocked colouring and run-aware dispatch
   /// (contiguous runs execute through range bodies). 1 when the locality
   /// layer is off — the legacy per-element path, bitwise-identical to
-  /// earlier builds.
+  /// earlier builds. Device mode's hierarchical schedule brings its own
+  /// block size.
   lidx_t colour_block = 1;
 
-  // Device-resident execution (WorldConfig::device): the rank's mirror
-  // space (null when the device is off) and the hierarchical two-level
-  // schedule cache — one HierColouring per (set, conflict maps), the
-  // device analogue of `colourings`.
+  /// Device-resident execution (WorldConfig::device): the rank's mirror
+  /// space; null when the device is off.
   std::unique_ptr<gpu::DeviceSpace> device;
-  std::map<std::pair<mesh::set_id, std::vector<mesh::map_id>>,
-           gpu::HierColouring>
-      hier_colourings;
 
   /// Ordering-quality proxies per loop name (mesh::ordering_quality of
   /// the loop's widest indirection, computed once — it is O(iterations)
@@ -300,38 +244,13 @@ std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
 std::int64_t run_list(RankState& st, const LoopRecord& rec,
                       const LIdxVec& idx);
 
-/// Taskgraph-mode run_range with staging folded in: executes [begin, end)
-/// as one dependency-graph epoch over the loop's conflict blocks and runs
-/// `packs` as extra graph tasks. Each pack is a root; the blocks that
-/// write any row a pack reads depend on it (packs observe pre-loop
-/// values), so packing overlaps the bulk of core compute instead of
-/// serialising ahead of it. Falls back to running the packs first and
-/// then the legacy path when the loop cannot use the graph (direct loop,
-/// serial_dispatch, global INC, taskgraph off). Returns region-body
-/// invocations, like run_range.
-std::int64_t run_range_tasks(RankState& st, const LoopRecord& rec,
-                             lidx_t begin, lidx_t end,
-                             std::span<PackTask> packs);
-
-/// The rank's cached dependency graph for `rec`'s conflict structure
-/// (taskgraph mode): the block-conflict DAG over loop_colouring's blocks.
-/// Built on first use, cached in RankState::loop_graphs next to the
-/// colouring. Exposed for the schedule-stress tests.
-LoopGraph& loop_graph(RankState& st, const LoopRecord& rec);
-
 /// The rank's cached colouring for `rec`'s conflict structure (the maps
 /// through which the loop writes indirectly, plus an identity view when
 /// a written dat is also accessed directly). Built on first use, cached
-/// in RankState::colourings. Exposed for the threaded-executor tests.
-/// Blocked (st.colour_block > 1, the locality layer) or per-element.
+/// in RankState::colourings. Per-element, blocked (st.colour_block > 1,
+/// the locality layer), or in device mode the hierarchical two-level
+/// schedule (gpu::sweep_colouring).
 const mesh::Colouring& loop_colouring(RankState& st, const LoopRecord& rec);
-
-/// The rank's cached hierarchical two-level schedule for `rec`'s
-/// conflict structure (device mode): outer block colouring plus
-/// per-block inner element colouring under the shared-memory clamp.
-/// Built on first use, cached in RankState::hier_colourings. Exposed for
-/// the device property tests.
-const gpu::HierColouring& loop_hier(RankState& st, const LoopRecord& rec);
 
 /// Ordering-quality proxies of the loop's widest indirect argument over
 /// the owned range (cached per loop name; zeros for direct loops).

@@ -237,8 +237,8 @@ void World::write_metrics_csv(std::ostream& os) const {
                 "msgs", "bytes", "max_msg_bytes", "max_neighbors",
                 "wall_s", "pack_s", "core_s", "wait_s", "unpack_s",
                 "halo_s", "regions", "plan_builds", "staging_allocs",
-                "chunks", "colours", "busy_s", "tasks", "steals",
-                "dep_wait_s", "gather_span", "reuse_gap", "layout",
+                "chunks", "colours", "busy_s", "gather_span",
+                "reuse_gap", "layout",
                 "bytes_per_elem", "numa_bytes", "node_bytes", "net_bytes",
                 "stripes", "h2d_bytes", "d2h_bytes", "device_transfers",
                 "device_s", "tile", "redundant_elems", "msgs_saved"});
@@ -252,7 +252,6 @@ void World::write_metrics_csv(std::ostream& os) const {
                m.unpack_seconds, m.halo_seconds, m.dispatch_regions,
                m.plan_builds, m.staging_allocs, m.chunks,
                static_cast<std::int64_t>(m.max_colours), m.busy_seconds,
-               m.tasks, m.steals, m.dep_wait_seconds,
                m.gather_span, m.reuse_gap,
                std::string(mesh::layout_name(
                    static_cast<mesh::LayoutKind>(m.layout_code))),

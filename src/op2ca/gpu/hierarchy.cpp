@@ -156,6 +156,25 @@ HierColouring hierarchical_colouring(
   return h;
 }
 
+mesh::Colouring sweep_colouring(const HierColouring& h) {
+  mesh::Colouring out;
+  out.num_colours = h.blocks.num_colours;
+  out.colour = h.blocks.colour;
+  out.block_elems = h.blocks.block_elems;
+  out.ascending = false;
+  out.classes.resize(h.colour_blocks.size());
+  for (std::size_t c = 0; c < h.colour_blocks.size(); ++c)
+    for (const lidx_t b : h.colour_blocks[c])
+      out.classes[c].insert(
+          out.classes[c].end(),
+          h.block_order.begin() + static_cast<std::ptrdiff_t>(
+                                      h.block_off[static_cast<std::size_t>(b)]),
+          h.block_order.begin() +
+              static_cast<std::ptrdiff_t>(
+                  h.block_off[static_cast<std::size_t>(b) + 1]));
+  return out;
+}
+
 bool hierarchical_valid(const HierColouring& h, lidx_t n,
                         std::span<const mesh::ColourMapView> views) {
   if (!mesh::colouring_valid(h.blocks, n, views)) return false;

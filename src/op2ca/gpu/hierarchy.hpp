@@ -76,6 +76,13 @@ HierColouring hierarchical_colouring(lidx_t n,
                                      std::size_t shared_bytes = 0,
                                      int max_dim = 0);
 
+/// The two-level schedule as a mesh::Colouring for the host colour-class
+/// sweep: class c lists the blocks of outer colour c in ascending order,
+/// each block's elements in block_order (inner colour, then id), and
+/// colour[e] is the outer colour of e's block. A class sweep that keeps
+/// each block on one thread runs exactly this schedule at every width.
+mesh::Colouring sweep_colouring(const HierColouring& h);
+
 /// Validity predicate (property tests): outer colouring valid at block
 /// granularity AND, within every block, no two elements of the same
 /// inner colour share a target through any view.

@@ -44,65 +44,9 @@ struct ColourMasks {
 
 }  // namespace
 
-Colouring greedy_colouring(lidx_t n, std::span<const ColourMapView> views) {
-  for (const ColourMapView& v : views)
-    OP2CA_REQUIRE(v.num_elements >= n,
-                  "greedy_colouring: view covers fewer rows than the set");
-
-  Colouring out;
-  out.colour.assign(static_cast<std::size_t>(n), 0);
-  ColourMasks masks(views);
-
-  for (lidx_t e = 0; e < n; ++e) {
-    int c = -1;
-    while (c < 0) {
-      // OR the claimed-colour masks of every target of e.
-      std::vector<std::uint64_t> forbidden(masks.words, 0);
-      for (std::size_t v = 0; v < views.size(); ++v) {
-        const ColourMapView& view = views[v];
-        for (int k = 0; k < view.arity; ++k) {
-          const lidx_t t =
-              view.targets[static_cast<std::size_t>(e) *
-                               static_cast<std::size_t>(view.arity) +
-                           static_cast<std::size_t>(k)];
-          if (t == kInvalidLocal) continue;
-          const std::uint64_t* m = masks.mask(v, t);
-          for (std::size_t w = 0; w < masks.words; ++w) forbidden[w] |= m[w];
-        }
-      }
-      for (std::size_t w = 0; w < masks.words && c < 0; ++w) {
-        if (forbidden[w] == ~std::uint64_t{0}) continue;
-        const int bit = std::countr_one(forbidden[w]);
-        c = static_cast<int>(w * 64) + bit;
-      }
-      if (c < 0) masks.widen();  // retry with more words
-    }
-    out.colour[static_cast<std::size_t>(e)] = c;
-    out.num_colours = std::max(out.num_colours, c + 1);
-    for (std::size_t v = 0; v < views.size(); ++v) {
-      const ColourMapView& view = views[v];
-      for (int k = 0; k < view.arity; ++k) {
-        const lidx_t t =
-            view.targets[static_cast<std::size_t>(e) *
-                             static_cast<std::size_t>(view.arity) +
-                         static_cast<std::size_t>(k)];
-        if (t == kInvalidLocal) continue;
-        masks.mask(v, t)[static_cast<std::size_t>(c) / 64] |=
-            std::uint64_t{1} << (static_cast<std::size_t>(c) % 64);
-      }
-    }
-  }
-
-  out.classes.resize(static_cast<std::size_t>(out.num_colours));
-  for (lidx_t e = 0; e < n; ++e)
-    out.classes[static_cast<std::size_t>(out.colour[static_cast<std::size_t>(e)])]
-        .push_back(e);
-  return out;
-}
-
 Colouring block_colouring(lidx_t n, std::span<const ColourMapView> views,
                           lidx_t block_elems) {
-  if (block_elems <= 1) return greedy_colouring(n, views);
+  block_elems = std::max<lidx_t>(block_elems, 1);
   for (const ColourMapView& v : views)
     OP2CA_REQUIRE(v.num_elements >= n,
                   "block_colouring: view covers fewer rows than the set");
@@ -161,111 +105,6 @@ Colouring block_colouring(lidx_t n, std::span<const ColourMapView> views,
     out.classes[static_cast<std::size_t>(out.colour[static_cast<std::size_t>(e)])]
         .push_back(e);
   return out;
-}
-
-BlockGraph block_conflict_graph(lidx_t n,
-                                std::span<const ColourMapView> views,
-                                const Colouring& col) {
-  OP2CA_REQUIRE(col.block_elems > 1,
-                "block_conflict_graph needs a blocked colouring");
-  OP2CA_REQUIRE(static_cast<lidx_t>(col.colour.size()) == n,
-                "block_conflict_graph: colouring does not cover the set");
-  const lidx_t block = col.block_elems;
-  BlockGraph g;
-  g.block_elems = block;
-  g.num_blocks = n > 0 ? (n + block - 1) / block : 0;
-  g.num_colours = col.num_colours;
-  g.colour.resize(static_cast<std::size_t>(g.num_blocks));
-  for (lidx_t b = 0; b < g.num_blocks; ++b)
-    g.colour[static_cast<std::size_t>(b)] =
-        col.colour[static_cast<std::size_t>(b) *
-                   static_cast<std::size_t>(block)];
-  if (g.num_blocks == 0) {
-    g.adj_off.assign(1, 0);
-    return g;
-  }
-
-  // target -> touching blocks, one CSR across all views (view v's targets
-  // live at toff[v]). Filled in ascending element order, so each target's
-  // entries come out block-sorted and adjacent duplicates collapse.
-  std::vector<std::size_t> toff;
-  std::size_t targets = 0;
-  for (const ColourMapView& v : views) {
-    toff.push_back(targets);
-    targets += static_cast<std::size_t>(v.num_targets);
-  }
-  std::vector<std::size_t> cnt(targets + 1, 0);
-  auto each_incidence = [&](auto&& fn) {
-    for (std::size_t v = 0; v < views.size(); ++v) {
-      const ColourMapView& view = views[v];
-      for (lidx_t e = 0; e < n; ++e)
-        for (int k = 0; k < view.arity; ++k) {
-          const lidx_t t =
-              view.targets[static_cast<std::size_t>(e) *
-                               static_cast<std::size_t>(view.arity) +
-                           static_cast<std::size_t>(k)];
-          if (t == kInvalidLocal) continue;
-          fn(toff[v] + static_cast<std::size_t>(t), e / block);
-        }
-    }
-  };
-  each_incidence([&](std::size_t t, lidx_t) { ++cnt[t + 1]; });
-  for (std::size_t t = 0; t < targets; ++t) cnt[t + 1] += cnt[t];
-  LIdxVec inc(cnt[targets]);
-  {
-    std::vector<std::size_t> at(cnt.begin(), cnt.end() - 1);
-    each_incidence([&](std::size_t t, lidx_t b) { inc[at[t]++] = b; });
-  }
-  // Dedup each target's (sorted) block run in place.
-  std::vector<std::size_t> tend(targets);
-  for (std::size_t t = 0; t < targets; ++t) {
-    std::size_t w = cnt[t];
-    for (std::size_t r = cnt[t]; r < cnt[t + 1]; ++r)
-      if (w == cnt[t] || inc[r] != inc[w - 1]) inc[w++] = inc[r];
-    tend[t] = w;
-  }
-
-  // Per-block neighbour gathering with a last-seen stamp for dedup: walk
-  // the block's own incidences and collect every other block sharing one
-  // of its targets.
-  LIdxVec stamp(static_cast<std::size_t>(g.num_blocks), kInvalidLocal);
-  std::vector<LIdxVec> nbr(static_cast<std::size_t>(g.num_blocks));
-  std::size_t edges = 0;
-  for (lidx_t b = 0; b < g.num_blocks; ++b) {
-    const lidx_t e0 = b * block, e1 = std::min<lidx_t>(n, e0 + block);
-    LIdxVec& row = nbr[static_cast<std::size_t>(b)];
-    for (std::size_t v = 0; v < views.size(); ++v) {
-      const ColourMapView& view = views[v];
-      for (lidx_t e = e0; e < e1; ++e)
-        for (int k = 0; k < view.arity; ++k) {
-          const lidx_t t =
-              view.targets[static_cast<std::size_t>(e) *
-                               static_cast<std::size_t>(view.arity) +
-                           static_cast<std::size_t>(k)];
-          if (t == kInvalidLocal) continue;
-          const std::size_t tt = toff[v] + static_cast<std::size_t>(t);
-          for (std::size_t r = cnt[tt]; r < tend[tt]; ++r) {
-            const lidx_t b2 = inc[r];
-            if (b2 == b || stamp[static_cast<std::size_t>(b2)] == b)
-              continue;
-            stamp[static_cast<std::size_t>(b2)] = b;
-            row.push_back(b2);
-          }
-        }
-    }
-    std::sort(row.begin(), row.end());
-    edges += row.size();
-  }
-
-  g.adj_off.resize(static_cast<std::size_t>(g.num_blocks) + 1);
-  g.adj.reserve(edges);
-  g.adj_off[0] = 0;
-  for (lidx_t b = 0; b < g.num_blocks; ++b) {
-    const LIdxVec& row = nbr[static_cast<std::size_t>(b)];
-    g.adj.insert(g.adj.end(), row.begin(), row.end());
-    g.adj_off[static_cast<std::size_t>(b) + 1] = g.adj.size();
-  }
-  return g;
 }
 
 bool colouring_valid(const Colouring& c, lidx_t n,

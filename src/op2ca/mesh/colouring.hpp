@@ -36,29 +36,35 @@ struct ColourMapView {
 struct Colouring {
   int num_colours = 0;
   std::vector<int> colour;       ///< per element, 0..num_colours-1.
-  std::vector<LIdxVec> classes;  ///< per colour, ascending element ids.
+  /// Per colour, the class's elements in execution order: blocks in
+  /// ascending order, and ascending element ids within each block unless
+  /// `ascending` is false.
+  std::vector<LIdxVec> classes;
   /// Conflict granularity: elements [b*block_elems, (b+1)*block_elems)
   /// form block b and share one colour. 1 = classic per-element
   /// colouring. With block_elems > 1 a colour class is conflict-free
   /// *between* blocks only — elements inside a block may conflict with
   /// each other, so a parallel sweep must keep each block on one thread
-  /// and run it in ascending order (core/dispatch aligns its chunk
+  /// and run it in class order (core/dispatch aligns its chunk
   /// boundaries to blocks).
   lidx_t block_elems = 1;
+  /// False when each block's elements follow an inner execution order
+  /// instead of ascending ids (the device schedule,
+  /// gpu::sweep_colouring): a sub-range of the set then selects whole
+  /// blocks and filters the two blocks it cuts.
+  bool ascending = true;
 };
 
-/// First-fit greedy colouring of elements [0, n): each element takes the
-/// smallest colour unused by every earlier element it conflicts with
-/// through any view. Deterministic; classes partition [0, n).
-Colouring greedy_colouring(lidx_t n, std::span<const ColourMapView> views);
-
-/// Locality-aware variant: colours contiguous blocks of `block_elems`
-/// elements (two blocks conflict when any of their elements share a
-/// target), so every colour class is a union of contiguous runs that the
-/// dispatcher can execute as range regions instead of gathered lists.
-/// block_elems <= 1 degenerates to greedy_colouring.
+/// First-fit colouring of contiguous blocks of `block_elems` elements
+/// in ascending order: each block takes the smallest colour unused by
+/// every earlier block it conflicts with (two blocks conflict when any of
+/// their elements share a target through any view). Deterministic;
+/// classes partition [0, n). block_elems <= 1 is the classic
+/// per-element colouring; larger blocks make every colour class a union
+/// of contiguous runs that the dispatcher can execute as range regions
+/// instead of gathered lists.
 Colouring block_colouring(lidx_t n, std::span<const ColourMapView> views,
-                          lidx_t block_elems);
+                          lidx_t block_elems = 1);
 
 /// Validity predicate (property tests): no two same-colour elements
 /// share a target through any view. Honours `c.block_elems`: with
@@ -66,29 +72,5 @@ Colouring block_colouring(lidx_t n, std::span<const ColourMapView> views,
 /// same-block sharing is legal.
 bool colouring_valid(const Colouring& c, lidx_t n,
                      std::span<const ColourMapView> views);
-
-/// The block-conflict adjacency underlying a blocked colouring: blocks a
-/// and b are adjacent iff some element of a and some element of b share a
-/// target through any view. Adjacent blocks always carry distinct
-/// colours, so orienting every edge from the lower colour to the higher
-/// one yields a DAG — the dependency graph the task-graph executor runs:
-/// a block becomes runnable once all its lower-coloured neighbours
-/// finished, and per written cell the accumulation order is the static
-/// colour order, independent of how the schedule interleaves.
-struct BlockGraph {
-  lidx_t block_elems = 1;
-  lidx_t num_blocks = 0;
-  int num_colours = 0;
-  std::vector<int> colour;          ///< per block, 0..num_colours-1.
-  std::vector<std::size_t> adj_off; ///< CSR offsets, num_blocks + 1.
-  LIdxVec adj;  ///< conflicting neighbour blocks, ascending per row.
-};
-
-/// Builds the symmetric block-conflict adjacency for `col` (a colouring
-/// produced by block_colouring over the same n and views; requires
-/// col.block_elems > 1). Deterministic: neighbour lists come out sorted.
-BlockGraph block_conflict_graph(lidx_t n,
-                                std::span<const ColourMapView> views,
-                                const Colouring& col);
 
 }  // namespace op2ca::mesh

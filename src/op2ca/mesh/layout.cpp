@@ -111,7 +111,11 @@ DatLayout DatLayout::make(LayoutKind kind, int dim, lidx_t elems,
   return lay;
 }
 
+// Empty arrays may hand in null pointers, which memcpy/memset must never
+// see, so both transposes return before touching an empty layout.
+
 void to_layout(const double* aos_rows, const DatLayout& lay, double* out) {
+  if (lay.alloc_doubles() == 0) return;
   if (lay.is_aos()) {
     std::memcpy(out, aos_rows,
                 static_cast<std::size_t>(lay.elems) * lay.dim *
@@ -129,6 +133,7 @@ void to_layout(const double* aos_rows, const DatLayout& lay, double* out) {
 
 void from_layout(const double* data, const DatLayout& lay,
                  double* aos_rows) {
+  if (lay.alloc_doubles() == 0) return;
   if (lay.is_aos()) {
     std::memcpy(aos_rows, data,
                 static_cast<std::size_t>(lay.elems) * lay.dim *

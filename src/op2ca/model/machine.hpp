@@ -59,19 +59,9 @@ struct Machine {
   /// Parallel efficiency of the intra-rank sweep: colour-sweep barriers
   /// and the serial tail keep the speedup below linear.
   double thread_efficiency = 0.95;
-  /// Dependency-driven execution (WorldConfig::taskgraph): per-colour
-  /// barriers are replaced by a task DAG, so workers stall only on true
-  /// block dependencies rather than on the slowest block of every
-  /// colour. The residual loss is steal contention and the DAG's
-  /// critical path.
-  bool taskgraph = false;
-  double taskgraph_efficiency = 0.98;
-  /// Effective compute speedup of a threads_per_rank-wide rank. The
-  /// efficiency term reflects how the intra-rank sweep synchronises:
-  /// colour barriers (default) or the task graph (taskgraph = true).
+  /// Effective compute speedup of a threads_per_rank-wide rank.
   double compute_speedup() const {
-    const double eff = taskgraph ? taskgraph_efficiency : thread_efficiency;
-    return 1.0 + (threads_per_rank - 1) * eff;
+    return 1.0 + (threads_per_rank - 1) * thread_efficiency;
   }
   /// Ordering-quality multiplier on the per-iteration cost g. Kernel
   /// calibrations are taken in partition order; the locality layer

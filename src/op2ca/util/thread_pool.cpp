@@ -1,46 +1,12 @@
 #include "op2ca/util/thread_pool.hpp"
 
-#include <algorithm>
-#include <utility>
-
 #include "op2ca/util/error.hpp"
 #include "op2ca/util/timer.hpp"
 
 namespace op2ca::util {
-namespace {
-
-// Schedule-stress test hook (see set_task_jitter). Guarded by its own
-// mutex for installation; workers take a cheap atomic fast path while it
-// is absent, and copy the callable under the lock while it is installed
-// (test-only cost).
-std::mutex jitter_mu;
-std::function<void(int)> jitter_hook;
-std::atomic<bool> jitter_present{false};
-
-void apply_jitter(int task) {
-  if (!jitter_present.load(std::memory_order_acquire)) return;
-  std::function<void(int)> hook;
-  {
-    std::lock_guard<std::mutex> lock(jitter_mu);
-    hook = jitter_hook;
-  }
-  if (hook) hook(task);
-}
-
-}  // namespace
-
-void ThreadPool::set_task_jitter(std::function<void(int)> hook) {
-  std::lock_guard<std::mutex> lock(jitter_mu);
-  jitter_hook = std::move(hook);
-  jitter_present.store(static_cast<bool>(jitter_hook),
-                       std::memory_order_release);
-}
 
 ThreadPool::ThreadPool(int threads) : threads_(threads) {
   OP2CA_REQUIRE(threads >= 1, "ThreadPool needs threads >= 1");
-  deques_.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t)
-    deques_.push_back(std::make_unique<WorkDeque>());
   workers_.reserve(static_cast<std::size_t>(threads - 1));
   for (int t = 1; t < threads; ++t)
     workers_.emplace_back(&ThreadPool::worker_main, this, t);
@@ -118,203 +84,6 @@ void ThreadPool::worker_main(int index) {
     busy_seconds_ += elapsed;
     if (error && !first_error_) first_error_ = error;
     if (--remaining_ == 0) done_cv_.notify_all();
-  }
-}
-
-// -- Dependency-graph epochs. -------------------------------------------
-
-void ThreadPool::run_graph_serial(int num_tasks,
-                                  const std::int32_t* succ_off,
-                                  const std::int32_t* succ,
-                                  const std::int32_t* indegree,
-                                  const std::function<void(int)>& body) {
-  // Width-1 path: a FIFO ready queue seeded with the roots in ascending
-  // id order. Release order is deterministic, and because the DAG orders
-  // every conflicting pair, the per-cell effects match any wider
-  // schedule bitwise.
-  std::vector<std::int32_t> deps(indegree,
-                                 indegree + static_cast<std::size_t>(
-                                                num_tasks));
-  std::deque<std::int32_t> ready;
-  for (std::int32_t i = 0; i < num_tasks; ++i)
-    if (deps[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
-  int done = 0;
-  WallTimer t;
-  while (!ready.empty()) {
-    const std::int32_t task = ready.front();
-    ready.pop_front();
-    apply_jitter(task);
-    body(task);
-    ++done;
-    for (std::int32_t s = succ_off[task]; s < succ_off[task + 1]; ++s)
-      if (--deps[static_cast<std::size_t>(succ[s])] == 0)
-        ready.push_back(succ[s]);
-  }
-  busy_seconds_ += t.elapsed();
-  OP2CA_REQUIRE(done == num_tasks,
-                "run_graph: dependency graph has a cycle");
-}
-
-bool ThreadPool::execute_graph_task(std::int32_t task, WorkDeque& mine) {
-  apply_jitter(task);
-  try {
-    (*graph_body_)(task);
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(graph_mu_);
-      if (!graph_error_) graph_error_ = std::current_exception();
-    }
-    graph_abort_.store(true, std::memory_order_release);
-    return false;
-  }
-  for (std::int32_t s = graph_succ_off_[task];
-       s < graph_succ_off_[task + 1]; ++s) {
-    const std::int32_t next = graph_succ_[s];
-    // acq_rel: the release half publishes this task's writes to whoever
-    // decrements last; the acquire half makes every predecessor's writes
-    // visible to the participant that runs `next`.
-    if (deps_[static_cast<std::size_t>(next)].fetch_sub(
-            1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mine.mu);
-      mine.q.push_back(next);
-    }
-  }
-  graph_done_.fetch_add(1, std::memory_order_acq_rel);
-  return true;
-}
-
-void ThreadPool::graph_participant(int self) {
-  // Oversubscription clamp: deques beyond graph_active_ were never
-  // seeded and never receive released successors, so excess
-  // participants have nothing to do — returning immediately keeps them
-  // off the scheduler instead of yield-spinning against the workers
-  // that carry the epoch.
-  if (self >= graph_active_) return;
-  WorkDeque& mine = *deques_[static_cast<std::size_t>(self)];
-  double idle = 0;
-  WallTimer idle_timer;
-  bool idling = false;
-  while (!graph_abort_.load(std::memory_order_acquire)) {
-    std::int32_t task = -1;
-    {
-      std::lock_guard<std::mutex> lock(mine.mu);
-      if (!mine.q.empty()) {
-        task = mine.q.back();
-        mine.q.pop_back();
-      }
-    }
-    if (task < 0) {
-      for (int i = 1; i < graph_active_ && task < 0; ++i) {
-        WorkDeque& victim = *deques_[static_cast<std::size_t>(
-            (self + i) % graph_active_)];
-        std::lock_guard<std::mutex> lock(victim.mu);
-        if (!victim.q.empty()) {
-          task = victim.q.front();
-          victim.q.pop_front();
-        }
-      }
-      if (task >= 0)
-        graph_steals_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (task < 0) {
-      if (graph_done_.load(std::memory_order_acquire) >= graph_total_)
-        break;
-      if (!idling) {
-        idling = true;
-        idle_timer.reset();
-      }
-      // Dependency-starved: some task is still running and nothing is
-      // runnable anywhere. Yield rather than spin — with more software
-      // threads than cores (common in tests) a hot spin would stall the
-      // very task everyone waits on.
-      std::this_thread::yield();
-      continue;
-    }
-    if (idling) {
-      idle += idle_timer.elapsed();
-      idling = false;
-    }
-    if (!execute_graph_task(task, mine)) break;
-  }
-  if (idling) idle += idle_timer.elapsed();
-  if (idle > 0) {
-    std::lock_guard<std::mutex> lock(graph_mu_);
-    graph_dep_wait_ += idle;
-  }
-}
-
-void ThreadPool::run_graph(int num_tasks, const std::int32_t* succ_off,
-                           const std::int32_t* succ,
-                           const std::int32_t* indegree,
-                           const std::function<void(int)>& body,
-                           GraphStats* stats) {
-  if (stats != nullptr) {
-    stats->tasks = num_tasks;
-    stats->steals = 0;
-    stats->dep_wait_seconds = 0;
-  }
-  if (num_tasks <= 0) return;
-  // More participants than cores is pure overhead for CPU-bound graph
-  // tasks — they time-slice against each other and the yield loop — and
-  // the DAG makes the worker count bitwise-irrelevant, so clamp to the
-  // hardware. The schedule-stress hook disables the clamp: those tests
-  // exist precisely to drive oversubscribed interleavings.
-  const unsigned hw = std::thread::hardware_concurrency();
-  int active = threads_;
-  if (hw > 0 && !jitter_present.load(std::memory_order_acquire))
-    active = std::min(threads_, static_cast<int>(hw));
-  if (active == 1) {
-    run_graph_serial(num_tasks, succ_off, succ, indegree, body);
-    return;
-  }
-
-  if (deps_capacity_ < static_cast<std::size_t>(num_tasks)) {
-    deps_capacity_ = static_cast<std::size_t>(num_tasks);
-    deps_ = std::make_unique<std::atomic<std::int32_t>[]>(deps_capacity_);
-  }
-  for (std::int32_t i = 0; i < num_tasks; ++i)
-    deps_[static_cast<std::size_t>(i)].store(
-        indegree[static_cast<std::size_t>(i)], std::memory_order_relaxed);
-
-  // Seed the roots round-robin in ascending id order (deques are empty
-  // between epochs): every participant starts with local work.
-  int seeded = 0;
-  for (std::int32_t i = 0; i < num_tasks; ++i)
-    if (indegree[static_cast<std::size_t>(i)] == 0)
-      deques_[static_cast<std::size_t>(seeded++ % active)]->q.push_back(i);
-  OP2CA_REQUIRE(seeded > 0, "run_graph: graph has no root tasks");
-  graph_active_ = active;
-
-  graph_succ_off_ = succ_off;
-  graph_succ_ = succ;
-  graph_body_ = &body;
-  graph_total_ = num_tasks;
-  graph_done_.store(0, std::memory_order_relaxed);
-  graph_abort_.store(false, std::memory_order_relaxed);
-  graph_steals_.store(0, std::memory_order_relaxed);
-  graph_dep_wait_ = 0;
-
-  run([this](int t) { graph_participant(t); });
-
-  graph_body_ = nullptr;
-  if (graph_abort_.load(std::memory_order_acquire)) {
-    // Abandoned tasks may still sit in the deques; drain them so the
-    // next epoch starts clean.
-    for (auto& d : deques_) d->q.clear();
-    std::exception_ptr err;
-    {
-      std::lock_guard<std::mutex> lock(graph_mu_);
-      err = graph_error_;
-      graph_error_ = nullptr;
-    }
-    if (err) std::rethrow_exception(err);
-    raise("run_graph: epoch aborted without an error");
-  }
-  OP2CA_REQUIRE(graph_done_.load(std::memory_order_acquire) == num_tasks,
-                "run_graph: dependency graph has a cycle");
-  if (stats != nullptr) {
-    stats->steals = graph_steals_.load(std::memory_order_relaxed);
-    stats->dep_wait_seconds = graph_dep_wait_;
   }
 }
 

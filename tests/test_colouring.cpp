@@ -1,4 +1,5 @@
-// Greedy-colouring properties: validity (no two same-colour elements
+// Per-element colouring properties (block_colouring at its default
+// block_elems = 1): validity (no two same-colour elements
 // share a target through any view — checked both by colouring_valid and
 // by a brute-force pairwise scan), determinism, class structure, and the
 // colouring of a real quad mesh's edge->node map.
@@ -77,7 +78,7 @@ TEST(Colouring, RandomMapsValidBruteForce) {
     const LIdxVec t =
         random_targets(&rng, n, arity, targets, trial % 3 == 0 ? 0.1 : 0.0);
     const ColourMapView v{t.data(), arity, n, targets};
-    const Colouring c = greedy_colouring(n, {&v, 1});
+    const Colouring c = block_colouring(n, {&v, 1});
     expect_valid_brute_force(c, n, {&v, 1});
     expect_classes_partition(c, n);
   }
@@ -94,7 +95,7 @@ TEST(Colouring, MultipleViewsValid) {
   const ColourMapView views[] = {{t1.data(), 2, n, 30},
                                  {t2.data(), 3, n, 15},
                                  {ident.data(), 1, n, n}};
-  const Colouring c = greedy_colouring(n, views);
+  const Colouring c = block_colouring(n, views);
   expect_valid_brute_force(c, n, views);
   expect_classes_partition(c, n);
 }
@@ -104,21 +105,21 @@ TEST(Colouring, Deterministic) {
   const lidx_t n = 200;
   const LIdxVec t = random_targets(&rng, n, 2, 50);
   const ColourMapView v{t.data(), 2, n, 50};
-  const Colouring a = greedy_colouring(n, {&v, 1});
-  const Colouring b = greedy_colouring(n, {&v, 1});
+  const Colouring a = block_colouring(n, {&v, 1});
+  const Colouring b = block_colouring(n, {&v, 1});
   EXPECT_EQ(a.num_colours, b.num_colours);
   EXPECT_EQ(a.colour, b.colour);
   EXPECT_EQ(a.classes, b.classes);
 }
 
 TEST(Colouring, NoViewsIsOneColour) {
-  const Colouring c = greedy_colouring(10, {});
+  const Colouring c = block_colouring(10, {});
   EXPECT_EQ(c.num_colours, 1);
   expect_classes_partition(c, 10);
 }
 
 TEST(Colouring, EmptySet) {
-  const Colouring c = greedy_colouring(0, {});
+  const Colouring c = block_colouring(0, {});
   EXPECT_EQ(c.num_colours, 0);
   EXPECT_TRUE(c.classes.empty());
 }
@@ -129,7 +130,7 @@ TEST(Colouring, HighDegreeTargetForcesManyColours) {
   const lidx_t n = 100;
   LIdxVec t(static_cast<std::size_t>(n), 0);
   const ColourMapView v{t.data(), 1, n, 1};
-  const Colouring c = greedy_colouring(n, {&v, 1});
+  const Colouring c = block_colouring(n, {&v, 1});
   EXPECT_EQ(c.num_colours, n);
   expect_valid_brute_force(c, n, {&v, 1});
   expect_classes_partition(c, n);
@@ -145,7 +146,7 @@ TEST(Colouring, Quad2dEdgeToNode) {
   LIdxVec local(e2n.targets.begin(), e2n.targets.end());
   const ColourMapView v{local.data(), 2, n,
                         static_cast<lidx_t>(q.mesh.set(q.nodes).size)};
-  const Colouring c = greedy_colouring(n, {&v, 1});
+  const Colouring c = block_colouring(n, {&v, 1});
   EXPECT_TRUE(colouring_valid(c, n, {&v, 1}));
   expect_classes_partition(c, n);
   EXPECT_LE(c.num_colours, 8);  // greedy <= 2*max_degree for edge maps

@@ -25,7 +25,6 @@ WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
                          mesh::ReorderKind reorder = mesh::ReorderKind::None,
                          int threads = 1,
                          mesh::LayoutConfig layout = {},
-                         bool taskgraph = false,
                          gpu::DeviceConfig device = {}) {
   WorldConfig cfg;
   cfg.nranks = nranks;
@@ -36,8 +35,6 @@ WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
   cfg.reorder.kind = reorder;
   cfg.threads_per_rank = threads;
   cfg.layout = layout;
-  cfg.taskgraph = taskgraph;
-  cfg.taskgraph_block = 32;
   cfg.device = device;
   if (mode == Mode::kCa) cfg.chains.enable("synthetic");
   if (mode == Mode::kLazy) cfg.lazy = true;
@@ -91,14 +88,13 @@ SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
                       mesh::ReorderKind reorder = mesh::ReorderKind::None,
                       int threads = 1,
                       mesh::LayoutConfig layout = {},
-                      bool taskgraph = false,
                       gpu::DeviceConfig device = {}) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
   World w(std::move(prob.mg.mesh),
           equiv_config(nranks, mode, serial_dispatch, reorder, threads,
-                       layout, taskgraph, device));
+                       layout, device));
   w.run([&](Runtime& rt) {
     const auto h = apps::mgcfd::resolve_handles(rt, prob);
     for (int t = 0; t < 2; ++t) {
@@ -378,56 +374,6 @@ TEST(Equivalence, LayoutAosoaBlockInvariance) {
   }
 }
 
-// -- Task-graph executor (WorldConfig::taskgraph). ----------------------
-//
-// The dependency-driven block sweep replaces colour barriers with a DAG
-// over blocks; per written cell the accumulation order is still the
-// static colour order. Direct loops are untouched (bitwise vs serial);
-// indirect-INC loops reassociate against the per-element baseline
-// (tolerance); and within the graph path any pool width is bitwise —
-// the DAG, not the schedule, orders every conflicting pair.
-
-TEST(Equivalence, TaskgraphMatchesSerialAllModes) {
-  for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult base = run_synth(5, mode, false);
-    const SynthResult tg =
-        run_synth(5, mode, false, mesh::ReorderKind::None, 4, {}, true);
-    EXPECT_EQ(base.spres, tg.spres);  // direct loop: exact
-    testutil::expect_allclose(base.sres, tg.sres);
-    testutil::expect_allclose(base.sflux, tg.sflux);
-  }
-}
-
-TEST(Equivalence, TaskgraphWidthIndependentAllModes) {
-  // Widths 1/2/4 over the graph path are bitwise: width 1 is the serial
-  // FIFO drain of the same DAG, not the legacy colour sweep.
-  for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult w1 =
-        run_synth(4, mode, false, mesh::ReorderKind::None, 1, {}, true);
-    for (const int width : {2, 4})
-      expect_bitwise(w1, run_synth(4, mode, false,
-                                   mesh::ReorderKind::None, width, {},
-                                   true));
-  }
-}
-
-TEST(Equivalence, TaskgraphComposesWithReorderAndLayout) {
-  // The graph path stacks on the locality layer and the SIMD data plane:
-  // compare against the colour-barrier sweep at the SAME (reorder,
-  // layout, width) configuration. Different blocking (taskgraph_block vs
-  // reorder.colour_block) reassociates the INC sums — tolerance; the
-  // direct loop stays exact.
-  const SynthResult barrier =
-      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 4,
-                layout_cfg(mesh::LayoutKind::SoA));
-  const SynthResult graph =
-      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 4,
-                layout_cfg(mesh::LayoutKind::SoA), true);
-  EXPECT_EQ(barrier.spres, graph.spres);
-  testutil::expect_allclose(barrier.sres, graph.sres);
-  testutil::expect_allclose(barrier.sflux, graph.sflux);
-}
-
 // -- Device executor (WorldConfig::device). -----------------------------
 //
 // Device-resident execution changes WHERE arrays live (behind mirrored
@@ -443,7 +389,7 @@ TEST(Equivalence, DeviceMatchesBaselineAllModes) {
   for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
     const SynthResult base = run_synth(5, mode, false);
     const SynthResult dev =
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {}, false,
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
                   device_cfg());
     EXPECT_EQ(base.spres, dev.spres);  // direct loop: exact
     testutil::expect_allclose(base.sres, dev.sres);
@@ -457,12 +403,12 @@ TEST(Equivalence, DeviceWidthIndependent) {
   // serially, so any pool width is bitwise-identical.
   for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
     const SynthResult w1 =
-        run_synth(4, mode, false, mesh::ReorderKind::None, 1, {}, false,
+        run_synth(4, mode, false, mesh::ReorderKind::None, 1, {},
                   device_cfg());
     for (const int width : {2, 4})
       expect_bitwise(w1,
                      run_synth(4, mode, false, mesh::ReorderKind::None,
-                               width, {}, false, device_cfg()));
+                               width, {}, device_cfg()));
   }
 }
 
@@ -471,9 +417,9 @@ TEST(Equivalence, DeviceModesAreBitwise) {
   // WHEN value-preserving transfers happen — never in results.
   for (const Mode mode : {Mode::kOp2, Mode::kCa}) {
     expect_bitwise(
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {}, false,
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
                   device_cfg(gpu::DeviceConfig::Mode::Pipelined)),
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {}, false,
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
                   device_cfg(gpu::DeviceConfig::Mode::FullyStaged)));
   }
 }
@@ -485,13 +431,13 @@ TEST(Equivalence, DeviceLayoutsMatch) {
   // within tolerance of the same sums).
   for (const Mode mode : {Mode::kOp2, Mode::kCa}) {
     const SynthResult base =
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {}, false,
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
                   device_cfg());
     for (const auto kind :
          {mesh::LayoutKind::SoA, mesh::LayoutKind::AoSoA}) {
       const SynthResult re =
           run_synth(5, mode, false, mesh::ReorderKind::None, 1,
-                    layout_cfg(kind), false, device_cfg());
+                    layout_cfg(kind), device_cfg());
       EXPECT_EQ(base.spres, re.spres);
       testutil::expect_allclose(base.sres, re.sres);
       testutil::expect_allclose(base.sflux, re.sflux);
@@ -504,11 +450,11 @@ TEST(Equivalence, DeviceFlatColouringMatchesHierarchical) {
   // conflict-free work differently: direct bitwise, indirect tolerance.
   const SynthResult flat =
       run_synth(5, Mode::kOp2, false, mesh::ReorderKind::None, 1, {},
-                false, device_cfg(gpu::DeviceConfig::Mode::Pipelined,
-                                  /*hierarchical=*/false));
+                device_cfg(gpu::DeviceConfig::Mode::Pipelined,
+                           /*hierarchical=*/false));
   const SynthResult hier =
       run_synth(5, Mode::kOp2, false, mesh::ReorderKind::None, 1, {},
-                false, device_cfg());
+                device_cfg());
   EXPECT_EQ(flat.spres, hier.spres);
   testutil::expect_allclose(flat.sres, hier.sres);
   testutil::expect_allclose(flat.sflux, hier.sflux);
@@ -520,7 +466,7 @@ TEST(Equivalence, DeviceSerialDispatchBitwiseLegacy) {
   // transfers in between are value-preserving, so bitwise.
   expect_bitwise(run_synth(5, Mode::kOp2, true),
                  run_synth(5, Mode::kOp2, true, mesh::ReorderKind::None,
-                           1, {}, false, device_cfg()));
+                           1, {}, device_cfg()));
 }
 
 // -- Temporal tiling (WorldConfig::tile). -------------------------------
@@ -563,14 +509,12 @@ void tiled_program(Runtime& rt, const apps::mgcfd::Handles& h,
 
 SynthResult run_synth_tiled(int nranks, int tile, Mode mode,
                             int threads = 1,
-                            mesh::LayoutConfig layout = {},
-                            bool taskgraph = false) {
+                            mesh::LayoutConfig layout = {}) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
   WorldConfig cfg = equiv_config(nranks, mode, false,
-                                 mesh::ReorderKind::None, threads, layout,
-                                 taskgraph);
+                                 mesh::ReorderKind::None, threads, layout);
   cfg.tile = tile;
   World w(std::move(prob.mg.mesh), cfg);
   w.run([&](Runtime& rt) {
@@ -625,21 +569,6 @@ TEST(Equivalence, TiledLayoutsAndThreads) {
         testutil::expect_allclose(base.sres, ca.sres);
         testutil::expect_allclose(base.sflux, ca.sflux);
       }
-    }
-  }
-}
-
-TEST(Equivalence, TiledTaskgraph) {
-  // ...and with the dependency-driven block sweep on top.
-  for (const int threads : {1, 4}) {
-    const SynthResult base =
-        run_synth_tiled(4, 1, Mode::kOp2, threads, {}, true);
-    for (const int tile : {2, 4}) {
-      const SynthResult ca =
-          run_synth_tiled(4, tile, Mode::kCa, threads, {}, true);
-      EXPECT_EQ(base.spres, ca.spres);
-      testutil::expect_allclose(base.sres, ca.sres);
-      testutil::expect_allclose(base.sflux, ca.sflux);
     }
   }
 }

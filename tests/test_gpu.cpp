@@ -1,17 +1,20 @@
 // GPU simulation tests: device buffers, metered staging copies, the
 // pipeline-overlap model of Section 3.3, the DeviceSpace mirror/validity
-// substrate and the hierarchical two-level colouring of the device
-// executor.
+// substrate, the hierarchical two-level colouring of the device
+// executor, and the order in which device Worlds execute it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <vector>
 
+#include "op2ca/core/runtime.hpp"
 #include "op2ca/gpu/device.hpp"
 #include "op2ca/gpu/device_space.hpp"
 #include "op2ca/gpu/hierarchy.hpp"
 #include "op2ca/gpu/pipeline.hpp"
+#include "op2ca/mesh/quad2d.hpp"
 #include "op2ca/util/buffer_pool.hpp"
 #include "op2ca/util/error.hpp"
 
@@ -399,6 +402,96 @@ TEST(Hierarchy, StagingSlotsResolveEveryMapEntry) {
                        static_cast<std::size_t>(k)]);
       }
     }
+  }
+}
+
+// -- Device Worlds execute the hierarchical schedule. -------------------
+//
+// x = 0.5 * x + id does not commute, so every node's final value encodes
+// the exact sequence of edges that updated it. (0.5 * x is exact, so the
+// result does not depend on whether the compiler contracts to an FMA.)
+
+void ordered_inc(double* a, double* b, const double* id) {
+  a[0] = 0.5 * a[0] + id[0];
+  b[0] = 0.5 * b[0] + id[0];
+}
+
+/// Applies ordered_inc to the edges of [begin, end) one at a time in the
+/// device schedule's order: outer colours ascending, blocks ascending,
+/// then block_order within each block.
+void run_schedule(const HierColouring& h, lidx_t begin, lidx_t end,
+                  const lidx_t* e2n, const double* id, double* x) {
+  for (const LIdxVec& blocks : h.colour_blocks)
+    for (const lidx_t b : blocks)
+      for (std::size_t k = h.block_off[static_cast<std::size_t>(b)];
+           k < h.block_off[static_cast<std::size_t>(b) + 1]; ++k) {
+        const auto e = static_cast<std::size_t>(h.block_order[k]);
+        if (h.block_order[k] < begin || h.block_order[k] >= end) continue;
+        ordered_inc(&x[e2n[2 * e]], &x[e2n[2 * e + 1]], &id[e]);
+      }
+}
+
+TEST(DeviceSweep, RunsTheHierarchicalScheduleAtEveryWidth) {
+  for (const int width : {1, 2, 4}) {
+    mesh::Quad2D q = mesh::make_quad2d(37, 29);
+    const auto ne = static_cast<std::size_t>(q.mesh.set(q.edges).size);
+    std::vector<double> id(ne);
+    std::iota(id.begin(), id.end(), 1.0);
+    q.mesh.add_dat("x", q.nodes, 1);
+    q.mesh.add_dat("id", q.edges, 1, std::move(id));
+    const mesh::set_id nodes = q.nodes;
+    const mesh::map_id e2n = q.e2n;
+    core::WorldConfig cfg;
+    cfg.nranks = 2;
+    cfg.threads_per_rank = width;
+    cfg.device.enabled = true;
+    cfg.device.block_elems = 16;
+    core::World w(std::move(q.mesh), cfg);
+
+    std::atomic<int> cut_ranks{0};
+    w.run([&](core::Runtime& rt) {
+      const core::Set edges = rt.set("edges");
+      const core::Dat x = rt.dat("x");
+      const core::Dat xid = rt.dat("id");
+      // The schedule the dispatcher builds for this loop: its one
+      // conflict view is the rank-local edge -> node map.
+      const halo::RankPlan& rp =
+          w.plan().ranks[static_cast<std::size_t>(rt.rank())];
+      const halo::LocalMap& lm = rp.maps[static_cast<std::size_t>(e2n)];
+      const halo::SetLayout& el = rt.layout(edges);
+      const lidx_t num_nodes = rp.sets[static_cast<std::size_t>(nodes)].total;
+      const mesh::ColourMapView view{lm.targets.data(), lm.arity, el.total,
+                                     num_nodes};
+      const HierColouring h = hierarchical_colouring(
+          el.total, {&view, 1}, cfg.device.block_elems,
+          cfg.device.shared_bytes, /*max_dim=*/2);  // coords is dim 2
+
+      // Reference: the OP2 executor's three regions (core, owned
+      // boundary, exec halo), each a plain serial walk of the schedule.
+      const double* xd = rt.dat_data(x);
+      std::vector<double> ref(xd, xd + num_nodes);
+      const double* idd = rt.dat_data(xid);
+      const lidx_t core_end = el.core_count(1);
+      const auto [xb, xe] = el.exec_layer(1);
+      run_schedule(h, 0, core_end, lm.targets.data(), idd, ref.data());
+      run_schedule(h, core_end, el.num_owned, lm.targets.data(), idd,
+                   ref.data());
+      run_schedule(h, xb, xe, lm.targets.data(), idd, ref.data());
+      // The boundary region must cut a block at both ends, so the sweep's
+      // edge-block filter is exercised.
+      const lidx_t be = h.blocks.block_elems;
+      if (core_end % be != 0 && el.num_owned % be != 0) ++cut_ranks;
+
+      rt.par_loop("ordered", edges, ordered_inc,
+                  core::arg_dat(x, 0, rt.map("e2n"), core::Access::INC),
+                  core::arg_dat(x, 1, rt.map("e2n"), core::Access::INC),
+                  core::arg_dat(xid, core::Access::READ));
+      const double* got = rt.dat_data(x);
+      EXPECT_TRUE(std::equal(ref.begin(), ref.end(), got))
+          << "rank " << rt.rank() << " width " << width;
+    });
+    EXPECT_GT(cut_ranks.load(), 0)
+        << "no region cuts a block; resize the mesh";
   }
 }
 

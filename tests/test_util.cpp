@@ -1,12 +1,8 @@
 // Unit tests for the util module: stats, RNG, tables, options, errors.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <mutex>
 #include <sstream>
-#include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -268,183 +264,10 @@ TEST(AlignedAlloc, VectorStorageIsCacheAligned) {
   }
 }
 
-// -- Work-stealing dependency-graph epochs (ThreadPool::run_graph). ------
-
-/// Dense successor CSR + indegrees from an explicit edge list.
-struct TestDag {
-  std::vector<std::int32_t> off, succ, indeg;
-  TestDag(int n, const std::vector<std::pair<int, int>>& edges) {
-    off.assign(static_cast<std::size_t>(n) + 1, 0);
-    indeg.assign(static_cast<std::size_t>(n), 0);
-    for (const auto& [a, b] : edges) {
-      ++off[static_cast<std::size_t>(a) + 1];
-      ++indeg[static_cast<std::size_t>(b)];
-    }
-    for (int i = 0; i < n; ++i)
-      off[static_cast<std::size_t>(i) + 1] += off[static_cast<std::size_t>(i)];
-    succ.resize(edges.size());
-    std::vector<std::int32_t> at(off.begin(), off.end() - 1);
-    for (const auto& [a, b] : edges)
-      succ[static_cast<std::size_t>(at[static_cast<std::size_t>(a)]++)] =
-          static_cast<std::int32_t>(b);
-  }
-};
-
-TEST(ThreadPoolGraph, IndependentTasksRunExactlyOnceAtEveryWidth) {
-  constexpr int kTasks = 257;
-  const TestDag dag(kTasks, {});
-  for (int width : {1, 2, 4, 8}) {
-    util::ThreadPool pool(width);
-    std::vector<std::atomic<int>> hits(kTasks);
-    for (auto& h : hits) h.store(0);
-    util::GraphStats stats;
-    pool.run_graph(kTasks, dag.off.data(), dag.succ.data(),
-                   dag.indeg.data(),
-                   [&](int t) { hits[static_cast<std::size_t>(t)]++; },
-                   &stats);
-    for (int t = 0; t < kTasks; ++t)
-      EXPECT_EQ(hits[static_cast<std::size_t>(t)].load(), 1)
-          << "width " << width << " task " << t;
-    EXPECT_EQ(stats.tasks, kTasks);
-  }
-}
-
-TEST(ThreadPoolGraph, ChainExecutesInExactDependencyOrder) {
-  // A pure chain 0 -> 1 -> ... -> n-1 has exactly one legal schedule
-  // at any width; stealing must never reorder it.
-  constexpr int kTasks = 64;
-  std::vector<std::pair<int, int>> edges;
-  for (int i = 0; i + 1 < kTasks; ++i) edges.push_back({i, i + 1});
-  const TestDag dag(kTasks, edges);
-  for (int width : {1, 4}) {
-    util::ThreadPool pool(width);
-    std::mutex mu;
-    std::vector<int> order;
-    pool.run_graph(kTasks, dag.off.data(), dag.succ.data(),
-                   dag.indeg.data(), [&](int t) {
-                     std::lock_guard<std::mutex> lock(mu);
-                     order.push_back(t);
-                   });
-    ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
-    for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(ThreadPoolGraph, DependencyCountersGateSuccessorRelease) {
-  // Diamond: 0 -> {1, 2} -> 3. Task 3's counter starts at 2, so it must
-  // observe BOTH middle tasks' effects; 0 must precede everything.
-  const TestDag dag(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
-  util::ThreadPool pool(4);
-  std::atomic<int> done0{0}, done_mid{0};
-  std::atomic<bool> ok{true};
-  pool.run_graph(4, dag.off.data(), dag.succ.data(), dag.indeg.data(),
-                 [&](int t) {
-                   if (t == 0) {
-                     done0.store(1, std::memory_order_release);
-                   } else if (t == 3) {
-                     if (done_mid.load(std::memory_order_acquire) != 2)
-                       ok.store(false);
-                   } else {
-                     if (done0.load(std::memory_order_acquire) != 1)
-                       ok.store(false);
-                     done_mid.fetch_add(1, std::memory_order_acq_rel);
-                   }
-                 });
-  EXPECT_TRUE(ok.load());
-}
-
-TEST(ThreadPoolGraph, StealCorrectnessUnderContention) {
-  // All roots seed round-robin, then per-task sleep jitter desynchronises
-  // the workers so deques drain unevenly and thieves kick in. Every task
-  // must still run exactly once and the final wide-join task last —
-  // including when its last release comes from a stealing worker.
-  constexpr int kTasks = 128;
-  std::vector<std::pair<int, int>> edges;
-  for (int i = 0; i < kTasks - 1; ++i) edges.push_back({i, kTasks - 1});
-  const TestDag dag(kTasks, edges);
-  util::ThreadPool::set_task_jitter([](int t) {
-    if (t % 7 == 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-  });
-  util::ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(kTasks);
-  for (auto& h : hits) h.store(0);
-  std::atomic<int> before_join{0};
-  util::GraphStats stats;
-  pool.run_graph(kTasks, dag.off.data(), dag.succ.data(), dag.indeg.data(),
-                 [&](int t) {
-                   hits[static_cast<std::size_t>(t)]++;
-                   if (t == kTasks - 1)
-                     EXPECT_EQ(before_join.load(std::memory_order_acquire),
-                               kTasks - 1);
-                   else
-                     before_join.fetch_add(1, std::memory_order_acq_rel);
-                 },
-                 &stats);
-  util::ThreadPool::set_task_jitter(nullptr);
-  for (int t = 0; t < kTasks; ++t)
-    EXPECT_EQ(hits[static_cast<std::size_t>(t)].load(), 1) << t;
-  EXPECT_EQ(stats.tasks, kTasks);
-  EXPECT_GE(stats.steals, 0);
-  EXPECT_LE(stats.steals, kTasks);
-}
-
-TEST(ThreadPoolGraph, ExceptionPropagatesAndPoolStaysUsable) {
-  const TestDag dag(16, {});
-  util::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.run_graph(16, dag.off.data(), dag.succ.data(), dag.indeg.data(),
-                     [&](int t) {
-                       if (t == 5) throw std::runtime_error("task 5 boom");
-                     }),
-      std::runtime_error);
-  // The abort drained the deques; the next epoch and a plain run() must
-  // behave as if nothing happened.
-  std::vector<std::atomic<int>> hits(16);
-  for (auto& h : hits) h.store(0);
-  pool.run_graph(16, dag.off.data(), dag.succ.data(), dag.indeg.data(),
-                 [&](int t) { hits[static_cast<std::size_t>(t)]++; });
-  for (int t = 0; t < 16; ++t)
-    EXPECT_EQ(hits[static_cast<std::size_t>(t)].load(), 1) << t;
-  std::atomic<int> participants{0};
-  pool.run([&](int) { participants++; });
-  EXPECT_EQ(participants.load(), 4);
-}
-
-TEST(ThreadPoolGraph, EpochsDrainAndInterleaveWithFlatRuns) {
-  // Repeated graph epochs on one pool, interleaved with flat run() jobs:
-  // per-epoch counters reset, nothing leaks across epochs.
-  constexpr int kTasks = 40;
-  std::vector<std::pair<int, int>> edges;
-  for (int i = 0; i + 2 < kTasks; ++i) edges.push_back({i, i + 2});
-  const TestDag dag(kTasks, edges);
-  util::ThreadPool pool(4);
-  for (int epoch = 0; epoch < 5; ++epoch) {
-    std::atomic<int> count{0};
-    util::GraphStats stats;
-    pool.run_graph(kTasks, dag.off.data(), dag.succ.data(),
-                   dag.indeg.data(), [&](int) { count++; }, &stats);
-    EXPECT_EQ(count.load(), kTasks) << "epoch " << epoch;
-    EXPECT_EQ(stats.tasks, kTasks);
-    std::atomic<int> flat{0};
-    pool.run([&](int) { flat++; });
-    EXPECT_EQ(flat.load(), 4);
-  }
-}
-
-TEST(ThreadPoolGraph, CycleIsDetectedNotDeadlocked) {
-  // 0 -> 1 -> 0 never becomes runnable; run_graph must raise, not hang.
-  const TestDag dag(2, {{0, 1}, {1, 0}});
-  util::ThreadPool pool(1);
-  EXPECT_THROW(pool.run_graph(2, dag.off.data(), dag.succ.data(),
-                              dag.indeg.data(), [](int) {}),
-               std::exception);
-}
-
 TEST(ThreadPoolContention, SendsToDistinctDestinationsDoNotSerialise) {
-  // Regression for the comm layer's send locking: taskgraph mode posts
-  // pack isends from pool workers, and a single send mutex would queue a
-  // fast send to one neighbour behind a slow send to another. Sends
+  // Regression for the comm layer's send locking: pool workers may post
+  // isends concurrently, and a single send mutex would queue a fast send
+  // to one neighbour behind a slow send to another. Sends
   // serialise per DESTINATION, so a worker posting to rank 2 must return
   // promptly while a post to rank 1 sits in an injected 250 ms delay.
   sim::Transport t(3);
