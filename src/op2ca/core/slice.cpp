@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "op2ca/util/error.hpp"
 
@@ -13,9 +11,9 @@ namespace {
 
 /// Layer of each foreign element w.r.t. the chain's own connectivity:
 /// a relayering of the structural exec halo using only the maps the
-/// chain accesses. layer[set][local] is 1-based; absent = unreachable
+/// chain accesses. layer[set][local] is 1-based; 0 = unreachable
 /// through chain maps (never executed for this chain).
-using ChainLayers = std::vector<std::unordered_map<lidx_t, int>>;
+using ChainLayers = std::vector<std::vector<int>>;
 
 ChainLayers chain_layers(const mesh::MeshDef& mesh,
                          const halo::RankPlan& rp, int plan_depth,
@@ -29,8 +27,13 @@ ChainLayers chain_layers(const mesh::MeshDef& mesh,
   const int nsets = mesh.num_sets();
   ChainLayers layer(static_cast<std::size_t>(nsets));
   // Non-owned region membership per set (targets pulled in so far).
-  std::vector<std::unordered_set<lidx_t>> region(
-      static_cast<std::size_t>(nsets));
+  std::vector<std::vector<char>> region(static_cast<std::size_t>(nsets));
+  for (mesh::set_id s = 0; s < nsets; ++s) {
+    const auto total =
+        static_cast<std::size_t>(rp.sets[static_cast<std::size_t>(s)].total);
+    layer[static_cast<std::size_t>(s)].assign(total, 0);
+    region[static_cast<std::size_t>(s)].assign(total, 0);
+  }
 
   for (int k = 1; k <= plan_depth; ++k) {
     // Exec discovery: structural exec candidates of a from-set whose
@@ -45,7 +48,8 @@ ChainLayers chain_layers(const mesh::MeshDef& mesh,
       const halo::LocalMap& lm = rp.maps[static_cast<std::size_t>(m)];
       auto& flayer = layer[static_cast<std::size_t>(mp.from)];
       for (lidx_t e = flay.exec_end[0]; e < flay.exec_end.back(); ++e) {
-        if (flayer.count(e) != 0) continue;  // already layered
+        if (flayer[static_cast<std::size_t>(e)] != 0)
+          continue;  // already layered
         bool reaches = false;
         for (int c = 0; c < mp.arity && !reaches; ++c) {
           const lidx_t t =
@@ -55,11 +59,12 @@ ChainLayers chain_layers(const mesh::MeshDef& mesh,
           if (t == kInvalidLocal) continue;
           if (t < tlay.num_owned)
             reaches = true;  // region level 0
-          else if (region[static_cast<std::size_t>(mp.to)].count(t) != 0)
+          else if (region[static_cast<std::size_t>(mp.to)]
+                         [static_cast<std::size_t>(t)] != 0)
             reaches = true;
         }
         if (reaches) {
-          flayer.emplace(e, k);
+          flayer[static_cast<std::size_t>(e)] = k;
           fresh.emplace_back(mp.from, e);
         }
       }
@@ -67,7 +72,7 @@ ChainLayers chain_layers(const mesh::MeshDef& mesh,
     // Region growth: the fresh exec elements and their chain-map
     // targets become reachable for layer k+1.
     for (const auto& [s, e] : fresh) {
-      region[static_cast<std::size_t>(s)].insert(e);
+      region[static_cast<std::size_t>(s)][static_cast<std::size_t>(e)] = 1;
       for (mesh::map_id m : chain_maps) {
         const mesh::MapDef& mp = mesh.map(m);
         if (mp.from != s) continue;
@@ -80,7 +85,8 @@ ChainLayers chain_layers(const mesh::MeshDef& mesh,
                              static_cast<std::size_t>(mp.arity) +
                          static_cast<std::size_t>(c)];
           if (t != kInvalidLocal && t >= tlay.num_owned)
-            region[static_cast<std::size_t>(mp.to)].insert(t);
+            region[static_cast<std::size_t>(mp.to)]
+                  [static_cast<std::size_t>(t)] = 1;
         }
       }
     }
@@ -102,7 +108,8 @@ ChainLayers chain_layers(const mesh::MeshDef& mesh,
                                static_cast<std::size_t>(mp.arity) +
                            static_cast<std::size_t>(c)];
             if (t != kInvalidLocal && t >= tlay.num_owned)
-              region[static_cast<std::size_t>(mp.to)].insert(t);
+              region[static_cast<std::size_t>(mp.to)]
+                    [static_cast<std::size_t>(t)] = 1;
           }
         }
       }
@@ -132,11 +139,13 @@ std::vector<LIdxVec> needed_exec_lists(const mesh::MeshDef& mesh,
     const LoopSpec& loop = spec.loops[static_cast<std::size_t>(l)];
     const int he =
         std::min(analysis.he[static_cast<std::size_t>(l)], plan_depth);
-    const auto& slayer = layers[static_cast<std::size_t>(loop.set)];
+    const std::vector<int>& slayer = layers[static_cast<std::size_t>(loop.set)];
+    const halo::SetLayout& lay = rp.sets[static_cast<std::size_t>(loop.set)];
     LIdxVec& out = lists[static_cast<std::size_t>(l)];
-    for (const auto& [e, k] : slayer)
-      if (k <= he) out.push_back(e);
-    std::sort(out.begin(), out.end());
+    for (lidx_t e = lay.exec_end[0]; e < lay.exec_end.back(); ++e) {
+      const int k = slayer[static_cast<std::size_t>(e)];
+      if (k != 0 && k <= he) out.push_back(e);
+    }
   }
   return lists;
 }

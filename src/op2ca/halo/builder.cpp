@@ -19,33 +19,28 @@
 // the partition boundary over symmetric adjacency), so shrinking cores
 // are prefixes. Imports are ordered by (layer, global id); export lists
 // on the owner mirror the importer's order exactly.
+//
+// Every per-element lookup is a dense array indexed by global id. Ranks
+// run one per worker of a ThreadPool, and a rank's passes write only its
+// own RankPlan, its owned entries of owned_local_idx and its own export
+// lists, so the plan does not depend on the worker count.
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+#include <string>
+#include <thread>
 
 #include "op2ca/halo/halo_plan.hpp"
-#include "op2ca/halo/renumber.hpp"
 #include "op2ca/mesh/adjacency.hpp"
 #include "op2ca/util/error.hpp"
-#include "op2ca/util/log.hpp"
+#include "op2ca/util/thread_pool.hpp"
 
 namespace op2ca::halo {
 namespace {
 
-/// Classification code: 0 = owned, +k = exec layer k, -k = nonexec layer k.
-using ClsMap = std::unordered_map<gidx_t, int>;
-
-/// Elements promoted from nonexec layer k to a deeper exec layer. They
-/// keep an alias entry in the nonexec import/export lists at their
-/// original layer k: iterations of layer k read them, so a level-k halo
-/// exchange must still deliver their values even though their local slot
-/// lives in the exec segment. (Arises when a set is both map source and
-/// target, e.g. multigrid nodes reached first as a read fringe and later
-/// as redundant work.)
-struct Promotion {
-  mesh::set_id set;
-  gidx_t gid;
-  int read_layer;  ///< original nonexec layer.
-};
+/// Classification code: 0 = owned, +k = exec layer k, -k = nonexec layer
+/// k, kUnset = not reached. One byte per element, so plans deeper than
+/// 127 layers are rejected.
+constexpr std::int8_t kUnset = INT8_MIN;
 
 struct Frontier {
   std::vector<std::pair<mesh::set_id, gidx_t>> elems;
@@ -65,20 +60,33 @@ struct GlobalContext {
   std::vector<std::vector<mesh::map_id>> maps_to;    ///< [set].
 };
 
-/// Walks one rank's classification BFS up to `depth` layers. Appends any
-/// nonexec-to-exec promotions to `promotions`.
-std::vector<ClsMap> classify_rank(const GlobalContext& ctx, rank_t r,
-                                  int depth,
-                                  std::vector<Promotion>* promotions) {
+/// One worker's per-set arrays. cls and idx are indexed by global id and
+/// sized to the global sets (5 bytes per element); a rank sets entries
+/// only for its local elements and unsets exactly those when it is done,
+/// so one allocation serves every rank the worker builds.
+struct Scratch {
+  std::vector<std::vector<std::int8_t>> cls;  ///< class code or kUnset.
+  /// din of an owned element, local index of an imported one (never the
+  /// same element); kInvalidLocal when unset.
+  std::vector<LIdxVec> idx;
+  /// [set][k - 1] = exec layer k, [set][depth + k - 1] = nonexec layer k,
+  /// unsorted. A promoted element also stays in its nonexec layer.
+  std::vector<std::vector<GIdxVec>> layers;
+};
+
+/// Walks one rank's classification BFS up to `depth` layers into sc->cls
+/// and sc->layers.
+void classify_rank(const GlobalContext& ctx, rank_t r, int depth,
+                   Scratch* sc) {
   const mesh::MeshDef& mesh = *ctx.mesh;
   const int nsets = mesh.num_sets();
-  std::vector<ClsMap> cls(static_cast<std::size_t>(nsets));
+  std::vector<std::vector<std::int8_t>>& cls = sc->cls;
 
   Frontier frontier;
   for (mesh::set_id s = 0; s < nsets; ++s) {
     for (gidx_t g : ctx.owned[static_cast<std::size_t>(r)]
                         [static_cast<std::size_t>(s)]) {
-      cls[static_cast<std::size_t>(s)].emplace(g, 0);
+      cls[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)] = 0;
       frontier.elems.emplace_back(s, g);
     }
   }
@@ -95,18 +103,16 @@ std::vector<ClsMap> classify_rank(const GlobalContext& ctx, rank_t r,
       for (mesh::map_id m : ctx.maps_to[static_cast<std::size_t>(ts)]) {
         const mesh::MapDef& mp = mesh.map(m);
         for (gidx_t f : ctx.reverse[static_cast<std::size_t>(m)].row(tg)) {
-          auto& fc = cls[static_cast<std::size_t>(mp.from)];
-          auto it = fc.find(f);
-          if (it == fc.end()) {
-            fc.emplace(f, layer);
-            new_exec.emplace_back(mp.from, f);
-          } else if (it->second < 0) {
-            // Promote nonexec fringe element to exec at this layer,
-            // remembering its original read layer for list aliasing.
-            promotions->push_back(Promotion{mp.from, f, -it->second});
-            it->second = layer;
-            new_exec.emplace_back(mp.from, f);
-          }
+          std::int8_t& c = cls[static_cast<std::size_t>(mp.from)]
+                              [static_cast<std::size_t>(f)];
+          if (c >= 0) continue;  // owned or exec already
+          // A nonexec fringe element is promoted to exec at this layer
+          // and also stays listed in its nonexec layer, for aliasing.
+          c = static_cast<std::int8_t>(layer);
+          sc->layers[static_cast<std::size_t>(mp.from)]
+                    [static_cast<std::size_t>(layer - 1)]
+                        .push_back(f);
+          new_exec.emplace_back(mp.from, f);
         }
       }
     }
@@ -119,9 +125,13 @@ std::vector<ClsMap> classify_rank(const GlobalContext& ctx, rank_t r,
         for (int k = 0; k < mp.arity; ++k) {
           const gidx_t t =
               mp.targets[static_cast<std::size_t>(f * mp.arity + k)];
-          auto& tc = cls[static_cast<std::size_t>(mp.to)];
-          if (tc.find(t) == tc.end()) {
-            tc.emplace(t, -layer);
+          std::int8_t& c = cls[static_cast<std::size_t>(mp.to)]
+                              [static_cast<std::size_t>(t)];
+          if (c == kUnset) {
+            c = static_cast<std::int8_t>(-layer);
+            sc->layers[static_cast<std::size_t>(mp.to)]
+                      [static_cast<std::size_t>(depth + layer - 1)]
+                          .push_back(t);
             next.elems.emplace_back(mp.to, t);
           }
         }
@@ -138,17 +148,15 @@ std::vector<ClsMap> classify_rank(const GlobalContext& ctx, rank_t r,
     for (const auto& e : new_exec) next.elems.push_back(e);
     frontier = std::move(next);
   }
-
-  return cls;
 }
 
-/// Inward distances of one rank's owned elements, all sets jointly: BFS
-/// from the partition boundary over the bipartite element graph where one
-/// map hop (source <-> target, either direction) is distance 1. These are
-/// the units the CA inspector's core-shrink arithmetic uses: an indirect
-/// access moves exactly one hop, a direct access zero.
-std::vector<std::unordered_map<gidx_t, int>> compute_din_all(
-    const GlobalContext& ctx, rank_t r) {
+/// Inward distances of one rank's owned elements, all sets jointly, into
+/// sc->idx (kInvalidLocal = not reached): BFS from the partition boundary
+/// over the bipartite element graph where one map hop (source <-> target,
+/// either direction) is distance 1. These are the units the CA
+/// inspector's core-shrink arithmetic uses: an indirect access moves
+/// exactly one hop, a direct access zero.
+void compute_din(const GlobalContext& ctx, rank_t r, Scratch* sc) {
   const mesh::MeshDef& mesh = *ctx.mesh;
   const partition::Partition& part = *ctx.part;
   const int nsets = mesh.num_sets();
@@ -168,9 +176,6 @@ std::vector<std::unordered_map<gidx_t, int>> compute_din_all(
     }
   };
 
-  std::vector<std::unordered_map<gidx_t, int>> din(
-      static_cast<std::size_t>(nsets));
-
   // Seed: owned elements adjacent to any foreign element have din = 1.
   std::vector<std::pair<mesh::set_id, gidx_t>> frontier;
   for (mesh::set_id s = 0; s < nsets; ++s) {
@@ -181,7 +186,7 @@ std::vector<std::unordered_map<gidx_t, int>> compute_din_all(
         if (!boundary && part.owner(ns, ng) != r) boundary = true;
       });
       if (boundary) {
-        din[static_cast<std::size_t>(s)].emplace(g, 1);
+        sc->idx[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)] = 1;
         frontier.emplace_back(s, g);
       }
     }
@@ -193,9 +198,10 @@ std::vector<std::unordered_map<gidx_t, int>> compute_din_all(
     for (const auto& [s, g] : frontier) {
       for_each_neighbor(s, g, [&](mesh::set_id ns, gidx_t ng) {
         if (part.owner(ns, ng) != r) return;
-        auto& dn = din[static_cast<std::size_t>(ns)];
-        if (dn.find(ng) == dn.end()) {
-          dn.emplace(ng, level + 1);
+        lidx_t& d = sc->idx[static_cast<std::size_t>(ns)]
+                           [static_cast<std::size_t>(ng)];
+        if (d == kInvalidLocal) {
+          d = level + 1;
           next.emplace_back(ns, ng);
         }
       });
@@ -204,7 +210,171 @@ std::vector<std::unordered_map<gidx_t, int>> compute_din_all(
     ++level;
     if (level >= SetLayout::kDinCap) break;
   }
-  return din;
+}
+
+/// Pass 1 for one rank: classification, layouts, import lists and, with
+/// `local_maps`, localized maps into *rp; fills the rank's entries of
+/// ctx->owned_local_idx. Leaves *sc unset again.
+void build_rank(GlobalContext* ctx, rank_t r, int depth, bool local_maps,
+                Scratch* sc, RankPlan* rp) {
+  const mesh::MeshDef& mesh = *ctx->mesh;
+  const partition::Partition& part = *ctx->part;
+  const int nsets = mesh.num_sets();
+  rp->sets.resize(static_cast<std::size_t>(nsets));
+  rp->lists.resize(static_cast<std::size_t>(nsets));
+
+  classify_rank(*ctx, r, depth, sc);
+  compute_din(*ctx, r, sc);
+
+  for (mesh::set_id s = 0; s < nsets; ++s) {
+    SetLayout& lay = rp->sets[static_cast<std::size_t>(s)];
+    NeighborLists& nl = rp->lists[static_cast<std::size_t>(s)];
+    const std::vector<std::int8_t>& cls = sc->cls[static_cast<std::size_t>(s)];
+    LIdxVec& idx = sc->idx[static_cast<std::size_t>(s)];
+
+    // Owned ordering: din descending, global id ascending.
+    const auto& mine = ctx->owned[static_cast<std::size_t>(r)]
+                                 [static_cast<std::size_t>(s)];
+    std::vector<std::pair<int, gidx_t>> owned_sorted;
+    owned_sorted.reserve(mine.size());
+    for (gidx_t g : mine) {
+      const lidx_t d = idx[static_cast<std::size_t>(g)];
+      owned_sorted.emplace_back(d == kInvalidLocal ? SetLayout::kDinCap : d,
+                                g);
+    }
+    std::sort(owned_sorted.begin(), owned_sorted.end(),
+              [](const auto& a, const auto& b) {
+                if (a.first != b.first) return a.first > b.first;
+                return a.second < b.second;
+              });
+
+    // Appends g to the local elements, recording its local index.
+    auto append = [&](gidx_t g) {
+      const auto li = static_cast<lidx_t>(lay.local_to_global.size());
+      idx[static_cast<std::size_t>(g)] = li;
+      lay.local_to_global.push_back(g);
+      return li;
+    };
+    // Adds local index li of g to its owner's layer-k list in `tab`.
+    auto add_to_list = [&](std::map<rank_t, std::vector<LIdxVec>>& tab,
+                           int k, gidx_t g, lidx_t li) {
+      auto& lists = tab[part.owner(s, g)];
+      if (lists.empty()) lists.resize(static_cast<std::size_t>(depth));
+      lists[static_cast<std::size_t>(k - 1)].push_back(li);
+    };
+
+    lay.num_owned = static_cast<lidx_t>(owned_sorted.size());
+    lay.local_to_global.reserve(owned_sorted.size());
+    lay.owned_din.reserve(owned_sorted.size());
+    for (const auto& [d, g] : owned_sorted) {
+      ctx->owned_local_idx[static_cast<std::size_t>(s)]
+                          [static_cast<std::size_t>(g)] = append(g);
+      lay.owned_din.push_back(d);
+    }
+
+    // Import layers: exec 1..depth then nonexec 1..depth, each sorted
+    // by global id; per-neighbour sublists keep that order.
+    std::vector<GIdxVec>& layers = sc->layers[static_cast<std::size_t>(s)];
+    for (GIdxVec& layer : layers) std::sort(layer.begin(), layer.end());
+    lay.exec_end.assign(static_cast<std::size_t>(depth) + 1,
+                        lay.num_owned);
+    for (int k = 1; k <= depth; ++k) {
+      for (gidx_t g : layers[static_cast<std::size_t>(k - 1)])
+        add_to_list(nl.imp_exec, k, g, append(g));
+      lay.exec_end[static_cast<std::size_t>(k)] =
+          static_cast<lidx_t>(lay.local_to_global.size());
+    }
+
+    // Promoted elements re-enter the nonexec lists at their original
+    // read layer as aliases: iterations of that layer read them, so any
+    // exchange of that depth delivers them, into their exec-segment slot.
+    lay.nonexec_end.assign(static_cast<std::size_t>(depth) + 1,
+                           lay.exec_end[static_cast<std::size_t>(depth)]);
+    for (int k = 1; k <= depth; ++k) {
+      const GIdxVec& layer = layers[static_cast<std::size_t>(depth + k - 1)];
+      for (gidx_t g : layer)
+        if (cls[static_cast<std::size_t>(g)] < 0)
+          add_to_list(nl.imp_nonexec, k, g, append(g));
+      for (gidx_t g : layer)
+        if (cls[static_cast<std::size_t>(g)] > 0)
+          add_to_list(nl.imp_nonexec, k, g, idx[static_cast<std::size_t>(g)]);
+      lay.nonexec_end[static_cast<std::size_t>(k)] =
+          static_cast<lidx_t>(lay.local_to_global.size());
+    }
+    for (GIdxVec& layer : layers) layer.clear();
+
+    lay.total = static_cast<lidx_t>(lay.local_to_global.size());
+
+    for (const auto* tab : {&nl.imp_exec, &nl.imp_nonexec}) {
+      for (const auto& [q, lists] : *tab) {
+        OP2CA_ASSERT(q != r, "import from self");
+        rp->neighbors.insert(q);
+      }
+    }
+  }
+
+  // Localized maps: sc->idx now holds the local index of every local
+  // element and kInvalidLocal everywhere else.
+  if (local_maps) {
+    rp->maps.resize(static_cast<std::size_t>(mesh.num_maps()));
+    for (mesh::map_id m = 0; m < mesh.num_maps(); ++m) {
+      const mesh::MapDef& mp = mesh.map(m);
+      const GIdxVec& from =
+          rp->sets[static_cast<std::size_t>(mp.from)].local_to_global;
+      const LIdxVec& to_local = sc->idx[static_cast<std::size_t>(mp.to)];
+      LocalMap& lm = rp->maps[static_cast<std::size_t>(m)];
+      lm.arity = mp.arity;
+      lm.targets.reserve(from.size() * static_cast<std::size_t>(mp.arity));
+      for (gidx_t gf : from)
+        for (int k = 0; k < mp.arity; ++k)
+          lm.targets.push_back(to_local[static_cast<std::size_t>(
+              mp.targets[static_cast<std::size_t>(gf * mp.arity + k)])]);
+    }
+  }
+
+  // Every entry the rank set belongs to one of its local elements.
+  for (std::size_t s = 0; s < rp->sets.size(); ++s) {
+    for (gidx_t g : rp->sets[s].local_to_global) {
+      sc->cls[s][static_cast<std::size_t>(g)] = kUnset;
+      sc->idx[s][static_cast<std::size_t>(g)] = kInvalidLocal;
+    }
+  }
+}
+
+/// Pass 2 for one owner rank o: rank q's import list from o maps
+/// one-to-one (same order) onto o's export list toward q. `importers`
+/// are the ranks whose import lists name o.
+void register_exports(const GlobalContext& ctx, rank_t o,
+                      const std::vector<rank_t>& importers, int depth,
+                      HaloPlan* plan) {
+  RankPlan& op = plan->ranks[static_cast<std::size_t>(o)];
+  for (rank_t q : importers) {
+    const RankPlan& qp = plan->ranks[static_cast<std::size_t>(q)];
+    op.neighbors.insert(q);
+    for (std::size_t s = 0; s < qp.sets.size(); ++s) {
+      const SetLayout& qlay = qp.sets[s];
+      auto copy = [&](const std::map<rank_t, std::vector<LIdxVec>>& imp,
+                      std::map<rank_t, std::vector<LIdxVec>>& exp_tab) {
+        const auto it = imp.find(o);
+        if (it == imp.end()) return;
+        std::vector<LIdxVec>& exp = exp_tab[q];
+        exp.resize(static_cast<std::size_t>(depth));
+        for (int k = 0; k < depth; ++k) {
+          for (lidx_t li : it->second[static_cast<std::size_t>(k)]) {
+            const gidx_t g =
+                qlay.local_to_global[static_cast<std::size_t>(li)];
+            const lidx_t owner_local =
+                ctx.owned_local_idx[s][static_cast<std::size_t>(g)];
+            OP2CA_ASSERT(owner_local != kInvalidLocal,
+                         "imported element has no owner-local index");
+            exp[static_cast<std::size_t>(k)].push_back(owner_local);
+          }
+        }
+      };
+      copy(qp.lists[s].imp_exec, op.lists[s].exp_exec);
+      copy(qp.lists[s].imp_nonexec, op.lists[s].exp_nonexec);
+    }
+  }
 }
 
 }  // namespace
@@ -213,6 +383,9 @@ HaloPlan build_halo_plan(const mesh::MeshDef& mesh,
                          const partition::Partition& part,
                          const HaloPlanOptions& options) {
   OP2CA_REQUIRE(options.depth >= 1, "halo depth must be >= 1");
+  OP2CA_REQUIRE(options.depth <= INT8_MAX,
+                "halo depth " + std::to_string(options.depth) +
+                    " exceeds the plan builder's limit of 127 layers");
   OP2CA_REQUIRE(part.nranks >= 1, "partition has no ranks");
   OP2CA_REQUIRE(static_cast<int>(part.assignment.size()) == mesh.num_sets(),
                 "partition does not cover all sets");
@@ -232,20 +405,32 @@ HaloPlan build_halo_plan(const mesh::MeshDef& mesh,
     ctx.maps_to[static_cast<std::size_t>(mesh.map(m).to)].push_back(m);
   }
 
+  // Per-element arrays are indexed by global id and owner, so a malformed
+  // partition must fail here rather than read or write out of bounds.
   ctx.owned.assign(static_cast<std::size_t>(part.nranks),
                    std::vector<GIdxVec>(static_cast<std::size_t>(nsets)));
   for (mesh::set_id s = 0; s < nsets; ++s) {
+    const std::string set = "set '" + mesh.set(s).name + "'";
     const gidx_t n = mesh.set(s).size;
-    for (gidx_t g = 0; g < n; ++g)
-      ctx.owned[static_cast<std::size_t>(part.owner(s, g))]
-          [static_cast<std::size_t>(s)]
-              .push_back(g);
+    const auto len = static_cast<gidx_t>(
+        part.assignment[static_cast<std::size_t>(s)].size());
+    OP2CA_REQUIRE(len == n,
+                  "partition assignment of " + set + " has " +
+                      std::to_string(len) + " entries for " +
+                      std::to_string(n) + " elements (first bad element " +
+                      std::to_string(std::min(len, n)) + ")");
+    for (gidx_t g = 0; g < n; ++g) {
+      const rank_t o = part.owner(s, g);
+      OP2CA_REQUIRE(o >= 0 && o < part.nranks,
+                    "partition assigns element " + std::to_string(g) +
+                        " of " + set + " to rank " + std::to_string(o) +
+                        ", outside [0, " + std::to_string(part.nranks) + ")");
+      ctx.owned[static_cast<std::size_t>(o)][static_cast<std::size_t>(s)]
+          .push_back(g);
+    }
+    ctx.owned_local_idx.emplace_back(static_cast<std::size_t>(n),
+                                     kInvalidLocal);
   }
-
-  ctx.owned_local_idx.assign(static_cast<std::size_t>(nsets), LIdxVec());
-  for (mesh::set_id s = 0; s < nsets; ++s)
-    ctx.owned_local_idx[static_cast<std::size_t>(s)].assign(
-        static_cast<std::size_t>(mesh.set(s).size), kInvalidLocal);
 
   HaloPlan plan;
   plan.nranks = part.nranks;
@@ -253,174 +438,37 @@ HaloPlan build_halo_plan(const mesh::MeshDef& mesh,
   plan.has_local_maps = options.build_local_maps;
   plan.ranks.resize(static_cast<std::size_t>(part.nranks));
 
-  // Pass 1: per-rank classification, layouts and import lists.
-  for (rank_t r = 0; r < part.nranks; ++r) {
-    RankPlan& rp = plan.ranks[static_cast<std::size_t>(r)];
-    rp.sets.resize(static_cast<std::size_t>(nsets));
-    rp.lists.resize(static_cast<std::size_t>(nsets));
+  // One rank per worker: rank r runs on worker r % nworkers.
+  util::ThreadPool pool(std::max(
+      1, std::min<int>(part.nranks, std::thread::hardware_concurrency())));
+  const int nworkers = pool.threads();
 
-    std::vector<Promotion> promotions;
-    std::vector<ClsMap> cls = classify_rank(ctx, r, depth, &promotions);
-    std::vector<std::unordered_map<gidx_t, int>> din_all =
-        compute_din_all(ctx, r);
-
+  // Pass 1: per-rank classification, layouts, import lists, local maps.
+  pool.run([&](int w) {
+    Scratch sc;
     for (mesh::set_id s = 0; s < nsets; ++s) {
-      SetLayout& lay = rp.sets[static_cast<std::size_t>(s)];
-      NeighborLists& nl = rp.lists[static_cast<std::size_t>(s)];
-
-      // Owned ordering: din descending, global id ascending.
-      const std::unordered_map<gidx_t, int>& din =
-          din_all[static_cast<std::size_t>(s)];
-      const auto& mine = ctx.owned[static_cast<std::size_t>(r)]
-                                  [static_cast<std::size_t>(s)];
-      std::vector<std::pair<int, gidx_t>> owned_sorted;
-      owned_sorted.reserve(mine.size());
-      for (gidx_t g : mine) {
-        const auto it = din.find(g);
-        const int d = it == din.end() ? SetLayout::kDinCap : it->second;
-        owned_sorted.emplace_back(d, g);
-      }
-      std::sort(owned_sorted.begin(), owned_sorted.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-
-      lay.num_owned = static_cast<lidx_t>(owned_sorted.size());
-      lay.local_to_global.reserve(owned_sorted.size());
-      lay.owned_din.reserve(owned_sorted.size());
-      for (const auto& [d, g] : owned_sorted) {
-        ctx.owned_local_idx[static_cast<std::size_t>(s)]
-                           [static_cast<std::size_t>(g)] =
-            static_cast<lidx_t>(lay.local_to_global.size());
-        lay.local_to_global.push_back(g);
-        lay.owned_din.push_back(d);
-      }
-
-      // Import layers: exec 1..depth then nonexec 1..depth, each sorted
-      // by global id; per-neighbour sublists keep that order.
-      std::vector<GIdxVec> exec_by_layer(static_cast<std::size_t>(depth));
-      std::vector<GIdxVec> nonexec_by_layer(static_cast<std::size_t>(depth));
-      for (const auto& [g, code] : cls[static_cast<std::size_t>(s)]) {
-        if (code > 0)
-          exec_by_layer[static_cast<std::size_t>(code - 1)].push_back(g);
-        else if (code < 0)
-          nonexec_by_layer[static_cast<std::size_t>(-code - 1)].push_back(g);
-      }
-
-      // Local index of each imported element, needed to resolve the
-      // promotion aliases below.
-      std::unordered_map<gidx_t, lidx_t> import_g2l;
-
-      lay.exec_end.assign(static_cast<std::size_t>(depth) + 1,
-                          lay.num_owned);
-      for (int k = 1; k <= depth; ++k) {
-        auto& layer = exec_by_layer[static_cast<std::size_t>(k - 1)];
-        std::sort(layer.begin(), layer.end());
-        for (gidx_t g : layer) {
-          const rank_t owner = part.owner(s, g);
-          auto& lists = nl.imp_exec[owner];
-          if (lists.empty())
-            lists.resize(static_cast<std::size_t>(depth));
-          const auto li = static_cast<lidx_t>(lay.local_to_global.size());
-          lists[static_cast<std::size_t>(k - 1)].push_back(li);
-          import_g2l.emplace(g, li);
-          lay.local_to_global.push_back(g);
-        }
-        lay.exec_end[static_cast<std::size_t>(k)] =
-            static_cast<lidx_t>(lay.local_to_global.size());
-      }
-
-      // Promoted elements re-enter the nonexec lists at their original
-      // read layer as aliases: same local slot (in the exec segment),
-      // but delivered by any exchange of that depth.
-      std::vector<GIdxVec> alias_by_layer(static_cast<std::size_t>(depth));
-      for (const Promotion& p : promotions)
-        if (p.set == s)
-          alias_by_layer[static_cast<std::size_t>(p.read_layer - 1)]
-              .push_back(p.gid);
-
-      lay.nonexec_end.assign(static_cast<std::size_t>(depth) + 1,
-                             lay.exec_end[static_cast<std::size_t>(depth)]);
-      for (int k = 1; k <= depth; ++k) {
-        auto& layer = nonexec_by_layer[static_cast<std::size_t>(k - 1)];
-        auto& aliases = alias_by_layer[static_cast<std::size_t>(k - 1)];
-        std::sort(layer.begin(), layer.end());
-        std::sort(aliases.begin(), aliases.end());
-        auto add_to_list = [&](gidx_t g, lidx_t li) {
-          const rank_t owner = part.owner(s, g);
-          auto& lists = nl.imp_nonexec[owner];
-          if (lists.empty())
-            lists.resize(static_cast<std::size_t>(depth));
-          lists[static_cast<std::size_t>(k - 1)].push_back(li);
-        };
-        for (gidx_t g : layer) {
-          const auto li = static_cast<lidx_t>(lay.local_to_global.size());
-          add_to_list(g, li);
-          lay.local_to_global.push_back(g);
-        }
-        for (gidx_t g : aliases) {
-          const auto it = import_g2l.find(g);
-          OP2CA_ASSERT(it != import_g2l.end(),
-                       "promoted element missing from exec imports");
-          add_to_list(g, it->second);
-        }
-        lay.nonexec_end[static_cast<std::size_t>(k)] =
-            static_cast<lidx_t>(lay.local_to_global.size());
-      }
-
-      lay.total = static_cast<lidx_t>(lay.local_to_global.size());
-
-      for (const auto& [q, lists] : nl.imp_exec) {
-        OP2CA_ASSERT(q != r, "import from self");
-        rp.neighbors.insert(q);
-        (void)lists;
-      }
-      for (const auto& [q, lists] : nl.imp_nonexec) {
-        rp.neighbors.insert(q);
-        (void)lists;
-      }
+      const auto n = static_cast<std::size_t>(mesh.set(s).size);
+      sc.cls.emplace_back(n, kUnset);
+      sc.idx.emplace_back(n, kInvalidLocal);
+      sc.layers.emplace_back(2 * static_cast<std::size_t>(depth));
     }
-  }
+    for (rank_t r = w; r < part.nranks; r += nworkers)
+      build_rank(&ctx, r, depth, options.build_local_maps, &sc,
+                 &plan.ranks[static_cast<std::size_t>(r)]);
+  });
 
-  // Pass 2: export registration. Rank q's import list from owner r maps
-  // one-to-one (same order) onto r's export list toward q.
-  for (rank_t q = 0; q < part.nranks; ++q) {
-    const RankPlan& qp = plan.ranks[static_cast<std::size_t>(q)];
-    for (mesh::set_id s = 0; s < nsets; ++s) {
-      const SetLayout& qlay = qp.sets[static_cast<std::size_t>(s)];
-      const NeighborLists& qnl = qp.lists[static_cast<std::size_t>(s)];
-
-      auto register_exports = [&](const std::map<rank_t,
-                                                 std::vector<LIdxVec>>& imp,
-                                  bool exec) {
-        for (const auto& [owner, layers] : imp) {
-          RankPlan& op = plan.ranks[static_cast<std::size_t>(owner)];
-          NeighborLists& onl = op.lists[static_cast<std::size_t>(s)];
-          auto& exp = exec ? onl.exp_exec[q] : onl.exp_nonexec[q];
-          if (exp.empty()) exp.resize(static_cast<std::size_t>(depth));
-          op.neighbors.insert(q);
-          for (int k = 0; k < depth; ++k) {
-            for (lidx_t li : layers[static_cast<std::size_t>(k)]) {
-              const gidx_t g =
-                  qlay.local_to_global[static_cast<std::size_t>(li)];
-              const lidx_t owner_local =
-                  ctx.owned_local_idx[static_cast<std::size_t>(s)]
-                                     [static_cast<std::size_t>(g)];
-              OP2CA_ASSERT(owner_local != kInvalidLocal,
-                           "imported element has no owner-local index");
-              exp[static_cast<std::size_t>(k)].push_back(owner_local);
-            }
-          }
-        }
-      };
-      register_exports(qnl.imp_exec, /*exec=*/true);
-      register_exports(qnl.imp_nonexec, /*exec=*/false);
-    }
-  }
-
-  // Pass 3: localized maps (optional).
-  if (options.build_local_maps) build_local_maps(mesh, &plan);
+  // Pass 2: export registration. After pass 1, a rank's neighbours are
+  // exactly the owners it imports from.
+  std::vector<std::vector<rank_t>> importers(
+      static_cast<std::size_t>(part.nranks));
+  for (rank_t q = 0; q < part.nranks; ++q)
+    for (rank_t o : plan.ranks[static_cast<std::size_t>(q)].neighbors)
+      importers[static_cast<std::size_t>(o)].push_back(q);
+  pool.run([&](int w) {
+    for (rank_t o = w; o < part.nranks; o += nworkers)
+      register_exports(ctx, o, importers[static_cast<std::size_t>(o)], depth,
+                       &plan);
+  });
 
   return plan;
 }

@@ -1,57 +1,10 @@
 #include "op2ca/halo/renumber.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "op2ca/util/error.hpp"
 
 namespace op2ca::halo {
-
-void build_local_maps(const mesh::MeshDef& mesh, HaloPlan* plan) {
-  OP2CA_REQUIRE(plan != nullptr, "build_local_maps: null plan");
-  const int nsets = mesh.num_sets();
-
-  for (auto& rp : plan->ranks) {
-    // Global -> local lookup per set for this rank only.
-    std::vector<std::unordered_map<gidx_t, lidx_t>> g2l(
-        static_cast<std::size_t>(nsets));
-    for (mesh::set_id s = 0; s < nsets; ++s) {
-      const SetLayout& lay = rp.sets[static_cast<std::size_t>(s)];
-      auto& lookup = g2l[static_cast<std::size_t>(s)];
-      lookup.reserve(lay.local_to_global.size());
-      for (lidx_t i = 0; i < lay.total; ++i)
-        lookup.emplace(lay.local_to_global[static_cast<std::size_t>(i)], i);
-    }
-
-    rp.maps.assign(static_cast<std::size_t>(mesh.num_maps()), LocalMap{});
-    for (mesh::map_id m = 0; m < mesh.num_maps(); ++m) {
-      const mesh::MapDef& mp = mesh.map(m);
-      const SetLayout& from_lay = rp.sets[static_cast<std::size_t>(mp.from)];
-      const auto& to_lookup = g2l[static_cast<std::size_t>(mp.to)];
-
-      LocalMap& lm = rp.maps[static_cast<std::size_t>(m)];
-      lm.arity = mp.arity;
-      lm.targets.assign(
-          static_cast<std::size_t>(from_lay.total) *
-              static_cast<std::size_t>(mp.arity),
-          kInvalidLocal);
-      for (lidx_t f = 0; f < from_lay.total; ++f) {
-        const gidx_t gf =
-            from_lay.local_to_global[static_cast<std::size_t>(f)];
-        for (int k = 0; k < mp.arity; ++k) {
-          const gidx_t gt =
-              mp.targets[static_cast<std::size_t>(gf * mp.arity + k)];
-          const auto it = to_lookup.find(gt);
-          if (it != to_lookup.end())
-            lm.targets[static_cast<std::size_t>(f) *
-                           static_cast<std::size_t>(mp.arity) +
-                       static_cast<std::size_t>(k)] = it->second;
-        }
-      }
-    }
-  }
-  plan->has_local_maps = true;
-}
 
 std::vector<double> gather_local(const std::vector<double>& global_data,
                                  int dim, const SetLayout& layout) {

@@ -1,17 +1,12 @@
-// Localization of global structures to each rank's renumbered element
-// space: map target renumbering (Fig 6b) and dat gather/scatter between
-// global and local storage.
+// Dat gather/scatter between global storage and each rank's renumbered
+// element space (Fig 6b). The localized maps are built with the halo
+// plan (builder.cpp).
 #pragma once
 
 #include "op2ca/halo/halo_plan.hpp"
 #include "op2ca/mesh/layout.hpp"
 
 namespace op2ca::halo {
-
-/// Fills plan->ranks[*].maps: every mesh map localized to each rank's
-/// numbering. Targets outside a rank's region become kInvalidLocal (these
-/// rows belong to never-executed fringe elements).
-void build_local_maps(const mesh::MeshDef& mesh, HaloPlan* plan);
 
 /// Gathers a global dat (row-major, `dim` values/element) into one rank's
 /// local layout order (owned, exec layers, nonexec layers).

@@ -12,7 +12,9 @@
 #include "op2ca/comm/transport.hpp"
 #include "op2ca/core/chain_config.hpp"
 #include "op2ca/core/runtime.hpp"
+#include "op2ca/halo/halo_plan.hpp"
 #include "op2ca/mesh/quad2d.hpp"
+#include "op2ca/partition/partition.hpp"
 #include "op2ca/util/error.hpp"
 
 namespace op2ca::core {
@@ -238,6 +240,67 @@ TEST(WorldFailures, InfeasibleChainRejectedWithGuidance) {
                 what.find("poisoned") != std::string::npos)
         << what;
   }
+}
+
+// ---- Malformed plan input: the halo builder indexes per-element arrays
+// by global id, so a bad partition must be rejected before any lookup. --
+
+/// Runs build_halo_plan and returns the Error's message ("" if none).
+std::string plan_error(const mesh::MeshDef& mesh,
+                       const partition::Partition& part, int depth = 2) {
+  halo::HaloPlanOptions opts;
+  opts.depth = depth;
+  try {
+    halo::build_halo_plan(mesh, part, opts);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(HaloPlanFailures, ShortAssignmentNamesSetAndElement) {
+  const mesh::Quad2D q = mesh::make_quad2d(6, 5);
+  partition::Partition part =
+      partition::partition_mesh(q.mesh, 3, partition::Kind::RIB, q.nodes);
+  auto& nodes = part.assignment[static_cast<std::size_t>(q.nodes)];
+  const std::size_t n = nodes.size();
+  nodes.resize(n - 4);
+  const std::string what = plan_error(q.mesh, part);
+  EXPECT_NE(what.find("'" + q.mesh.set(q.nodes).name + "'"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("first bad element " + std::to_string(n - 4)),
+            std::string::npos)
+      << what;
+
+  nodes.resize(n + 2, 0);  // too long is as wrong as too short
+  EXPECT_NE(plan_error(q.mesh, part).find("first bad element " +
+                                          std::to_string(n)),
+            std::string::npos);
+}
+
+TEST(HaloPlanFailures, OwnerOutsideRanksNamesSetAndElement) {
+  const mesh::Quad2D q = mesh::make_quad2d(6, 5);
+  partition::Partition part =
+      partition::partition_mesh(q.mesh, 3, partition::Kind::RIB, q.nodes);
+  auto& edges = part.assignment[static_cast<std::size_t>(q.edges)];
+  for (rank_t bad : {3, -1}) {
+    edges[7] = bad;
+    const std::string what = plan_error(q.mesh, part);
+    EXPECT_NE(what.find("element 7 of set '" + q.mesh.set(q.edges).name +
+                        "' to rank " + std::to_string(bad)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(HaloPlanFailures, DepthAboveBuilderLimitRejected) {
+  const mesh::Quad2D q = mesh::make_quad2d(4, 4);
+  const partition::Partition part =
+      partition::partition_mesh(q.mesh, 2, partition::Kind::Block, q.nodes);
+  EXPECT_NE(plan_error(q.mesh, part, 128).find("limit of 127"),
+            std::string::npos);
+  EXPECT_EQ(plan_error(q.mesh, part, 127), "");
 }
 
 // ---- Transport faults: a striped exchange must fail loudly or fall

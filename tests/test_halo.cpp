@@ -1,15 +1,24 @@
 // Halo-plan construction invariants: layouts, layer nesting,
-// import/export symmetry, local map completeness, dat gather/scatter and
-// grouped message packing.
+// import/export symmetry, local map completeness, dat gather/scatter,
+// grouped message packing, and pinned hashes of the full plan output.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
 
+#include "op2ca/apps/hydra/hydra.hpp"
+#include "op2ca/apps/mgcfd/mgcfd.hpp"
+#include "op2ca/core/chain.hpp"
+#include "op2ca/core/slice.hpp"
 #include "op2ca/halo/grouped.hpp"
 #include "op2ca/halo/halo_plan.hpp"
 #include "op2ca/halo/renumber.hpp"
 #include "op2ca/mesh/annulus.hpp"
+#include "op2ca/mesh/hex3d.hpp"
 #include "op2ca/mesh/multigrid.hpp"
 #include "op2ca/mesh/quad2d.hpp"
 #include "op2ca/partition/partition.hpp"
@@ -332,6 +341,359 @@ TEST(Grouped, UnpackRejectsWrongSize) {
   const rank_t q = *rp.neighbors.begin();
   op2ca::ByteBuf bogus(3);  // not a multiple of a row
   EXPECT_THROW(unpack_grouped(rp, q, {&spec, 1}, bogus), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned output. FNV-1a over every field build_halo_plan returns, and over
+// the needed_exec_lists of the MG-CFD synthetic chain and the six Hydra
+// chains, for quad2d / hex3d / MG-CFD multigrid / annulus meshes crossed
+// with Block / RIB / KWay, 1 / 2 / 3 / 5 / 9 ranks and depths 1 / 2 / 4.
+// The 9-rank rows give every plan worker several ranks. On a mismatch
+// the test prints the whole table in kPinned's syntax; regenerate it
+// only for a deliberate change of the plan.
+
+class Fnv {
+public:
+  void bytes(const void* p, std::size_t n) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= c[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  template <class T>
+  void pod(const T& v) {
+    bytes(&v, sizeof v);
+  }
+  template <class T>
+  void vec(const std::vector<T>& v) {
+    pod(v.size());
+    bytes(v.data(), v.size() * sizeof(T));
+  }
+  std::uint64_t value() const { return h_; }
+
+private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+std::uint64_t hash_plan(const HaloPlan& plan) {
+  Fnv f;
+  f.pod(plan.nranks);
+  f.pod(plan.depth);
+  f.pod(plan.has_local_maps);
+  f.pod(plan.ranks.size());
+  auto lists = [&](const std::map<rank_t, std::vector<LIdxVec>>& tab) {
+    f.pod(tab.size());
+    for (const auto& [q, layers] : tab) {
+      f.pod(q);
+      f.pod(layers.size());
+      for (const LIdxVec& l : layers) f.vec(l);
+    }
+  };
+  for (const RankPlan& rp : plan.ranks) {
+    f.pod(rp.sets.size());
+    for (const SetLayout& lay : rp.sets) {
+      f.pod(lay.num_owned);
+      f.vec(lay.exec_end);
+      f.vec(lay.nonexec_end);
+      f.pod(lay.total);
+      f.vec(lay.local_to_global);
+      f.vec(lay.owned_din);
+    }
+    f.pod(rp.lists.size());
+    for (const NeighborLists& nl : rp.lists) {
+      lists(nl.exp_exec);
+      lists(nl.exp_nonexec);
+      lists(nl.imp_exec);
+      lists(nl.imp_nonexec);
+    }
+    f.pod(rp.maps.size());
+    for (const LocalMap& lm : rp.maps) {
+      f.pod(lm.arity);
+      f.vec(lm.targets);
+    }
+    f.pod(rp.neighbors.size());
+    for (rank_t q : rp.neighbors) f.pod(q);
+  }
+  return f.value();
+}
+
+struct PinnedMesh {
+  std::string name;
+  const mesh::MeshDef* mesh;
+  mesh::set_id seed;
+  std::vector<core::ChainSpec> chains;
+};
+
+std::uint64_t hash_slices(const PinnedMesh& pm, const HaloPlan& plan) {
+  Fnv f;
+  for (const core::ChainSpec& spec : pm.chains) {
+    const core::ChainAnalysis an = core::inspect_chain(*pm.mesh, spec);
+    for (const RankPlan& rp : plan.ranks)
+      for (const LIdxVec& l :
+           core::needed_exec_lists(*pm.mesh, rp, plan.depth, spec, an))
+        f.vec(l);
+  }
+  return f.value();
+}
+
+struct PinnedRow {
+  const char* name;
+  std::uint64_t plan;
+  std::uint64_t slices;
+};
+
+// clang-format off
+constexpr PinnedRow kPinned[] = {
+    {"quad2d/block/r1/d1", 0x288530d5c5f820c1ull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r1/d2", 0xaa697ec6bedc5714ull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r1/d4", 0x2228ac2f8b719506ull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r2/d1", 0xd2b3fd37676f35aaull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r2/d2", 0x47b04977a58683a0ull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r2/d4", 0xa80617d26791201eull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r3/d1", 0x7592f91cc35563beull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r3/d2", 0x90147aa94f54cef0ull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r3/d4", 0x80912f744a60d7f8ull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r5/d1", 0x119ef61a6e05210dull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r5/d2", 0xb01a5331af4a51c9ull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r5/d4", 0x714f9a19c58e776cull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r9/d1", 0x57d7ff6fa2d5c1ebull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r9/d2", 0xc768794ae2fab26eull, 0xcbf29ce484222325ull},
+    {"quad2d/block/r9/d4", 0xb839ca4c1186a6baull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r1/d1", 0x288530d5c5f820c1ull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r1/d2", 0xaa697ec6bedc5714ull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r1/d4", 0x2228ac2f8b719506ull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r2/d1", 0x3d0baad056a5addcull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r2/d2", 0x474fdf1c2a11488aull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r2/d4", 0x7db85659d9c11b80ull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r3/d1", 0x1e2c8f0e37898610ull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r3/d2", 0xa12fea44544ab12aull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r3/d4", 0x3c827ad986cab75dull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r5/d1", 0xc43d176e00c54541ull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r5/d2", 0x3de0b0bd277097f1ull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r5/d4", 0x9dff2a908e3bd6c6ull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r9/d1", 0x098f8914aeacc8eeull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r9/d2", 0xae7c33a1aad9db2eull, 0xcbf29ce484222325ull},
+    {"quad2d/rib/r9/d4", 0x1dbb4954a3ab91e9ull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r1/d1", 0x288530d5c5f820c1ull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r1/d2", 0xaa697ec6bedc5714ull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r1/d4", 0x2228ac2f8b719506ull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r2/d1", 0xd2b3fd37676f35aaull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r2/d2", 0x47b04977a58683a0ull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r2/d4", 0xa80617d26791201eull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r3/d1", 0x7592f91cc35563beull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r3/d2", 0x90147aa94f54cef0ull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r3/d4", 0x80912f744a60d7f8ull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r5/d1", 0xb3685e2589948b91ull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r5/d2", 0x03b945c4f70acfdcull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r5/d4", 0x20279bf560dd2506ull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r9/d1", 0xb7cb80a74039411full, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r9/d2", 0xf1efb407c76f1e1aull, 0xcbf29ce484222325ull},
+    {"quad2d/kway/r9/d4", 0xf7b953f9954e8d02ull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r1/d1", 0xf60cb0cb096f1e5cull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r1/d2", 0x4800f10bebf5209dull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r1/d4", 0x636c3e1b8d7020ebull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r2/d1", 0xe9dc29e091f282bbull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r2/d2", 0x349d5add71b9de13ull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r2/d4", 0x2a509636093ea66aull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r3/d1", 0x27c8d589e8f691d0ull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r3/d2", 0x0e2915709cc24f7full, 0xcbf29ce484222325ull},
+    {"hex3d/block/r3/d4", 0xe9567279c5dcdd8cull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r5/d1", 0x547adb41674a6eabull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r5/d2", 0xa4f75bffae8acc4full, 0xcbf29ce484222325ull},
+    {"hex3d/block/r5/d4", 0x4a17a26e6875373aull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r9/d1", 0x295fc7978d027bfeull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r9/d2", 0xa4ed4bdee286a8e3ull, 0xcbf29ce484222325ull},
+    {"hex3d/block/r9/d4", 0x96c5423c5a917d85ull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r1/d1", 0xf60cb0cb096f1e5cull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r1/d2", 0x4800f10bebf5209dull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r1/d4", 0x636c3e1b8d7020ebull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r2/d1", 0x10f84c0d7b043160ull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r2/d2", 0xf8fd0cae33655cadull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r2/d4", 0x9cc0111b9c1e6d2bull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r3/d1", 0x99ba8fc350dc67f1ull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r3/d2", 0x196a085f36af0c78ull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r3/d4", 0xf524bb7da1ef16a7ull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r5/d1", 0x4b55ac6bd2a65041ull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r5/d2", 0x2de843af4f8a326bull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r5/d4", 0xeede07b34b4230beull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r9/d1", 0x55723a5dca96904bull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r9/d2", 0xeb146c65edaba063ull, 0xcbf29ce484222325ull},
+    {"hex3d/rib/r9/d4", 0x696cc3b0d8a873f6ull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r1/d1", 0xf60cb0cb096f1e5cull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r1/d2", 0x4800f10bebf5209dull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r1/d4", 0x636c3e1b8d7020ebull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r2/d1", 0x5b94a32aee9b3882ull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r2/d2", 0x445875a54680f45dull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r2/d4", 0xde14a0360fca918bull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r3/d1", 0xa9f37ea389b8624dull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r3/d2", 0x8d41f4aadf6be566ull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r3/d4", 0x98d9736b1fb25d0bull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r5/d1", 0xf8d161ab1e809c68ull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r5/d2", 0x931f7f0891ae6753ull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r5/d4", 0x3d3793a85c2794ffull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r9/d1", 0x3467770289895648ull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r9/d2", 0x9026e6e51cb1b599ull, 0xcbf29ce484222325ull},
+    {"hex3d/kway/r9/d4", 0x47d6bede91b672a1ull, 0xcbf29ce484222325ull},
+    {"mgcfd/block/r1/d1", 0xe592c1d6347bb0e0ull, 0x0c8210784d8af5a5ull},
+    {"mgcfd/block/r1/d2", 0xe36dc9cf414c9b79ull, 0x0c8210784d8af5a5ull},
+    {"mgcfd/block/r1/d4", 0x9e1b951d1a4e4ed7ull, 0x0c8210784d8af5a5ull},
+    {"mgcfd/block/r2/d1", 0xe830d7231c2f7465ull, 0x1a34fe9c6076da05ull},
+    {"mgcfd/block/r2/d2", 0x769c2bee55bc8364ull, 0x8f693277e91f93c5ull},
+    {"mgcfd/block/r2/d4", 0x9589c0573a16b495ull, 0x8f693277e91f93c5ull},
+    {"mgcfd/block/r3/d1", 0x981501872f1103d4ull, 0xa6ac3385483411adull},
+    {"mgcfd/block/r3/d2", 0x02081daa16086959ull, 0xa98d154daa64a481ull},
+    {"mgcfd/block/r3/d4", 0x0ff17b354c411774ull, 0xa98d154daa64a481ull},
+    {"mgcfd/block/r5/d1", 0x452c151ccc93d0d2ull, 0xba2f02279d6d6ba5ull},
+    {"mgcfd/block/r5/d2", 0x76f4736d38c20cbeull, 0x7c444fc00e132905ull},
+    {"mgcfd/block/r5/d4", 0xbeda0a9ef903008eull, 0x7c444fc00e132905ull},
+    {"mgcfd/block/r9/d1", 0xc8af3d59ca9c966eull, 0x57245b31cd5fd51dull},
+    {"mgcfd/block/r9/d2", 0x4af9d276cc7b2fb6ull, 0x8274966913c91205ull},
+    {"mgcfd/block/r9/d4", 0x816f01ee0b9bbfe9ull, 0x8274966913c91205ull},
+    {"mgcfd/rib/r1/d1", 0xe592c1d6347bb0e0ull, 0x0c8210784d8af5a5ull},
+    {"mgcfd/rib/r1/d2", 0xe36dc9cf414c9b79ull, 0x0c8210784d8af5a5ull},
+    {"mgcfd/rib/r1/d4", 0x9e1b951d1a4e4ed7ull, 0x0c8210784d8af5a5ull},
+    {"mgcfd/rib/r2/d1", 0x774dd0be1e207de6ull, 0x029f1b80d5e11e45ull},
+    {"mgcfd/rib/r2/d2", 0x7818e2d18a705850ull, 0x75bec849e941f835ull},
+    {"mgcfd/rib/r2/d4", 0x4756c071a7f1672eull, 0x75bec849e941f835ull},
+    {"mgcfd/rib/r3/d1", 0xc965ab941e0c9d80ull, 0xb5a6850d4549e265ull},
+    {"mgcfd/rib/r3/d2", 0xa04256918aa58eceull, 0xb69a8049cb4e5615ull},
+    {"mgcfd/rib/r3/d4", 0xc8f0fa92a8474923ull, 0xb69a8049cb4e5615ull},
+    {"mgcfd/rib/r5/d1", 0x17356f103fee1e2bull, 0xda84fe1138295615ull},
+    {"mgcfd/rib/r5/d2", 0x433a1690813d5c40ull, 0xfad5bdd1bc97c1a9ull},
+    {"mgcfd/rib/r5/d4", 0x6d9e9ff2c0a7c7b3ull, 0xfad5bdd1bc97c1a9ull},
+    {"mgcfd/rib/r9/d1", 0x451126a35698bf4cull, 0xf01b0ad5d40ac975ull},
+    {"mgcfd/rib/r9/d2", 0x59b7be8496e6da26ull, 0xad72ee92b9e02791ull},
+    {"mgcfd/rib/r9/d4", 0xc20147a870e395a5ull, 0xad72ee92b9e02791ull},
+    {"mgcfd/kway/r1/d1", 0xe592c1d6347bb0e0ull, 0x0c8210784d8af5a5ull},
+    {"mgcfd/kway/r1/d2", 0xe36dc9cf414c9b79ull, 0x0c8210784d8af5a5ull},
+    {"mgcfd/kway/r1/d4", 0x9e1b951d1a4e4ed7ull, 0x0c8210784d8af5a5ull},
+    {"mgcfd/kway/r2/d1", 0xe830d7231c2f7465ull, 0x1a34fe9c6076da05ull},
+    {"mgcfd/kway/r2/d2", 0x769c2bee55bc8364ull, 0x8f693277e91f93c5ull},
+    {"mgcfd/kway/r2/d4", 0x9589c0573a16b495ull, 0x8f693277e91f93c5ull},
+    {"mgcfd/kway/r3/d1", 0x56738869a91f1918ull, 0x19c92200607508edull},
+    {"mgcfd/kway/r3/d2", 0xbca68273e2268a12ull, 0x237381a6a98eacc9ull},
+    {"mgcfd/kway/r3/d4", 0x15bf716d172525d7ull, 0x237381a6a98eacc9ull},
+    {"mgcfd/kway/r5/d1", 0xe55ccd77469ba3feull, 0x16eb9cb5069b7da5ull},
+    {"mgcfd/kway/r5/d2", 0xe5f40a7a89e7df3eull, 0x559687832cd22f9dull},
+    {"mgcfd/kway/r5/d4", 0xaf966e848921057full, 0x559687832cd22f9dull},
+    {"mgcfd/kway/r9/d1", 0x9cb77319f98e73f6ull, 0x9b0669e421cc9b75ull},
+    {"mgcfd/kway/r9/d2", 0x0e8c14f5394d5f99ull, 0x675d4361a47798e1ull},
+    {"mgcfd/kway/r9/d4", 0xacdfd45a94654be4ull, 0x675d4361a47798e1ull},
+    {"annulus/block/r1/d1", 0x88eaac8f94e7a8faull, 0x81b169c331cabfa5ull},
+    {"annulus/block/r1/d2", 0xbff06a153237f3bfull, 0x81b169c331cabfa5ull},
+    {"annulus/block/r1/d4", 0x0e177c11cffe5b35ull, 0x81b169c331cabfa5ull},
+    {"annulus/block/r2/d1", 0xd05bdf63e45e5cafull, 0xea063e8620b680c1ull},
+    {"annulus/block/r2/d2", 0x2f2b70778e3278fcull, 0x8a778d6f29a3ed7full},
+    {"annulus/block/r2/d4", 0xc7f9fc14f7a1f268ull, 0x8a778d6f29a3ed7full},
+    {"annulus/block/r3/d1", 0x19a8b94634e6f39eull, 0x0092493e9dc3eb85ull},
+    {"annulus/block/r3/d2", 0xa6fcf6d42079b1a6ull, 0x10b7a45295577086ull},
+    {"annulus/block/r3/d4", 0x8ab5ccc520a7749cull, 0x10b7a45295577086ull},
+    {"annulus/block/r5/d1", 0xfb4ce1fc690fea17ull, 0x26fc848be88447c5ull},
+    {"annulus/block/r5/d2", 0x8c356967f17b235cull, 0x91b4c793a44dadf0ull},
+    {"annulus/block/r5/d4", 0x2176d840569b6d88ull, 0x91b4c793a44dadf0ull},
+    {"annulus/block/r9/d1", 0xb2f7d28797393208ull, 0x4565e3d967939c19ull},
+    {"annulus/block/r9/d2", 0x1a1991dea914bf37ull, 0x6019a512ab031fd8ull},
+    {"annulus/block/r9/d4", 0xa2de886cedea8b03ull, 0x6019a512ab031fd8ull},
+    {"annulus/rib/r1/d1", 0x88eaac8f94e7a8faull, 0x81b169c331cabfa5ull},
+    {"annulus/rib/r1/d2", 0xbff06a153237f3bfull, 0x81b169c331cabfa5ull},
+    {"annulus/rib/r1/d4", 0x0e177c11cffe5b35ull, 0x81b169c331cabfa5ull},
+    {"annulus/rib/r2/d1", 0xce2fbb722f35ab22ull, 0xd4769fab80315361ull},
+    {"annulus/rib/r2/d2", 0x52d2ed06d6dc54e4ull, 0x0350b33ff99d6f24ull},
+    {"annulus/rib/r2/d4", 0xf08fa9aaa614c040ull, 0x0350b33ff99d6f24ull},
+    {"annulus/rib/r3/d1", 0xd7c049cfbf671a62ull, 0x361dcf3a8c952aa1ull},
+    {"annulus/rib/r3/d2", 0xc2e4d9d8090850e6ull, 0x71986e57faf68230ull},
+    {"annulus/rib/r3/d4", 0x896c3b26c2175304ull, 0x71986e57faf68230ull},
+    {"annulus/rib/r5/d1", 0x8acda3b63b3e20f5ull, 0xf6d0f364e08fd995ull},
+    {"annulus/rib/r5/d2", 0x81f2ede6001d5e20ull, 0x649c0107bfbec587ull},
+    {"annulus/rib/r5/d4", 0xd8da6672baa8a20dull, 0x649c0107bfbec587ull},
+    {"annulus/rib/r9/d1", 0xf141e6098c393348ull, 0x3fc593605b361faaull},
+    {"annulus/rib/r9/d2", 0x0ce43b769b1e8115ull, 0x1cf5ae39c0792941ull},
+    {"annulus/rib/r9/d4", 0x44762dae51a3b40full, 0x1cf5ae39c0792941ull},
+    {"annulus/kway/r1/d1", 0x88eaac8f94e7a8faull, 0x81b169c331cabfa5ull},
+    {"annulus/kway/r1/d2", 0xbff06a153237f3bfull, 0x81b169c331cabfa5ull},
+    {"annulus/kway/r1/d4", 0x0e177c11cffe5b35ull, 0x81b169c331cabfa5ull},
+    {"annulus/kway/r2/d1", 0x941cbe6402a3b54aull, 0x71cce66ee5e494d5ull},
+    {"annulus/kway/r2/d2", 0xd53fb462009d13fcull, 0xb17834878aa007c3ull},
+    {"annulus/kway/r2/d4", 0x0e3e3cffc0974e39ull, 0xb17834878aa007c3ull},
+    {"annulus/kway/r3/d1", 0x6c0e3bbb1e44a308ull, 0xeca4247f96b5f3adull},
+    {"annulus/kway/r3/d2", 0x5df53e03ff692826ull, 0x2c35bfe07cd59962ull},
+    {"annulus/kway/r3/d4", 0x359d044bb1793885ull, 0x2c35bfe07cd59962ull},
+    {"annulus/kway/r5/d1", 0xfb4ce1fc690fea17ull, 0x26fc848be88447c5ull},
+    {"annulus/kway/r5/d2", 0x8c356967f17b235cull, 0x91b4c793a44dadf0ull},
+    {"annulus/kway/r5/d4", 0x2176d840569b6d88ull, 0x91b4c793a44dadf0ull},
+    {"annulus/kway/r9/d1", 0x421e43229a35889eull, 0xf4a20edf5ffdfc0eull},
+    {"annulus/kway/r9/d2", 0x3e450d33064c5bb3ull, 0xb4402b2a2227ce67ull},
+    {"annulus/kway/r9/d4", 0x5ec9eebb5834fc1cull, 0xb4402b2a2227ce67ull},
+};
+// clang-format on
+
+TEST(HaloPlan, OutputPinned) {
+  const mesh::Quad2D quad = mesh::make_quad2d(24, 18);
+  const mesh::Hex3D hex = mesh::make_hex3d(8, 7, 6);
+  const apps::mgcfd::Problem mg = apps::mgcfd::build_problem(2500, 2);
+  const apps::hydra::Problem hy = apps::hydra::build_problem(2500);
+  std::vector<core::ChainSpec> hydra_chains;
+  const auto hydra_specs = apps::hydra::chain_specs(hy);
+  for (const std::string& name : apps::hydra::chain_names())
+    hydra_chains.push_back(hydra_specs.at(name));
+  const std::vector<PinnedMesh> meshes = {
+      {"quad2d", &quad.mesh, quad.nodes, {}},
+      {"hex3d", &hex.mesh, hex.nodes, {}},
+      {"mgcfd", &mg.mg.mesh, mg.mg.levels[0].nodes,
+       {apps::mgcfd::synthetic_chain_spec(mg, 2)}},
+      {"annulus", &hy.an.mesh, hy.an.nodes, hydra_chains},
+  };
+
+  struct Row {
+    std::string name;
+    std::uint64_t plan, slices;
+  };
+  std::vector<Row> rows;
+  for (const PinnedMesh& pm : meshes) {
+    for (partition::Kind kind : {partition::Kind::Block,
+                                 partition::Kind::RIB,
+                                 partition::Kind::KWay}) {
+      for (int nranks : {1, 2, 3, 5, 9}) {
+        const partition::Partition part =
+            partition::partition_mesh(*pm.mesh, nranks, kind, pm.seed);
+        for (int depth : {1, 2, 4}) {
+          HaloPlanOptions opts;
+          opts.depth = depth;
+          const HaloPlan plan = build_halo_plan(*pm.mesh, part, opts);
+          rows.push_back({pm.name + "/" + partition::kind_name(kind) + "/r" +
+                              std::to_string(nranks) + "/d" +
+                              std::to_string(depth),
+                          hash_plan(plan), hash_slices(pm, plan)});
+        }
+      }
+    }
+  }
+
+  bool same = rows.size() == std::size(kPinned);
+  for (std::size_t i = 0; same && i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].name, kPinned[i].name);
+    EXPECT_EQ(rows[i].plan, kPinned[i].plan) << rows[i].name;
+    EXPECT_EQ(rows[i].slices, kPinned[i].slices) << rows[i].name;
+    same = rows[i].name == kPinned[i].name &&
+           rows[i].plan == kPinned[i].plan &&
+           rows[i].slices == kPinned[i].slices;
+  }
+  if (!same) {
+    ADD_FAILURE() << "plan output differs from kPinned; actual table:";
+    for (const Row& r : rows)
+      std::printf("    {\"%s\", 0x%016llxull, 0x%016llxull},\n",
+                  r.name.c_str(), static_cast<unsigned long long>(r.plan),
+                  static_cast<unsigned long long>(r.slices));
+  }
+
+  // The same plan built twice in one process hashes the same.
+  const partition::Partition part = partition::partition_mesh(
+      hy.an.mesh, 9, partition::Kind::KWay, hy.an.nodes);
+  HaloPlanOptions opts;
+  opts.depth = 4;
+  EXPECT_EQ(hash_plan(build_halo_plan(hy.an.mesh, part, opts)),
+            hash_plan(build_halo_plan(hy.an.mesh, part, opts)));
 }
 
 }  // namespace
