@@ -190,9 +190,11 @@ DispatchResult bench_direct_dispatch() {
     kernel(cd::resolve_arg(rargs[0], i, false),
            cd::resolve_arg(rargs[1], i, false));
   };
-  // Batched: the range body par_loop stores for this (all-AoS) loop.
+  // Batched: the range body par_loop stores for this (all-AoS) loop of
+  // two direct args.
+  constexpr auto kD = core::Arg::Kind::DatDirect;
   const std::function<void(lidx_t, lidx_t)> region =
-      cd::make_loop_bodies<2>(kernel, rargs, false, "bench").range;
+      cd::make_loop_bodies<kD, kD>(kernel, rargs, false, "bench").range;
 
   DispatchResult r;
   r.per_element_ns = 1e9 / kN * time_per_call([&] {
@@ -238,8 +240,10 @@ DispatchResult bench_indirect_dispatch() {
            cd::resolve_arg(rargs[2], i, false),
            cd::resolve_arg(rargs[3], i, false));
   };
+  constexpr auto kI = core::Arg::Kind::DatIndirect;
   const std::function<void(lidx_t, lidx_t)> region =
-      cd::make_loop_bodies<4>(kernel, rargs, false, "bench").range;
+      cd::make_loop_bodies<kI, kI, kI, kI>(kernel, rargs, false, "bench")
+          .range;
 
   DispatchResult r;
   r.per_element_ns = 1e9 / kEdges * time_per_call([&] {
@@ -403,8 +407,9 @@ ThreadedSweepResult bench_threaded_sweep() {
     rargs[static_cast<std::size_t>(j)].idx = j % 2;
     rargs[static_cast<std::size_t>(j)].bind_layout(aos2);
   }
+  constexpr auto kI = core::Arg::Kind::DatIndirect;
   const cd::LoopBodies bodies =
-      cd::make_loop_bodies<4>(kernel, rargs, false, "bench");
+      cd::make_loop_bodies<kI, kI, kI, kI>(kernel, rargs, false, "bench");
   const auto& region = bodies.range;
   const auto& list = bodies.list;
 

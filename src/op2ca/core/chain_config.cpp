@@ -1,6 +1,8 @@
 #include "op2ca/core/chain_config.hpp"
 
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "op2ca/util/error.hpp"
@@ -18,12 +20,21 @@ bool split_kv(const std::string& token, std::string* key,
   return true;
 }
 
-int parse_int(const std::string& v, const std::string& context) {
-  try {
-    return std::stoi(v);
-  } catch (const std::exception&) {
-    raise("ChainConfig: bad integer '" + v + "' in " + context);
-  }
+/// Parses `key`'s value, which must be an integer in [lo, hi] with no
+/// trailing text.
+int parse_int(const std::string& key, const std::string& v, int lo, int hi,
+              const std::string& where) {
+  int out = 0;
+  const char* last = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), last, out);
+  OP2CA_REQUIRE(ec == std::errc() && ptr == last,
+                "ChainConfig: " + key + " needs an integer, got '" + v +
+                    "' at " + where);
+  OP2CA_REQUIRE(out >= lo && out <= hi,
+                "ChainConfig: " + key + "=" + v + " is out of range [" +
+                    std::to_string(lo) + ", " + std::to_string(hi) +
+                    "] at " + where);
+  return out;
 }
 
 }  // namespace
@@ -69,16 +80,15 @@ ChainConfig ChainConfig::parse(std::istream& in) {
       OP2CA_REQUIRE(split_kv(token, &key, &value),
                     "ChainConfig: expected key=value, got '" + token +
                         "' at " + where);
+      constexpr int kMax = std::numeric_limits<int>::max();
       if (key == "loops")
-        entry.loops = parse_int(value, where);
+        entry.loops = parse_int(key, value, 0, kMax, where);
       else if (key == "depth")
-        entry.max_depth = parse_int(value, where);
-      else if (key == "tile") {
-        entry.tile = parse_int(value, where);
-        OP2CA_REQUIRE(entry.tile >= 1,
-                      "ChainConfig: tile must be >= 1 at " + where);
-      } else if (key == "enabled")
-        entry.enabled = parse_int(value, where) != 0;
+        entry.max_depth = parse_int(key, value, 0, kMax, where);
+      else if (key == "tile")
+        entry.tile = parse_int(key, value, 1, kMax, where);
+      else if (key == "enabled")
+        entry.enabled = parse_int(key, value, 0, 1, where) != 0;
       else
         raise("ChainConfig: unknown key '" + key + "' at " + where);
     }

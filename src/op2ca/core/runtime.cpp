@@ -15,19 +15,18 @@ const char* access_name(Access a) {
   return "?";
 }
 
-Arg arg_dat(Dat d, Access mode) {
-  Arg a;
-  a.kind = Arg::Kind::DatDirect;
+KindArg<Arg::Kind::DatDirect> arg_dat(Dat d, Access mode) {
+  KindArg<Arg::Kind::DatDirect> a;
   a.dat = d.id;
   a.mode = mode;
   return a;
 }
 
-Arg arg_dat(Dat d, int idx, Map m, Access mode, bool self_combine) {
+KindArg<Arg::Kind::DatIndirect> arg_dat(Dat d, int idx, Map m, Access mode,
+                                        bool self_combine) {
   OP2CA_REQUIRE(!self_combine || mode == Access::RW,
                 "self_combine only applies to RW access");
-  Arg a;
-  a.kind = Arg::Kind::DatIndirect;
+  KindArg<Arg::Kind::DatIndirect> a;
   a.dat = d.id;
   a.map_idx = idx;
   a.map = m.id;
@@ -36,12 +35,11 @@ Arg arg_dat(Dat d, int idx, Map m, Access mode, bool self_combine) {
   return a;
 }
 
-Arg arg_gbl(double* value, int dim, Access mode) {
+KindArg<Arg::Kind::Gbl> arg_gbl(double* value, int dim, Access mode) {
   OP2CA_REQUIRE(mode == Access::READ || mode == Access::INC,
                 "arg_gbl supports READ and INC only");
   OP2CA_REQUIRE(value != nullptr && dim > 0, "arg_gbl needs a buffer");
-  Arg a;
-  a.kind = Arg::Kind::Gbl;
+  KindArg<Arg::Kind::Gbl> a;
   a.mode = mode;
   a.gbl = value;
   a.gbl_dim = dim;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -46,7 +47,9 @@ struct Dat {
   mesh::dat_id id = -1;
 };
 
-/// A par_loop argument (OP2's op_arg_dat / op_arg_gbl).
+/// A par_loop argument descriptor (OP2's op_arg_dat / op_arg_gbl) as
+/// loop records keep it. par_loop itself takes the KindArg that
+/// arg_dat / arg_gbl return.
 struct Arg {
   enum class Kind { DatDirect, DatIndirect, Gbl };
   Kind kind = Kind::DatDirect;
@@ -59,14 +62,31 @@ struct Arg {
   bool self_combine = false;  ///< see ArgSpec::self_combine.
 };
 
+/// An Arg whose kind is also part of its type, so par_loop can build
+/// region bodies that address each argument the one way its kind needs
+/// (see detail::make_loop_bodies). The arg_dat / arg_gbl builders are
+/// the only way par_loop accepts arguments.
+template <Arg::Kind K>
+struct KindArg : Arg {
+  static constexpr Arg::Kind kKind = K;
+  KindArg() { kind = K; }
+};
+
+/// What par_loop accepts as an argument: a descriptor from arg_dat /
+/// arg_gbl. A plain Arg does not qualify, because its kind is only known
+/// at run time.
+template <typename T>
+concept LoopArg = std::same_as<T, KindArg<T::kKind>>;
+
 /// Direct access: the dat element of the current iteration.
-Arg arg_dat(Dat d, Access mode);
+KindArg<Arg::Kind::DatDirect> arg_dat(Dat d, Access mode);
 /// Indirect access through map column `idx`. `self_combine` (RW only)
 /// declares that the kernel reads this dat solely at the element it
 /// writes — see ArgSpec::self_combine.
-Arg arg_dat(Dat d, int idx, Map m, Access mode, bool self_combine = false);
+KindArg<Arg::Kind::DatIndirect> arg_dat(Dat d, int idx, Map m, Access mode,
+                                        bool self_combine = false);
 /// Global argument: READ passes a constant, INC sum-reduces across ranks.
-Arg arg_gbl(double* value, int dim, Access mode);
+KindArg<Arg::Kind::Gbl> arg_gbl(double* value, int dim, Access mode);
 
 /// Per-loop / per-chain measurements, merged across ranks by the World.
 struct LoopMetrics {
@@ -218,91 +238,114 @@ struct LoopRecord {
 
 [[noreturn]] void raise_out_of_region(const char* loop_name);
 
-/// Resolves one argument at iteration `i` under any layout: the generic
-/// shift/mask element addressing, division-free but computed from
-/// run-time layout fields for every argument of every element. Loops
-/// whose args are all AoS never come here — par_loop stores the
-/// raw-row-pointer bodies (invoke_kernel_range_aos) for them instead.
+/// Iteration `i`'s element of an arg whose kind `Kd` is fixed at compile
+/// time, in the generic shift/mask form (any layout): a gbl arg's base,
+/// a direct arg's element `i`, an indirect arg's map target of `i`.
+template <Arg::Kind Kd>
+ElemRef kind_elem(const ResolvedArg& a, lidx_t i, bool validate,
+                  const char* loop_name) {
+  if constexpr (Kd == Arg::Kind::Gbl) {
+    return {a.base, 1};
+  } else {
+    lidx_t t = i;
+    if constexpr (Kd == Arg::Kind::DatIndirect) {
+      t = a.map_targets[static_cast<std::size_t>(i) *
+                            static_cast<std::size_t>(a.arity) +
+                        static_cast<std::size_t>(a.idx)];
+      if (validate && t == kInvalidLocal) raise_out_of_region(loop_name);
+    }
+    return {a.base + static_cast<std::size_t>(t >> a.bshift) * a.brow +
+                static_cast<std::size_t>(t & a.bmask),
+            a.cstride};
+  }
+}
+
+/// Resolves one argument at iteration `i` from its run-time fields: the
+/// arg's kind is read from `is_gbl` / `map_targets` on every call. The
+/// stored region bodies never test kinds per element — par_loop fixes
+/// them at compile time (make_loop_bodies) — but they must hand kernels
+/// exactly the addresses this computes, so it is the reference the
+/// dispatch tests compare against.
 inline ElemRef resolve_arg(const ResolvedArg& a, lidx_t i, bool validate,
                            const char* loop_name = "") {
-  if (a.is_gbl) return {a.base, 1};
-  lidx_t t = i;
-  if (a.map_targets != nullptr) {
-    t = a.map_targets[static_cast<std::size_t>(i) *
-                          static_cast<std::size_t>(a.arity) +
-                      static_cast<std::size_t>(a.idx)];
+  if (a.is_gbl) return kind_elem<Arg::Kind::Gbl>(a, i, validate, loop_name);
+  if (a.map_targets != nullptr)
+    return kind_elem<Arg::Kind::DatIndirect>(a, i, validate, loop_name);
+  return kind_elem<Arg::Kind::DatDirect>(a, i, validate, loop_name);
+}
+
+/// One argument of an all-AoS loop, flattened once per region so the
+/// batch loop carries no layout fields: `col` walks the arg's map column
+/// (indirect args only) and `row` is the row length in doubles.
+struct AosArg {
+  double* base = nullptr;
+  const lidx_t* col = nullptr;
+  std::size_t arity = 1;
+  std::size_t row = 1;
+
+  explicit AosArg(const ResolvedArg& a)
+      : base(a.base),
+        col(a.map_targets != nullptr ? a.map_targets + a.idx : nullptr),
+        arity(static_cast<std::size_t>(a.arity)),
+        row(a.brow) {}
+};
+
+/// kind_elem for an AoS arg: the plain row pointer base + t * row, or
+/// base for a gbl arg — the address resolve_arg computes.
+template <Arg::Kind Kd>
+double* kind_row(const AosArg& a, lidx_t i, bool validate,
+                 const char* loop_name) {
+  if constexpr (Kd == Arg::Kind::Gbl) {
+    return a.base;
+  } else if constexpr (Kd == Arg::Kind::DatDirect) {
+    return a.base + static_cast<std::size_t>(i) * a.row;
+  } else {
+    const lidx_t t = a.col[static_cast<std::size_t>(i) * a.arity];
     if (validate && t == kInvalidLocal) raise_out_of_region(loop_name);
+    return a.base + static_cast<std::size_t>(t) * a.row;
   }
-  return {a.base + static_cast<std::size_t>(t >> a.bshift) * a.brow +
-              static_cast<std::size_t>(t & a.bmask),
-          a.cstride};
 }
 
 /// Batched dispatch over a contiguous iteration range (generic layouts):
 /// argument state is copied into locals once per region, then the kernel
 /// runs the whole range inside one type-erased call, receiving one
 /// strided ElemRef per argument.
-template <typename K, std::size_t... I>
+template <Arg::Kind... Kinds, typename K, std::size_t... I>
 void invoke_kernel_range(const K& k, const std::vector<ResolvedArg>& rargs,
                          lidx_t begin, lidx_t end, bool validate,
                          const char* name, std::index_sequence<I...>) {
   const ResolvedArg a[sizeof...(I)] = {rargs[I]...};
   for (lidx_t i = begin; i < end; ++i)
-    k(resolve_arg(a[I], i, validate, name)...);
+    k(kind_elem<Kinds>(a[I], i, validate, name)...);
 }
 
 /// Batched dispatch over a gathered index list (exec-halo iterations).
-template <typename K, std::size_t... I>
+template <Arg::Kind... Kinds, typename K, std::size_t... I>
 void invoke_kernel_list(const K& k, const std::vector<ResolvedArg>& rargs,
                         const lidx_t* idx, std::size_t n, bool validate,
                         const char* name, std::index_sequence<I...>) {
   const ResolvedArg a[sizeof...(I)] = {rargs[I]...};
   for (std::size_t j = 0; j < n; ++j) {
     const lidx_t i = idx[j];
-    k(resolve_arg(a[I], i, validate, name)...);
+    k(kind_elem<Kinds>(a[I], i, validate, name)...);
   }
 }
 
-/// One argument of an all-AoS loop, flattened once per region so the
-/// batch loop carries no layout fields and no gbl branch: `col` walks
-/// the arg's map column (null for direct and gbl args) and `step` is
-/// the row length in doubles — 0 for a gbl arg, so every iteration
-/// lands on its base.
-struct AosArg {
-  double* base = nullptr;
-  const lidx_t* col = nullptr;
-  std::size_t arity = 1;
-  std::size_t step = 0;
-
-  explicit AosArg(const ResolvedArg& a)
-      : base(a.base),
-        col(a.map_targets != nullptr ? a.map_targets + a.idx : nullptr),
-        arity(static_cast<std::size_t>(a.arity)),
-        step(a.is_gbl ? 0 : a.brow) {}
-
-  /// The row pointer resolve_arg would return for iteration `i`.
-  double* at(lidx_t i, bool validate, const char* loop_name) const {
-    if (col == nullptr) return base + static_cast<std::size_t>(i) * step;
-    const lidx_t t = col[static_cast<std::size_t>(i) * arity];
-    if (validate && t == kInvalidLocal) raise_out_of_region(loop_name);
-    return base + static_cast<std::size_t>(t) * step;
-  }
-};
-
 /// invoke_kernel_range for loops whose args are all is_aos(): the kernel
-/// receives plain `double*` rows (base + t * dim, or base for a gbl arg)
-/// at exactly the addresses resolve_arg computes, in the same order.
-template <typename K, std::size_t... I>
+/// receives plain `double*` rows at exactly the addresses resolve_arg
+/// computes, in the same order.
+template <Arg::Kind... Kinds, typename K, std::size_t... I>
 void invoke_kernel_range_aos(const K& k,
                              const std::vector<ResolvedArg>& rargs,
                              lidx_t begin, lidx_t end, bool validate,
                              const char* name, std::index_sequence<I...>) {
   const AosArg a[sizeof...(I)] = {AosArg(rargs[I])...};
-  for (lidx_t i = begin; i < end; ++i) k(a[I].at(i, validate, name)...);
+  for (lidx_t i = begin; i < end; ++i)
+    k(kind_row<Kinds>(a[I], i, validate, name)...);
 }
 
 /// invoke_kernel_list for loops whose args are all is_aos().
-template <typename K, std::size_t... I>
+template <Arg::Kind... Kinds, typename K, std::size_t... I>
 void invoke_kernel_list_aos(const K& k,
                             const std::vector<ResolvedArg>& rargs,
                             const lidx_t* idx, std::size_t n, bool validate,
@@ -310,7 +353,7 @@ void invoke_kernel_list_aos(const K& k,
   const AosArg a[sizeof...(I)] = {AosArg(rargs[I])...};
   for (std::size_t j = 0; j < n; ++j) {
     const lidx_t i = idx[j];
-    k(a[I].at(i, validate, name)...);
+    k(kind_row<Kinds>(a[I], i, validate, name)...);
   }
 }
 
@@ -320,31 +363,33 @@ struct LoopBodies {
   std::function<void(const lidx_t*, std::size_t)> list;
 };
 
-/// Builds a loop's region bodies, choosing the addressing form once from
+/// Builds a loop's region bodies. `Kinds` are the args' kinds in order,
+/// taken from their KindArg types by par_loop, so each arg's addressing
+/// is fixed per instantiation. The addressing form is chosen once from
 /// the layouts bound into `ra`: the raw-row-pointer AoS loops when every
 /// arg is_aos(), the generic ElemRef loops otherwise.
-template <std::size_t N, typename K>
+template <Arg::Kind... Kinds, typename K>
 LoopBodies make_loop_bodies(K kf, std::vector<ResolvedArg> ra, bool validate,
                             std::string name) {
-  using Seq = std::make_index_sequence<N>;
+  using Seq = std::make_index_sequence<sizeof...(Kinds)>;
   const bool aos = std::all_of(ra.begin(), ra.end(),
                                [](const ResolvedArg& a) { return a.is_aos(); });
   if (aos)
     return {[kf, ra, validate, name](lidx_t begin, lidx_t end) {
-              invoke_kernel_range_aos(kf, ra, begin, end, validate,
-                                      name.c_str(), Seq{});
+              invoke_kernel_range_aos<Kinds...>(kf, ra, begin, end, validate,
+                                                name.c_str(), Seq{});
             },
             [kf, ra, validate, name](const lidx_t* idx, std::size_t n) {
-              invoke_kernel_list_aos(kf, ra, idx, n, validate, name.c_str(),
-                                     Seq{});
+              invoke_kernel_list_aos<Kinds...>(kf, ra, idx, n, validate,
+                                               name.c_str(), Seq{});
             }};
   return {[kf, ra, validate, name](lidx_t begin, lidx_t end) {
-            invoke_kernel_range(kf, ra, begin, end, validate, name.c_str(),
-                                Seq{});
+            invoke_kernel_range<Kinds...>(kf, ra, begin, end, validate,
+                                          name.c_str(), Seq{});
           },
           [kf, ra, validate, name](const lidx_t* idx, std::size_t n) {
-            invoke_kernel_list(kf, ra, idx, n, validate, name.c_str(),
-                               Seq{});
+            invoke_kernel_list<Kinds...>(kf, ra, idx, n, validate,
+                                         name.c_str(), Seq{});
           }};
 }
 }  // namespace detail
@@ -376,9 +421,11 @@ public:
   void par_loop(const std::string& name, Set s, Kernel&& kernel,
                 Args... args) {
     static_assert(sizeof...(Args) > 0, "par_loop needs at least one arg");
+    static_assert((LoopArg<Args> && ...),
+                  "par_loop arguments must be built with arg_dat / arg_gbl");
     detail::LoopRecord rec =
         make_record(name, s, std::vector<Arg>{args...});
-    detail::LoopBodies bodies = detail::make_loop_bodies<sizeof...(Args)>(
+    detail::LoopBodies bodies = detail::make_loop_bodies<Args::kKind...>(
         std::forward<Kernel>(kernel), record_args(rec), validation_enabled(),
         name);
     set_bodies(rec, std::move(bodies.range), std::move(bodies.list));

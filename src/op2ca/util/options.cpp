@@ -1,5 +1,6 @@
 #include "op2ca/util/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "op2ca/util/error.hpp"
@@ -50,18 +51,28 @@ std::int64_t Options::get_int(const std::string& name,
                               std::int64_t fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  const std::string& s = it->second;
   char* end = nullptr;
-  const std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  OP2CA_REQUIRE(end && *end == '\0', "Option --" + name + " is not an int");
+  errno = 0;
+  const std::int64_t v = std::strtoll(s.c_str(), &end, 10);
+  OP2CA_REQUIRE(!s.empty() && *end == '\0',
+                "Option --" + name + " is not an int: '" + s + "'");
+  OP2CA_REQUIRE(errno != ERANGE,
+                "Option --" + name + " is out of range: " + s);
   return v;
 }
 
 double Options::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  const std::string& s = it->second;
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  OP2CA_REQUIRE(end && *end == '\0', "Option --" + name + " is not a double");
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  OP2CA_REQUIRE(!s.empty() && *end == '\0',
+                "Option --" + name + " is not a double: '" + s + "'");
+  OP2CA_REQUIRE(errno != ERANGE,
+                "Option --" + name + " is out of range: " + s);
   return v;
 }
 

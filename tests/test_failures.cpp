@@ -101,6 +101,20 @@ TEST(ChainConfigParse, RejectsGarbage) {
     std::istringstream in("chain\n");
     EXPECT_THROW(ChainConfig::parse(in), Error);
   }
+  // Numbers must be whole integer tokens; loops/depth non-negative and
+  // enabled 0 or 1. The error names the offending line.
+  for (const char* entry : {"tile=4x", "depth=2.5", "loops=6abc", "depth=-1",
+                            "loops=-3", "enabled=7"}) {
+    std::istringstream in(std::string("chain ok loops=2\nchain x ") + entry +
+                          "\n");
+    try {
+      ChainConfig::parse(in);
+      ADD_FAILURE() << entry << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << entry << ": " << e.what();
+    }
+  }
   EXPECT_THROW(ChainConfig::load("/nonexistent/path/chains.cfg"), Error);
 }
 

@@ -1,9 +1,9 @@
 // Hot-path infrastructure tests: BufferPool recycling, GroupedPlan
 // pack/unpack against the reference (map-walking) implementation,
 // zero-copy transport semantics, the region bodies' two addressing paths
-// (raw AoS rows vs generic strided views) and their validation guard,
-// and the steady-state zero-allocation / zero-rebuild guarantee of the
-// cached exchange plans.
+// (raw AoS rows vs generic strided views) under compile-time argument
+// kinds and their validation guard, and the steady-state zero-allocation
+// / zero-rebuild guarantee of the cached exchange plans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -223,19 +223,38 @@ TEST(ZeroCopy, SpanSendStillCopies) {
 
 namespace cd = core::detail;
 
+using Kind = core::Arg::Kind;
+constexpr Kind kD = Kind::DatDirect;
+constexpr Kind kI = Kind::DatIndirect;
+constexpr Kind kG = Kind::Gbl;
+
+// par_loop takes only descriptors whose type carries their kind; a plain
+// Arg (kind known only at run time) must not satisfy its constraint.
+static_assert(!core::LoopArg<core::Arg>);
+static_assert(core::LoopArg<decltype(core::arg_dat(core::Dat{},
+                                                   core::Access::READ))>);
+static_assert(core::LoopArg<decltype(core::arg_dat(
+                  core::Dat{}, 0, core::Map{}, core::Access::INC))>);
+static_assert(core::LoopArg<decltype(core::arg_gbl(nullptr, 1,
+                                                   core::Access::READ))>);
+static_assert(decltype(core::arg_dat(core::Dat{}, 0, core::Map{},
+                                     core::Access::READ))::kKind == kI);
+
 constexpr int kDim = 3;
 constexpr lidx_t kEdges = 30;
 constexpr lidx_t kNodes = 40;
 
-/// Hand-built args of an edge loop: a direct dat, the same node dat
+/// Hand-built args of an edge loop over a direct dat, a node dat reached
 /// through both columns of an arity-2 map, a gbl READ and a gbl INC.
 /// `direct` / `indirect` pick the two dats' layouts (AoSoA blocks of 4).
+/// `rargs` lists them as direct, column 0, column 1, gbl READ, gbl INC;
+/// `interleaved` as gbl READ, column 0, direct, column 1, gbl INC.
 struct DispatchArgs {
   std::vector<double> edge_data, node_data;
   std::vector<lidx_t> map;
   double gbl_read[kDim] = {1, 2, 3};
   double gbl_inc[kDim] = {0, 0, 0};
-  std::vector<cd::ResolvedArg> rargs;
+  std::vector<cd::ResolvedArg> rargs, interleaved;
 
   DispatchArgs(mesh::LayoutKind direct, mesh::LayoutKind indirect) {
     const mesh::DatLayout el = mesh::DatLayout::make(direct, kDim, kEdges, 4);
@@ -250,25 +269,38 @@ struct DispatchArgs {
     cd::ResolvedArg d;
     d.base = edge_data.data();
     d.bind_layout(el);
-    rargs.push_back(d);
-    for (int col = 0; col < 2; ++col) {
-      cd::ResolvedArg a;
-      a.base = node_data.data();
-      a.bind_layout(nl);
-      a.map_targets = map.data();
-      a.arity = 2;
-      a.idx = col;
-      rargs.push_back(a);
+    cd::ResolvedArg col[2];
+    for (int c = 0; c < 2; ++c) {
+      col[c].base = node_data.data();
+      col[c].bind_layout(nl);
+      col[c].map_targets = map.data();
+      col[c].arity = 2;
+      col[c].idx = c;
     }
-    for (double* g : {gbl_read, gbl_inc}) {
-      cd::ResolvedArg a;
-      a.base = g;
-      a.dim = kDim;
-      a.is_gbl = true;
-      rargs.push_back(a);
+    cd::ResolvedArg g[2];
+    for (int j = 0; j < 2; ++j) {
+      g[j].base = j == 0 ? gbl_read : gbl_inc;
+      g[j].dim = kDim;
+      g[j].is_gbl = true;
     }
+    rargs = {d, col[0], col[1], g[0], g[1]};
+    interleaved = {g[0], col[0], d, col[1], g[1]};
   }
 };
+
+/// The region bodies par_loop would build for DispatchArgs::rargs /
+/// ::interleaved.
+template <typename K>
+cd::LoopBodies edge_loop_bodies(K k, const DispatchArgs& f, bool validate,
+                                const char* name = "loop") {
+  return cd::make_loop_bodies<kD, kI, kI, kG, kG>(k, f.rargs, validate,
+                                                  name);
+}
+template <typename K>
+cd::LoopBodies interleaved_bodies(K k, const DispatchArgs& f) {
+  return cd::make_loop_bodies<kG, kI, kD, kI, kG>(k, f.interleaved, true,
+                                                  "loop");
+}
 
 /// Records every component address the kernel is handed, per call, and
 /// whether the args arrived as raw row pointers (the AoS path) or as
@@ -289,7 +321,7 @@ struct AddressRecorder {
   }
 };
 
-/// What resolve_arg computes for each iteration of `order`.
+/// What the run-time resolve_arg computes for each iteration of `order`.
 std::vector<std::vector<const double*>> expected_addresses(
     const std::vector<cd::ResolvedArg>& rargs,
     const std::vector<lidx_t>& order) {
@@ -313,24 +345,33 @@ std::vector<lidx_t> range_order(lidx_t begin, lidx_t end) {
   return out;
 }
 
-using Seq5 = std::make_index_sequence<5>;
+constexpr mesh::LayoutKind kLayouts[] = {
+    mesh::LayoutKind::AoS, mesh::LayoutKind::SoA, mesh::LayoutKind::AoSoA};
 
-TEST(Dispatch, GenericPathMatchesResolveArgUnderEveryLayout) {
-  for (const auto kind : {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA,
-                          mesh::LayoutKind::AoSoA}) {
+TEST(Dispatch, RecordBodiesMatchResolveArgUnderEveryLayout) {
+  // The interleaved order puts a gbl READ first, a direct arg between two
+  // indirect ones and a gbl INC last: each position must get its own
+  // kind's addressing, not its neighbour's.
+  for (const auto kind : kLayouts) {
     DispatchArgs f(kind, kind);
-    std::vector<std::vector<const double*>> calls;
-    bool raw = true;
-    const AddressRecorder k{&calls, &raw};
-    cd::invoke_kernel_range(k, f.rargs, 3, 21, true, "loop", Seq5{});
-    EXPECT_EQ(calls, expected_addresses(f.rargs, range_order(3, 21)))
-        << mesh::layout_name(kind);
-    EXPECT_FALSE(raw);
-    calls.clear();
-    cd::invoke_kernel_list(k, f.rargs, kListOrder.data(), kListOrder.size(),
-                           true, "loop", Seq5{});
-    EXPECT_EQ(calls, expected_addresses(f.rargs, kListOrder))
-        << mesh::layout_name(kind);
+    for (const bool interleaved : {false, true}) {
+      const std::vector<cd::ResolvedArg>& args =
+          interleaved ? f.interleaved : f.rargs;
+      std::vector<std::vector<const double*>> calls;
+      bool raw = kind != mesh::LayoutKind::AoS;
+      const AddressRecorder k{&calls, &raw};
+      const cd::LoopBodies b =
+          interleaved ? interleaved_bodies(k, f) : edge_loop_bodies(k, f, true);
+      b.range(3, 21);
+      EXPECT_EQ(calls, expected_addresses(args, range_order(3, 21)))
+          << mesh::layout_name(kind) << " interleaved=" << interleaved;
+      calls.clear();
+      b.list(kListOrder.data(), kListOrder.size());
+      EXPECT_EQ(calls, expected_addresses(args, kListOrder))
+          << mesh::layout_name(kind) << " interleaved=" << interleaved;
+      EXPECT_EQ(raw, kind == mesh::LayoutKind::AoS)
+          << mesh::layout_name(kind);
+    }
   }
 }
 
@@ -338,17 +379,14 @@ TEST(Dispatch, AosPathHandsRawRowsAtResolveArgAddresses) {
   DispatchArgs f(mesh::LayoutKind::AoS, mesh::LayoutKind::AoS);
   std::vector<std::vector<const double*>> calls;
   bool raw = false;
-  const AddressRecorder k{&calls, &raw};
-  cd::invoke_kernel_range_aos(k, f.rargs, 0, kEdges, true, "loop", Seq5{});
-  EXPECT_EQ(calls, expected_addresses(f.rargs, range_order(0, kEdges)));
+  const cd::LoopBodies b =
+      edge_loop_bodies(AddressRecorder{&calls, &raw}, f, true);
+  b.list(kListOrder.data(), kListOrder.size());
   EXPECT_TRUE(raw);
-  calls.clear();
-  cd::invoke_kernel_list_aos(k, f.rargs, kListOrder.data(),
-                             kListOrder.size(), true, "loop", Seq5{});
-  EXPECT_EQ(calls, expected_addresses(f.rargs, kListOrder));
   // Spot-check the legacy row arithmetic behind those addresses.
   EXPECT_EQ(calls[0][0], f.edge_data.data() + 5 * kDim);
   EXPECT_EQ(calls[0][kDim], f.node_data.data() + f.map[10] * kDim);
+  EXPECT_EQ(calls[0][2 * kDim], f.node_data.data() + f.map[11] * kDim);
   EXPECT_EQ(calls[0][3 * kDim], f.gbl_read);
   EXPECT_EQ(calls[0][4 * kDim + 2], f.gbl_inc + 2);
 }
@@ -368,8 +406,8 @@ TEST(Dispatch, RecordBodiesPickTheAosPathOnlyWhenEveryArgIsAos) {
     DispatchArgs f(c.direct, c.indirect);
     std::vector<std::vector<const double*>> calls;
     bool raw = !c.raw;
-    const cd::LoopBodies b = cd::make_loop_bodies<5>(
-        AddressRecorder{&calls, &raw}, f.rargs, true, "loop");
+    const cd::LoopBodies b =
+        edge_loop_bodies(AddressRecorder{&calls, &raw}, f, true);
     b.range(0, kEdges);
     b.list(kListOrder.data(), kListOrder.size());
     std::vector<lidx_t> order = range_order(0, kEdges);
@@ -398,8 +436,8 @@ TEST(Dispatch, ValidationNamesTheLoopOnBothPaths) {
     f.map[2 * 4 + 1] = kInvalidLocal;  // edge 4, second column
     std::vector<std::vector<const double*>> calls;
     bool raw = false;
-    const cd::LoopBodies b = cd::make_loop_bodies<5>(
-        AddressRecorder{&calls, &raw}, f.rargs, true, "bad_loop");
+    const cd::LoopBodies b = edge_loop_bodies(AddressRecorder{&calls, &raw},
+                                              f, true, "bad_loop");
     expect_names_loop([&] { b.range(0, kEdges); });
     EXPECT_EQ(calls.size(), 4u);  // edges 0-3 ran, edge 4 raised
     const lidx_t idx[] = {7, 4};
@@ -407,8 +445,8 @@ TEST(Dispatch, ValidationNamesTheLoopOnBothPaths) {
     EXPECT_EQ(raw, kind == mesh::LayoutKind::AoS);
     // Without validation the hole is not checked (the production
     // default): iterations that avoid it run normally.
-    const cd::LoopBodies quiet = cd::make_loop_bodies<5>(
-        AddressRecorder{&calls, &raw}, f.rargs, false, "bad_loop");
+    const cd::LoopBodies quiet = edge_loop_bodies(
+        AddressRecorder{&calls, &raw}, f, false, "bad_loop");
     EXPECT_NO_THROW(quiet.range(0, 4));
   }
 }

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -134,6 +135,31 @@ TEST(Options, BadIntRaises) {
   const char* argv[] = {"prog", "--nodes=abc"};
   Options opt(2, argv, {"nodes"});
   EXPECT_THROW(opt.get_int("nodes", 0), Error);
+}
+
+/// Runs `get` expecting an Error whose message names option `name`.
+template <typename F>
+void expect_rejects(const std::string& name, F get) {
+  try {
+    get();
+    ADD_FAILURE() << "--" << name << " was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--" + name), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Options, RejectsEmptyAndOutOfRangeNumbers) {
+  const char* argv[] = {"prog",          "--seed=",
+                        "--ratio=",      "--big=99999999999999999999",
+                        "--huge=1e999",  "--ok=-7"};
+  const Options opt(6, argv, {"seed", "ratio", "big", "huge", "ok"});
+  for (const char* name : {"seed", "big"})
+    expect_rejects(name, [&] { opt.get_int(name, 0); });
+  for (const char* name : {"ratio", "huge"})
+    expect_rejects(name, [&] { opt.get_double(name, 0.0); });
+  EXPECT_EQ(opt.get_int("ok", 0), -7);
+  EXPECT_DOUBLE_EQ(opt.get_double("ok", 0.0), -7.0);
 }
 
 TEST(VirtualClock, AdvanceSemantics) {
