@@ -14,38 +14,27 @@
 //   --threads=N    model N shared-memory workers per rank (Machine::threads_per_rank)
 //   --layout=K     dat storage layout {aos,soa,aosoa}; non-AoS enters the
 //                  model as Machine::vector_width (see --vector-width)
-//   --aosoa-block=N  AoSoA inner block (elements; power of two, default 8)
 //   --vector-width=X override the SIMD speedup factor applied for a
 //                  non-AoS layout (default: kDefaultLayoutSpeedup, the
 //                  measured direct-loop A/B ratio from BENCH_simd.json)
-//   --rails=N      stripe large messages across N network rails (0 =
-//                  keep the machine preset's rail count; model benches
-//                  override Machine::net.net_rails, executing benches
-//                  set WorldConfig::transport.rails)
-//   --persistent   pre-negotiate persistent channels per cached exchange
-//                  plan (WorldConfig::transport.persistent)
-//   --backend=K    transport backend {sim,mpi}; mpi is the real backend
-//                  when built with -DOP2CA_MPI=ON, a protocol-identical
-//                  in-process stub otherwise
+//   --rails=N      stripe large messages across N network rails in the
+//                  model (0 = keep the machine preset's rail count;
+//                  overrides Machine::net.net_rails)
 //   --calibration=F  fold a bench_calibrate BENCH_calibration.json into
 //                  the machine preset's network model (per-tier measured
 //                  latency/bandwidth/rails replace the preset's guesses;
 //                  an explicit --rails still wins over the measured rail
 //                  count)
-//   --device       device-resident execution (WorldConfig::device for
-//                  executing benches; model benches replace the GPU
-//                  preset's extra_latency_s lump with the derived
-//                  Machine::DeviceTier Lambda)
-//   --device-mode=K  host<->device transfer schedule {staged,pipelined}
-//                  (pipelined overlaps PCIe with compute; default)
-//   --pipeline-stages=N  software-pipeline depth for pipelined mode
-//                  (default 3: H2D | compute | D2H)
-//   --device-staging=N  bytes per pinned staging buffer bounced through
-//                  the rank BufferPool (default 1 MiB)
+//   --device       model only: replace the GPU preset's extra_latency_s
+//                  lump with the derived Machine::DeviceTier Lambda
+//   --device-mode=K  modelled host<->device transfer schedule
+//                  {staged,pipelined} (pipelined overlaps PCIe with
+//                  compute; default)
+//   --pipeline-stages=N  modelled software-pipeline depth for pipelined
+//                  mode (default 3: H2D | compute | D2H)
 //   --tile=N       temporal chain tiling: fuse N consecutive invocations
-//                  of each chain into one CA epoch (model benches price
-//                  CA with t_ca_chain_tiled; executing benches set
-//                  WorldConfig::tile). Default 1 = per-invocation.
+//                  of each chain into one CA epoch (the model prices CA
+//                  with t_ca_chain_tiled). Default 1 = per-invocation.
 #pragma once
 
 #include <iostream>
@@ -56,10 +45,8 @@
 
 #include "op2ca/comm/channel.hpp"
 #include "op2ca/comm/cost_model.hpp"
-#include "op2ca/comm/transport.hpp"
 #include "op2ca/core/chain.hpp"
 #include "op2ca/core/runtime.hpp"
-#include "op2ca/gpu/device_space.hpp"
 #include "op2ca/halo/halo_plan.hpp"
 #include "op2ca/model/calibrate.hpp"
 #include "op2ca/model/components.hpp"
@@ -85,16 +72,12 @@ struct BenchConfig {
   bool calibrate = true;
   int threads = 1;
   mesh::LayoutKind layout = mesh::LayoutKind::AoS;
-  int aosoa_block = 8;
   double vector_width = 0;  ///< 0 = derive from `layout`.
   int rails = 0;  ///< 0 = machine preset's rail count.
-  bool persistent = false;
-  std::string backend = "sim";
   std::string calibration;  ///< BENCH_calibration.json path; empty = presets.
   bool device = false;
-  std::string device_mode = "pipelined";
+  bool device_pipelined = true;  ///< --device-mode: pipelined vs staged.
   int pipeline_stages = 3;
-  std::int64_t device_staging = 1 << 20;
   int tile = 1;
 
   static BenchConfig from_options(const Options& opt) {
@@ -104,20 +87,17 @@ struct BenchConfig {
     cfg.calibrate = opt.get_bool("calibrate", true);
     cfg.threads = static_cast<int>(opt.get_int("threads", 1));
     cfg.layout = mesh::layout_by_name(opt.get_string("layout", "aos"));
-    cfg.aosoa_block = static_cast<int>(opt.get_int("aosoa-block", 8));
     cfg.vector_width = opt.get_double("vector-width", 0);
     cfg.rails = static_cast<int>(opt.get_int("rails", 0));
-    cfg.persistent = opt.get_bool("persistent", false);
-    cfg.backend = opt.get_string("backend", "sim");
     cfg.calibration = opt.get_string("calibration", "");
     cfg.device = opt.get_bool("device", false);
-    cfg.device_mode = opt.get_string("device-mode", "pipelined");
+    const std::string mode = opt.get_string("device-mode", "pipelined");
+    OP2CA_REQUIRE(mode == "pipelined" || mode == "staged",
+                  "unknown device mode: " + mode + " (want staged|pipelined)");
+    cfg.device_pipelined = mode == "pipelined";
     cfg.pipeline_stages =
         static_cast<int>(opt.get_int("pipeline-stages", 3));
-    cfg.device_staging = opt.get_int("device-staging", 1 << 20);
     cfg.tile = static_cast<int>(opt.get_int("tile", 1));
-    sim::backend_by_name(cfg.backend);  // validate the name early
-    gpu::device_mode_by_name(cfg.device_mode);  // likewise
     OP2CA_REQUIRE(cfg.tile >= 1, "--tile must be >= 1");
     OP2CA_REQUIRE(cfg.scale >= 1, "--scale must be >= 1");
     OP2CA_REQUIRE(cfg.threads >= 1, "--threads must be >= 1");
@@ -126,8 +106,6 @@ struct BenchConfig {
                   "--rails must be in [0, 8]");
     OP2CA_REQUIRE(cfg.pipeline_stages >= 1,
                   "--pipeline-stages must be >= 1");
-    OP2CA_REQUIRE(cfg.device_staging >= 4096,
-                  "--device-staging must be >= 4096");
     return cfg;
   }
 
@@ -151,51 +129,19 @@ struct BenchConfig {
       // each transfer, a fully-staged schedule exposes all of it.
       mach.device.enabled = true;
       mach.device.overlap =
-          gpu::device_mode_by_name(device_mode) ==
-                  gpu::DeviceConfig::Mode::Pipelined
+          device_pipelined
               ? 1.0 - 1.0 / static_cast<double>(pipeline_stages)
               : 0.0;
     }
     return mach;
   }
-
-  /// Transport knobs as a WorldConfig ingredient (benches that execute
-  /// exchanges rather than evaluate the model).
-  sim::TransportConfig transport_config() const {
-    sim::TransportConfig tc;
-    tc.backend = sim::backend_by_name(backend);
-    if (rails > 0) tc.rails = rails;
-    tc.persistent = persistent;
-    return tc;
-  }
-
-  /// Layout knobs as a WorldConfig ingredient (benches that execute
-  /// loops rather than evaluate the model).
-  mesh::LayoutConfig layout_config() const {
-    mesh::LayoutConfig lc;
-    lc.kind = layout;
-    lc.aosoa_block = aosoa_block;
-    return lc;
-  }
-
-  /// Device knobs as a WorldConfig ingredient (benches that execute
-  /// loops rather than evaluate the model).
-  gpu::DeviceConfig device_config() const {
-    gpu::DeviceConfig dc;
-    dc.enabled = device;
-    dc.mode = gpu::device_mode_by_name(device_mode);
-    dc.pipeline_stages = pipeline_stages;
-    dc.staging_bytes = static_cast<std::size_t>(device_staging);
-    return dc;
-  }
 };
 
 inline std::set<std::string> standard_option_names() {
-  return {"scale",      "csv",     "calibrate",  "threads",
-          "layout",     "aosoa-block", "vector-width",
-          "rails",      "persistent",  "backend",     "calibration",
-          "device",     "device-mode", "pipeline-stages",
-          "device-staging", "tile"};
+  return {"scale",        "csv",         "calibrate",
+          "threads",      "layout",      "vector-width",
+          "rails",        "calibration", "device",
+          "device-mode",  "pipeline-stages", "tile"};
 }
 
 /// Paper mesh sizes by label.

@@ -6,8 +6,7 @@
 // replaced and the persistent GroupedPlan pack+send against the
 // allocate-and-copy style, writing BENCH_hotpath.json. Further custom
 // sections write BENCH_locality.json, BENCH_simd.json,
-// BENCH_transport.json, BENCH_gpu.json (device pipeline A/Bs) and
-// BENCH_tiling.json (temporal chain tiling A/B).
+// BENCH_transport.json and BENCH_tiling.json (temporal chain tiling A/B).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -1151,218 +1150,6 @@ void write_transport_json(const char* path) {
 }
 
 // ---------------------------------------------------------------------
-// Device pipeline A/B harness (BENCH_gpu.json): the device-resident
-// executor over a scrambled hex3d chain of one direct + one indirect
-// loop dragging dim-8 CFD-style state (the kernels touch a fraction of
-// the bytes, as real flux loops do).
-//
-//   staged vs pipelined — the same chain under DeviceConfig::Mode::
-//     FullyStaged (every accessed array re-crosses PCIe every epoch,
-//     H2D | compute | D2H serialised) and Pipelined (validity tracking
-//     moves only invalid mirrors + halo staging rows, 3-stage overlap).
-//     `pipelined_speedup` is the ratio of summed modelled device
-//     seconds over a fixed iteration count — the number CI gates
-//     (>= 1.5x; checked-in runs show >= 1.8x).
-//   steady state — first-epoch vs steady-epoch H2D bytes under the
-//     pipelined policy: after the initial upload, epochs move only the
-//     halo staging rows (zero mirror re-uploads).
-//   hierarchical vs flat — wall time of the indirect sweep under the
-//     two-level block/inner colouring vs the flat colour sweep, same
-//     device config, pool width 4.
-// ---------------------------------------------------------------------
-
-/// Direct 2-of-8 update on nodes (a from b), cheap on purpose: staged
-/// mode still moves all 8 components both ways.
-struct GpuPartialUpdate {
-  template <typename A, typename B>
-  void operator()(A&& a, B&& b) const {
-    a[0] = 0.999 * a[0] + 1e-3 * b[0];
-    a[1] = 0.999 * a[1] - 1e-3 * b[1];
-  }
-};
-inline constexpr GpuPartialUpdate gpu_partial_update{};
-
-/// Indirect gather/increment through the edge->node map, weighted by two
-/// direct dim-8 edge dats the kernel reads one component of — the cold
-/// state a staged port re-uploads every epoch.
-struct GpuGatherFlux {
-  template <typename R1, typename R2, typename P1, typename P2,
-            typename W1, typename W2>
-  void operator()(R1&& r1, R2&& r2, P1&& p1, P2&& p2, W1&& w1,
-                  W2&& w2) const {
-    const double w = 1.0 + 1e-6 * (w1[0] - w2[0]);
-    r1[0] += (p1[0] - p2[1]) * w;
-    r1[1] += (p2[0] - p1[1]) * w;
-    r2[0] += (p2[1] - p1[0]) * w;
-    r2[1] += (p1[1] - p2[0]) * w;
-  }
-};
-inline constexpr GpuGatherFlux gpu_gather_flux{};
-
-/// The scrambled hex3d mesh with the chain's dim-8 state.
-mesh::MeshDef build_gpu_mesh() {
-  mesh::Hex3D h = mesh::make_hex3d(72, 72, 72);
-  const auto nodes = h.nodes;
-  const auto edges = h.edges;
-  const gidx_t n = h.mesh.set(nodes).size;
-  const gidx_t e = h.mesh.set(edges).size;
-  Rng rng(9);
-  for (const char* name : {"gpu_a", "gpu_b", "gpu_pres"}) {
-    std::vector<double> init(static_cast<std::size_t>(n) * 8);
-    for (auto& v : init) v = rng.next_range(0.5, 1.5);
-    h.mesh.add_dat(name, nodes, 8, std::move(init));
-  }
-  h.mesh.add_dat("gpu_res", nodes, 8);
-  for (const char* name : {"gpu_ewt", "gpu_ewt2"}) {
-    std::vector<double> init(static_cast<std::size_t>(e) * 8);
-    for (auto& v : init) v = rng.next_range(-0.5, 0.5);
-    h.mesh.add_dat(name, edges, 8, std::move(init));
-  }
-  return mesh::scramble_mesh(h.mesh, 99);
-}
-
-/// One chain iteration: the direct update + the weighted gather flux.
-void run_gpu_chain(core::Runtime& rt) {
-  const core::Set nodes = rt.set("nodes");
-  const core::Set edges = rt.set("edges");
-  const core::Map map = rt.map("e2n");
-  rt.par_loop("gpu_direct", nodes, gpu_partial_update,
-              core::arg_dat(rt.dat("gpu_a"), core::Access::RW),
-              core::arg_dat(rt.dat("gpu_b"), core::Access::READ));
-  rt.par_loop("gpu_flux", edges, gpu_gather_flux,
-              core::arg_dat(rt.dat("gpu_res"), 0, map, core::Access::INC),
-              core::arg_dat(rt.dat("gpu_res"), 1, map, core::Access::INC),
-              core::arg_dat(rt.dat("gpu_pres"), 0, map,
-                            core::Access::READ),
-              core::arg_dat(rt.dat("gpu_pres"), 1, map,
-                            core::Access::READ),
-              core::arg_dat(rt.dat("gpu_ewt"), core::Access::READ),
-              core::arg_dat(rt.dat("gpu_ewt2"), core::Access::READ));
-}
-
-struct DevicePipelineCase {
-  double wall_s = 0;         ///< wall time of the iteration loop, rank 0.
-  double device_s = 0;       ///< summed modelled device seconds.
-  std::int64_t h2d_bytes = 0, d2h_bytes = 0, transfers = 0;
-};
-
-DevicePipelineCase bench_device_pipeline_case(const mesh::MeshDef& m,
-                                              gpu::DeviceConfig::Mode mode,
-                                              int iters) {
-  core::WorldConfig cfg;
-  cfg.nranks = 2;
-  cfg.halo_depth = 1;
-  cfg.device.enabled = true;
-  cfg.device.mode = mode;
-  // Model a V100-class device: the gather-bound sweeps run an order of
-  // magnitude faster than the emulating host thread, PCIe does not.
-  cfg.device.compute_scale = 24.0;
-  core::World w(m, cfg);
-  DevicePipelineCase r;
-  w.run([&](core::Runtime& rt) {
-    WallTimer timer;
-    for (int i = 0; i < iters; ++i) run_gpu_chain(rt);
-    if (rt.rank() == 0) r.wall_s = timer.elapsed();
-  });
-  for (const auto& [name, lm] : w.loop_metrics()) {
-    (void)name;
-    r.device_s += lm.device_seconds;
-    r.h2d_bytes += lm.h2d_bytes;
-    r.d2h_bytes += lm.d2h_bytes;
-    r.transfers += lm.device_transfers;
-  }
-  return r;
-}
-
-/// Wall ns/edge of the indirect flux sweep with the two-level device
-/// colouring on or off (flat colour sweep), width 4, device pipelined.
-double bench_device_colouring_case(const mesh::MeshDef& m,
-                                   bool hierarchical) {
-  core::WorldConfig cfg;
-  cfg.nranks = 1;
-  cfg.halo_depth = 1;
-  cfg.threads_per_rank = 4;
-  cfg.device.enabled = true;
-  cfg.device.hierarchical = hierarchical;
-  core::World w(m, cfg);
-  const auto num_edges =
-      static_cast<double>(w.mesh().set(*w.mesh().find_set("edges")).size);
-  double per_edge_ns = 0;
-  w.run([&](core::Runtime& rt) {
-    const core::Set edges = rt.set("edges");
-    const core::Map map = rt.map("e2n");
-    per_edge_ns =
-        1e9 / num_edges * time_per_call([&] {
-          rt.par_loop("gpu_flux", edges, gpu_gather_flux,
-                      core::arg_dat(rt.dat("gpu_res"), 0, map,
-                                    core::Access::INC),
-                      core::arg_dat(rt.dat("gpu_res"), 1, map,
-                                    core::Access::INC),
-                      core::arg_dat(rt.dat("gpu_pres"), 0, map,
-                                    core::Access::READ),
-                      core::arg_dat(rt.dat("gpu_pres"), 1, map,
-                                    core::Access::READ),
-                      core::arg_dat(rt.dat("gpu_ewt"),
-                                    core::Access::READ),
-                      core::arg_dat(rt.dat("gpu_ewt2"),
-                                    core::Access::READ));
-        });
-  });
-  return per_edge_ns;
-}
-
-void write_gpu_json(const char* path) {
-  const mesh::MeshDef m = build_gpu_mesh();
-  constexpr int kIters = 10;
-  const DevicePipelineCase staged = bench_device_pipeline_case(
-      m, gpu::DeviceConfig::Mode::FullyStaged, kIters);
-  const DevicePipelineCase pipelined = bench_device_pipeline_case(
-      m, gpu::DeviceConfig::Mode::Pipelined, kIters);
-  // Steady-state split: a 1-iteration world pays the initial uploads;
-  // the per-epoch steady traffic is what the remaining iterations add.
-  const DevicePipelineCase first = bench_device_pipeline_case(
-      m, gpu::DeviceConfig::Mode::Pipelined, 1);
-  const double steady_h2d =
-      static_cast<double>(pipelined.h2d_bytes - first.h2d_bytes) /
-      (kIters - 1);
-  const double pipelined_speedup = staged.device_s / pipelined.device_s;
-
-  const double flat_ns = bench_device_colouring_case(m, false);
-  const double hier_ns = bench_device_colouring_case(m, true);
-
-  std::ofstream os(path);
-  os.precision(5);
-  os << "{\n"
-     << "  \"pipeline\": {\n"
-     << "    \"iters\": " << kIters << ",\n"
-     << "    \"staged\": {\"wall_s\": " << staged.wall_s
-     << ", \"device_s\": " << staged.device_s
-     << ", \"h2d_bytes\": " << staged.h2d_bytes
-     << ", \"d2h_bytes\": " << staged.d2h_bytes
-     << ", \"transfers\": " << staged.transfers << "},\n"
-     << "    \"pipelined\": {\"wall_s\": " << pipelined.wall_s
-     << ", \"device_s\": " << pipelined.device_s
-     << ", \"h2d_bytes\": " << pipelined.h2d_bytes
-     << ", \"d2h_bytes\": " << pipelined.d2h_bytes
-     << ", \"transfers\": " << pipelined.transfers << "},\n"
-     << "    \"first_epoch_h2d_bytes\": " << first.h2d_bytes << ",\n"
-     << "    \"steady_epoch_h2d_bytes\": " << steady_h2d << ",\n"
-     << "    \"pipelined_speedup\": " << pipelined_speedup << "\n"
-     << "  },\n"
-     << "  \"colouring\": {\n"
-     << "    \"flat_ns\": " << flat_ns << ", \"hier_ns\": " << hier_ns
-     << ", \"hier_speedup\": " << flat_ns / hier_ns << "\n"
-     << "  }\n"
-     << "}\n";
-  std::printf(
-      "gpu: pipelined %.2fx over fully-staged (modelled device s), "
-      "steady epoch H2D %.0f B vs first %lld B, hierarchical colouring "
-      "%.2fx over flat -> %s\n",
-      pipelined_speedup, steady_h2d,
-      static_cast<long long>(first.h2d_bytes), flat_ns / hier_ns, path);
-}
-
-// ---------------------------------------------------------------------
 // Temporal tiling A/B harness (BENCH_tiling.json): a Jacobi-style chain
 // of two mutually-dependent indirect edge loops (fwd writes b from a,
 // bwd writes a from b — every timestep re-dirties what the next one
@@ -1549,7 +1336,6 @@ int main(int argc, char** argv) {
   write_locality_json("BENCH_locality.json");
   write_simd_json("BENCH_simd.json", layout_only, aosoa_block);
   write_transport_json("BENCH_transport.json");
-  write_gpu_json("BENCH_gpu.json");
   write_tiling_json("BENCH_tiling.json");
   return 0;
 }

@@ -9,9 +9,12 @@
 #include "op2ca/comm/cost_model.hpp"
 
 #include <cctype>
+#include <climits>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
+#include "op2ca/comm/channel.hpp"
 #include "op2ca/util/error.hpp"
 
 namespace op2ca::sim {
@@ -52,6 +55,19 @@ double number_field(const std::string& text, const std::string& key,
   }
 }
 
+/// A count field: the number must be whole and within [lo, hi], checked
+/// before the cast to int.
+int whole_field(const std::string& text, const std::string& key,
+                std::size_t from, std::size_t until,
+                const std::string& context, int lo, int hi) {
+  const double v = number_field(text, key, from, until, context);
+  OP2CA_REQUIRE(v == std::floor(v) && v >= lo && v <= hi,
+                "calibration: \"" + key + "\" in " + context +
+                    " must be a whole number in [" + std::to_string(lo) +
+                    ", " + std::to_string(hi) + "]");
+  return static_cast<int>(v);
+}
+
 std::string string_field(const std::string& text, const std::string& key,
                          const std::string& context) {
   const std::size_t pos = find_key(text, key, 0);
@@ -80,12 +96,11 @@ TierParams tier_object(const std::string& text, Tier t,
   TierParams p;
   p.latency_s = number_field(text, "latency_s", open, close, ctx);
   p.bandwidth_Bps = number_field(text, "bandwidth_Bps", open, close, ctx);
-  p.rails = static_cast<int>(number_field(text, "rails", open, close, ctx));
+  p.rails = whole_field(text, "rails", open, close, ctx, 1, kMaxRails);
   OP2CA_REQUIRE(p.latency_s > 0,
                 "calibration: " + ctx + " latency must be > 0");
   OP2CA_REQUIRE(p.bandwidth_Bps > 0,
                 "calibration: " + ctx + " bandwidth must be > 0");
-  OP2CA_REQUIRE(p.rails >= 1, "calibration: " + ctx + " rails must be >= 1");
   return p;
 }
 
@@ -98,11 +113,9 @@ TierParams TierParams::from_calibration(const Calibration& cal, Tier t) {
 Calibration parse_calibration(const std::string& json_text) {
   Calibration cal;
   cal.backend = string_field(json_text, "backend", "calibration file");
-  cal.nranks = static_cast<int>(number_field(
-      json_text, "nranks", 0, json_text.size(), "calibration file"));
-  OP2CA_REQUIRE(cal.nranks >= 2,
-                "calibration: nranks must be >= 2 (point-to-point sweeps "
-                "need a peer)");
+  // Point-to-point sweeps need a peer: nranks >= 2.
+  cal.nranks = whole_field(json_text, "nranks", 0, json_text.size(),
+                           "calibration file", 2, INT_MAX);
   const std::size_t tiers_at = find_key(json_text, "tiers", 0);
   OP2CA_REQUIRE(tiers_at != std::string::npos,
                 "calibration: missing \"tiers\" object");

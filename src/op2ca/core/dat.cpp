@@ -11,13 +11,9 @@ RankState::RankState(World* w, sim::TransportBackend& transport, rank_t r)
       comm(transport, r, &w->config().cost, &w->config().transport) {
   const mesh::MeshDef& mesh = world->mesh();
   serial_dispatch = w->config().serial_dispatch;
-  // Device mode needs a pool even at width 1: its hierarchical sweep
-  // dispatches blocks through the pool at any width, so a width-1 device
-  // World runs the same code as wider ones. serial_dispatch wins over
-  // both: the per-element equivalence knob must reproduce the classic
-  // order exactly.
-  if ((w->config().threads_per_rank > 1 || w->config().device.enabled) &&
-      !serial_dispatch)
+  // serial_dispatch wins over the pool: the per-element equivalence
+  // knob must reproduce the classic order exactly.
+  if (w->config().threads_per_rank > 1 && !serial_dispatch)
     pool = std::make_unique<util::ThreadPool>(w->config().threads_per_rank);
   // Blocked colouring rides with the locality layer: with reordering off
   // every dispatch path must stay bitwise-identical to earlier builds.
@@ -39,16 +35,6 @@ RankState::RankState(World* w, sim::TransportBackend& transport, rank_t r)
     // Halos are gathered straight from the global arrays, so every layer
     // the plan holds starts in sync.
     rd.fresh_depth = world->plan().depth;
-  }
-  if (w->config().device.enabled) {
-    device = std::make_unique<gpu::DeviceSpace>(w->config().device, &staging);
-    for (mesh::dat_id d = 0; d < mesh.num_dats(); ++d) {
-      RankDat& rd = dats[static_cast<std::size_t>(d)];
-      device->bind(d, rd.data.data(), rd.data.size());
-      // The gather above was a host-side write: the first epoch uploads
-      // every dat, then steady-state epochs move nothing redundant.
-      device->host_wrote(d);
-    }
   }
 }
 
@@ -74,10 +60,6 @@ void RankState::refresh_dat_from_global(
   halo::gather_local(global_data, layout(dd.set), rd.layout,
                      rd.data.data());
   rd.fresh_depth = world->plan().depth;
-  if (device) {
-    device->rebind(d, rd.data.data(), rd.data.size());
-    device->host_wrote(d);
-  }
 }
 
 void RankState::recycle_payload(rank_t src, ByteBuf buf) {

@@ -3,8 +3,7 @@
 //
 // Serial paths are unchanged from the pre-threading runtime: one
 // type-erased region body per range/list (or per element under
-// serial_dispatch). With a worker pool (threads_per_rank > 1, or device
-// mode at any width):
+// serial_dispatch). With a worker pool (threads_per_rank > 1):
 //
 //  * Loops without indirect writes split regions into contiguous chunks,
 //    one per pool thread. Every element writes only its own rows, so any
@@ -13,23 +12,21 @@
 //    the iteration set (conflict = two elements sharing a target through
 //    any written-dat map) is computed once per (set, conflict maps) and
 //    cached in RankState next to the exchange plans. It is per-element by
-//    default, blocked under the locality layer, and the hierarchical
-//    two-level schedule in device mode. Colours execute in ascending
-//    order with a pool barrier between them; within a colour no two
-//    conflict units (elements, or blocks kept whole on one thread) touch
-//    the same written element, so the intra-colour split across threads
-//    cannot affect any memory cell. Results are therefore a pure function
-//    of the colouring — deterministic at every pool width — though
-//    increment sums reassociate relative to the width-1 index order.
+//    default and blocked under the locality layer. Colours execute in
+//    ascending order with a pool barrier between them; within a colour
+//    no two conflict units (elements, or blocks kept whole on one thread)
+//    touch the same written element, so the intra-colour split across
+//    threads cannot affect any memory cell. Results are therefore a pure
+//    function of the colouring — deterministic at every pool width —
+//    though increment sums reassociate relative to the width-1 index
+//    order.
 //  * Loops reducing into a global (arg_gbl INC) fall back to the serial
 //    region: the single accumulation buffer is inherently order- and
 //    sharing-sensitive.
 #include <algorithm>
-#include <iterator>
 #include <span>
 
 #include "op2ca/core/runtime_detail.hpp"
-#include "op2ca/gpu/hierarchy.hpp"
 #include "op2ca/util/error.hpp"
 
 namespace op2ca::core::detail {
@@ -158,13 +155,10 @@ std::int64_t run_aware_span(const LoopRecord& rec, const lidx_t* idx,
 /// makes any split race-free and width-independent; with blocked
 /// colouring the conflict-free unit is the block, so chunk boundaries
 /// advance to the next block edge (a block never straddles threads).
-/// Ascending chunks execute run-aware; a chunk in the device schedule's
-/// inner block order goes through one gathered-list body, since that
-/// order breaks runs into pieces too short to repay a range-body call.
-/// Either way each chunk runs in class order, so results are a pure
+/// Each chunk executes run-aware in class order, so results are a pure
 /// function of the colouring.
 void sweep_class(RankState& st, const LoopRecord& rec, const lidx_t* idx,
-                 std::size_t n, lidx_t block, bool ascending) {
+                 std::size_t n, lidx_t block) {
   if (n == 0) return;
   if (block <= 1) {
     run_list_chunked(st, rec, idx, n);
@@ -182,14 +176,9 @@ void sweep_class(RankState& st, const LoopRecord& rec, const lidx_t* idx,
   pool.run([&](int t) {
     const std::size_t b = off[static_cast<std::size_t>(t)];
     const std::size_t e = off[static_cast<std::size_t>(t) + 1];
-    if (b >= e) return;
-    if (ascending) {
+    if (b < e)
       regions[static_cast<std::size_t>(t)] =
           run_aware_span(rec, idx + b, e - b);
-    } else {
-      rec.list_body(idx + b, e - b);
-      regions[static_cast<std::size_t>(t)] = 1;
-    }
   });
   for (int t = 0; t < pool.threads(); ++t) {
     st.dispatch_regions += regions[static_cast<std::size_t>(t)];
@@ -232,29 +221,13 @@ std::vector<mesh::ColourMapView> conflict_views(
 }
 
 /// The part of colour class `cls` inside [begin, end), in class order.
-/// Blocks ascend within a class, so the blocks meeting the range form one
-/// contiguous slice. With ascending elements that slice, trimmed to the
-/// range, is found by binary search. Under an inner block order (the
-/// device schedule) the two blocks the range cuts mix elements inside
-/// and outside it, so the selected blocks are filtered into `scratch`.
-std::span<const lidx_t> class_slice(const mesh::Colouring& col,
-                                    const LIdxVec& cls, lidx_t begin,
-                                    lidx_t end, LIdxVec& scratch) {
-  if (col.ascending) {
-    const auto lo = std::lower_bound(cls.begin(), cls.end(), begin);
-    const auto hi = std::lower_bound(lo, cls.end(), end);
-    return {cls.data() + (lo - cls.begin()),
-            static_cast<std::size_t>(hi - lo)};
-  }
-  const lidx_t b = col.block_elems;
-  const auto lo = std::partition_point(
-      cls.begin(), cls.end(), [&](lidx_t e) { return e / b < begin / b; });
-  const auto hi = std::partition_point(
-      lo, cls.end(), [&](lidx_t e) { return e / b <= (end - 1) / b; });
-  scratch.clear();
-  std::copy_if(lo, hi, std::back_inserter(scratch),
-               [&](lidx_t e) { return e >= begin && e < end; });
-  return scratch;
+/// Classes ascend, so the slice is found by binary search.
+std::span<const lidx_t> class_slice(const LIdxVec& cls, lidx_t begin,
+                                    lidx_t end) {
+  const auto lo = std::lower_bound(cls.begin(), cls.end(), begin);
+  const auto hi = std::lower_bound(lo, cls.end(), end);
+  return {cls.data() + (lo - cls.begin()),
+          static_cast<std::size_t>(hi - lo)};
 }
 
 }  // namespace
@@ -269,22 +242,9 @@ const mesh::Colouring& loop_colouring(RankState& st, const LoopRecord& rec) {
   LIdxVec identity;
   const std::vector<mesh::ColourMapView> views =
       conflict_views(st, rec.set, maps, identity);
-  mesh::Colouring col;
-  if (st.device != nullptr && st.device->config().hierarchical) {
-    const gpu::DeviceConfig& dc = st.device->config();
-    // The shared-memory clamp sizes a block's staging footprint by the
-    // widest dat row the mesh declares — conservative, and independent of
-    // the particular loop so the (set, maps) cache key stays sufficient.
-    int max_dim = 1;
-    const mesh::MeshDef& mesh = st.world->mesh();
-    for (mesh::dat_id d = 0; d < mesh.num_dats(); ++d)
-      max_dim = std::max(max_dim, mesh.dat(d).dim);
-    col = gpu::sweep_colouring(gpu::hierarchical_colouring(
-        lay.total, views, dc.block_elems, dc.shared_bytes, max_dim));
-  } else {
-    col = mesh::block_colouring(lay.total, views, st.colour_block);
-  }
-  return st.colourings.emplace(key, std::move(col)).first->second;
+  return st.colourings
+      .emplace(key, mesh::block_colouring(lay.total, views, st.colour_block))
+      .first->second;
 }
 
 const mesh::OrderingQuality& loop_quality(RankState& st,
@@ -333,12 +293,9 @@ std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
   const mesh::Colouring& col = loop_colouring(st, rec);
   st.dispatch_max_colours = std::max(st.dispatch_max_colours,
                                      col.num_colours);
-  LIdxVec scratch;
   for (const LIdxVec& cls : col.classes) {
-    const std::span<const lidx_t> part =
-        class_slice(col, cls, begin, end, scratch);
-    sweep_class(st, rec, part.data(), part.size(), col.block_elems,
-                col.ascending);
+    const std::span<const lidx_t> part = class_slice(cls, begin, end);
+    sweep_class(st, rec, part.data(), part.size(), col.block_elems);
   }
   return end - begin;
 }
@@ -375,7 +332,7 @@ std::int64_t run_list(RankState& st, const LoopRecord& rec,
   for (int c = 0; c < col.num_colours; ++c)
     sweep_class(st, rec, buckets[static_cast<std::size_t>(c)].data(),
                 buckets[static_cast<std::size_t>(c)].size(),
-                col.block_elems, /*ascending=*/true);
+                col.block_elems);
   return static_cast<std::int64_t>(idx.size());
 }
 

@@ -172,24 +172,6 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
     if (st.rank_dat(an.syncs[i].dat).fresh_depth < an.syncs[i].depth)
       mask |= std::uint64_t{1} << i;
 
-  // Device epoch: upload every mirror any loop of the chain touches (the
-  // pipelined policy skips valid ones — in steady state the chain's only
-  // PCIe traffic is the grouped halo staging below).
-  gpu::DeviceSpace* dev = st.device.get();
-  gpu::DeviceStats dev_before;
-  if (dev != nullptr) {
-    dev->begin_epoch();
-    dev_before = dev->stats();
-    std::vector<mesh::dat_id> touched;
-    for (const auto& rec : loops)
-      for (const auto& [dat, m] : merge_loop_accesses(rec.spec))
-        touched.push_back(dat);
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()),
-                  touched.end());
-    for (mesh::dat_id d : touched) dev->to_device(d);
-  }
-
   ChainExchange* ex = nullptr;
   std::int64_t halo_elems = 0;
   if (mask != 0) {
@@ -207,7 +189,6 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
         halo::pack_grouped(side, ex->specs, buf.data(), st.pool.get());
         for (const LIdxVec& g : side.gather)
           halo_elems += static_cast<std::int64_t>(g.size());
-        if (dev != nullptr) dev->stage_out(side.send_bytes);
         ex->requests.push_back(
             !ex->send_channels.empty()
                 ? st.comm.channel_isend(ex->send_channels[s],
@@ -247,7 +228,6 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
       if (ex->plan.sides[s].recv_bytes == 0) continue;
       halo::unpack_grouped(ex->plan.sides[s], ex->specs, ex->recv_bufs[s],
                            st.pool.get());
-      if (dev != nullptr) dev->stage_in(ex->plan.sides[s].recv_bytes);
       st.recycle_payload(ex->plan.sides[s].q, std::move(ex->recv_bufs[s]));
     }
     for (std::size_t i = 0; i < ex->dats.size(); ++i) {
@@ -270,19 +250,6 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
     const std::int64_t exec_n = run_list(st, loops[l], cp.exec_lists[l]);
     halo_iters += exec_n;
     redundant += exec_n;
-  }
-
-  const double t_halo = timer.elapsed();
-
-  // Close the device epoch: written mirrors turn DeviceFresh and the
-  // ledger charges the chain's (transfers, kernel seconds) makespan.
-  double device_span = 0;
-  if (dev != nullptr) {
-    for (const auto& rec : loops)
-      for (const auto& [dat, m] : merge_loop_accesses(rec.spec))
-        if (writes(m.mode)) dev->device_wrote(dat);
-    device_span =
-        dev->end_epoch((t_core - t_pack) + (t_halo - t_unpack));
   }
 
   // -- Dirty bits. -------------------------------------------------------
@@ -331,15 +298,6 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
   metrics.net_bytes =
       st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Net)];
   metrics.stripes = st.comm.stats().epoch_stripes;
-  if (dev != nullptr) {
-    const gpu::DeviceStats& ds = dev->stats();
-    metrics.h2d_bytes = ds.h2d_bytes - dev_before.h2d_bytes;
-    metrics.d2h_bytes = ds.d2h_bytes - dev_before.d2h_bytes;
-    metrics.device_transfers =
-        (ds.h2d_transfers - dev_before.h2d_transfers) +
-        (ds.d2h_transfers - dev_before.d2h_transfers);
-    metrics.device_seconds = device_span;
-  }
   metrics.tile = tile;
   metrics.redundant_elems = redundant;
   // Per-invocation execution would have paid this epoch's message count

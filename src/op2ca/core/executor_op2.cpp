@@ -119,19 +119,6 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
   // Snapshot global-INC buffers before any iteration runs.
   GblIncState snap = snapshot_gbl_incs(rec);
 
-  // Device epoch: upload every accessed mirror that is stale (fully-
-  // staged policy re-moves valid ones too and counts the redundancy).
-  // The per-epoch transfer ledger opens here and closes after the halo
-  // compute, charging the staged or pipelined PCIe makespan.
-  gpu::DeviceSpace* dev = st.device.get();
-  gpu::DeviceStats dev_before;
-  if (dev != nullptr) {
-    dev->begin_epoch();
-    dev_before = dev->stats();
-    for (const auto& [dat, m] : merge_loop_accesses(rec.spec))
-      dev->to_device(dat);
-  }
-
   // -- 1. Post halo exchanges (MPI_Isend / MPI_Irecv of Alg 1). --------
   const std::vector<mesh::dat_id> exch = dats_needing_exchange(st, rec);
   std::vector<sim::Request>& requests = st.loop_requests;
@@ -147,7 +134,6 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
       halo::gather_region(rd.data.data(), &rd.layout, rd.dim, *seg.idx,
                           buf.data());
       halo_elems += static_cast<std::int64_t>(seg.idx->size());
-      if (dev != nullptr) dev->stage_out(seg.bytes);  // device-side pack
       requests.push_back(
           !ex.send_channels.empty()
               ? st.comm.channel_isend(ex.send_channels[si],
@@ -185,7 +171,6 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
       const std::size_t used = halo::unpack_region(
           rd.data.data(), &rd.layout, rd.dim, *seg.idx, buf, 0);
       OP2CA_ASSERT(used == buf.size(), "level-1 halo unpack short");
-      if (dev != nullptr) dev->stage_in(seg.bytes);  // device-side unpack
       st.recycle_payload(seg.q, std::move(buf));
     }
     rd.fresh_depth = std::max(rd.fresh_depth, 1);
@@ -197,17 +182,6 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
   if (loop_executes_exec_halo(rec)) {
     const auto [b, e] = lay.exec_layer(1);
     halo_iters += run_range(st, rec, b, e);
-  }
-  const double t_halo = timer.elapsed();
-
-  // Close the device epoch: written mirrors turn DeviceFresh and the
-  // ledger charges this loop's (transfers, kernel seconds) makespan.
-  double device_span = 0;
-  if (dev != nullptr) {
-    for (const auto& [dat, m] : merge_loop_accesses(rec.spec))
-      if (writes(m.mode)) dev->device_wrote(dat);
-    device_span =
-        dev->end_epoch((t_core - t_pack) + (t_halo - t_unpack));
   }
 
   // -- 5. Global reductions (synchronisation point). --------------------
@@ -255,15 +229,6 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
   metrics.net_bytes =
       st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Net)];
   metrics.stripes = st.comm.stats().epoch_stripes;
-  if (dev != nullptr) {
-    const gpu::DeviceStats& ds = dev->stats();
-    metrics.h2d_bytes = ds.h2d_bytes - dev_before.h2d_bytes;
-    metrics.d2h_bytes = ds.d2h_bytes - dev_before.d2h_bytes;
-    metrics.device_transfers =
-        (ds.h2d_transfers - dev_before.h2d_transfers) +
-        (ds.d2h_transfers - dev_before.d2h_transfers);
-    metrics.device_seconds = device_span;
-  }
   for (const Arg& a : rec.args)
     if (a.kind != Arg::Kind::Gbl)
       metrics.layout_code =

@@ -75,10 +75,6 @@ void LoopMetrics::merge_from(const LoopMetrics& other) {
   node_bytes += other.node_bytes;
   net_bytes += other.net_bytes;
   stripes += other.stripes;
-  h2d_bytes += other.h2d_bytes;
-  d2h_bytes += other.d2h_bytes;
-  device_transfers += other.device_transfers;
-  device_seconds += other.device_seconds;
   tile = std::max(tile, other.tile);  // largest fused epoch seen
   redundant_elems += other.redundant_elems;
   msgs_saved += other.msgs_saved;
@@ -148,11 +144,6 @@ Dat Runtime::dat(const std::string& name) const {
 
 double* Runtime::dat_data(Dat d) {
   detail::flush_deferred(*state_);  // direct data access is a sync point
-  // The caller gets the device-side array and may write it in place
-  // (managed-pointer semantics): the host shadow is stale until the next
-  // download, never the other way around — an upload here would clobber
-  // the caller's writes with the old shadow.
-  if (state_->device) state_->device->device_wrote(d.id);
   return state_->rank_dat(d.id).data.data();
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <concepts>
 #include <cstdint>
 #include <functional>
@@ -26,7 +27,6 @@
 #include "op2ca/core/access.hpp"
 #include "op2ca/core/chain.hpp"
 #include "op2ca/core/chain_config.hpp"
-#include "op2ca/gpu/device_space.hpp"
 #include "op2ca/halo/halo_plan.hpp"
 #include "op2ca/halo/reorder.hpp"
 #include "op2ca/mesh/layout.hpp"
@@ -142,17 +142,6 @@ struct LoopMetrics {
   std::int64_t node_bytes = 0;
   std::int64_t net_bytes = 0;
   std::int64_t stripes = 0;
-  // Device executor (WorldConfig::device): PCIe bytes the epoch moved in
-  // each direction, metered transfers, and the modelled device-side
-  // makespan under the configured transfer policy (FullyStaged
-  // serialises H2D | compute | D2H, Pipelined overlaps them — the
-  // staged-vs-pipelined A/B in BENCH_gpu.json is the ratio of these).
-  // In a pipelined steady state h2d_bytes collapses to the halo staging
-  // traffic: the resident mirrors stop moving.
-  std::int64_t h2d_bytes = 0;
-  std::int64_t d2h_bytes = 0;
-  std::int64_t device_transfers = 0;
-  double device_seconds = 0;
   // Temporal tiling (WorldConfig::tile / ChainConfig tile=): the largest
   // tile size any epoch of this chain ran at (1 = untiled; 0 for plain
   // loops), the import-exec halo iterations CA epochs executed
@@ -515,20 +504,6 @@ struct WorldConfig {
   /// before the layout transpose, so blocked runs land in consecutive
   /// lanes of the same AoSoA block.
   mesh::LayoutConfig layout{};
-  /// Device-resident execution (gpu/device_space): each rank's dat
-  /// arrays become the device side of an explicit host/device mirror,
-  /// halo staging is metered as D2H/H2D traffic, indirect-write loops
-  /// run the hierarchical two-level colouring of arXiv:1802.03749
-  /// (blocks coloured for inter-block conflicts, elements coloured
-  /// within a block through a simulated shared-memory staging buffer),
-  /// and every loop/chain epoch charges a staged or 3-stage-pipelined
-  /// PCIe makespan into LoopMetrics::device_seconds. Off by default —
-  /// the runtime is then bitwise-identical to the device-free build.
-  /// With it on, values still match the host executors: direct loops
-  /// bitwise, indirect-INC loops up to sum reassociation (the
-  /// hierarchical sweep is another iteration order) — asserted by the
-  /// equivalence suite.
-  gpu::DeviceConfig device{};
   ChainConfig chains{};
   /// Lazy evaluation (the paper's future-work automation): par_loops are
   /// queued instead of executed, and flushed as an automatically-formed
@@ -603,7 +578,10 @@ public:
   /// each rank's Comm.
   sim::TransportBackend& transport() { return *transport_; }
 
-  /// Metrics merged over ranks, keyed by loop / chain name.
+  /// Metrics merged over ranks, keyed by loop / chain name. These, the
+  /// CSV writer and clear_metrics read or reset every rank's maps while
+  /// rank threads write them, so calling any of them from inside `run`
+  /// raises an Error naming the call.
   std::map<std::string, LoopMetrics> loop_metrics() const;
   std::map<std::string, LoopMetrics> chain_metrics() const;
   void clear_metrics();
@@ -618,9 +596,12 @@ private:
   /// the cross-process reductions in fetch_dat / metrics run over.
   sim::Comm& spmd_comm() const;
   /// Merges this process's local metric maps, then (SPMD mode) the
-  /// serialized maps of every peer process, in rank order.
+  /// serialized maps of every peer process, in rank order. `call` names
+  /// the public entry point in the error raised inside `run`.
   std::map<std::string, LoopMetrics> merged_metrics(
-      bool chains) const;
+      bool chains, const char* call) const;
+  /// Raises unless no `run` is in progress.
+  void require_idle(const char* call) const;
 
   mesh::MeshDef mesh_;
   WorldConfig cfg_;
@@ -632,6 +613,8 @@ private:
   /// is non-null (this process owns exactly one rank's data).
   std::vector<std::unique_ptr<detail::RankState>> ranks_;
   rank_t spmd_rank_ = -1;
+  /// Set for the duration of `run` (cleared on every exit path).
+  std::atomic<bool> running_{false};
 };
 
 }  // namespace op2ca::core

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "op2ca/core/runtime.hpp"
-#include "op2ca/gpu/device_space.hpp"
 #include "op2ca/halo/grouped.hpp"
 #include "op2ca/mesh/colouring.hpp"
 #include "op2ca/mesh/reorder.hpp"
@@ -136,11 +135,10 @@ struct RankState {
   std::vector<sim::Request> loop_requests;  ///< per-loop scratch, reused.
   std::int64_t dispatch_regions = 0;  ///< running region-body call count.
 
-  // Intra-rank threading (WorldConfig::threads_per_rank > 1, or device
-  // mode at any width): the worker pool, the colouring cache — one
-  // colouring per (set, conflict maps) combination, living next to the
-  // exchange plans — and the per-colour gather scratch reused by threaded
-  // run_list calls.
+  // Intra-rank threading (WorldConfig::threads_per_rank > 1): the worker
+  // pool, the colouring cache — one colouring per (set, conflict maps)
+  // combination, living next to the exchange plans — and the per-colour
+  // gather scratch reused by threaded run_list calls.
   std::unique_ptr<util::ThreadPool> pool;
   std::map<std::pair<mesh::set_id, std::vector<mesh::map_id>>,
            mesh::Colouring>
@@ -152,13 +150,8 @@ struct RankState {
   /// loop_colouring to blocked colouring and run-aware dispatch
   /// (contiguous runs execute through range bodies). 1 when the locality
   /// layer is off — the legacy per-element path, bitwise-identical to
-  /// earlier builds. Device mode's hierarchical schedule brings its own
-  /// block size.
+  /// earlier builds.
   lidx_t colour_block = 1;
-
-  /// Device-resident execution (WorldConfig::device): the rank's mirror
-  /// space; null when the device is off.
-  std::unique_ptr<gpu::DeviceSpace> device;
 
   /// Ordering-quality proxies per loop name (mesh::ordering_quality of
   /// the loop's widest indirection, computed once — it is O(iterations)
@@ -247,9 +240,8 @@ std::int64_t run_list(RankState& st, const LoopRecord& rec,
 /// The rank's cached colouring for `rec`'s conflict structure (the maps
 /// through which the loop writes indirectly, plus an identity view when
 /// a written dat is also accessed directly). Built on first use, cached
-/// in RankState::colourings. Per-element, blocked (st.colour_block > 1,
-/// the locality layer), or in device mode the hierarchical two-level
-/// schedule (gpu::sweep_colouring).
+/// in RankState::colourings. Per-element, or blocked (st.colour_block > 1,
+/// the locality layer).
 const mesh::Colouring& loop_colouring(RankState& st, const LoopRecord& rec);
 
 /// Ordering-quality proxies of the loop's widest indirect argument over

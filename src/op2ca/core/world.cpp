@@ -72,6 +72,11 @@ World::World(mesh::MeshDef mesh, WorldConfig cfg)
 World::~World() = default;
 
 void World::run(const std::function<void(Runtime&)>& spmd) {
+  running_.store(true);
+  struct Idle {
+    std::atomic<bool>& running;
+    ~Idle() { running.store(false); }
+  } idle{running_};
   std::mutex error_mu;
   std::exception_ptr first_error;
 
@@ -129,11 +134,7 @@ std::vector<double> World::fetch_dat(mesh::dat_id d) const {
     const halo::SetLayout& lay =
         plan_.layout(state->rank, dd.set);
     const detail::RankDat& rd = state->dats[static_cast<std::size_t>(d)];
-    // Device mode: the host-visible image is the downloaded shadow, not
-    // the device array — fetch_dat is the D2H synchronisation point.
-    const double* src =
-        state->device ? state->device->to_host(d) : rd.data.data();
-    halo::scatter_owned(src, lay, rd.layout, &out);
+    halo::scatter_owned(rd.data.data(), lay, rd.layout, &out);
   }
   // SPMD mode: each process scattered only its owned slots into a
   // zero-initialized array, and every global element is owned by exactly
@@ -203,7 +204,16 @@ void merge_serialized_metrics(const ByteBuf& blob,
 
 }  // namespace
 
-std::map<std::string, LoopMetrics> World::merged_metrics(bool chains) const {
+void World::require_idle(const char* call) const {
+  if (running_.load())
+    raise(std::string("World::") + call +
+          " called while World::run is in progress (rank threads are "
+          "writing the metrics; call it before or after run)");
+}
+
+std::map<std::string, LoopMetrics> World::merged_metrics(
+    bool chains, const char* call) const {
+  require_idle(call);
   std::map<std::string, LoopMetrics> merged;
   for (const auto& state : ranks_) {
     if (!state) continue;
@@ -224,14 +234,15 @@ std::map<std::string, LoopMetrics> World::merged_metrics(bool chains) const {
 }
 
 std::map<std::string, LoopMetrics> World::loop_metrics() const {
-  return merged_metrics(/*chains=*/false);
+  return merged_metrics(/*chains=*/false, "loop_metrics");
 }
 
 std::map<std::string, LoopMetrics> World::chain_metrics() const {
-  return merged_metrics(/*chains=*/true);
+  return merged_metrics(/*chains=*/true, "chain_metrics");
 }
 
 void World::write_metrics_csv(std::ostream& os) const {
+  require_idle("write_metrics_csv");
   Table t;
   t.set_header({"kind", "name", "calls", "core_iters", "halo_iters",
                 "msgs", "bytes", "max_msg_bytes", "max_neighbors",
@@ -240,8 +251,7 @@ void World::write_metrics_csv(std::ostream& os) const {
                 "chunks", "colours", "busy_s", "gather_span",
                 "reuse_gap", "layout",
                 "bytes_per_elem", "numa_bytes", "node_bytes", "net_bytes",
-                "stripes", "h2d_bytes", "d2h_bytes", "device_transfers",
-                "device_s", "tile", "redundant_elems", "msgs_saved"});
+                "stripes", "tile", "redundant_elems", "msgs_saved"});
   t.set_precision(6);
   auto add = [&t](const std::string& kind, const std::string& name,
                   const LoopMetrics& m) {
@@ -259,9 +269,8 @@ void World::write_metrics_csv(std::ostream& os) const {
                    ? static_cast<double>(m.bytes) /
                          static_cast<double>(m.halo_elems)
                    : 0.0,
-               m.numa_bytes, m.node_bytes, m.net_bytes, m.stripes,
-               m.h2d_bytes, m.d2h_bytes, m.device_transfers,
-               m.device_seconds, m.tile, m.redundant_elems, m.msgs_saved});
+               m.numa_bytes, m.node_bytes, m.net_bytes, m.stripes, m.tile,
+               m.redundant_elems, m.msgs_saved});
   };
   for (const auto& [name, m] : loop_metrics()) add("loop", name, m);
   for (const auto& [name, m] : chain_metrics()) add("chain", name, m);
@@ -269,6 +278,7 @@ void World::write_metrics_csv(std::ostream& os) const {
 }
 
 void World::clear_metrics() {
+  require_idle("clear_metrics");
   for (auto& state : ranks_) {
     if (!state) continue;
     state->loop_metrics.clear();

@@ -36,9 +36,7 @@ struct ColourMapView {
 struct Colouring {
   int num_colours = 0;
   std::vector<int> colour;       ///< per element, 0..num_colours-1.
-  /// Per colour, the class's elements in execution order: blocks in
-  /// ascending order, and ascending element ids within each block unless
-  /// `ascending` is false.
+  /// Per colour, the class's elements in execution order (ascending).
   std::vector<LIdxVec> classes;
   /// Conflict granularity: elements [b*block_elems, (b+1)*block_elems)
   /// form block b and share one colour. 1 = classic per-element
@@ -48,11 +46,6 @@ struct Colouring {
   /// and run it in class order (core/dispatch aligns its chunk
   /// boundaries to blocks).
   lidx_t block_elems = 1;
-  /// False when each block's elements follow an inner execution order
-  /// instead of ascending ids (the device schedule,
-  /// gpu::sweep_colouring): a sub-range of the set then selects whole
-  /// blocks and filters the two blocks it cuts.
-  bool ascending = true;
 };
 
 /// First-fit colouring of contiguous blocks of `block_elems` elements

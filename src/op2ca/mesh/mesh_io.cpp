@@ -1,5 +1,6 @@
 #include "op2ca/mesh/mesh_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -66,6 +67,23 @@ set_id require_set(const MeshDef& m, const std::string& name) {
   return *id;
 }
 
+/// Value count of a `width`-wide section over set `s`; raises naming the
+/// directive and the set when size x width overflows gidx_t.
+gidx_t section_count(const MeshDef& m, set_id s, gidx_t width,
+                     const std::string& directive) {
+  const SetDef& set = m.set(s);
+  OP2CA_REQUIRE(set.size <= std::numeric_limits<gidx_t>::max() / width,
+                "mesh file: " + directive + " over set '" + set.name +
+                    "': size " + std::to_string(set.size) + " x " +
+                    std::to_string(width) + " overflows");
+  return set.size * width;
+}
+
+/// Cap on the values reserved before reading: the count comes from the
+/// file, so a short file declaring a huge set fails at its end ("mesh
+/// file ended while reading ...") rather than in the allocator.
+constexpr gidx_t kMaxReserve = gidx_t{1} << 20;
+
 }  // namespace
 
 MeshDef read_meshdef(std::istream& in) {
@@ -91,10 +109,11 @@ MeshDef read_meshdef(std::istream& in) {
       const gidx_t arity = tok.expect_int("map arity");
       OP2CA_REQUIRE(arity > 0 && arity <= 64,
                     "mesh file: implausible map arity");
+      const gidx_t count =
+          section_count(mesh, from, arity, "map '" + name + "'");
       GIdxVec targets;
-      targets.reserve(
-          static_cast<std::size_t>(mesh.set(from).size * arity));
-      for (gidx_t i = 0; i < mesh.set(from).size * arity; ++i)
+      targets.reserve(static_cast<std::size_t>(std::min(count, kMaxReserve)));
+      for (gidx_t i = 0; i < count; ++i)
         targets.push_back(tok.expect_int("map target"));
       mesh.add_map(name, from, to, static_cast<int>(arity),
                    std::move(targets));
@@ -104,9 +123,11 @@ MeshDef read_meshdef(std::istream& in) {
       const gidx_t dim = tok.expect_int("dat dim");
       OP2CA_REQUIRE(dim > 0 && dim <= 64,
                     "mesh file: implausible dat dim");
+      const gidx_t count =
+          section_count(mesh, set, dim, "dat '" + name + "'");
       std::vector<double> data;
-      data.reserve(static_cast<std::size_t>(mesh.set(set).size * dim));
-      for (gidx_t i = 0; i < mesh.set(set).size * dim; ++i)
+      data.reserve(static_cast<std::size_t>(std::min(count, kMaxReserve)));
+      for (gidx_t i = 0; i < count; ++i)
         data.push_back(tok.expect_double("dat value"));
       mesh.add_dat(name, set, static_cast<int>(dim), std::move(data));
     } else if (word == "coords") {

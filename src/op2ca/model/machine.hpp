@@ -33,8 +33,8 @@ struct DeviceTier {
   double pcie_bandwidth_Bps = 12e9;  ///< PCIe gen3 x16 effective.
   double kernel_launch_s = 5.0e-6;   ///< pack/unpack kernel launch.
   /// Fraction of the PCIe transfer hidden behind compute (0 = fully
-  /// staged, matches the legacy extra_latency_s regime; ~0.8 = the
-  /// 3-stage pipelined executor).
+  /// staged, matches the legacy extra_latency_s regime; 1 - 1/S for an
+  /// S-stage software pipeline).
   double overlap = 0.0;
   /// Exposed extra latency per exchange under this tier.
   double lambda_extra_s() const {

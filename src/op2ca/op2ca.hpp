@@ -2,8 +2,8 @@
 //
 // Typical applications only need core/runtime.hpp (which pulls in the
 // mesh, partition, halo and comm types it exposes); this header adds the
-// generators, model, GPU simulation and application analogues for
-// convenience.
+// generators, model (including the GPU transfer-pipeline model) and
+// application analogues for convenience.
 #pragma once
 
 #include "op2ca/apps/hydra/hydra.hpp"
@@ -12,8 +12,6 @@
 #include "op2ca/core/chain_config.hpp"
 #include "op2ca/core/runtime.hpp"
 #include "op2ca/core/slice.hpp"
-#include "op2ca/gpu/device.hpp"
-#include "op2ca/gpu/pipeline.hpp"
 #include "op2ca/halo/grouped.hpp"
 #include "op2ca/halo/halo_plan.hpp"
 #include "op2ca/halo/renumber.hpp"
@@ -29,6 +27,7 @@
 #include "op2ca/model/components.hpp"
 #include "op2ca/model/machine.hpp"
 #include "op2ca/model/perf_model.hpp"
+#include "op2ca/model/pipeline.hpp"
 #include "op2ca/partition/partition.hpp"
 #include "op2ca/partition/quality.hpp"
 #include "op2ca/util/options.hpp"

@@ -133,52 +133,47 @@ TEST(ChainExec, DisabledChainMetersEveryField) {
   // loops' entries and every max field their maximum. Only calls (one per
   // invocation), tile (1: untiled) and max_rank_bytes (a rank's bytes over
   // one invocation) are defined per chain.
-  for (const bool device : {false, true}) {
-    apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1000, 1);
-    WorldConfig cfg = base_config(4, 2);
-    cfg.chains.disable("synthetic");
-    cfg.threads_per_rank = 2;
-    cfg.device.enabled = device;
-    World w(std::move(prob.mg.mesh), cfg);
-    w.run([&](Runtime& rt) {
-      const auto h = apps::mgcfd::resolve_handles(rt, prob);
-      for (int t = 0; t < 3; ++t) apps::mgcfd::run_synthetic_chain(rt, h, 2);
-    });
-    const LoopMetrics chain = w.chain_metrics().at("synthetic");
-    const auto loops = w.loop_metrics();
-    const LoopMetrics& u = loops.at("synth_update");
-    const LoopMetrics& f = loops.at("synth_edge_flux");
+  apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1000, 1);
+  WorldConfig cfg = base_config(4, 2);
+  cfg.chains.disable("synthetic");
+  cfg.threads_per_rank = 2;
+  World w(std::move(prob.mg.mesh), cfg);
+  w.run([&](Runtime& rt) {
+    const auto h = apps::mgcfd::resolve_handles(rt, prob);
+    for (int t = 0; t < 3; ++t) apps::mgcfd::run_synthetic_chain(rt, h, 2);
+  });
+  const LoopMetrics chain = w.chain_metrics().at("synthetic");
+  const auto loops = w.loop_metrics();
+  const LoopMetrics& u = loops.at("synth_update");
+  const LoopMetrics& f = loops.at("synth_edge_flux");
 
-    using M = LoopMetrics;
-    for (std::int64_t M::*field :
-         {&M::core_iters, &M::halo_iters, &M::msgs, &M::bytes,
-          &M::dispatch_regions, &M::plan_builds, &M::staging_allocs,
-          &M::chunks, &M::halo_elems, &M::numa_bytes, &M::node_bytes,
-          &M::net_bytes, &M::stripes, &M::h2d_bytes, &M::d2h_bytes,
-          &M::device_transfers, &M::redundant_elems, &M::msgs_saved})
-      EXPECT_EQ(chain.*field, u.*field + f.*field);
-    for (double M::*field :
-         {&M::wall_seconds, &M::pack_seconds, &M::core_seconds,
-          &M::wait_seconds, &M::unpack_seconds, &M::halo_seconds,
-          &M::busy_seconds, &M::device_seconds}) {
-      const double sum = u.*field + f.*field;
-      EXPECT_NEAR(chain.*field, sum, 1e-12 * (1.0 + sum));
-    }
-    EXPECT_EQ(chain.max_msg_bytes, std::max(u.max_msg_bytes, f.max_msg_bytes));
-    for (int M::*field : {&M::max_neighbors, &M::max_colours, &M::layout_code})
-      EXPECT_EQ(chain.*field, std::max(u.*field, f.*field));
-    for (double M::*field : {&M::gather_span, &M::reuse_gap})
-      EXPECT_EQ(chain.*field, std::max(u.*field, f.*field));
-
-    EXPECT_EQ(chain.calls, 3);
-    EXPECT_EQ(chain.tile, 1);
-    // The threaded, halo and device counters are present, not zero.
-    EXPECT_GT(chain.chunks, 0);
-    EXPECT_GT(chain.busy_seconds, 0.0);
-    EXPECT_GT(chain.max_colours, 0);
-    EXPECT_GT(chain.halo_elems, 0);
-    EXPECT_EQ(chain.h2d_bytes > 0, device);
+  using M = LoopMetrics;
+  for (std::int64_t M::*field :
+       {&M::core_iters, &M::halo_iters, &M::msgs, &M::bytes,
+        &M::dispatch_regions, &M::plan_builds, &M::staging_allocs,
+        &M::chunks, &M::halo_elems, &M::numa_bytes, &M::node_bytes,
+        &M::net_bytes, &M::stripes, &M::redundant_elems, &M::msgs_saved})
+    EXPECT_EQ(chain.*field, u.*field + f.*field);
+  for (double M::*field :
+       {&M::wall_seconds, &M::pack_seconds, &M::core_seconds,
+        &M::wait_seconds, &M::unpack_seconds, &M::halo_seconds,
+        &M::busy_seconds}) {
+    const double sum = u.*field + f.*field;
+    EXPECT_NEAR(chain.*field, sum, 1e-12 * (1.0 + sum));
   }
+  EXPECT_EQ(chain.max_msg_bytes, std::max(u.max_msg_bytes, f.max_msg_bytes));
+  for (int M::*field : {&M::max_neighbors, &M::max_colours, &M::layout_code})
+    EXPECT_EQ(chain.*field, std::max(u.*field, f.*field));
+  for (double M::*field : {&M::gather_span, &M::reuse_gap})
+    EXPECT_EQ(chain.*field, std::max(u.*field, f.*field));
+
+  EXPECT_EQ(chain.calls, 3);
+  EXPECT_EQ(chain.tile, 1);
+  // The threaded and halo counters are present, not zero.
+  EXPECT_GT(chain.chunks, 0);
+  EXPECT_GT(chain.busy_seconds, 0.0);
+  EXPECT_GT(chain.max_colours, 0);
+  EXPECT_GT(chain.halo_elems, 0);
 }
 
 TEST(ChainExec, InsufficientHaloDepthRaises) {

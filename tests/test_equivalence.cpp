@@ -24,8 +24,7 @@ enum class Mode { kOp2, kCa, kLazy };
 WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
                          mesh::ReorderKind reorder = mesh::ReorderKind::None,
                          int threads = 1,
-                         mesh::LayoutConfig layout = {},
-                         gpu::DeviceConfig device = {}) {
+                         mesh::LayoutConfig layout = {}) {
   WorldConfig cfg;
   cfg.nranks = nranks;
   cfg.partitioner = partition::Kind::KWay;
@@ -35,7 +34,6 @@ WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
   cfg.reorder.kind = reorder;
   cfg.threads_per_rank = threads;
   cfg.layout = layout;
-  cfg.device = device;
   if (mode == Mode::kCa) cfg.chains.enable("synthetic");
   if (mode == Mode::kLazy) cfg.lazy = true;
   return cfg;
@@ -46,17 +44,6 @@ mesh::LayoutConfig layout_cfg(mesh::LayoutKind kind, int block = 8) {
   lc.kind = kind;
   lc.aosoa_block = block;
   return lc;
-}
-
-gpu::DeviceConfig device_cfg(
-    gpu::DeviceConfig::Mode mode = gpu::DeviceConfig::Mode::Pipelined,
-    bool hierarchical = true, lidx_t block_elems = 32) {
-  gpu::DeviceConfig dc;
-  dc.enabled = true;
-  dc.mode = mode;
-  dc.hierarchical = hierarchical;
-  dc.block_elems = block_elems;
-  return dc;
 }
 
 /// The synthetic loop pair without chain brackets, so lazy mode can form
@@ -87,14 +74,13 @@ struct SynthResult {
 SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
                       mesh::ReorderKind reorder = mesh::ReorderKind::None,
                       int threads = 1,
-                      mesh::LayoutConfig layout = {},
-                      gpu::DeviceConfig device = {}) {
+                      mesh::LayoutConfig layout = {}) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
   World w(std::move(prob.mg.mesh),
           equiv_config(nranks, mode, serial_dispatch, reorder, threads,
-                       layout, device));
+                       layout));
   w.run([&](Runtime& rt) {
     const auto h = apps::mgcfd::resolve_handles(rt, prob);
     for (int t = 0; t < 2; ++t) {
@@ -372,101 +358,6 @@ TEST(Equivalence, LayoutAosoaBlockInvariance) {
                   layout_cfg(mesh::LayoutKind::AoSoA, block));
     expect_bitwise(b8, other);
   }
-}
-
-// -- Device executor (WorldConfig::device). -----------------------------
-//
-// Device-resident execution changes WHERE arrays live (behind mirrored
-// transfers that move the same values) and, with hierarchical colouring,
-// the ORDER indirect-INC sums accumulate in (block/inner-colour order
-// instead of the flat sweep). Direct dats are therefore bitwise against
-// the device-off baseline; indirectly accumulated dats are held to the
-// 1e-9 tolerance. Within the device path, pool width, transfer mode
-// (staged vs pipelined) and storage layout change no iteration order, so
-// those comparisons are bitwise.
-
-TEST(Equivalence, DeviceMatchesBaselineAllModes) {
-  for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult base = run_synth(5, mode, false);
-    const SynthResult dev =
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
-                  device_cfg());
-    EXPECT_EQ(base.spres, dev.spres);  // direct loop: exact
-    testutil::expect_allclose(base.sres, dev.sres);
-    testutil::expect_allclose(base.sflux, dev.sflux);
-  }
-}
-
-TEST(Equivalence, DeviceWidthIndependent) {
-  // The hierarchical schedule is a pure function of (set, maps, block
-  // size): blocks of one outer colour never conflict and each block runs
-  // serially, so any pool width is bitwise-identical.
-  for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult w1 =
-        run_synth(4, mode, false, mesh::ReorderKind::None, 1, {},
-                  device_cfg());
-    for (const int width : {2, 4})
-      expect_bitwise(w1,
-                     run_synth(4, mode, false, mesh::ReorderKind::None,
-                               width, {}, device_cfg()));
-  }
-}
-
-TEST(Equivalence, DeviceModesAreBitwise) {
-  // FullyStaged vs Pipelined differ only in the modelled clock and in
-  // WHEN value-preserving transfers happen — never in results.
-  for (const Mode mode : {Mode::kOp2, Mode::kCa}) {
-    expect_bitwise(
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
-                  device_cfg(gpu::DeviceConfig::Mode::Pipelined)),
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
-                  device_cfg(gpu::DeviceConfig::Mode::FullyStaged)));
-  }
-}
-
-TEST(Equivalence, DeviceLayoutsMatch) {
-  // The device path composes with the SIMD data plane: shared-memory
-  // staging and transfers are layout-aware, so each layout matches the
-  // device-on AoS run (same iteration order → direct bitwise, indirect
-  // within tolerance of the same sums).
-  for (const Mode mode : {Mode::kOp2, Mode::kCa}) {
-    const SynthResult base =
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
-                  device_cfg());
-    for (const auto kind :
-         {mesh::LayoutKind::SoA, mesh::LayoutKind::AoSoA}) {
-      const SynthResult re =
-          run_synth(5, mode, false, mesh::ReorderKind::None, 1,
-                    layout_cfg(kind), device_cfg());
-      EXPECT_EQ(base.spres, re.spres);
-      testutil::expect_allclose(base.sres, re.sres);
-      testutil::expect_allclose(base.sflux, re.sflux);
-    }
-  }
-}
-
-TEST(Equivalence, DeviceFlatColouringMatchesHierarchical) {
-  // Flat (hierarchical = false) and two-level schedules order the same
-  // conflict-free work differently: direct bitwise, indirect tolerance.
-  const SynthResult flat =
-      run_synth(5, Mode::kOp2, false, mesh::ReorderKind::None, 1, {},
-                device_cfg(gpu::DeviceConfig::Mode::Pipelined,
-                           /*hierarchical=*/false));
-  const SynthResult hier =
-      run_synth(5, Mode::kOp2, false, mesh::ReorderKind::None, 1, {},
-                device_cfg());
-  EXPECT_EQ(flat.spres, hier.spres);
-  testutil::expect_allclose(flat.sres, hier.sres);
-  testutil::expect_allclose(flat.sflux, hier.sflux);
-}
-
-TEST(Equivalence, DeviceSerialDispatchBitwiseLegacy) {
-  // serial_dispatch outranks the device sweep in dispatch precedence:
-  // per-element order, identical to the device-off serial path — the
-  // transfers in between are value-preserving, so bitwise.
-  expect_bitwise(run_synth(5, Mode::kOp2, true),
-                 run_synth(5, Mode::kOp2, true, mesh::ReorderKind::None,
-                           1, {}, device_cfg()));
 }
 
 // -- Temporal tiling (WorldConfig::tile). -------------------------------

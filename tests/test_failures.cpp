@@ -160,6 +160,33 @@ TEST(WorldFailures, RankExceptionCarriesMessage) {
   }
 }
 
+TEST(WorldFailures, MetricsCallsInsideRunRaise) {
+  // Rank threads write their metrics maps during run; clearing or merging
+  // them from inside run would race, so both raise an Error naming the
+  // call instead.
+  mesh::Quad2D q = mesh::make_quad2d(8, 8);
+  WorldConfig cfg;
+  cfg.nranks = 2;
+  World w(std::move(q.mesh), cfg);
+  try {
+    w.run([&](Runtime&) { w.clear_metrics(); });
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("clear_metrics"), std::string::npos)
+        << e.what();
+  }
+  try {
+    w.run([&](Runtime&) { (void)w.loop_metrics(); });
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("loop_metrics"), std::string::npos)
+        << e.what();
+  }
+  // The flag is cleared on the failing exit path: outside run both work.
+  EXPECT_NO_THROW(w.clear_metrics());
+  EXPECT_TRUE(w.chain_metrics().empty());
+}
+
 TEST(WorldFailures, MismatchedChainNamesAreIndependent) {
   // Enabling a chain name that the app never opens is harmless; opening
   // a chain that is not configured runs as plain OP2.

@@ -275,6 +275,28 @@ TEST(MeshIo, RejectsMalformedInput) {
     EXPECT_THROW(read_meshdef(in), Error);
   }
   EXPECT_THROW(read_meshdef_file("/nonexistent/mesh.txt"), Error);
+  // Counts come from the file: a huge declared set must not reach the
+  // allocator, and size x arity / size x dim must not overflow gidx_t.
+  // Each raises an Error that names its cause.
+  const auto expect_error = [](const std::string& text,
+                               const std::string& needle) {
+    std::istringstream in(text);
+    try {
+      read_meshdef(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_error("op2ca-mesh 1\nset nodes 100000000000000\ndat x nodes 1\n",
+               "mesh file ended while reading dat value");
+  expect_error("op2ca-mesh 1\nset e 144115188075855872\nset n 2\n"
+               "map m e n 64\n",
+               "map 'm' over set 'e'");
+  expect_error("op2ca-mesh 1\nset e 144115188075855872\n"
+               "dat d e 64\n",
+               "dat 'd' over set 'e'");
 }
 
 TEST(MeshIo, CommentsAndWhitespaceIgnored) {

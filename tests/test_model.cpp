@@ -1,6 +1,7 @@
 // Analytic model tests: Eqs (1)-(3) arithmetic, machine presets,
-// component extraction consistency with the executors, and the model's
-// qualitative predictions (CA wins grow with scale and loop count).
+// component extraction consistency with the executors, the model's
+// qualitative predictions (CA wins grow with scale and loop count), and
+// the staged-vs-GPUDirect transfer pipeline makespans.
 #include <gtest/gtest.h>
 
 #include "op2ca/apps/hydra/hydra.hpp"
@@ -12,6 +13,7 @@
 
 #include "op2ca/model/machine.hpp"
 #include "op2ca/model/perf_model.hpp"
+#include "op2ca/model/pipeline.hpp"
 
 namespace op2ca::model {
 namespace {
@@ -295,6 +297,46 @@ TEST(Calibration, MeasuresPositiveCosts) {
   ASSERT_TRUE(g.count("synth_edge_flux"));
   EXPECT_GT(g.at("synth_update"), 0.0);
   EXPECT_LT(g.at("synth_update"), 1e-3);  // sub-millisecond per iteration
+}
+
+TEST(Pipeline, StagedOverlapsComputeGpudirectDoesNot) {
+  // The paper's observation: staged copies pipeline with kernels, while
+  // the observed GPUDirect behaviour serializes with compute. With ample
+  // compute to hide behind, staged wins.
+  PipelineConfig cfg;
+  cfg.compute_s = 1e-3;  // plenty of kernel work
+  std::vector<Transfer> transfers(8, Transfer{64 * 1024});
+  const double staged = staged_pipeline_makespan(cfg, transfers);
+  const double direct = gpudirect_makespan(cfg, transfers);
+  EXPECT_LT(staged, direct);
+  // Fully hidden: staged equals the compute time.
+  EXPECT_DOUBLE_EQ(staged, cfg.compute_s);
+}
+
+TEST(Pipeline, GpudirectWinsWithoutComputeOverlap) {
+  // With no compute to hide behind, skipping the PCIe staging is faster.
+  PipelineConfig cfg;
+  cfg.compute_s = 0.0;
+  std::vector<Transfer> transfers(4, Transfer{1 << 20});
+  const double staged = staged_pipeline_makespan(cfg, transfers);
+  const double direct = gpudirect_makespan(cfg, transfers);
+  EXPECT_GT(staged, direct);
+}
+
+TEST(Pipeline, MakespanMonotoneInTransferCount) {
+  PipelineConfig cfg;
+  cfg.compute_s = 0.0;
+  std::vector<Transfer> few(2, Transfer{4096});
+  std::vector<Transfer> many(9, Transfer{4096});
+  EXPECT_LT(staged_pipeline_makespan(cfg, few),
+            staged_pipeline_makespan(cfg, many));
+}
+
+TEST(Pipeline, EmptyTransfersIsComputeOnly) {
+  PipelineConfig cfg;
+  cfg.compute_s = 5e-4;
+  EXPECT_DOUBLE_EQ(staged_pipeline_makespan(cfg, {}), 5e-4);
+  EXPECT_DOUBLE_EQ(gpudirect_makespan(cfg, {}), 5e-4);
 }
 
 }  // namespace

@@ -605,6 +605,31 @@ TEST(Calibration, RejectsNonPositiveAndNonMonotoneTiers) {
   EXPECT_THROW(parse_calibration(text), Error);
 }
 
+TEST(Calibration, RejectsFractionalAndOutOfRangeCounts) {
+  // rails and nranks are counts: a fractional value is not truncated, an
+  // out-of-range one is not cast, and rails stays within kMaxRails. The
+  // error names the field.
+  const auto expect_error = [](const std::string& text,
+                               const std::string& field) {
+    try {
+      parse_calibration(text);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + field + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* rails : {"2.5", "1e10", "100"})
+    expect_error(calibration_json("5e-6", "10e9", rails), "rails");
+  for (const char* nranks : {"4.9", "1e12"}) {
+    std::string text = calibration_json();
+    text.replace(text.find("\"nranks\": 4"), 11,
+                 std::string("\"nranks\": ") + nranks);
+    expect_error(text, "nranks");
+  }
+}
+
 TEST(Calibration, LoadReportsUnreadablePath) {
   EXPECT_THROW(load_calibration("/nonexistent/BENCH_calibration.json"),
                Error);
