@@ -58,11 +58,13 @@ void pipeline_table(const bench::BenchConfig& cfg) {
   t.set_header({"neighbours", "msg [KiB]", "compute [us]", "staged [us]",
                 "gpudirect [us]", "staged wins"});
   t.set_precision(2);
+  const model::Machine cirrus = model::cirrus_gpu();
   for (int neighbors : {4, 8, 16}) {
     for (std::int64_t kib : {16, 256}) {
       for (double compute_us : {0.0, 200.0, 2000.0}) {
         model::PipelineConfig pc;
-        pc.net = model::cirrus_gpu().net;
+        pc.pcie = cirrus.device.pcie;
+        pc.net = cirrus.net;
         pc.compute_s = compute_us * 1e-6;
         std::vector<model::Transfer> transfers(
             static_cast<std::size_t>(neighbors),
@@ -82,7 +84,7 @@ void pipeline_table(const bench::BenchConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt(argc, argv, bench::standard_option_names());
+  const Options opt(argc, argv, {"csv"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
   grouping_table(cfg);
   pipeline_table(cfg);

@@ -22,9 +22,9 @@
 // gate require).
 //
 // Measurements use the raw TransportBackend post/match interface and
-// WallTimer — below Comm, so no virtual clock, striping or channel layer
-// colours the numbers. Payload staging allocation rides along on the
-// sender, as it does in the runtime's pack path.
+// WallTimer — below Comm, so no statistics bookkeeping colours the
+// numbers. Payload staging allocation rides along on the sender, as it
+// does in the runtime's pack path.
 //
 // Usage:
 //   bench_calibrate [--backend=sim|mpi] [--nranks=N] [--bytes=B]
@@ -43,7 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include "op2ca/comm/channel.hpp"
 #include "op2ca/comm/cost_model.hpp"
 #include "op2ca/comm/mpi_backend.hpp"
 #include "op2ca/comm/transport.hpp"

@@ -7,7 +7,11 @@
 // surface-to-volume ratio and neighbour structure — the quantities the
 // analytic model consumes. Pass --scale=1 for paper-size meshes (slow).
 //
-// Every bench prints paper-style tables through util/table and accepts:
+// Every bench prints paper-style tables through util/table and accepts
+// exactly the options it reads; Options rejects the rest as unknown.
+// Every driver reads --csv; the fig drivers read all of the options
+// below (fig_option_names), Tables 2 and 5 --scale, --calibrate and
+// --tile, and the depth and partitioner ablations --scale.
 //   --scale=N      divide mesh nodes and rank counts by N (default 16; use 64 for a quick pass)
 //   --csv          emit CSV instead of aligned text
 //   --calibrate=0  skip kernel calibration (use default costs)
@@ -17,9 +21,9 @@
 //   --vector-width=X override the SIMD speedup factor applied for a
 //                  non-AoS layout (default: kDefaultLayoutSpeedup, the
 //                  measured direct-loop A/B ratio from BENCH_simd.json)
-//   --rails=N      stripe large messages across N network rails in the
-//                  model (0 = keep the machine preset's rail count;
-//                  overrides Machine::net.net_rails)
+//   --rails=N      model large messages spread over N network rails
+//                  (0 = keep the machine preset's rail count; overrides
+//                  Machine::net.net_rails)
 //   --calibration=F  fold a bench_calibrate BENCH_calibration.json into
 //                  the machine preset's network model (per-tier measured
 //                  latency/bandwidth/rails replace the preset's guesses;
@@ -43,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "op2ca/comm/channel.hpp"
 #include "op2ca/comm/cost_model.hpp"
 #include "op2ca/core/chain.hpp"
 #include "op2ca/core/runtime.hpp"
@@ -137,7 +140,9 @@ struct BenchConfig {
   }
 };
 
-inline std::set<std::string> standard_option_names() {
+/// The options the fig drivers read: every BenchConfig field. Drivers
+/// that ignore some fields list only the ones they read.
+inline std::set<std::string> fig_option_names() {
   return {"scale",        "csv",         "calibrate",
           "threads",      "layout",      "vector-width",
           "rails",        "calibration", "device",

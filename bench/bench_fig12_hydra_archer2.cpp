@@ -7,7 +7,7 @@
 using namespace op2ca;
 
 int main(int argc, char** argv) {
-  const Options opt(argc, argv, bench::standard_option_names());
+  const Options opt(argc, argv, bench::fig_option_names());
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
   const model::Machine mach = cfg.apply_threads(model::archer2());
   constexpr int kIterations = 20;  // paper: 20 main-loop iterations

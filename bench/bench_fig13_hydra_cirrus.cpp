@@ -21,7 +21,7 @@ model::Machine unscaled_cirrus(std::int64_t scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt(argc, argv, bench::standard_option_names());
+  const Options opt(argc, argv, bench::fig_option_names());
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
   const model::Machine mach = cfg.apply_threads(unscaled_cirrus(cfg.scale));
   constexpr int kIterations = 20;

@@ -3,10 +3,10 @@
 // transport's point-to-point round-trip, and the hot-path comparison
 // harness (run after the google benchmarks by the custom main) that
 // measures batched region dispatch against the per-element dispatch it
-// replaced and the persistent GroupedPlan pack+send against the
+// replaced and the cached GroupedPlan pack+send against the
 // allocate-and-copy style, writing BENCH_hotpath.json. Further custom
-// sections write BENCH_locality.json, BENCH_simd.json,
-// BENCH_transport.json and BENCH_tiling.json (temporal chain tiling A/B).
+// sections write BENCH_locality.json, BENCH_simd.json and
+// BENCH_tiling.json (temporal chain tiling A/B).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include "op2ca/apps/hydra/hydra_kernels.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
 #include "op2ca/comm/comm.hpp"
-#include "op2ca/comm/cost_model.hpp"
 #include "op2ca/comm/transport.hpp"
 #include "op2ca/core/runtime.hpp"
 #include "op2ca/halo/grouped.hpp"
@@ -996,160 +995,6 @@ void write_hotpath_json(const char* path) {
 }
 
 // ---------------------------------------------------------------------
-// Transport A/B harness (BENCH_transport.json): ad-hoc striped sends vs
-// persistent channels at 1/2/4 rails, small (latency-bound) and large
-// (bandwidth-bound) messages. Two numbers per case:
-//   wall_us  — measured protocol overhead over the in-process fabric
-//              (header framing, reassembly, channel bookkeeping); the
-//              sim fabric has one physical memory bus, so wall time
-//              CANNOT show a rail win and is recorded for honesty only.
-//   model_us — the receiver's virtual clock, charged by the tiered cost
-//              model (striped_time / channel_time) on an archer2-like
-//              4-rail network. This is what the summary gates read:
-//              striping buys ~rails x on the bandwidth term of a large
-//              message, and a persistent channel drops the per-message
-//              host overhead to the channel overhead.
-// ---------------------------------------------------------------------
-
-/// BENCH_calibration.json path from --calibration=; empty = use the
-/// bench4rail guesses below.
-std::string g_calibration_path;  // NOLINT
-
-/// Archer2-flavoured network with 4 rails for the A/B sweep. The
-/// per-message host overhead is the quantity persistent channels
-/// amortise; keep it and the channel overhead at the preset's values.
-/// With --calibration=, the measured per-tier wire parameters replace
-/// these guesses (host overheads stay: the wire sweeps do not measure
-/// them).
-sim::CostModel transport_bench_model() {
-  sim::CostModel cm;
-  cm.name = "bench4rail";
-  cm.latency_s = 2.0e-6;
-  cm.bandwidth_Bps = 12.5e9;
-  cm.per_message_overhead_s = 4.0e-6;
-  cm.channel_overhead_s = 1.0e-6;
-  cm.net_rails = 4;
-  if (!g_calibration_path.empty())
-    sim::apply_calibration(sim::load_calibration(g_calibration_path), &cm);
-  return cm;
-}
-
-struct TransportCase {
-  const char* mode = "";  ///< "adhoc" | "persistent".
-  int rails = 1;
-  std::size_t bytes = 0;
-  double wall_us = 0;
-  double model_us = 0;
-};
-
-/// One sender thread streams `iters` messages to one receiver; the
-/// receiver's wall time and virtual clock make the case's two numbers.
-TransportCase bench_transport_case(bool persistent, int rails,
-                                   std::size_t bytes, int iters) {
-  const sim::CostModel cm = transport_bench_model();
-  sim::Transport t(2);
-  sim::TransportConfig tc;
-  tc.rails = rails;
-  tc.stripe_min_bytes = 64 * 1024;
-  tc.persistent = persistent;
-
-  TransportCase r;
-  r.mode = persistent ? "persistent" : "adhoc";
-  r.rails = rails;
-  r.bytes = bytes;
-
-  std::thread sender([&] {
-    sim::Comm c(t, 0, &cm, &tc);
-    std::vector<sim::Channel> chans;
-    if (persistent) {
-      sim::ChannelSpec spec{1, /*sender=*/true, bytes, /*plan_hash=*/1};
-      chans = c.open_channels(std::span<const sim::ChannelSpec>(&spec, 1));
-    }
-    const op2ca::ByteBuf payload(bytes, std::byte{7});
-    for (int i = 0; i < iters; ++i) {
-      op2ca::ByteBuf buf = payload;  // staging copy, as the executors do.
-      sim::Request req =
-          persistent ? c.channel_isend(chans[0], std::move(buf))
-                     : c.stripe_isend(1, 5, std::move(buf));
-      c.wait(req);
-    }
-  });
-  {
-    sim::Comm c(t, 1, &cm, &tc);
-    std::vector<sim::Channel> chans;
-    if (persistent) {
-      sim::ChannelSpec spec{0, /*sender=*/false, bytes, /*plan_hash=*/1};
-      chans = c.open_channels(std::span<const sim::ChannelSpec>(&spec, 1));
-    }
-    WallTimer timer;
-    for (int i = 0; i < iters; ++i) {
-      op2ca::ByteBuf out;
-      sim::Request req = persistent
-                             ? c.channel_irecv(chans[0], &out)
-                             : c.stripe_irecv(0, 5, &out, bytes);
-      c.wait(req);
-    }
-    r.wall_us = timer.elapsed() / iters * 1e6;
-    r.model_us = c.clock().now() / iters * 1e6;
-  }
-  sender.join();
-  return r;
-}
-
-void write_transport_json(const char* path) {
-  constexpr std::size_t kSmall = 16 * 1024;        // below the threshold.
-  constexpr std::size_t kLarge = 4 * 1024 * 1024;  // stripes.
-  std::vector<TransportCase> cases;
-  for (const bool persistent : {false, true})
-    for (const int rails : {1, 2, 4})
-      for (const std::size_t bytes : {kSmall, kLarge})
-        cases.push_back(bench_transport_case(
-            persistent, rails, bytes, bytes == kSmall ? 400 : 50));
-
-  const auto find = [&](const char* mode, int rails,
-                        std::size_t bytes) -> const TransportCase& {
-    for (const TransportCase& c : cases)
-      if (std::string(c.mode) == mode && c.rails == rails &&
-          c.bytes == bytes)
-        return c;
-    raise("transport bench case missing");
-  };
-  // The two gated summary numbers, both from the modelled times: what
-  // 4-rail striping buys on a bandwidth-bound message, and what a
-  // persistent channel buys on a latency-bound one.
-  const double striping_speedup_large =
-      find("adhoc", 1, kLarge).model_us / find("adhoc", 4, kLarge).model_us;
-  const double persistent_speedup =
-      find("adhoc", 4, kSmall).model_us /
-      find("persistent", 4, kSmall).model_us;
-  const double persistent_speedup_large =
-      find("adhoc", 4, kLarge).model_us /
-      find("persistent", 4, kLarge).model_us;
-
-  std::ofstream os(path);
-  os.precision(5);
-  os << "{\n  \"model\": \"bench4rail (archer2-flavoured, 4 rails)\",\n"
-     << "  \"cases\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const TransportCase& c = cases[i];
-    os << "    {\"mode\": \"" << c.mode << "\", \"rails\": " << c.rails
-       << ", \"bytes\": " << c.bytes << ", \"wall_us\": " << c.wall_us
-       << ", \"model_us\": " << c.model_us << "}"
-       << (i + 1 < cases.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n"
-     << "  \"striping_speedup_large\": " << striping_speedup_large << ",\n"
-     << "  \"persistent_speedup\": " << persistent_speedup << ",\n"
-     << "  \"persistent_speedup_large\": " << persistent_speedup_large
-     << "\n}\n";
-  std::printf(
-      "transport: 4-rail striping %.2fx on %zu KiB (model), persistent "
-      "channels %.2fx small / %.2fx large vs ad-hoc -> %s\n",
-      striping_speedup_large, kLarge / 1024, persistent_speedup,
-      persistent_speedup_large, path);
-}
-
-// ---------------------------------------------------------------------
 // Temporal tiling A/B harness (BENCH_tiling.json): a Jacobi-style chain
 // of two mutually-dependent indirect edge loops (fwd writes b from a,
 // bwd writes a from b — every timestep re-dirties what the next one
@@ -1237,8 +1082,8 @@ TilingCase bench_tiling_case(const mesh::MeshDef& m, int tile, int steps) {
   if (auto* t = dynamic_cast<sim::Transport*>(&w.transport()))
     for (rank_t r = 0; r < cfg.nranks; ++r) t->set_post_delay(r, 500e-6);
 
-  // Warm-up: one full tile builds the fused plan, exec lists, exchange
-  // and channel caches; the timed loop below measures steady state.
+  // Warm-up: one full tile builds the fused plan, exec lists and
+  // exchange caches; the timed loop below measures steady state.
   w.run([&](core::Runtime& rt) {
     for (int i = 0; i < tile; ++i) run_tiling_chain(rt);
   });
@@ -1320,9 +1165,6 @@ int main(int argc, char** argv) {
       else mesh::layout_by_name(layout_only);         // validate the name
     } else if (arg.rfind("--aosoa-block=", 0) == 0) {
       aosoa_block = std::atoi(arg.c_str() + 14);
-    } else if (arg.rfind("--calibration=", 0) == 0) {
-      g_calibration_path = arg.substr(14);
-      sim::load_calibration(g_calibration_path);  // validate early
     } else {
       argv[keep++] = argv[i];
     }
@@ -1335,7 +1177,6 @@ int main(int argc, char** argv) {
   write_hotpath_json("BENCH_hotpath.json");
   write_locality_json("BENCH_locality.json");
   write_simd_json("BENCH_simd.json", layout_only, aosoa_block);
-  write_transport_json("BENCH_transport.json");
   write_tiling_json("BENCH_tiling.json");
   return 0;
 }

@@ -9,7 +9,7 @@
 using namespace op2ca;
 
 int main(int argc, char** argv) {
-  const Options opt(argc, argv, bench::standard_option_names());
+  const Options opt(argc, argv, {"csv"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
 
   Table t("Table 1 — System parameterisations (paper: ARCHER2 / Cirrus)");

@@ -52,7 +52,7 @@ void print_chain(const bench::BenchConfig& cfg, const mesh::MeshDef& m,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt(argc, argv, bench::standard_option_names());
+  const Options opt(argc, argv, {"csv"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
 
   // The inspection is mesh-size independent; a small problem suffices.

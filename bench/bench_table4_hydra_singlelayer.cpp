@@ -38,7 +38,7 @@ void print_chain(const bench::BenchConfig& cfg, const mesh::MeshDef& m,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt(argc, argv, bench::standard_option_names());
+  const Options opt(argc, argv, {"csv"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
 
   apps::hydra::Problem prob = apps::hydra::build_problem(20000);

@@ -6,7 +6,7 @@
 using namespace op2ca;
 
 int main(int argc, char** argv) {
-  const Options opt(argc, argv, bench::standard_option_names());
+  const Options opt(argc, argv, {"scale", "csv", "calibrate", "tile"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
   const model::Machine mach = model::archer2();
 

@@ -14,10 +14,10 @@ Usage:
 
 DIR defaults to the current directory, OUT to results/bench_all.json
 under DIR. --expect names the sections that MUST be present (default:
-the bench_micro_kernels set — hotpath, locality, simd, transport,
-tiling); a missing or unparseable expected file exits non-zero so a CI
-run that silently dropped a section fails instead of uploading a
-truncated snapshot. Extra BENCH_*.json beyond the expected set (e.g.
+the bench_micro_kernels set — hotpath, locality, simd, tiling); a
+missing or unparseable expected file exits non-zero so a CI run that
+silently dropped a section fails instead of uploading a truncated
+snapshot. Extra BENCH_*.json beyond the expected set (e.g.
 BENCH_calibration.json from the MPI leg) are collected too. Exits
 non-zero if no BENCH_*.json is found at all.
 """
@@ -30,7 +30,7 @@ import sys
 
 # The sections bench_micro_kernels always emits; a run that produced
 # fewer than these is a failed run, not a smaller one.
-DEFAULT_EXPECT = "hotpath,locality,simd,transport,tiling"
+DEFAULT_EXPECT = "hotpath,locality,simd,tiling"
 
 
 def collect(src_dir: str, expect: list) -> dict:

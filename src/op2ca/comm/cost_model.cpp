@@ -14,7 +14,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "op2ca/comm/channel.hpp"
 #include "op2ca/util/error.hpp"
 
 namespace op2ca::sim {

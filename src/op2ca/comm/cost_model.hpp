@@ -5,8 +5,8 @@
 // p * (L + m/B [+ c]) where L is network latency, B bandwidth, p the
 // neighbour count and c a pack/unpack cost. This struct carries those
 // machine parameters; model/machine.cpp provides ARCHER2-like and
-// Cirrus-like presets. The same parameters drive the per-rank virtual
-// clocks in real execution mode so small runs report machine-scaled times.
+// Cirrus-like presets. Executed runs are timed by the wall clock; the
+// model is evaluated on plan-level quantities, never on executed runs.
 //
 // Hierarchy: ranks fold onto a thread < NUMA < node < network machine.
 // A message between two ranks crosses the cheapest tier containing both
@@ -15,9 +15,10 @@
 // bandwidth, rail-count) parameters. The legacy flat fields (latency_s /
 // bandwidth_Bps) ARE the network tier, so existing presets and tests see
 // identical numbers; the topology stays flat (every pair is Tier::Net)
-// until ranks_per_node is set. Rails model parallel physical links
-// (NICs, memory channels): a message striped into r sub-messages uses
-// min(r, rails) links concurrently — CommBench's rail pattern.
+// until ranks_per_node is set. Rails model parallel network links
+// (NICs): the analytic model lets a large message use all of them at once
+// (Machine::effective_bandwidth, CommBench's rail pattern). Executed
+// exchanges send every message whole, as one isend.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +33,9 @@ namespace op2ca::sim {
 /// workers of one rank — moves no messages and has no wire parameters.)
 enum class Tier { Numa = 0, Node = 1, Net = 2 };
 inline constexpr int kNumTiers = 3;
+
+/// Upper bound on a tier's modelled rail count (--rails, calibration).
+inline constexpr int kMaxRails = 8;
 
 inline const char* tier_name(Tier t) {
   switch (t) {
@@ -85,8 +89,8 @@ Calibration load_calibration(const std::string& path);
 /// wholesale, and the net tier lands in the legacy flat fields
 /// (latency_s / bandwidth_Bps / net_rails) that every preset and Eq
 /// (1)-(3) term reads. Host-side overheads (per_message_overhead_s,
-/// channel_overhead_s, pack_bandwidth_Bps) are not measured by the wire
-/// sweeps and keep the model's values.
+/// pack_bandwidth_Bps) are not measured by the wire sweeps and keep the
+/// model's values.
 void apply_calibration(const Calibration& cal, CostModel* cm);
 
 struct CostModel {
@@ -96,11 +100,8 @@ struct CostModel {
   double bandwidth_Bps = 12.5e9;      ///< B: per-rail network bandwidth.
   double pack_bandwidth_Bps = 20e9;   ///< memcpy bandwidth for (un)packing.
   double per_message_overhead_s = 0;  ///< extra host overhead per message.
-  /// Residual host overhead of a message sent through a persistent
-  /// channel: the dst/tag/size slot is pre-negotiated, so matching and
-  /// envelope setup (per_message_overhead_s) collapse to this.
-  double channel_overhead_s = 0;
-  /// Parallel network rails (NICs) one rank may stripe a message across.
+  /// Parallel network rails (NICs) a large message spreads over in the
+  /// model (Machine::effective_bandwidth).
   int net_rails = 1;
 
   // Topology: ranks [k*ranks_per_numa, ...) share a NUMA domain, ranks
@@ -136,13 +137,6 @@ struct CostModel {
       default: return bandwidth_Bps;
     }
   }
-  int tier_rails(Tier t) const {
-    switch (t) {
-      case Tier::Numa: return numa.rails;
-      case Tier::Node: return node.rails;
-      default: return net_rails;
-    }
-  }
 
   /// Time to move one `bytes`-sized message to a neighbour (flat legacy
   /// form: the network tier).
@@ -155,28 +149,6 @@ struct CostModel {
   double message_time(std::int64_t bytes, Tier t) const {
     return tier_latency(t) + per_message_overhead_s +
            static_cast<double>(bytes) / tier_bandwidth(t);
-  }
-
-  /// A `bytes`-sized message striped into `stripes` sub-messages over
-  /// the tier's rails. min(stripes, rails) sub-messages travel
-  /// concurrently, each on its own link; extra stripes serialise their
-  /// bytes behind them (striping onto one rail buys nothing).
-  double striped_time(std::int64_t bytes, int stripes, Tier t) const {
-    if (stripes <= 1) return message_time(bytes, t);
-    const int conc = std::min(std::max(stripes, 1), tier_rails(t));
-    const double rounds =
-        static_cast<double>(stripes) / static_cast<double>(conc);
-    const double per_stripe =
-        static_cast<double>(bytes) / static_cast<double>(stripes);
-    return tier_latency(t) + per_message_overhead_s +
-           rounds * per_stripe / tier_bandwidth(t);
-  }
-
-  /// striped_time through a persistent channel: the pre-negotiated slot
-  /// replaces the per-message host setup with channel_overhead_s.
-  double channel_time(std::int64_t bytes, int stripes, Tier t) const {
-    return striped_time(bytes, stripes, t) - per_message_overhead_s +
-           channel_overhead_s;
   }
 
   /// Pack or unpack cost for `bytes` of staged halo data (the `c` term of

@@ -27,7 +27,6 @@ bool MpiBackend::launched_under_mpirun() {
 #include <mpi.h>
 
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -176,25 +175,17 @@ bool MpiBackend::try_match(rank_t dst, rank_t src, tag_t tag,
   return true;
 }
 
-bool MpiBackend::match_for(rank_t dst, rank_t src, tag_t tag, Message* out,
-                           double timeout_s) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_s);
+Message MpiBackend::match(rank_t dst, rank_t src, tag_t tag) {
+  // Polls with the mutex released between probes, so concurrent posts
+  // from the rank's pool workers make progress.
+  Message out;
   while (true) {
     if (impl_->poisoned.load())
       raise("Transport poisoned: a peer rank failed while this rank was "
             "waiting for a message");
-    if (try_match(dst, src, tag, out)) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
+    if (try_match(dst, src, tag, &out)) return out;
     std::this_thread::yield();
   }
-}
-
-Message MpiBackend::match(rank_t dst, rank_t src, tag_t tag) {
-  Message out;
-  while (!match_for(dst, src, tag, &out, 1.0)) {
-  }
-  return out;
 }
 
 void MpiBackend::barrier() {
@@ -221,8 +212,7 @@ bool MpiBackend::poisoned() const { return impl_->poisoned.load(); }
 
 namespace op2ca::sim {
 
-// Compile-only stub: the MPI protocol layer (shifted tags, identical
-// framing) over an in-process fabric. Keeps MPI-less builds and the
+// Compile-only stub: the MPI tag shift over an in-process fabric. Keeps MPI-less builds and the
 // -DOP2CA_MPI=ON CI leg green, and gives the equivalence suite a second
 // backend to hold against the sim fabric.
 struct MpiBackend::Impl {
@@ -259,14 +249,6 @@ Message MpiBackend::match(rank_t dst, rank_t src, tag_t tag) {
 bool MpiBackend::try_match(rank_t dst, rank_t src, tag_t tag,
                            Message* out) {
   if (!impl_->fabric.try_match(dst, src, mpi_tag(tag), out)) return false;
-  out->tag = tag;
-  return true;
-}
-
-bool MpiBackend::match_for(rank_t dst, rank_t src, tag_t tag, Message* out,
-                           double timeout_s) {
-  if (!impl_->fabric.match_for(dst, src, mpi_tag(tag), out, timeout_s))
-    return false;
   out->tag = tag;
   return true;
 }

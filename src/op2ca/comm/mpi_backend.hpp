@@ -8,14 +8,14 @@
 // exactly ONE rank (nranks must equal the communicator size); World
 // detects this through local_rank() and runs only that rank's thread, so
 // the same SPMD binaries launch under mpirun on a real cluster. Internal
-// tags (negative collectives, channel tag block) shift by kMpiTagShift
-// into MPI's non-negative tag space.
+// tags (negative collectives) shift by kMpiTagShift into MPI's
+// non-negative tag space.
 //
-// Without MPI this is a compile-only stub: the identical protocol layer
-// (tag encoding, channel negotiation, striping, reassembly) runs over an
-// in-process mailbox fabric, so the MPI code path's framing is exercised
-// by the regular test suite — the equivalence suite runs sim-vs-MPI-stub
-// rows — and the build stays green on MPI-less hosts and CI legs.
+// Without MPI this is a compile-only stub: the identical tag encoding
+// runs over an in-process mailbox fabric, so the MPI code path's tag
+// shift is exercised by the regular test suite — the equivalence suite
+// runs sim-vs-MPI-stub rows — and the build stays green on MPI-less
+// hosts and CI legs.
 //
 // Lifecycle: MPI_Init_thread / MPI_Finalize are owned by one process-wide
 // guard (first MpiBackend or mpi_world_size() call initializes, a single
@@ -62,8 +62,6 @@ public:
   void post(Message msg) override;
   Message match(rank_t dst, rank_t src, tag_t tag) override;
   bool try_match(rank_t dst, rank_t src, tag_t tag, Message* out) override;
-  bool match_for(rank_t dst, rank_t src, tag_t tag, Message* out,
-                 double timeout_s) override;
   void barrier() override;
   std::size_t in_flight() const override;
   void poison() override;

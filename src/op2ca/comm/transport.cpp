@@ -3,7 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "op2ca/comm/channel.hpp"
 #include "op2ca/comm/mpi_backend.hpp"
 #include "op2ca/util/error.hpp"
 
@@ -21,11 +20,6 @@ BackendKind backend_by_name(const std::string& name) {
 
 std::unique_ptr<TransportBackend> make_backend(const TransportConfig& cfg,
                                                int nranks) {
-  OP2CA_REQUIRE(cfg.rails >= 1 && cfg.rails <= kMaxRails,
-                "TransportConfig::rails must be in [1, " +
-                    std::to_string(kMaxRails) + "]");
-  OP2CA_REQUIRE(cfg.stripe_timeout_s > 0,
-                "TransportConfig::stripe_timeout_s must be positive");
   if (cfg.backend == BackendKind::Mpi)
     return std::make_unique<MpiBackend>(nranks);
   return std::make_unique<Transport>(nranks);
@@ -35,32 +29,17 @@ Transport::Transport(int nranks) : nranks_(nranks), boxes_(nranks) {
   OP2CA_REQUIRE(nranks > 0, "Transport requires at least one rank");
 }
 
-bool Transport::apply_injections(Message* msg) {
+void Transport::delay_post(rank_t dst) {
   double delay = 0;
-  bool keep = true;
   {
-    std::lock_guard<std::mutex> lock(inject_mu_);
+    std::lock_guard<std::mutex> lock(delay_mu_);
     if (!post_delay_s_.empty())
-      delay = post_delay_s_[static_cast<std::size_t>(msg->dst)];
-    for (auto& inj : injections_) {
-      if (inj.count <= 0) continue;
-      if (inj.src != msg->src || inj.dst != msg->dst ||
-          inj.tag != msg->tag)
-        continue;
-      inj.count -= 1;
-      if (inj.drop) {
-        keep = false;
-      } else if (msg->payload.size() > inj.keep_bytes) {
-        msg->payload.resize(inj.keep_bytes);
-      }
-      break;
-    }
+      delay = post_delay_s_[static_cast<std::size_t>(dst)];
   }
-  // Sleeping outside inject_mu_ keeps the delay per-destination: posts to
+  // Sleeping outside delay_mu_ keeps the delay per-destination: posts to
   // other mailboxes (other Comm dest mutexes) proceed concurrently.
   if (delay > 0)
     std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-  return keep;
 }
 
 void Transport::post(Message msg) {
@@ -68,7 +47,7 @@ void Transport::post(Message msg) {
                 "Transport::post destination out of range");
   OP2CA_REQUIRE(msg.src >= 0 && msg.src < nranks_,
                 "Transport::post source out of range");
-  if (!apply_injections(&msg)) return;  // dropped rail
+  delay_post(msg.dst);
   Mailbox& box = boxes_[static_cast<std::size_t>(msg.dst)];
   {
     std::lock_guard<std::mutex> lock(box.mu);
@@ -112,22 +91,6 @@ bool Transport::try_match(rank_t dst, rank_t src, tag_t tag, Message* out) {
   return take_locked(box, src, tag, out);
 }
 
-bool Transport::match_for(rank_t dst, rank_t src, tag_t tag, Message* out,
-                          double timeout_s) {
-  OP2CA_REQUIRE(dst >= 0 && dst < nranks_, "Transport::match_for bad dst");
-  Mailbox& box = boxes_[static_cast<std::size_t>(dst)];
-  std::unique_lock<std::mutex> lock(box.mu);
-  bool found = false;
-  box.cv.wait_for(lock, std::chrono::duration<double>(timeout_s), [&] {
-    found = take_locked(box, src, tag, out);
-    return found || poisoned_.load();
-  });
-  if (!found && poisoned_.load())
-    raise("Transport poisoned: a peer rank failed while this rank was "
-          "waiting for a message");
-  return found;
-}
-
 void Transport::barrier() {
   std::unique_lock<std::mutex> lock(barrier_mu_);
   const std::uint64_t my_generation = barrier_generation_;
@@ -165,19 +128,8 @@ std::size_t Transport::in_flight() const {
   return total;
 }
 
-void Transport::inject_drop(rank_t src, rank_t dst, tag_t tag, int count) {
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  injections_.push_back({src, dst, tag, /*drop=*/true, 0, count});
-}
-
-void Transport::inject_truncate(rank_t src, rank_t dst, tag_t tag,
-                                std::size_t keep_bytes, int count) {
-  std::lock_guard<std::mutex> lock(inject_mu_);
-  injections_.push_back({src, dst, tag, /*drop=*/false, keep_bytes, count});
-}
-
 void Transport::set_post_delay(rank_t dst, double seconds) {
-  std::lock_guard<std::mutex> lock(inject_mu_);
+  std::lock_guard<std::mutex> lock(delay_mu_);
   if (post_delay_s_.empty())
     post_delay_s_.assign(static_cast<std::size_t>(nranks_), 0.0);
   post_delay_s_[static_cast<std::size_t>(dst)] = seconds;

@@ -1,10 +1,10 @@
 // Pluggable message transport behind the per-rank Comm endpoints.
 //
 // TransportBackend is the contract every exchange path (per-loop, grouped
-// chain, collectives, striped and persistent-channel sends) talks to:
-// point-to-point tagged messages with non-overtaking order per (src, dst,
-// tag), blocking/timed/non-blocking matching, a barrier, and poison for
-// failure unwinding. Two implementations exist:
+// chain, collectives) talks to: point-to-point tagged messages with
+// non-overtaking order per (src, dst, tag), blocking and non-blocking
+// matching, a barrier, and poison for failure unwinding. Two
+// implementations exist:
 //
 //  - sim::Transport (this file): the in-process fabric standing in for
 //    MPI. Ranks are threads; mailboxes are mutex+condvar protected
@@ -13,17 +13,15 @@
 //    staging buffer (the span overload still copies for small
 //    collectives). Ownership handover happens under the mailbox mutex,
 //    so the receiver may recycle the buffer freely after wait() — see
-//    util/buffer_pool.hpp for the staging-buffer lifecycle. Carries the
-//    fault-injection hooks the failure suite drives.
+//    util/buffer_pool.hpp for the staging-buffer lifecycle. Carries a
+//    per-destination post delay for contention tests and benches.
 //
 //  - sim::MpiBackend (mpi_backend.hpp): the same contract over real MPI
 //    when built with -DOP2CA_MPI=ON and an MPI toolchain; a compile-only
-//    stub that routes the identical protocol layer (tag encoding,
-//    channel negotiation, striping) over an in-process fabric when MPI
-//    is absent.
+//    stub that routes the identical tag encoding over an in-process
+//    fabric when MPI is absent.
 //
-// make_backend() picks the implementation from a TransportConfig, which
-// also carries the striping/persistent-channel knobs consumed by Comm.
+// make_backend() picks the implementation from a TransportConfig.
 #pragma once
 
 #include <atomic>
@@ -60,27 +58,10 @@ enum class BackendKind { Sim, Mpi };
 const char* backend_name(BackendKind k);
 BackendKind backend_by_name(const std::string& name);
 
-/// Transport configuration carried by WorldConfig: backend selection plus
-/// the striping / persistent-channel knobs Comm consumes. The defaults
-/// (sim backend, 1 rail, non-persistent) keep every exchange on the
-/// legacy single-isend path, bitwise-identical to earlier builds.
+/// Transport configuration carried by WorldConfig: the backend a World
+/// runs on.
 struct TransportConfig {
   BackendKind backend = BackendKind::Sim;
-  /// Stripe fan-out: messages >= stripe_min_bytes split into up to this
-  /// many rail sub-messages, reassembled out-of-order on the receiver.
-  /// 1 disables striping.
-  int rails = 1;
-  /// Messages below this never stripe (latency-bound traffic gains
-  /// nothing from extra envelopes).
-  std::size_t stripe_min_bytes = std::size_t{64} * 1024;
-  /// Persistent channels: grouped/loop exchanges pre-negotiate
-  /// (dst, tag, size) slots once per cached plan — a la MPI_Send_init —
-  /// and steady-state epochs post headerless stripes into them.
-  bool persistent = false;
-  /// Reassembly deadline: a striped or channel receive that cannot
-  /// complete within this raises instead of deadlocking (dropped rail,
-  /// peer failure). Seconds.
-  double stripe_timeout_s = 120.0;
 };
 
 /// Abstract transport fabric shared by `nranks` SPMD endpoints.
@@ -102,12 +83,6 @@ public:
   virtual bool try_match(rank_t dst, rank_t src, tag_t tag,
                          Message* out) = 0;
 
-  /// Blocking match with a deadline: false on timeout, throws when
-  /// poisoned. Striped reassembly uses this to fail loudly on a lost
-  /// rail instead of waiting forever.
-  virtual bool match_for(rank_t dst, rank_t src, tag_t tag, Message* out,
-                         double timeout_s) = 0;
-
   /// Synchronises all ranks.
   virtual void barrier() = 0;
 
@@ -121,9 +96,8 @@ public:
   virtual bool poisoned() const = 0;
 };
 
-/// Constructs the backend `cfg` selects (validating rails etc.). The Mpi
-/// kind returns the real MPI backend when compiled in, the in-process
-/// stub otherwise.
+/// Constructs the backend `cfg` selects. The Mpi kind returns the real
+/// MPI backend when compiled in, the in-process stub otherwise.
 std::unique_ptr<TransportBackend> make_backend(const TransportConfig& cfg,
                                                int nranks);
 
@@ -138,8 +112,6 @@ public:
   void post(Message msg) override;
   Message match(rank_t dst, rank_t src, tag_t tag) override;
   bool try_match(rank_t dst, rank_t src, tag_t tag, Message* out) override;
-  bool match_for(rank_t dst, rank_t src, tag_t tag, Message* out,
-                 double timeout_s) override;
 
   /// Dissemination-free centralised barrier over all ranks.
   void barrier() override;
@@ -149,14 +121,6 @@ public:
   void poison() override;
   bool poisoned() const override { return poisoned_.load(); }
 
-  // ---- Fault / contention injection (test hooks). ---------------------
-  /// Drops the next `count` posts matching (src, dst, tag) on the floor —
-  /// a dead rail. Reassembly must then fail loudly, never deliver torn.
-  void inject_drop(rank_t src, rank_t dst, tag_t tag, int count = 1);
-  /// Truncates the next `count` matching posts to `keep_bytes` of
-  /// payload — a torn stripe the receiver must reject.
-  void inject_truncate(rank_t src, rank_t dst, tag_t tag,
-                       std::size_t keep_bytes, int count = 1);
   /// Delays every post TO `dst` by `seconds` inside the destination's
   /// serialisation scope. Lets the contention regression test observe
   /// that sends to other destinations do not queue behind it.
@@ -169,25 +133,15 @@ private:
     std::deque<Message> queue;
   };
 
-  struct Injection {
-    rank_t src = -1;
-    rank_t dst = -1;
-    tag_t tag = 0;
-    bool drop = false;          // else truncate
-    std::size_t keep_bytes = 0;
-    int count = 0;
-  };
-
   bool take_locked(Mailbox& box, rank_t src, tag_t tag, Message* out);
-  /// Applies injections; returns false when the message must be dropped.
-  bool apply_injections(Message* msg);
+  /// Sleeps for the post delay configured for `dst`, if any.
+  void delay_post(rank_t dst);
 
   int nranks_;
   std::atomic<bool> poisoned_{false};
   std::vector<Mailbox> boxes_;
 
-  std::mutex inject_mu_;
-  std::vector<Injection> injections_;
+  std::mutex delay_mu_;
   std::vector<double> post_delay_s_;  ///< per-destination, empty = none.
 
   std::mutex barrier_mu_;

@@ -227,9 +227,8 @@ void flush_tiles(RankState& st) {
 
   if (n_inv >= 2) {
     // The plan key carries the tile geometry: a full tile and a partial
-    // tile flushed at a sync point cache distinct plans / exchanges /
-    // persistent channels, and repeating the same geometry hits the
-    // cache without renegotiation.
+    // tile flushed at a sync point cache distinct plans and exchanges,
+    // and repeating the same geometry hits the cache.
     const std::string key = name + "#tile" + std::to_string(n_inv);
     const int cap = st.world->config().chains.max_depth(name);
     if (window_feasible_as(st, key, fused.data(), fused.size(), cap)) {

@@ -3,7 +3,7 @@
 // 1. Inspect the chain (cached by name + structural hash): Alg-3 halo
 //    extensions HE_l, per-loop core shrinks, dats needing a pre-chain
 //    sync and their depths, the sparse-tiling exec lists, and — per set
-//    of stale dats — a persistent ChainExchange holding the flattened
+//    of stale dats — a cached ChainExchange holding the flattened
 //    GroupedPlan. Everything is built once; steady-state epochs skip
 //    straight to execution.
 // 2. Build and post ONE grouped message per neighbour containing every
@@ -61,7 +61,7 @@ ChainPlan& chain_plan(RankState& st, const std::string& name,
   return cp;
 }
 
-/// Returns the persistent grouped exchange for the current stale-dat set
+/// Returns the cached grouped exchange for the current stale-dat set
 /// (bit i of `mask` = an.syncs[i] participates), building it on miss.
 ChainExchange& chain_exchange(RankState& st, ChainPlan& cp,
                               std::uint64_t mask,
@@ -96,34 +96,6 @@ ChainExchange& chain_exchange(RankState& st, ChainPlan& cp,
   }
   st.staging.reserve_spares(kSparesPerSend * sends, max_send);
 
-  // Persistent channels (a la MPI_Send_init): negotiate one fixed
-  // (peer, tag, size) slot per grouped side, keyed by the same structural
-  // hash + stale mask that invalidates this exchange — a rank whose plan
-  // went stale renegotiates or fails the handshake loudly, it can never
-  // feed an old channel. Sides are walked in plan order on both ends
-  // (the grouped plan is rank-symmetric), so the k-th send-side open
-  // here pairs with the k-th recv-side open on the peer.
-  if (st.comm.transport_config().persistent) {
-    const std::uint64_t phash =
-        cp.structure ^ (mask * 0x9e3779b97f4a7c15ULL);
-    std::vector<sim::ChannelSpec> specs;
-    for (const halo::GroupedPlan::Side& side : ex.plan.sides) {
-      if (side.send_bytes > 0)
-        specs.push_back({side.q, /*sender=*/true, side.send_bytes, phash});
-      if (side.recv_bytes > 0)
-        specs.push_back({side.q, /*sender=*/false, side.recv_bytes, phash});
-    }
-    std::vector<sim::Channel> chans = st.comm.open_channels(specs);
-    ex.send_channels.resize(ex.plan.sides.size());
-    ex.recv_channels.resize(ex.plan.sides.size());
-    std::size_t k = 0;
-    for (std::size_t s = 0; s < ex.plan.sides.size(); ++s) {
-      if (ex.plan.sides[s].send_bytes > 0)
-        ex.send_channels[s] = std::move(chans[k++]);
-      if (ex.plan.sides[s].recv_bytes > 0)
-        ex.recv_channels[s] = std::move(chans[k++]);
-    }
-  }
   *plan_builds += 1;
   return cp.exchanges.emplace(mask, std::move(ex)).first->second;
 }
@@ -145,9 +117,7 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
 
   // -- Inspection (cached; the analysis is rank-independent). The plan
   //    key carries the tile geometry, so a fused tile and a partial tile
-  //    of the same chain cache distinct plans (and distinct persistent
-  //    channels — cp.structure differs, so channels renegotiate exactly
-  //    when the tile geometry changes). ----------------------------------
+  //    of the same chain cache distinct plans. ---------------------------
   ChainPlan& cp = chain_plan(st, plan_key, loops, &plan_builds);
   const ChainAnalysis& an = cp.analysis;
 
@@ -190,20 +160,11 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
         for (const LIdxVec& g : side.gather)
           halo_elems += static_cast<std::int64_t>(g.size());
         ex->requests.push_back(
-            !ex->send_channels.empty()
-                ? st.comm.channel_isend(ex->send_channels[s],
-                                        std::move(buf))
-                : st.comm.stripe_isend(side.q, kChainTag,
-                                       std::move(buf)));
+            st.comm.isend(side.q, kChainTag, std::move(buf)));
       }
       if (side.recv_bytes > 0)
         ex->requests.push_back(
-            !ex->recv_channels.empty()
-                ? st.comm.channel_irecv(ex->recv_channels[s],
-                                        &ex->recv_bufs[s])
-                : st.comm.stripe_irecv(side.q, kChainTag,
-                                       &ex->recv_bufs[s],
-                                       side.recv_bytes));
+            st.comm.irecv(side.q, kChainTag, &ex->recv_bufs[s]));
     }
   }
 
@@ -297,7 +258,6 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
       st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Node)];
   metrics.net_bytes =
       st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Net)];
-  metrics.stripes = st.comm.stats().epoch_stripes;
   metrics.tile = tile;
   metrics.redundant_elems = redundant;
   // Per-invocation execution would have paid this epoch's message count

@@ -73,32 +73,6 @@ LoopExchange& loop_exchange(RankState& st, mesh::dat_id d,
     max_send = std::max(max_send, seg.bytes);
   st.staging.reserve_spares(kSparesPerSend * slot->sends.size(), max_send);
 
-  // Persistent channels: one slot per cached segment, keyed by the dat
-  // (both ends derive the identical hash — the exchange is invalidated
-  // with the LoopExchange cache itself). Segment order is (exec,
-  // nonexec) x neighbour-sorted on both ranks, so the k-th send-side
-  // open pairs with the peer's k-th recv-side open.
-  if (st.comm.transport_config().persistent) {
-    const std::uint64_t phash =
-        0x4c4f4f50ull ^
-        (static_cast<std::uint64_t>(d) * 0x9e3779b97f4a7c15ULL);
-    std::vector<sim::ChannelSpec> specs;
-    for (const LoopExchange::Segment& seg : slot->sends)
-      specs.push_back({seg.q, /*sender=*/true, seg.bytes, phash});
-    for (const LoopExchange::Segment& seg : slot->recvs)
-      specs.push_back({seg.q, /*sender=*/false, seg.bytes, phash});
-    std::vector<sim::Channel> chans = st.comm.open_channels(specs);
-    slot->send_channels.assign(
-        std::make_move_iterator(chans.begin()),
-        std::make_move_iterator(chans.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    slot->sends.size())));
-    slot->recv_channels.assign(
-        std::make_move_iterator(chans.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    slot->sends.size())),
-        std::make_move_iterator(chans.end()));
-  }
   *plan_builds += 1;
   return *slot;
 }
@@ -128,25 +102,16 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
   for (mesh::dat_id d : exch) {
     RankDat& rd = st.rank_dat(d);
     LoopExchange& ex = loop_exchange(st, d, &plan_builds);
-    for (std::size_t si = 0; si < ex.sends.size(); ++si) {
-      const LoopExchange::Segment& seg = ex.sends[si];
+    for (const LoopExchange::Segment& seg : ex.sends) {
       ByteBuf buf = st.staging.take(seg.bytes);
       halo::gather_region(rd.data.data(), &rd.layout, rd.dim, *seg.idx,
                           buf.data());
       halo_elems += static_cast<std::int64_t>(seg.idx->size());
-      requests.push_back(
-          !ex.send_channels.empty()
-              ? st.comm.channel_isend(ex.send_channels[si],
-                                      std::move(buf))
-              : st.comm.stripe_isend(seg.q, seg.tag, std::move(buf)));
+      requests.push_back(st.comm.isend(seg.q, seg.tag, std::move(buf)));
     }
     for (std::size_t i = 0; i < ex.recvs.size(); ++i)
-      requests.push_back(
-          !ex.recv_channels.empty()
-              ? st.comm.channel_irecv(ex.recv_channels[i],
-                                      &ex.recv_bufs[i])
-              : st.comm.stripe_irecv(ex.recvs[i].q, ex.recvs[i].tag,
-                                     &ex.recv_bufs[i], ex.recvs[i].bytes));
+      requests.push_back(st.comm.irecv(ex.recvs[i].q, ex.recvs[i].tag,
+                                       &ex.recv_bufs[i]));
   }
 
   const double t_pack = timer.elapsed();
@@ -228,7 +193,6 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
       st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Node)];
   metrics.net_bytes =
       st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Net)];
-  metrics.stripes = st.comm.stats().epoch_stripes;
   for (const Arg& a : rec.args)
     if (a.kind != Arg::Kind::Gbl)
       metrics.layout_code =

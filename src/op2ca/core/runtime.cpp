@@ -74,7 +74,6 @@ void LoopMetrics::merge_from(const LoopMetrics& other) {
   numa_bytes += other.numa_bytes;
   node_bytes += other.node_bytes;
   net_bytes += other.net_bytes;
-  stripes += other.stripes;
   tile = std::max(tile, other.tile);  // largest fused epoch seen
   redundant_elems += other.redundant_elems;
   msgs_saved += other.msgs_saved;

@@ -135,13 +135,10 @@ struct LoopMetrics {
   int layout_code = 0;
   std::int64_t halo_elems = 0;
   // Transport hierarchy: wire bytes sent per machine tier (NUMA-local,
-  // node-local, cross-network — flat topologies put everything in net)
-  // and stripe sub-messages posted by the multi-rail striping layer
-  // (0 unless WorldConfig::transport.rails > 1 met the size threshold).
+  // node-local, cross-network — flat topologies put everything in net).
   std::int64_t numa_bytes = 0;
   std::int64_t node_bytes = 0;
   std::int64_t net_bytes = 0;
-  std::int64_t stripes = 0;
   // Temporal tiling (WorldConfig::tile / ChainConfig tile=): the largest
   // tile size any epoch of this chain ran at (1 = untiled; 0 for plain
   // loops), the import-exec halo iterations CA epochs executed
@@ -461,10 +458,7 @@ struct WorldConfig {
   std::string seed_set;
   int halo_depth = 2;
   sim::CostModel cost{};
-  /// Transport layer: backend selection (sim fabric or MPI) plus the
-  /// multi-rail striping and persistent-channel knobs. The defaults —
-  /// sim backend, 1 rail, non-persistent — keep every exchange on the
-  /// legacy single-isend path, bitwise-identical to earlier builds.
+  /// Transport backend: the in-process sim fabric (default) or MPI.
   sim::TransportConfig transport{};
   /// Per-iteration checks that every touched element is locally present.
   bool validate = false;
@@ -592,7 +586,7 @@ private:
   friend class Runtime;
   friend struct detail::RankState;
 
-  /// The Comm of the rank this process drives (SPMD mode) — the channel
+  /// The Comm of the rank this process drives (SPMD mode) — the endpoint
   /// the cross-process reductions in fetch_dat / metrics run over.
   sim::Comm& spmd_comm() const;
   /// Merges this process's local metric maps, then (SPMD mode) the

@@ -62,14 +62,9 @@ struct LoopExchange {
   std::vector<Segment> sends;
   std::vector<Segment> recvs;
   std::vector<ByteBuf> recv_bufs;  ///< slots, recvs-parallel.
-  /// Persistent channels (WorldConfig::transport.persistent): negotiated
-  /// once when the exchange is built, parallel to sends/recvs. Empty
-  /// when persistence is off.
-  std::vector<sim::Channel> send_channels;
-  std::vector<sim::Channel> recv_channels;
 };
 
-/// One persistent grouped exchange of a chain for a fixed set of stale
+/// One cached grouped exchange of a chain for a fixed set of stale
 /// dats: sync specs (data pointers rebound each epoch), the flattened
 /// GroupedPlan, and reusable receive slots. Built once per (chain,
 /// stale-mask); steady-state epochs touch no maps and allocate nothing.
@@ -79,12 +74,6 @@ struct ChainExchange {
   halo::GroupedPlan plan;
   std::vector<ByteBuf> recv_bufs;  ///< sides-parallel.
   std::vector<sim::Request> requests;             ///< reused capacity.
-  /// Persistent channels (WorldConfig::transport.persistent), negotiated
-  /// once per (chain, stale-mask) exchange and keyed by the same
-  /// structural hash that invalidates the plan. Sides-parallel; empty
-  /// when persistence is off.
-  std::vector<sim::Channel> send_channels;
-  std::vector<sim::Channel> recv_channels;
 };
 
 /// Everything the CA executor caches per chain name. `structure` is a
@@ -190,10 +179,9 @@ void execute_chain_ca(RankState& st, const std::string& name,
 
 /// Executes a temporally-fused tile of `tile` chain invocations (their
 /// loops concatenated in `loops`) as one CA epoch. `plan_key` keys the
-/// ChainPlan / exchange / channel caches (distinct per tile geometry, so
-/// a partial flush at a sync point gets its own cached plan and
-/// persistent channels renegotiate only when the geometry changes);
-/// metrics land under `name` with LoopMetrics::tile = `tile`.
+/// ChainPlan / exchange caches (distinct per tile geometry, so a partial
+/// flush at a sync point gets its own cached plan); metrics land under
+/// `name` with LoopMetrics::tile = `tile`.
 void execute_chain_ca_tiled(RankState& st, const std::string& name,
                             const std::string& plan_key,
                             std::vector<LoopRecord>& loops, int tile);

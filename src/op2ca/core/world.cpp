@@ -19,8 +19,26 @@ World::World(mesh::MeshDef mesh, WorldConfig cfg)
   OP2CA_REQUIRE(cfg_.nranks >= 1, "World needs nranks >= 1");
   OP2CA_REQUIRE(cfg_.threads_per_rank >= 1,
                 "World needs threads_per_rank >= 1");
+  OP2CA_REQUIRE(cfg_.halo_depth >= 1, "World needs halo_depth >= 1");
   OP2CA_REQUIRE(cfg_.tile >= 1, "World needs tile >= 1");
   OP2CA_REQUIRE(mesh_.num_sets() > 0, "World needs a non-empty mesh");
+
+  // Temporal tiling needs layers for the fused window to grow into: a
+  // tile of k invocations extends the Alg-3 window roughly k-fold, so
+  // the plan is built k times deeper. The largest tile any chain can run
+  // at governs (per-chain tile= entries may exceed the world default);
+  // tile == 1 everywhere leaves the depth untouched — bitwise-legacy.
+  int max_tile = cfg_.tile;
+  for (const auto& [name, entry] : cfg_.chains.entries())
+    if (entry.enabled) max_tile = std::max(max_tile, entry.tile);
+  const std::int64_t plan_depth =
+      std::int64_t{cfg_.halo_depth} * std::int64_t{max_tile};
+  OP2CA_REQUIRE(plan_depth <= halo::kMaxHaloDepth,
+                "halo_depth " + std::to_string(cfg_.halo_depth) +
+                    " x largest tile " + std::to_string(max_tile) + " = " +
+                    std::to_string(plan_depth) +
+                    " halo layers exceeds the plan limit of " +
+                    std::to_string(halo::kMaxHaloDepth) + " layers");
 
   mesh::set_id seed = 0;
   if (!cfg_.seed_set.empty()) {
@@ -33,15 +51,7 @@ World::World(mesh::MeshDef mesh, WorldConfig cfg)
                                     seed);
 
   halo::HaloPlanOptions opts;
-  // Temporal tiling needs layers for the fused window to grow into: a
-  // tile of k invocations extends the Alg-3 window roughly k-fold, so
-  // the plan is built k times deeper. The largest tile any chain can run
-  // at governs (per-chain tile= entries may exceed the world default);
-  // tile == 1 everywhere leaves the depth untouched — bitwise-legacy.
-  int max_tile = cfg_.tile;
-  for (const auto& [name, entry] : cfg_.chains.entries())
-    if (entry.enabled) max_tile = std::max(max_tile, entry.tile);
-  opts.depth = cfg_.halo_depth * std::max(1, max_tile);
+  opts.depth = static_cast<int>(plan_depth);
   opts.build_local_maps = true;
   plan_ = halo::build_halo_plan(mesh_, part_, opts);
 
@@ -251,7 +261,7 @@ void World::write_metrics_csv(std::ostream& os) const {
                 "chunks", "colours", "busy_s", "gather_span",
                 "reuse_gap", "layout",
                 "bytes_per_elem", "numa_bytes", "node_bytes", "net_bytes",
-                "stripes", "tile", "redundant_elems", "msgs_saved"});
+                "tile", "redundant_elems", "msgs_saved"});
   t.set_precision(6);
   auto add = [&t](const std::string& kind, const std::string& name,
                   const LoopMetrics& m) {
@@ -269,7 +279,7 @@ void World::write_metrics_csv(std::ostream& os) const {
                    ? static_cast<double>(m.bytes) /
                          static_cast<double>(m.halo_elems)
                    : 0.0,
-               m.numa_bytes, m.node_bytes, m.net_bytes, m.stripes, m.tile,
+               m.numa_bytes, m.node_bytes, m.net_bytes, m.tile,
                m.redundant_elems, m.msgs_saved});
   };
   for (const auto& [name, m] : loop_metrics()) add("loop", name, m);

@@ -383,9 +383,11 @@ HaloPlan build_halo_plan(const mesh::MeshDef& mesh,
                          const partition::Partition& part,
                          const HaloPlanOptions& options) {
   OP2CA_REQUIRE(options.depth >= 1, "halo depth must be >= 1");
-  OP2CA_REQUIRE(options.depth <= INT8_MAX,
+  static_assert(kMaxHaloDepth == INT8_MAX);
+  OP2CA_REQUIRE(options.depth <= kMaxHaloDepth,
                 "halo depth " + std::to_string(options.depth) +
-                    " exceeds the plan builder's limit of 127 layers");
+                    " exceeds the plan builder's limit of " +
+                    std::to_string(kMaxHaloDepth) + " layers");
   OP2CA_REQUIRE(part.nranks >= 1, "partition has no ranks");
   OP2CA_REQUIRE(static_cast<int>(part.assignment.size()) == mesh.num_sets(),
                 "partition does not cover all sets");

@@ -83,7 +83,7 @@ void unpack_grouped(const RankPlan& rp, rank_t q,
                     std::span<const DatSyncSpec> specs,
                     std::span<const std::byte> payload);
 
-/// Persistent grouped-exchange plan: the (dat, class, layer) segment walk
+/// Cached grouped-exchange plan: the (dat, class, layer) segment walk
 /// of a grouped message flattened, per neighbour, into one concatenated
 /// gather (export) and scatter (import) row-index list per dat, plus the
 /// total byte counts. Built once at inspection time; steady-state epochs

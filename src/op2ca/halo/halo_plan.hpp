@@ -83,6 +83,10 @@ struct RankPlan {
   std::set<rank_t> neighbors;         ///< union over sets/layers.
 };
 
+/// Deepest plan the builder accepts: it classifies elements by layer in
+/// one signed byte.
+inline constexpr int kMaxHaloDepth = 127;
+
 struct HaloPlanOptions {
   int depth = 2;                 ///< max halo layers (paper's r).
   bool build_local_maps = true;  ///< false = sizes-only (model benches).

@@ -15,11 +15,9 @@ Machine archer2() {
   m.net.per_message_overhead_s = 4.0e-6;
   m.net.bandwidth_Bps = 12.5e9;    // 100 Gb/s per direction per NIC.
   m.net.pack_bandwidth_Bps = 35e9; // streaming chunk-memcpy class.
-  // Slingshot is provisioned 2 x 100 Gb/s per node: two rails a rank can
-  // stripe large messages across. Persistent channels skip the matching/
-  // envelope share of the per-message host overhead.
+  // Slingshot is provisioned 2 x 100 Gb/s per node: two rails a large
+  // message can spread over in the model.
   m.net.net_rails = 2;
-  m.net.channel_overhead_s = 1.0e-6;
   // Hierarchy: 2 sockets x 4 NUMA domains x 16 cores; messages that stay
   // inside a NUMA domain or node move at shared-memory latencies.
   m.net.ranks_per_numa = 16;

@@ -9,11 +9,23 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "op2ca/comm/cost_model.hpp"
 
 namespace op2ca::model {
+
+/// PCIe-generation-3 x16 class transfer parameters: the one host<->device
+/// link both the Lambda fold below and the staged-pipeline makespans of
+/// model/pipeline read.
+struct PcieModel {
+  double latency_s = 8.0e-6;       ///< per-transfer launch + DMA setup.
+  double bandwidth_Bps = 12.0e9;   ///< sustained H2D/D2H.
+  double transfer_time(std::int64_t bytes) const {
+    return latency_s + static_cast<double>(bytes) / bandwidth_Bps;
+  }
+};
 
 /// Explicit PCIe/launch tier for the GPU path. When `enabled`, the
 /// staged host<->device copies that bracket every halo exchange stop
@@ -23,14 +35,13 @@ namespace op2ca::model {
 /// overlaps a fraction `overlap` of the PCIe term with compute, so the
 /// exposed share enters the effective latency Lambda (Section 3.3) as
 ///
-///   Lambda = L + 2*launch + 2*(1 - overlap)*pcie_latency
+///   Lambda = L + 2*launch + 2*(1 - overlap)*pcie.latency_s
 ///
 /// and the PCIe bus composes in series with the NIC on the bandwidth
 /// term (the bytes cross both), attenuated by the same overlap factor.
 struct DeviceTier {
   bool enabled = false;
-  double pcie_latency_s = 8.0e-6;    ///< per-transfer DMA setup cost.
-  double pcie_bandwidth_Bps = 12e9;  ///< PCIe gen3 x16 effective.
+  PcieModel pcie;
   double kernel_launch_s = 5.0e-6;   ///< pack/unpack kernel launch.
   /// Fraction of the PCIe transfer hidden behind compute (0 = fully
   /// staged, matches the legacy extra_latency_s regime; 1 - 1/S for an
@@ -39,7 +50,7 @@ struct DeviceTier {
   /// Exposed extra latency per exchange under this tier.
   double lambda_extra_s() const {
     return 2.0 * kernel_launch_s +
-           2.0 * (1.0 - overlap) * pcie_latency_s;
+           2.0 * (1.0 - overlap) * pcie.latency_s;
   }
 };
 
@@ -87,25 +98,26 @@ struct Machine {
   }
   double extra_latency_s = 0.0;
   DeviceTier device;
-  /// Multi-rail striping threshold (mirrors TransportConfig): messages
-  /// at or above this stripe across net.net_rails parallel links, which
-  /// enters Eq (1)/(3) as an effective bandwidth B * rails on the m/B
-  /// serialisation term. Latency-bound messages below it are unaffected
-  /// — striping buys bandwidth, not latency. With net_rails == 1 (the
-  /// default CostModel) every prediction is bitwise-identical to the
-  /// flat model.
+  /// Modelled multi-rail threshold: messages at or above this spread
+  /// across net.net_rails parallel links, which enters Eq (1)/(3) as an
+  /// effective bandwidth B * rails on the m/B serialisation term.
+  /// Latency-bound messages below it are unaffected — rails buy
+  /// bandwidth, not latency. With net_rails == 1 (the default CostModel)
+  /// every prediction is bitwise-identical to the flat model. Model only:
+  /// executed exchanges send every message whole.
   std::size_t stripe_min_bytes = std::size_t{64} * 1024;
   /// Effective wire bandwidth for one `bytes`-sized message: B times the
-  /// rail count once the message is large enough to stripe.
+  /// rail count once the message reaches stripe_min_bytes.
   double effective_bandwidth(std::size_t bytes) const {
-    const bool striped =
+    const bool multi_rail =
         net.net_rails > 1 && bytes >= stripe_min_bytes;
-    const double wire = net.bandwidth_Bps * (striped ? net.net_rails : 1);
+    const double wire =
+        net.bandwidth_Bps * (multi_rail ? net.net_rails : 1);
     if (!device.enabled) return wire;
     // Halo bytes cross PCIe twice (D2H at the sender, H2D at the
     // receiver) in series with the wire; overlap hides that share.
     const double pcie_exposed =
-        2.0 * (1.0 - device.overlap) / device.pcie_bandwidth_Bps;
+        2.0 * (1.0 - device.overlap) / device.pcie.bandwidth_Bps;
     return 1.0 / (1.0 / wire + pcie_exposed);
   }
 };

@@ -6,10 +6,10 @@ namespace op2ca::model {
 
 double t_op2_loop(const Machine& mach, const LoopTerms& t) {
   const double L = mach.effective_latency();
-  // Multi-rail striping folds into Eq (1) as an effective bandwidth on
-  // the serialisation term: a message >= the stripe threshold moves over
-  // net_rails links concurrently. The per-dat level-1 messages are
-  // usually latency-bound and stay below it.
+  // The modelled rail count folds into Eq (1) as an effective bandwidth
+  // on the serialisation term: a message >= Machine::stripe_min_bytes
+  // moves over net_rails links concurrently. The per-dat level-1
+  // messages are usually latency-bound and stay below it.
   const double B =
       mach.effective_bandwidth(static_cast<std::size_t>(t.m1));
   const double su =

@@ -12,17 +12,9 @@
 #include <vector>
 
 #include "op2ca/comm/cost_model.hpp"
+#include "op2ca/model/machine.hpp"
 
 namespace op2ca::model {
-
-/// PCIe-generation-3 x16 class transfer parameters.
-struct PcieModel {
-  double latency_s = 8.0e-6;       ///< per-transfer launch + DMA setup.
-  double bandwidth_Bps = 12.0e9;   ///< sustained H2D/D2H.
-  double transfer_time(std::int64_t bytes) const {
-    return latency_s + static_cast<double>(bytes) / bandwidth_Bps;
-  }
-};
 
 /// One neighbour's halo exchange inside a chain/loop execution.
 struct Transfer {
@@ -30,7 +22,7 @@ struct Transfer {
 };
 
 struct PipelineConfig {
-  PcieModel pcie{};
+  PcieModel pcie{};  ///< a machine's DeviceTier::pcie.
   sim::CostModel net{};
   /// Compute time available to overlap with (core iterations).
   double compute_s = 0.0;

@@ -1,7 +1,7 @@
 // Per-rank worker pool for shared-memory parallel region execution.
 //
 // One pool belongs to one simulated rank: the rank thread is participant
-// 0 and `threads - 1` persistent workers join it inside run(). run() is a
+// 0 and `threads - 1` long-lived workers join it inside run(). run() is a
 // fork-join barrier — it returns only after every participant finished —
 // so the caller may freely read/write rank-local state between calls
 // without extra synchronisation (the completion handshake goes through

@@ -1,10 +1,8 @@
-// Wall-clock and virtual timers.
+// Wall-clock timers.
 //
 // WallTimer measures real host time (used for kernel-cost calibration and
-// small-scale execution benches). VirtualClock accumulates modeled time in
-// seconds as charged by the communication cost model; every simulated rank
-// owns one, so experiments at paper scale report machine-parameterised
-// times rather than this host's.
+// small-scale execution benches); ScopedWallTimer accumulates a scope's
+// wall time into a caller's counter.
 #pragma once
 
 #include <chrono>
@@ -27,22 +25,6 @@ public:
 private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulator for modeled (simulated-machine) time.
-class VirtualClock {
-public:
-  void advance(double seconds) { t_ += seconds; }
-  /// Fast-forwards to `seconds` if it is later than the current time;
-  /// models waiting on an event that completes at an absolute time.
-  void advance_to(double seconds) {
-    if (seconds > t_) t_ = seconds;
-  }
-  double now() const { return t_; }
-  void reset() { t_ = 0.0; }
-
-private:
-  double t_ = 0.0;
 };
 
 /// Scoped accumulation of wall time into a double.

@@ -152,7 +152,7 @@ TEST(ChainExec, DisabledChainMetersEveryField) {
        {&M::core_iters, &M::halo_iters, &M::msgs, &M::bytes,
         &M::dispatch_regions, &M::plan_builds, &M::staging_allocs,
         &M::chunks, &M::halo_elems, &M::numa_bytes, &M::node_bytes,
-        &M::net_bytes, &M::stripes, &M::redundant_elems, &M::msgs_saved})
+        &M::net_bytes, &M::redundant_elems, &M::msgs_saved})
     EXPECT_EQ(chain.*field, u.*field + f.*field);
   for (double M::*field :
        {&M::wall_seconds, &M::pack_seconds, &M::core_seconds,

@@ -96,10 +96,9 @@ SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
                      w.fetch_dat(spres)};
 }
 
-/// run_synth under a non-default transport layer (striping, persistent
-/// channels, alternate backend). The transport moves the same bytes to
-/// the same buffers — in a different number of wire messages — so every
-/// configuration must be BIT-IDENTICAL to the legacy single-isend path.
+/// run_synth on another transport backend. The backend moves the same
+/// bytes to the same buffers, so the result must be BIT-IDENTICAL to the
+/// sim fabric's.
 SynthResult run_synth_transport(int nranks, Mode mode,
                                 const sim::TransportConfig& tc) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
@@ -121,18 +120,6 @@ SynthResult run_synth_transport(int nranks, Mode mode,
   });
   return SynthResult{w.fetch_dat(sres), w.fetch_dat(sflux),
                      w.fetch_dat(spres)};
-}
-
-/// Striping config aggressive enough that every halo message stripes.
-sim::TransportConfig striped_tc(bool persistent,
-                                sim::BackendKind backend =
-                                    sim::BackendKind::Sim) {
-  sim::TransportConfig tc;
-  tc.backend = backend;
-  tc.rails = 4;
-  tc.stripe_min_bytes = 64;
-  tc.persistent = persistent;
-  return tc;
 }
 
 void expect_bitwise(const SynthResult& a, const SynthResult& b) {
@@ -169,57 +156,21 @@ TEST(Equivalence, ModesAgreeToTolerance) {
   testutil::expect_allclose(op2.sflux, lazy.sflux);
 }
 
-// -- Transport layer (WorldConfig::transport). --------------------------
+// -- Transport backend (WorldConfig::transport). ------------------------
 //
-// Striping, persistent channels and the backend choice only change HOW
-// bytes cross the fabric (how many wire messages, which tags), never
-// which bytes land where. Every row below is therefore held to bitwise
-// identity against the legacy default-transport run of the same mode.
-
-TEST(Equivalence, TransportStripingIsBitwise) {
-  for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult base = run_synth(5, mode, false);
-    expect_bitwise(base, run_synth_transport(5, mode, striped_tc(false)));
-  }
-}
-
-TEST(Equivalence, TransportPersistentChannelsAreBitwise) {
-  for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult base = run_synth(5, mode, false);
-    // Persistent channels alone (1 rail)...
-    sim::TransportConfig tc;
-    tc.persistent = true;
-    expect_bitwise(base, run_synth_transport(5, mode, tc));
-    // ...and combined with striping.
-    expect_bitwise(base, run_synth_transport(5, mode, striped_tc(true)));
-  }
-}
-
-TEST(Equivalence, TransportMultiRailBelowThresholdIsLegacyPath) {
-  // rails > 1 with an unreachable threshold must leave every message on
-  // the single-isend path: nothing stripes, nothing changes.
-  sim::TransportConfig tc;
-  tc.rails = 4;
-  tc.stripe_min_bytes = std::size_t{1} << 30;
-  expect_bitwise(run_synth(5, Mode::kCa, false),
-                 run_synth_transport(5, Mode::kCa, tc));
-}
+// The backend only changes which tags cross which fabric, never which
+// bytes land where, so each row is held to bitwise identity against the
+// sim-fabric run of the same mode.
 
 TEST(Equivalence, TransportMpiStubMatchesSim) {
   if (sim::MpiBackend::compiled_with_mpi())
     GTEST_SKIP() << "real MPI runs one process per rank; the multi-rank "
                     "thread harness only drives the stub";
   for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult base = run_synth(5, mode, false);
-    // Stub backend, striping off...
     sim::TransportConfig tc;
     tc.backend = sim::BackendKind::Mpi;
-    expect_bitwise(base, run_synth_transport(5, mode, tc));
-    // ...and on, with persistent channels.
-    expect_bitwise(
-        base,
-        run_synth_transport(5, mode,
-                            striped_tc(true, sim::BackendKind::Mpi)));
+    expect_bitwise(run_synth(5, mode, false),
+                   run_synth_transport(5, mode, tc));
   }
 }
 

@@ -2,14 +2,10 @@
 // legibly, never deadlock, and leave errors attributable.
 #include <gtest/gtest.h>
 
-#include <span>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
-#include "op2ca/comm/comm.hpp"
-#include "op2ca/comm/transport.hpp"
 #include "op2ca/core/chain_config.hpp"
 #include "op2ca/core/runtime.hpp"
 #include "op2ca/halo/halo_plan.hpp"
@@ -136,7 +132,31 @@ TEST(WorldFailures, BadHaloDepthRejected) {
   mesh::Quad2D q = mesh::make_quad2d(4, 4);
   WorldConfig cfg;
   cfg.halo_depth = 0;
-  EXPECT_THROW(World(std::move(q.mesh), cfg), Error);
+  EXPECT_THROW(World(q.mesh, cfg), Error);
+
+  // The plan is halo_depth x the largest tile deep. A product above the
+  // 127-layer limit, including one that overflows int, raises an Error
+  // naming both factors and the limit.
+  const auto expect_depth_error = [&](const WorldConfig& c,
+                                      const std::string& tile) {
+    try {
+      World w(q.mesh, c);
+      ADD_FAILURE() << "tile " << tile << " accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("halo_depth 2"), std::string::npos) << what;
+      EXPECT_NE(what.find("largest tile " + tile), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("127"), std::string::npos) << what;
+    }
+  };
+  cfg = WorldConfig{};
+  cfg.tile = 64;  // 2 x 64 = 128 layers.
+  expect_depth_error(cfg, "64");
+  std::istringstream in("chain big tile=1073741824\n");
+  cfg = WorldConfig{};
+  cfg.chains = ChainConfig::parse(in);  // 2 x 2^30 overflows int.
+  expect_depth_error(cfg, "1073741824");
 }
 
 TEST(WorldFailures, RankExceptionCarriesMessage) {
@@ -342,136 +362,6 @@ TEST(HaloPlanFailures, DepthAboveBuilderLimitRejected) {
   EXPECT_NE(plan_error(q.mesh, part, 128).find("limit of 127"),
             std::string::npos);
   EXPECT_EQ(plan_error(q.mesh, part, 127), "");
-}
-
-// ---- Transport faults: a striped exchange must fail loudly or fall
-// back; delivering a torn message silently is never an option. ------------
-
-TEST(TransportFailures, DroppedRailTimesOutLoudly) {
-  sim::Transport t(2);
-  sim::TransportConfig tc;
-  tc.rails = 4;
-  tc.stripe_min_bytes = 64;
-  tc.stripe_timeout_s = 0.2;  // fail fast in the test.
-  // Rail 0's stripe never arrives: a dead NIC / lost sub-message.
-  t.inject_drop(/*src=*/0, /*dst=*/1, /*tag=*/9, /*count=*/1);
-  sim::Comm sender(t, 0, nullptr, &tc);
-  auto sreq = sender.stripe_isend(1, 9, ByteBuf(2048));
-  sender.wait(sreq);
-  sim::Comm recv(t, 1, nullptr, &tc);
-  ByteBuf out;
-  auto rreq = recv.stripe_irecv(0, 9, &out, 2048);
-  try {
-    recv.wait(rreq);
-    FAIL() << "reassembly must not complete with a dropped rail";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("timed out"), std::string::npos) << what;
-    EXPECT_NE(what.find("dropped rail"), std::string::npos) << what;
-  }
-}
-
-TEST(TransportFailures, TruncatedStripeRejectedAsTorn) {
-  sim::Transport t(2);
-  sim::TransportConfig tc;
-  tc.rails = 4;
-  tc.stripe_min_bytes = 64;
-  // Keep the 32-byte header plus 8 payload bytes: the header promises a
-  // full stripe, the body cannot honour it.
-  t.inject_truncate(/*src=*/0, /*dst=*/1, /*tag=*/9, /*keep_bytes=*/40);
-  sim::Comm sender(t, 0, nullptr, &tc);
-  auto sreq = sender.stripe_isend(1, 9, ByteBuf(2048));
-  sender.wait(sreq);
-  sim::Comm recv(t, 1, nullptr, &tc);
-  ByteBuf out;
-  auto rreq = recv.stripe_irecv(0, 9, &out, 2048);
-  try {
-    recv.wait(rreq);
-    FAIL() << "a truncated stripe must be rejected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("torn"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(TransportFailures, StripeShorterThanHeaderRejected) {
-  sim::Transport t(2);
-  sim::TransportConfig tc;
-  tc.rails = 4;
-  tc.stripe_min_bytes = 64;
-  // Not even a whole header survives.
-  t.inject_truncate(/*src=*/0, /*dst=*/1, /*tag=*/9, /*keep_bytes=*/16);
-  sim::Comm sender(t, 0, nullptr, &tc);
-  auto sreq = sender.stripe_isend(1, 9, ByteBuf(2048));
-  sender.wait(sreq);
-  sim::Comm recv(t, 1, nullptr, &tc);
-  ByteBuf out;
-  auto rreq = recv.stripe_irecv(0, 9, &out, 2048);
-  try {
-    recv.wait(rreq);
-    FAIL() << "a headerless fragment must be rejected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(TransportFailures, BelowThresholdFallsBackUnstriped) {
-  // Small messages never stripe, so a multi-rail config cannot tear
-  // them: the same injection that kills a stripe above has nothing to
-  // bite on when the message takes the legacy single-send path.
-  sim::Transport t(2);
-  sim::TransportConfig tc;
-  tc.rails = 4;
-  tc.stripe_min_bytes = 1 << 20;
-  sim::Comm sender(t, 0, nullptr, &tc);
-  ByteBuf payload(2048);
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    payload[i] = static_cast<std::byte>(i & 0xff);
-  ByteBuf copy = payload;
-  auto sreq = sender.stripe_isend(1, 9, std::move(copy));
-  sender.wait(sreq);
-  EXPECT_EQ(sender.stats().stripes_sent, 0);
-  sim::Comm recv(t, 1, nullptr, &tc);
-  ByteBuf out;
-  auto rreq = recv.stripe_irecv(0, 9, &out, 2048);
-  recv.wait(rreq);
-  EXPECT_EQ(out, payload);
-}
-
-TEST(TransportFailures, StaleChannelGeometryRejected) {
-  // The two ends of a persistent channel disagree on the slot size — one
-  // side's exchange plan changed without renegotiation. The handshake
-  // must refuse on both ends rather than truncate or pad traffic.
-  sim::Transport t(2);
-  sim::TransportConfig tc;
-  tc.rails = 1;
-  tc.persistent = true;
-  std::vector<std::string> errors(2);
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 2; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        sim::Comm c(t, r, nullptr, &tc);
-        sim::ChannelSpec spec;
-        spec.peer = 1 - r;
-        spec.sender = (r == 0);
-        spec.bytes = (r == 0) ? 256 : 512;  // stale: sizes diverged.
-        spec.plan_hash = 42;
-        c.open_channels(std::span<const sim::ChannelSpec>(&spec, 1));
-      } catch (const Error& e) {
-        errors[r] = e.what();
-        t.poison();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(errors[0].empty());
-  EXPECT_FALSE(errors[1].empty());
-  EXPECT_TRUE(
-      errors[0].find("geometry mismatch") != std::string::npos ||
-      errors[1].find("geometry mismatch") != std::string::npos)
-      << errors[0] << " / " << errors[1];
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "op2ca/util/stats.hpp"
 #include "op2ca/util/table.hpp"
 #include "op2ca/util/thread_pool.hpp"
-#include "op2ca/util/timer.hpp"
 
 namespace op2ca {
 namespace {
@@ -160,17 +159,6 @@ TEST(Options, RejectsEmptyAndOutOfRangeNumbers) {
     expect_rejects(name, [&] { opt.get_double(name, 0.0); });
   EXPECT_EQ(opt.get_int("ok", 0), -7);
   EXPECT_DOUBLE_EQ(opt.get_double("ok", 0.0), -7.0);
-}
-
-TEST(VirtualClock, AdvanceSemantics) {
-  VirtualClock c;
-  c.advance(1.5);
-  c.advance_to(1.0);  // earlier: no-op
-  EXPECT_DOUBLE_EQ(c.now(), 1.5);
-  c.advance_to(2.0);
-  EXPECT_DOUBLE_EQ(c.now(), 2.0);
-  c.reset();
-  EXPECT_DOUBLE_EQ(c.now(), 0.0);
 }
 
 TEST(Error, MessageCarriesLocation) {
