@@ -7,7 +7,7 @@
 
 using namespace op2ca;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, {"scale", "csv"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
 
@@ -65,4 +65,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(cfg, t);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_ablation_depth: " << e.what() << '\n';
+  return 1;
 }

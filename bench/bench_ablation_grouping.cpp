@@ -83,10 +83,13 @@ void pipeline_table(const bench::BenchConfig& cfg) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, {"csv"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
   grouping_table(cfg);
   pipeline_table(cfg);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_ablation_grouping: " << e.what() << '\n';
+  return 1;
 }

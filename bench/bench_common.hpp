@@ -41,6 +41,7 @@
 //                  with t_ca_chain_tiled). Default 1 = per-invocation.
 #pragma once
 
+#include <exception>
 #include <iostream>
 #include <map>
 #include <set>

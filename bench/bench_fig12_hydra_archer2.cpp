@@ -6,7 +6,7 @@
 
 using namespace op2ca;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, bench::fig_option_names());
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
   const model::Machine mach = cfg.apply_threads(model::archer2());
@@ -32,4 +32,7 @@ int main(int argc, char** argv) {
     bench::emit(cfg, t);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_fig12_hydra_archer2: " << e.what() << '\n';
+  return 1;
 }

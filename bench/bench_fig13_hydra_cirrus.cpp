@@ -20,7 +20,7 @@ model::Machine unscaled_cirrus(std::int64_t scale) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, bench::fig_option_names());
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
   const model::Machine mach = cfg.apply_threads(unscaled_cirrus(cfg.scale));
@@ -48,4 +48,7 @@ int main(int argc, char** argv) {
     bench::emit(cfg, t);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_fig13_hydra_cirrus: " << e.what() << '\n';
+  return 1;
 }

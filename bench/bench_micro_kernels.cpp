@@ -9,13 +9,19 @@
 // BENCH_tiling.json (temporal chain tiling A/B).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <functional>
+#include <iostream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "op2ca/apps/hydra/hydra_kernels.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
@@ -153,15 +159,61 @@ double time_per_call(const std::function<void()>& fn) {
   return t.elapsed() / reps;
 }
 
+/// Repetitions behind each CI-gated figure: the gate reads the median of
+/// this many interleaved A/B repetitions, so one noisy repetition on a
+/// shared runner cannot flip it; the JSON keeps min and max beside it.
+constexpr int kGateReps = 5;
+
+/// Median, min and max of a figure's repetitions (kGateReps is odd).
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+Spread spread(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v.front(), v.back()};
+}
+
+/// `"key": median, "key_min": min, "key_max": max` for a JSON object.
+std::string json_spread(const std::string& key, const Spread& s) {
+  std::ostringstream os;
+  os.precision(5);
+  os << '"' << key << "\": " << s.median << ", \"" << key
+     << "_min\": " << s.min << ", \"" << key << "_max\": " << s.max;
+  return os.str();
+}
+
+/// Region body vs hand-written loop, medians of kGateReps interleaved
+/// repetitions (one of each per repetition).
 struct DispatchResult {
   double per_element_ns = 0;  ///< seed-style std::function per element.
   double batched_ns = 0;      ///< the region body par_loop stores.
   double raw_ns = 0;          ///< hand-written loop, same kernel + arrays.
-  double speedup() const { return per_element_ns / batched_ns; }
   /// The dispatch tax: how much slower the region body runs than the
-  /// hand-written loop (1 = none).
-  double batched_over_raw() const { return batched_ns / raw_ns; }
+  /// hand-written loop (1 = none), per repetition.
+  Spread batched_over_raw;
+  double speedup() const { return per_element_ns / batched_ns; }
 };
+
+/// Times the three dispatch forms of one loop: the per-element form
+/// once, the region body and the hand-written loop interleaved.
+DispatchResult time_dispatch(double elems,
+                             const std::function<void()>& per_element,
+                             const std::function<void()>& batched,
+                             const std::function<void()>& raw) {
+  DispatchResult r;
+  r.per_element_ns = 1e9 / elems * time_per_call(per_element);
+  std::vector<double> batched_ns, raw_ns, ratio;
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    batched_ns.push_back(1e9 / elems * time_per_call(batched));
+    raw_ns.push_back(1e9 / elems * time_per_call(raw));
+    ratio.push_back(batched_ns.back() / raw_ns.back());
+  }
+  r.batched_ns = spread(batched_ns).median;
+  r.raw_ns = spread(raw_ns).median;
+  r.batched_over_raw = spread(ratio);
+  return r;
+}
 
 /// Direct loop: two dim-2 direct args, the cheapest realistic kernel, so
 /// the measurement isolates dispatch overhead.
@@ -194,16 +246,13 @@ DispatchResult bench_direct_dispatch() {
   const std::function<void(lidx_t, lidx_t)> region =
       cd::make_loop_bodies<kD, kD>(kernel, rargs, false, "bench").range;
 
-  DispatchResult r;
-  r.per_element_ns = 1e9 / kN * time_per_call([&] {
-                       for (lidx_t i = 0; i < kN; ++i) element(i);
-                     });
-  r.batched_ns = 1e9 / kN * time_per_call([&] { region(0, kN); });
-  r.raw_ns = 1e9 / kN * time_per_call([&] {
-               for (std::size_t i = 0; i < static_cast<std::size_t>(kN); ++i)
-                 kernel(a.data() + 2 * i, b.data() + 2 * i);
-             });
-  return r;
+  return time_dispatch(
+      kN, [&] { for (lidx_t i = 0; i < kN; ++i) element(i); },
+      [&] { region(0, kN); },
+      [&] {
+        for (std::size_t i = 0; i < static_cast<std::size_t>(kN); ++i)
+          kernel(a.data() + 2 * i, b.data() + 2 * i);
+      });
 }
 
 /// Indirect loop: the synthetic update pattern (two INC + two READ args
@@ -243,20 +292,17 @@ DispatchResult bench_indirect_dispatch() {
       cd::make_loop_bodies<kI, kI, kI, kI>(kernel, rargs, false, "bench")
           .range;
 
-  DispatchResult r;
-  r.per_element_ns = 1e9 / kEdges * time_per_call([&] {
-                       for (lidx_t i = 0; i < kEdges; ++i) element(i);
-                     });
-  r.batched_ns = 1e9 / kEdges * time_per_call([&] { region(0, kEdges); });
-  r.raw_ns = 1e9 / kEdges * time_per_call([&] {
-    for (std::size_t e = 0; e < static_cast<std::size_t>(kEdges); ++e) {
-      const auto n0 = static_cast<std::size_t>(map[2 * e]);
-      const auto n1 = static_cast<std::size_t>(map[2 * e + 1]);
-      kernel(res.data() + 2 * n0, res.data() + 2 * n1, pres.data() + 2 * n0,
-             pres.data() + 2 * n1);
-    }
-  });
-  return r;
+  return time_dispatch(
+      kEdges, [&] { for (lidx_t i = 0; i < kEdges; ++i) element(i); },
+      [&] { region(0, kEdges); },
+      [&] {
+        for (std::size_t e = 0; e < static_cast<std::size_t>(kEdges); ++e) {
+          const auto n0 = static_cast<std::size_t>(map[2 * e]);
+          const auto n1 = static_cast<std::size_t>(map[2 * e + 1]);
+          kernel(res.data() + 2 * n0, res.data() + 2 * n1,
+                 pres.data() + 2 * n0, pres.data() + 2 * n1);
+        }
+      });
 }
 
 struct GroupedResult {
@@ -838,51 +884,55 @@ void write_simd_json(const char* path, const std::string& only,
 // and 4 threads, so `speedup` is what the locality layer and threading
 // buy together over the scrambled serial baseline — the number CI gates
 // on (>= 2x at 4 threads on multi-core runners; on a single-core host
-// it is carried by the reordering).
+// it is carried by the reordering). It is the median over kGateReps
+// repetitions that each time the baseline and every width.
 // ---------------------------------------------------------------------
 
-/// Per-edge time of one sweep configuration through the full executor.
-double bench_colour_sweep_case(const mesh::MeshDef& m, mesh::ReorderKind kind,
-                               int threads) {
+/// A World running one sweep configuration through the full executor.
+std::unique_ptr<core::World> sweep_world(const mesh::MeshDef& m,
+                                         mesh::ReorderKind kind,
+                                         int threads) {
   core::WorldConfig cfg;
   cfg.nranks = 1;
   cfg.halo_depth = 1;
   cfg.threads_per_rank = threads;
   cfg.reorder.kind = kind;
-  core::World w(m, cfg);
+  return std::make_unique<core::World>(m, cfg);
+}
 
+/// Per-edge time of one timed sweep in `w`.
+double sweep_ns(core::World& w) {
   const auto num_edges =
       static_cast<double>(w.mesh().set(*w.mesh().find_set("edges")).size);
-  double sweep_ns = 0;
+  double ns = 0;
   w.run([&](core::Runtime& rt) {
     const core::Set edges = rt.set("edges");
     const core::Dat res = rt.dat("sweep_res");
     const core::Dat pres = rt.dat("sweep_pres");
     const core::Map map = rt.map("e2n");
-    sweep_ns =
-        1e9 / num_edges * time_per_call([&] {
-          rt.par_loop("sweep_update", edges,
-                      apps::mgcfd::kernels::synth_update,
-                      core::arg_dat(res, 0, map, core::Access::INC),
-                      core::arg_dat(res, 1, map, core::Access::INC),
-                      core::arg_dat(pres, 0, map, core::Access::READ),
-                      core::arg_dat(pres, 1, map, core::Access::READ));
-        });
+    ns = 1e9 / num_edges * time_per_call([&] {
+           rt.par_loop("sweep_update", edges,
+                       apps::mgcfd::kernels::synth_update,
+                       core::arg_dat(res, 0, map, core::Access::INC),
+                       core::arg_dat(res, 1, map, core::Access::INC),
+                       core::arg_dat(pres, 0, map, core::Access::READ),
+                       core::arg_dat(pres, 1, map, core::Access::READ));
+         });
   });
-  return sweep_ns;
+  return ns;
 }
 
 struct ColourSweepWidth {
   int threads = 1;
-  double sweep_ns = 0;  ///< RCM, colour barriers, per edge.
-  double speedup = 0;   ///< vs the scrambled serial baseline.
+  double sweep_ns = 0;  ///< RCM, colour barriers, per edge (median).
+  Spread speedup;       ///< vs the scrambled serial baseline.
 };
 
 struct ColourSweepResult {
   gidx_t nodes = 0, edges = 0;
-  double serial_ns = 0;
+  double serial_ns = 0;  ///< median.
   std::vector<ColourSweepWidth> widths;
-  double best_speedup = 0;
+  double best_speedup = 0;  ///< best median speedup.
 };
 
 ColourSweepResult bench_colour_sweep() {
@@ -905,15 +955,30 @@ ColourSweepResult bench_colour_sweep() {
   ColourSweepResult r;
   r.nodes = h.mesh.set(h.nodes).size;
   r.edges = h.mesh.set(h.edges).size;
-  r.serial_ns =
-      bench_colour_sweep_case(scrambled, mesh::ReorderKind::None, 1);
-  for (const int threads : {2, 4}) {
+  const std::vector<int> widths = {2, 4};
+  const auto serial = sweep_world(scrambled, mesh::ReorderKind::None, 1);
+  std::vector<std::unique_ptr<core::World>> worlds;
+  for (const int threads : widths)
+    worlds.push_back(sweep_world(scrambled, mesh::ReorderKind::RCM, threads));
+  // Each repetition times the baseline and then every width, so drift on
+  // a shared host hits both sides of each speedup alike.
+  std::vector<double> serial_reps;
+  std::vector<std::vector<double>> ns_reps(widths.size()),
+      speedup_reps(widths.size());
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    serial_reps.push_back(sweep_ns(*serial));
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+      ns_reps[i].push_back(sweep_ns(*worlds[i]));
+      speedup_reps[i].push_back(serial_reps.back() / ns_reps[i].back());
+    }
+  }
+  r.serial_ns = spread(serial_reps).median;
+  for (std::size_t i = 0; i < widths.size(); ++i) {
     ColourSweepWidth w;
-    w.threads = threads;
-    w.sweep_ns =
-        bench_colour_sweep_case(scrambled, mesh::ReorderKind::RCM, threads);
-    w.speedup = r.serial_ns / w.sweep_ns;
-    r.best_speedup = std::max(r.best_speedup, w.speedup);
+    w.threads = widths[i];
+    w.sweep_ns = spread(ns_reps[i]).median;
+    w.speedup = spread(speedup_reps[i]);
+    r.best_speedup = std::max(r.best_speedup, w.speedup.median);
     r.widths.push_back(w);
   }
   return r;
@@ -933,13 +998,13 @@ void write_hotpath_json(const char* path) {
      << "    \"direct\": {\"per_element_ns\": " << direct.per_element_ns
      << ", \"batched_ns\": " << direct.batched_ns
      << ", \"raw_ns\": " << direct.raw_ns
-     << ", \"speedup\": " << direct.speedup()
-     << ", \"batched_over_raw\": " << direct.batched_over_raw() << "},\n"
+     << ", \"speedup\": " << direct.speedup() << ", "
+     << json_spread("batched_over_raw", direct.batched_over_raw) << "},\n"
      << "    \"indirect\": {\"per_element_ns\": " << indirect.per_element_ns
      << ", \"batched_ns\": " << indirect.batched_ns
      << ", \"raw_ns\": " << indirect.raw_ns
-     << ", \"speedup\": " << indirect.speedup()
-     << ", \"batched_over_raw\": " << indirect.batched_over_raw() << "}\n"
+     << ", \"speedup\": " << indirect.speedup() << ", "
+     << json_spread("batched_over_raw", indirect.batched_over_raw) << "}\n"
      << "  },\n"
      << "  \"grouped\": {\n"
      << "    \"pack_send\": {\"seed_style_gbps\": "
@@ -970,8 +1035,8 @@ void write_hotpath_json(const char* path) {
   for (std::size_t i = 0; i < cs.widths.size(); ++i) {
     const auto& w = cs.widths[i];
     os << (i == 0 ? "" : ", ") << "{\"threads\": " << w.threads
-       << ", \"sweep_ns\": " << w.sweep_ns
-       << ", \"speedup\": " << w.speedup << "}";
+       << ", \"sweep_ns\": " << w.sweep_ns << ", "
+       << json_spread("speedup", w.speedup) << "}";
   }
   os << "],\n"
      << "    \"best_speedup\": " << cs.best_speedup << "\n"
@@ -987,11 +1052,16 @@ void write_hotpath_json(const char* path) {
       grouped.plan_unpack_gbps / grouped.ref_unpack_gbps,
       sweep.widths.empty() ? 0 : sweep.widths.back().threads, best_sweep,
       sweep.colours, path);
+  std::printf("  indirect dispatch tax: median %.2fx (min %.2fx, max %.2fx "
+              "over %d reps)\n",
+              indirect.batched_over_raw.median, indirect.batched_over_raw.min,
+              indirect.batched_over_raw.max, kGateReps);
   for (const ColourSweepWidth& w : cs.widths)
     std::printf(
-        "  RCM colour sweep @%dt: %.2f ns/edge, %.2fx vs scrambled serial "
-        "(%.2f ns)\n",
-        w.threads, w.sweep_ns, w.speedup, cs.serial_ns);
+        "  RCM colour sweep @%dt: %.2f ns/edge, median %.2fx (min %.2fx, "
+        "max %.2fx) vs scrambled serial (%.2f ns)\n",
+        w.threads, w.sweep_ns, w.speedup.median, w.speedup.min,
+        w.speedup.max, cs.serial_ns);
 }
 
 // ---------------------------------------------------------------------
@@ -1005,7 +1075,8 @@ void write_hotpath_json(const char* path) {
 // exchange epochs cost genuine wall time (the sim fabric's memcpy wire
 // is otherwise nearly free — the regime where tiling is pointless).
 // The gated numbers: tile=4 must cut exchange-epoch count >= 3x and
-// wall time >= 1.3x vs tile=1; the sweep's redundant_elems column is
+// wall time >= 1.3x vs tile=1 (the median over kGateReps repetitions
+// that each time every tile size); the sweep's redundant_elems column is
 // the measured message-reduction vs redundant-compute crossover ledger
 // for EXPERIMENTS.md.
 // ---------------------------------------------------------------------
@@ -1061,7 +1132,7 @@ void run_tiling_chain(core::Runtime& rt) {
 
 struct TilingCase {
   int tile = 1;
-  double wall_s = 0;          ///< timed timestep loop, rank 0.
+  double wall_s = 0;          ///< timed timestep loop, rank 0 (median).
   std::int64_t epochs = 0;    ///< fused chain executions (metric calls).
   std::int64_t msgs = 0;
   std::int64_t bytes = 0;
@@ -1069,61 +1140,73 @@ struct TilingCase {
   std::int64_t redundant_elems = 0;
 };
 
-TilingCase bench_tiling_case(const mesh::MeshDef& m, int tile, int steps) {
+/// A World running the chain at `tile`, warmed up: one full tile builds
+/// the fused plan, exec lists and exchange caches, so timed runs measure
+/// steady state.
+std::unique_ptr<core::World> tiling_world(const mesh::MeshDef& m, int tile) {
   core::WorldConfig cfg;
   cfg.nranks = 4;
   cfg.halo_depth = 2;
   cfg.tile = tile;
   cfg.chains.enable("tile_chain");
-  core::World w(m, cfg);
+  auto w = std::make_unique<core::World>(m, cfg);
   // Inject a 500us per-post wire latency: exchange epochs then dominate
   // wall the way a real network would, and the A/B isolates what fusing
   // k epochs into one actually buys.
-  if (auto* t = dynamic_cast<sim::Transport*>(&w.transport()))
+  if (auto* t = dynamic_cast<sim::Transport*>(&w->transport()))
     for (rank_t r = 0; r < cfg.nranks; ++r) t->set_post_delay(r, 500e-6);
-
-  // Warm-up: one full tile builds the fused plan, exec lists and
-  // exchange caches; the timed loop below measures steady state.
-  w.run([&](core::Runtime& rt) {
+  w->run([&](core::Runtime& rt) {
     for (int i = 0; i < tile; ++i) run_tiling_chain(rt);
   });
-  w.clear_metrics();
+  return w;
+}
 
-  TilingCase out;
-  out.tile = tile;
+/// One timed run of `steps` timesteps; fills every field but wall_s.
+double time_tiling(core::World& w, int steps, TilingCase* out) {
+  w.clear_metrics();
+  double wall_s = 0;
   w.run([&](core::Runtime& rt) {
     WallTimer timer;
     for (int i = 0; i < steps; ++i) run_tiling_chain(rt);
     rt.flush();  // drain a trailing partial tile inside the clock
-    if (rt.rank() == 0) out.wall_s = timer.elapsed();
+    if (rt.rank() == 0) wall_s = timer.elapsed();
   });
   const auto cm = w.chain_metrics();
   const core::LoopMetrics& lm = cm.at("tile_chain");
-  out.epochs = lm.calls;
-  out.msgs = lm.msgs;
-  out.bytes = lm.bytes;
-  out.msgs_saved = lm.msgs_saved;
-  out.redundant_elems = lm.redundant_elems;
-  return out;
+  out->epochs = lm.calls;
+  out->msgs = lm.msgs;
+  out->bytes = lm.bytes;
+  out->msgs_saved = lm.msgs_saved;
+  out->redundant_elems = lm.redundant_elems;
+  return wall_s;
 }
 
 void write_tiling_json(const char* path) {
   const mesh::MeshDef m = build_tiling_mesh();
   constexpr int kSteps = 32;
-  std::vector<TilingCase> cases;
-  for (const int tile : {1, 2, 4, 8})
-    cases.push_back(bench_tiling_case(m, tile, kSteps));
-
-  const auto find = [&](int tile) -> const TilingCase& {
-    for (const TilingCase& c : cases)
-      if (c.tile == tile) return c;
-    raise("tiling bench case missing");
-  };
-  const TilingCase& t1 = find(1);
-  const TilingCase& t4 = find(4);
+  const std::vector<int> tiles = {1, 2, 4, 8};
+  std::vector<TilingCase> cases(tiles.size());
+  std::vector<std::unique_ptr<core::World>> worlds;
+  for (std::size_t i = 0; i < tiles.size(); ++i) {
+    cases[i].tile = tiles[i];
+    worlds.push_back(tiling_world(m, tiles[i]));
+  }
+  // Each repetition times every tile size in turn; tiles[0] is tile=1
+  // and tiles[2] tile=4, the gated pair.
+  std::vector<std::vector<double>> wall_reps(tiles.size());
+  std::vector<double> speedup_reps;
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    for (std::size_t i = 0; i < tiles.size(); ++i)
+      wall_reps[i].push_back(time_tiling(*worlds[i], kSteps, &cases[i]));
+    speedup_reps.push_back(wall_reps[0].back() / wall_reps[2].back());
+  }
+  for (std::size_t i = 0; i < tiles.size(); ++i)
+    cases[i].wall_s = spread(wall_reps[i]).median;
+  const TilingCase& t1 = cases[0];
+  const TilingCase& t4 = cases[2];
   const double epoch_reduction =
       static_cast<double>(t1.epochs) / static_cast<double>(t4.epochs);
-  const double wall_speedup = t1.wall_s / t4.wall_s;
+  const Spread wall_speedup = spread(speedup_reps);
 
   std::ofstream os(path);
   os.precision(5);
@@ -1141,17 +1224,19 @@ void write_tiling_json(const char* path) {
   }
   os << "  ],\n"
      << "  \"epoch_reduction\": " << epoch_reduction << ",\n"
-     << "  \"wall_speedup\": " << wall_speedup << "\n}\n";
+     << "  " << json_spread("wall_speedup", wall_speedup) << "\n}\n";
   std::printf(
       "tiling: tile=4 cuts exchange epochs %.2fx (%lld -> %lld) and wall "
-      "%.2fx vs tile=1 on the scrambled hex3d chain -> %s\n",
+      "median %.2fx (min %.2fx, max %.2fx) vs tile=1 on the scrambled "
+      "hex3d chain -> %s\n",
       epoch_reduction, static_cast<long long>(t1.epochs),
-      static_cast<long long>(t4.epochs), wall_speedup, path);
+      static_cast<long long>(t4.epochs), wall_speedup.median,
+      wall_speedup.min, wall_speedup.max, path);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // Pull our layout flags out of argv before google-benchmark sees them
   // (it rejects unrecognized arguments).
   std::string layout_only;  // empty = run every layout in the A/B.
@@ -1179,4 +1264,7 @@ int main(int argc, char** argv) {
   write_simd_json("BENCH_simd.json", layout_only, aosoa_block);
   write_tiling_json("BENCH_tiling.json");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_micro_kernels: " << e.what() << '\n';
+  return 1;
 }

@@ -8,7 +8,7 @@
 
 using namespace op2ca;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, {"csv"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
 
@@ -41,4 +41,7 @@ int main(int argc, char** argv) {
              c.compute_scale});
   bench::emit(cfg, t);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_table1_systems: " << e.what() << '\n';
+  return 1;
 }

@@ -51,7 +51,7 @@ void print_chain(const bench::BenchConfig& cfg, const mesh::MeshDef& m,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, {"csv"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
 
@@ -66,4 +66,7 @@ int main(int argc, char** argv) {
   print_chain(cfg, m, specs.at("gradl"),
               {{"qp", prob.qp}, {"ql", prob.ql}});
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_table3_hydra_multilayer: " << e.what() << '\n';
+  return 1;
 }

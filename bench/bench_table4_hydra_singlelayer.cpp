@@ -37,7 +37,7 @@ void print_chain(const bench::BenchConfig& cfg, const mesh::MeshDef& m,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, {"csv"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
 
@@ -47,4 +47,7 @@ int main(int argc, char** argv) {
   print_chain(cfg, prob.an.mesh, specs.at("iflux"));
   print_chain(cfg, prob.an.mesh, specs.at("jacob"));
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_table4_hydra_singlelayer: " << e.what() << '\n';
+  return 1;
 }

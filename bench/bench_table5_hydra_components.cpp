@@ -5,7 +5,7 @@
 
 using namespace op2ca;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, {"scale", "csv", "calibrate", "tile"});
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
   const model::Machine mach = model::archer2();
@@ -32,4 +32,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(cfg, t);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_table5_hydra_components: " << e.what() << '\n';
+  return 1;
 }

@@ -1,5 +1,6 @@
 # Runs each (driver, flag) pair in COMMANDS ("exe|flag|exe|flag...") and
-# fails unless every run exits non-zero with "Unknown option <flag>".
+# fails unless every run exits with a non-zero exit code (not a signal)
+# and prints "Unknown option <flag>".
 # Usage: cmake -DCOMMANDS=... -P expect_unknown_option.cmake
 string(REPLACE "|" ";" args "${COMMANDS}")
 list(LENGTH args n)
@@ -13,6 +14,10 @@ foreach(i RANGE 0 ${last} 2)
   string(REGEX REPLACE "=.*" "" name "${flag}")
   if(rc EQUAL 0)
     message(FATAL_ERROR "${exe} ${flag} succeeded; expected it to be rejected")
+  endif()
+  if(NOT rc MATCHES "^[0-9]+$")
+    message(FATAL_ERROR "${exe} ${flag} died (${rc}) instead of exiting "
+                        "with an error code")
   endif()
   string(FIND "${out}${err}" "Unknown option ${name}" at)
   if(at EQUAL -1)

@@ -6,6 +6,7 @@
 //
 //   ./airfoil [--nx=128] [--ny=96] [--ranks=6] [--steps=20] [--ca=1]
 #include <cmath>
+#include <exception>
 #include <iostream>
 
 #include "op2ca/core/runtime.hpp"
@@ -50,7 +51,7 @@ void update(const double* qold, double* q, double* res, double* rms) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv,
                     {"nx", "ny", "ranks", "steps", "ca", "vtk"});
   const gidx_t nx = opt.get_int("nx", 128), ny = opt.get_int("ny", 96);
@@ -149,4 +150,7 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << vtk_path << '\n';
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "airfoil: " << e.what() << '\n';
+  return 1;
 }

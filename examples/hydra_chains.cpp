@@ -8,6 +8,7 @@
 //
 // Without --config, a built-in configuration enabling period, vflux,
 // iflux and jacob (the profitable chains of Fig 12/13) is used.
+#include <exception>
 #include <iostream>
 #include <sstream>
 
@@ -18,7 +19,7 @@
 
 using namespace op2ca;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, {"nodes", "ranks", "iters", "config"});
   const gidx_t nodes = opt.get_int("nodes", 30000);
   const int ranks = static_cast<int>(opt.get_int("ranks", 8));
@@ -71,4 +72,7 @@ chain jacob   loops=3 depth=1
               << " halo=" << m.halo_iters << '\n';
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "hydra_chains: " << e.what() << '\n';
+  return 1;
 }

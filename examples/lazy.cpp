@@ -11,6 +11,7 @@
 //
 //   ./lazy [--nodes=15000] [--ranks=6] [--steps=4] [--pairs=6]
 #include <cmath>
+#include <exception>
 #include <iostream>
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
@@ -96,7 +97,7 @@ Outcome run(Mode mode, gidx_t nodes, int ranks, int steps, int pairs) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, {"nodes", "ranks", "steps", "pairs"});
   const gidx_t nodes = opt.get_int("nodes", 15000);
   const int ranks = static_cast<int>(opt.get_int("ranks", 6));
@@ -128,4 +129,7 @@ int main(int argc, char** argv) {
   std::cout << "\nall three modes agree; lazy mode discovered the chains "
                "without any annotation\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "lazy: " << e.what() << '\n';
+  return 1;
 }

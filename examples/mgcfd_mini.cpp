@@ -4,6 +4,7 @@
 // machine and reporting residuals and communication metrics.
 //
 //   ./mgcfd_mini [--nodes=20000] [--ranks=8] [--steps=5] [--nchains=8]
+#include <exception>
 #include <iostream>
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
@@ -13,7 +14,7 @@
 
 using namespace op2ca;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, {"nodes", "ranks", "steps", "nchains"});
   const gidx_t nodes = opt.get_int("nodes", 20000);
   const int ranks = static_cast<int>(opt.get_int("ranks", 8));
@@ -60,4 +61,7 @@ int main(int argc, char** argv) {
                "per chain; the baseline re-exchanged sres for every "
                "edge_flux loop.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "mgcfd_mini: " << e.what() << '\n';
+  return 1;
 }

@@ -8,6 +8,7 @@
 //
 //   ./quickstart [--nx=64] [--ny=64] [--ranks=4] [--steps=3]
 #include <cmath>
+#include <exception>
 #include <iostream>
 
 #include "op2ca/core/runtime.hpp"
@@ -84,7 +85,7 @@ void time_march(core::Runtime& rt, int steps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opt(argc, argv, {"nx", "ny", "ranks", "steps"});
   const gidx_t nx = opt.get_int("nx", 64), ny = opt.get_int("ny", 64);
   const int ranks = static_cast<int>(opt.get_int("ranks", 4));
@@ -123,4 +124,7 @@ int main(int argc, char** argv) {
   std::cout << "results match: the CA back-end exchanged one grouped "
                "message per neighbour per chain\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "quickstart: " << e.what() << '\n';
+  return 1;
 }

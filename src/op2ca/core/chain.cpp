@@ -41,17 +41,13 @@ void Runtime::chain_end() {
     LoopMetrics chain_total;
     std::int64_t rank_bytes = 0;
     for (const auto& rec : loops) {
-      const LoopMetrics m = detail::execute_loop_op2(*state_, rec);
+      const LoopMetrics m = detail::run_loop(*state_, rec);
       chain_total.merge_from(m);
       rank_bytes += m.max_rank_bytes;
     }
-    chain_total.calls = 1;
     chain_total.tile = 1;
     chain_total.max_rank_bytes = rank_bytes;
-    LoopMetrics& agg = state_->chain_metrics[name];
-    const std::int64_t prev_calls = agg.calls;
-    agg.merge_from(chain_total);
-    agg.calls = prev_calls + 1;
+    detail::add_call(state_->chain_metrics[name], chain_total);
     return;
   }
 
@@ -61,14 +57,16 @@ void Runtime::chain_end() {
                    << " loops but captured " << loops.size();
   }
 
+  if (loops.empty()) return;  // an empty CA chain runs no epoch
+
   // Effective tile size: a per-chain tile= entry overrides the world
   // default. tile <= 1 is the per-invocation executor, bitwise-identical
   // to previous builds.
   const int chain_tile = cfg.tile(name);
   const int tile =
       std::max(1, chain_tile > 0 ? chain_tile : world_->config().tile);
-  if (tile <= 1 || loops.empty()) {
-    detail::execute_chain_ca(*state_, name, loops);
+  if (tile <= 1) {
+    detail::run_chain(*state_, name, name, loops, 1);
     return;
   }
 
@@ -135,34 +133,16 @@ std::string lazy_signature(const LoopRecord* loops, std::size_t n) {
 
 /// Feasibility of a window of loops as one CA chain cached under `key`:
 /// accepted by the inspector AND within the halo plan's depth AND within
-/// `cap` halo layers (0 = uncapped). Caches the analysis in
-/// st.chain_plans under `key`, so a feasible window's later execution
+/// `cap` halo layers (0 = uncapped). The inspection stays cached in
+/// st.chain_windows under `key`, so a feasible window's later execution
 /// (and every repeat of the same window) skips the inspector entirely.
 bool window_feasible_as(RankState& st, const std::string& key,
                         const LoopRecord* loops, std::size_t n, int cap) {
-  const std::uint64_t sig = chain_structural_hash(loops, n);
-  const auto within = [&st, cap](int required) {
+  try {
+    const int required =
+        chain_window(st, key, loops, n).analysis.required_depth;
     return required <= st.world->plan().depth &&
            (cap == 0 || required <= cap);
-  };
-  const auto it = st.chain_plans.find(key);
-  if (it != st.chain_plans.end() && it->second.structure == sig &&
-      it->second.analysis.he.size() == n)
-    return within(it->second.analysis.required_depth);
-  ChainSpec spec;
-  spec.name = key;
-  spec.loops.reserve(n);
-  for (std::size_t l = 0; l < n; ++l) spec.loops.push_back(loops[l].spec);
-  try {
-    ChainAnalysis an = inspect_chain(st.world->mesh(), spec);
-    const bool ok = within(an.required_depth);
-    ChainPlan& cp = st.chain_plans[key];
-    cp.structure = sig;
-    cp.analysis = std::move(an);
-    cp.exec_lists_built = false;
-    cp.exec_lists.clear();
-    cp.exchanges.clear();
-    return ok;
   } catch (const Error&) {
     return false;  // inspector rejected (e.g. unregenerable direct write)
   }
@@ -202,9 +182,9 @@ void flush_lazy(RankState& st) {
       std::vector<LoopRecord> window(
           std::make_move_iterator(loops.begin() + static_cast<long>(i)),
           std::make_move_iterator(loops.begin() + static_cast<long>(j)));
-      execute_chain_ca(st, name, window);
+      run_chain(st, name, name, window, 1);
     } else {
-      execute_loop_op2(st, loops[i]);
+      run_loop(st, loops[i]);
     }
     i = j;
   }
@@ -232,7 +212,7 @@ void flush_tiles(RankState& st) {
     const std::string key = name + "#tile" + std::to_string(n_inv);
     const int cap = st.world->config().chains.max_depth(name);
     if (window_feasible_as(st, key, fused.data(), fused.size(), cap)) {
-      execute_chain_ca_tiled(st, name, key, fused, n_inv);
+      run_chain(st, name, key, fused, n_inv);
       return;
     }
     if (st.tile_fallbacks.insert(key).second) {
@@ -252,7 +232,7 @@ void flush_tiles(RankState& st) {
     std::vector<LoopRecord> window(std::make_move_iterator(b),
                                    std::make_move_iterator(
                                        b + static_cast<long>(per_inv)));
-    execute_chain_ca(st, name, window);
+    run_chain(st, name, name, window, 1);
   }
 }
 

@@ -20,7 +20,6 @@ RankState::RankState(World* w, sim::TransportBackend& transport, rank_t r)
   if (w->config().reorder.enabled())
     colour_block = std::max<lidx_t>(1, w->config().reorder.colour_block);
   dats.resize(static_cast<std::size_t>(mesh.num_dats()));
-  loop_exchanges.resize(static_cast<std::size_t>(mesh.num_dats()));
   const mesh::LayoutConfig& lcfg = w->config().layout;
   for (mesh::dat_id d = 0; d < mesh.num_dats(); ++d) {
     const mesh::DatDef& dd = mesh.dat(d);

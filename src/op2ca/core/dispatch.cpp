@@ -1,5 +1,5 @@
-// Region dispatch: every core/boundary/exec-halo region of both
-// executors funnels through run_range / run_list here.
+// Region dispatch: every core/boundary/exec-halo region of the epoch
+// executor funnels through run_range / run_list here.
 //
 // Serial paths are unchanged from the pre-threading runtime: one
 // type-erased region body per range/list (or per element under
@@ -90,8 +90,8 @@ std::int64_t run_range_chunked(RankState& st, const LoopRecord& rec,
   for (int t = 0; t < pool.threads(); ++t)
     chunks += off[static_cast<std::size_t>(t)] <
               off[static_cast<std::size_t>(t) + 1];
-  st.dispatch_regions += chunks;
-  st.dispatch_chunks += chunks;
+  st.epoch.dispatch_regions += chunks;
+  st.epoch.chunks += chunks;
   return end - begin;
 }
 
@@ -109,8 +109,8 @@ std::int64_t run_list_chunked(RankState& st, const LoopRecord& rec,
   for (int t = 0; t < pool.threads(); ++t)
     chunks += off[static_cast<std::size_t>(t)] <
               off[static_cast<std::size_t>(t) + 1];
-  st.dispatch_regions += chunks;
-  st.dispatch_chunks += chunks;
+  st.epoch.dispatch_regions += chunks;
+  st.epoch.chunks += chunks;
   return static_cast<std::int64_t>(n);
 }
 
@@ -181,8 +181,8 @@ void sweep_class(RankState& st, const LoopRecord& rec, const lidx_t* idx,
           run_aware_span(rec, idx + b, e - b);
   });
   for (int t = 0; t < pool.threads(); ++t) {
-    st.dispatch_regions += regions[static_cast<std::size_t>(t)];
-    st.dispatch_chunks += regions[static_cast<std::size_t>(t)] > 0;
+    st.epoch.dispatch_regions += regions[static_cast<std::size_t>(t)];
+    st.epoch.chunks += regions[static_cast<std::size_t>(t)] > 0;
   }
 }
 
@@ -278,12 +278,12 @@ std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
   if (end <= begin) return 0;
   if (st.serial_dispatch) {
     for (lidx_t i = begin; i < end; ++i) rec.range_body(i, i + 1);
-    st.dispatch_regions += end - begin;
+    st.epoch.dispatch_regions += end - begin;
     return end - begin;
   }
   if (st.pool == nullptr || has_gbl_inc(rec)) {
     rec.range_body(begin, end);
-    st.dispatch_regions += 1;
+    st.epoch.dispatch_regions += 1;
     return end - begin;
   }
   if (!rec.spec.has_indirect_write())
@@ -291,8 +291,7 @@ std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
 
   // Colour-ordered sweep over each class's slice inside [begin, end).
   const mesh::Colouring& col = loop_colouring(st, rec);
-  st.dispatch_max_colours = std::max(st.dispatch_max_colours,
-                                     col.num_colours);
+  st.epoch.max_colours = std::max(st.epoch.max_colours, col.num_colours);
   for (const LIdxVec& cls : col.classes) {
     const std::span<const lidx_t> part = class_slice(cls, begin, end);
     sweep_class(st, rec, part.data(), part.size(), col.block_elems);
@@ -305,12 +304,12 @@ std::int64_t run_list(RankState& st, const LoopRecord& rec,
   if (idx.empty()) return 0;
   if (st.serial_dispatch) {
     for (lidx_t i : idx) rec.list_body(&i, 1);
-    st.dispatch_regions += static_cast<std::int64_t>(idx.size());
+    st.epoch.dispatch_regions += static_cast<std::int64_t>(idx.size());
     return static_cast<std::int64_t>(idx.size());
   }
   if (st.pool == nullptr || has_gbl_inc(rec)) {
     rec.list_body(idx.data(), idx.size());
-    st.dispatch_regions += 1;
+    st.epoch.dispatch_regions += 1;
     return static_cast<std::int64_t>(idx.size());
   }
   if (!rec.spec.has_indirect_write())
@@ -320,8 +319,7 @@ std::int64_t run_list(RankState& st, const LoopRecord& rec,
   // then sweep the buckets colour by colour. Lists ascend, so a block's
   // elements stay contiguous in its bucket and run in ascending order.
   const mesh::Colouring& col = loop_colouring(st, rec);
-  st.dispatch_max_colours = std::max(st.dispatch_max_colours,
-                                     col.num_colours);
+  st.epoch.max_colours = std::max(st.epoch.max_colours, col.num_colours);
   std::vector<LIdxVec>& buckets = st.colour_scratch;
   if (buckets.size() < static_cast<std::size_t>(col.num_colours))
     buckets.resize(static_cast<std::size_t>(col.num_colours));

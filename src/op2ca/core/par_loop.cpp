@@ -35,13 +35,13 @@ void Runtime::submit(detail::LoopRecord rec) {
       // Global reductions are synchronisation points: drain the queue,
       // then run the reducing loop immediately.
       detail::flush_lazy(*state_);
-      detail::execute_loop_op2(*state_, rec);
+      detail::run_loop(*state_, rec);
       return;
     }
     state_->lazy_queue.push_back(std::move(rec));
     return;
   }
-  detail::execute_loop_op2(*state_, rec);
+  detail::run_loop(*state_, rec);
 }
 
 }  // namespace op2ca::core

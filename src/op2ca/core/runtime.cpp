@@ -87,33 +87,6 @@ void raise_out_of_region(const char* loop_name) {
         "small for this access pattern)");
 }
 
-bool loop_executes_exec_halo(const LoopRecord& rec) {
-  return rec.spec.has_indirect_write();
-}
-
-GblIncState snapshot_gbl_incs(const LoopRecord& rec) {
-  GblIncState snap;
-  for (const Arg& a : rec.args) {
-    if (a.kind == Arg::Kind::Gbl && a.mode == Access::INC) {
-      std::vector<double> vals(a.gbl, a.gbl + a.gbl_dim);
-      snap.snapshots.emplace_back(a.gbl, std::move(vals));
-    }
-  }
-  return snap;
-}
-
-void reduce_gbl_incs(RankState& st, const LoopRecord& rec,
-                     const GblIncState& snap) {
-  (void)rec;
-  for (const auto& [ptr, before] : snap.snapshots) {
-    for (std::size_t k = 0; k < before.size(); ++k) {
-      const double delta = ptr[k] - before[k];
-      const double total = st.comm.allreduce_sum(delta);
-      ptr[k] = before[k] + total;
-    }
-  }
-}
-
 }  // namespace detail
 
 Runtime::Runtime(World* world, detail::RankState* state)

@@ -108,9 +108,9 @@ struct LoopMetrics {
   double unpack_seconds = 0;
   double halo_seconds = 0;
   // Hot-path observability: region-body invocations (batched dispatch
-  // amortises one type-erased call over many elements), exchange-plan
-  // (re)builds, and staging-buffer allocations. In steady state the last
-  // two stay at zero — asserted by the plan-reuse tests.
+  // amortises one type-erased call over many elements), epoch-window and
+  // exchange-plan (re)builds, and staging-buffer allocations. In steady
+  // state the last two stay at zero — asserted by the plan-reuse tests.
   std::int64_t dispatch_regions = 0;
   std::int64_t plan_builds = 0;
   std::int64_t staging_allocs = 0;

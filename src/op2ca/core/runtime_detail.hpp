@@ -1,12 +1,14 @@
-// Internal runtime structures shared by the executors. Not part of the
-// public API.
+// Internal runtime structures shared by chain capture, region dispatch
+// and the epoch executor. Not part of the public API.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "op2ca/core/runtime.hpp"
@@ -32,6 +34,17 @@ inline constexpr sim::tag_t kLoopTagBase = 1024;  // + dat*2 + class.
 /// served from the pool, whichever rank runs ahead.
 inline constexpr std::size_t kSparesPerSend = 2;
 
+/// A cached halo exchange: the syncs it carries, their specs (pointing at
+/// dat storage, which never moves), the flattened GroupedPlan and
+/// reusable receive slots. Built once; steady-state epochs touch no maps
+/// and allocate nothing.
+struct Exchange {
+  std::vector<DatSync> syncs;  ///< specs-parallel.
+  std::vector<halo::DatSyncSpec> specs;
+  halo::GroupedPlan plan;
+  std::vector<ByteBuf> recv_bufs;  ///< sides-parallel.
+};
+
 /// One dat's per-rank storage.
 struct RankDat {
   int dim = 0;
@@ -45,46 +58,41 @@ struct RankDat {
   /// Halo layers currently in sync with the owners; 0 = level-1 halo
   /// stale. This generalizes the paper's dirty bit to multi-layer halos.
   int fresh_depth = 0;
+  /// The dat's one-loop exchange (Alg 1): its level-1 halo, one message
+  /// per (halo class, neighbour). Built on first use and shared by every
+  /// loop that reads the dat.
+  std::optional<Exchange> exchange;
 };
 
-/// Cached level-1 exchange of one dat for the classic per-loop executor:
-/// the (neighbour, class) walk over the export/import list maps flattened
-/// into plain segment arrays, so steady-state loops post their messages
-/// with no map lookups. Index lists point into the rank's HaloPlan
-/// (stable for the World's lifetime).
-struct LoopExchange {
-  struct Segment {
-    rank_t q = -1;
-    sim::tag_t tag = 0;
-    const LIdxVec* idx = nullptr;  ///< level-1 rows (exec or nonexec).
-    std::size_t bytes = 0;
+/// A communication epoch's cached geometry: the loops that run around one
+/// halo exchange. Alg 1 is a one-loop window with per-dat grouping; Alg 2
+/// an inspected chain or fused tile with one grouped message per
+/// neighbour.
+struct Window {
+  /// One loop's regions, in the order the epoch runs them.
+  struct Loop {
+    lidx_t core_end = 0;   ///< core [0, core_end) runs while messages fly.
+    lidx_t owned_end = 0;  ///< deferred owned boundary [core_end, owned_end).
+    /// Alg 1: the structural exec layer 1, for loops writing through a map.
+    std::pair<lidx_t, lidx_t> exec_range{0, 0};
+    /// Alg 2: the sliced import-exec iterations (the redundant compute).
+    LIdxVec exec_list;
   };
-  std::vector<Segment> sends;
-  std::vector<Segment> recvs;
-  std::vector<ByteBuf> recv_bufs;  ///< slots, recvs-parallel.
-};
-
-/// One cached grouped exchange of a chain for a fixed set of stale
-/// dats: sync specs (data pointers rebound each epoch), the flattened
-/// GroupedPlan, and reusable receive slots. Built once per (chain,
-/// stale-mask); steady-state epochs touch no maps and allocate nothing.
-struct ChainExchange {
-  std::vector<mesh::dat_id> dats;          ///< specs-parallel.
-  std::vector<halo::DatSyncSpec> specs;
-  halo::GroupedPlan plan;
-  std::vector<ByteBuf> recv_bufs;  ///< sides-parallel.
-  std::vector<sim::Request> requests;             ///< reused capacity.
-};
-
-/// Everything the CA executor caches per chain name. `structure` is a
-/// hash of the loops' (set, args) shape: a name reused with different
-/// loops rebuilds the plan instead of executing a stale analysis.
-struct ChainPlan {
+  /// chain_structural_hash of the loops: a key reused with different
+  /// loops rebuilds the window instead of running a stale one.
   std::uint64_t structure = 0;
+  halo::Grouping grouping = halo::Grouping::PerNeighbour;
+  /// A chain's inspection and the spec it inspected. A one-loop window
+  /// fills syncs (every dat the loop reads through its halo, at depth 1)
+  /// and required_depth (1) only.
+  ChainSpec spec;
   ChainAnalysis analysis;
-  bool exec_lists_built = false;
-  std::vector<LIdxVec> exec_lists;  ///< per-loop sparse-tiling slice.
-  std::map<std::uint64_t, ChainExchange> exchanges;  ///< by stale mask.
+  std::vector<Loop> loops;  ///< empty until the window first runs.
+  std::vector<mesh::dat_id> written;  ///< dats whose halos go stale.
+  /// Metrics fixed by the window: gather_span, reuse_gap, layout_code.
+  LoopMetrics statics;
+  /// PerNeighbour exchanges by stale-sync mask (bit i = analysis.syncs[i]).
+  std::map<std::uint64_t, Exchange> exchanges;
 };
 
 struct RankState {
@@ -116,13 +124,17 @@ struct RankState {
   int tile_target = 1;
   std::set<std::string> tile_fallbacks;
 
-  // Inspector-built plans, cached by chain name (CA executor) and by dat
-  // (per-loop executor), plus the staging-buffer pool shared by both.
-  std::map<std::string, ChainPlan> chain_plans;
-  std::vector<std::unique_ptr<LoopExchange>> loop_exchanges;  ///< per dat.
+  // Epoch windows: chains by plan key (chain name, "<name>#tile<k>" or
+  // "lazy:<signature>"), single loops by structural hash. Separate maps,
+  // so a loop and a chain of the same name never share a window.
+  std::map<std::string, Window> chain_windows;
+  std::unordered_map<std::uint64_t, Window> loop_windows;
   BufferPool staging;
-  std::vector<sim::Request> loop_requests;  ///< per-loop scratch, reused.
-  std::int64_t dispatch_regions = 0;  ///< running region-body call count.
+  std::vector<Exchange*> posted;          ///< per-epoch scratch, reused.
+  std::vector<sim::Request> requests;     ///< per-epoch scratch, reused.
+  /// The running epoch's metrics: region dispatch adds its region-body
+  /// calls, pool chunks and widest colouring here directly.
+  LoopMetrics epoch;
 
   // Intra-rank threading (WorldConfig::threads_per_rank > 1): the worker
   // pool, the colouring cache — one colouring per (set, conflict maps)
@@ -133,8 +145,6 @@ struct RankState {
            mesh::Colouring>
       colourings;
   std::vector<LIdxVec> colour_scratch;
-  std::int64_t dispatch_chunks = 0;   ///< running pool-chunk count.
-  int dispatch_max_colours = 0;       ///< reset per loop by the executors.
   /// Conflict-block granularity for colour-ordered sweeps: > 1 switches
   /// loop_colouring to blocked colouring and run-aware dispatch
   /// (contiguous runs execute through range bodies). 1 when the locality
@@ -168,23 +178,27 @@ struct RankState {
   void recycle_payload(rank_t src, ByteBuf buf);
 };
 
-/// Executes one loop with the classic OP2 executor (Alg 1). Returns the
-/// metrics of this single execution (also accumulated into
-/// st.loop_metrics under the loop's name).
-LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec);
+/// Runs one loop as a one-loop epoch (Alg 1). Returns the metrics of this
+/// execution, also accumulated into st.loop_metrics under the loop's name.
+LoopMetrics run_loop(RankState& st, const LoopRecord& rec);
 
-/// Executes a captured chain with the CA executor (Alg 2).
-void execute_chain_ca(RankState& st, const std::string& name,
-                      std::vector<LoopRecord>& loops);
+/// Runs `loops` as one CA epoch (Alg 2): a captured or lazily formed
+/// chain, or `tile` fused invocations of one (their loops concatenated).
+/// `key` keys the window cache (distinct per tile geometry, so a partial
+/// flush at a sync point gets its own window); metrics land in
+/// st.chain_metrics under `name` with LoopMetrics::tile = `tile`.
+void run_chain(RankState& st, const std::string& name,
+               const std::string& key, const std::vector<LoopRecord>& loops,
+               int tile);
 
-/// Executes a temporally-fused tile of `tile` chain invocations (their
-/// loops concatenated in `loops`) as one CA epoch. `plan_key` keys the
-/// ChainPlan / exchange caches (distinct per tile geometry, so a partial
-/// flush at a sync point gets its own cached plan); metrics land under
-/// `name` with LoopMetrics::tile = `tile`.
-void execute_chain_ca_tiled(RankState& st, const std::string& name,
-                            const std::string& plan_key,
-                            std::vector<LoopRecord>& loops, int tile);
+/// The chain window cached under `key`, inspected again when `loops`
+/// differ in structure from the cached one. Its regions are built when it
+/// first runs. Raises when the inspector rejects the loops.
+Window& chain_window(RankState& st, const std::string& key,
+                     const LoopRecord* loops, std::size_t n);
+
+/// Folds one call's metrics into a per-name aggregate (calls counts up).
+void add_call(LoopMetrics& agg, const LoopMetrics& m);
 
 /// Flushes the tile accumulator: a full or partial tile of >= 2 queued
 /// invocations executes fused when the unrolled window is feasible
@@ -216,8 +230,7 @@ std::uint64_t chain_structural_hash(const LoopRecord* loops, std::size_t n);
 /// single-region fast path (no pool — bitwise-identical to previous
 /// behaviour), contiguous chunks over the pool (no indirect writes), or
 /// a colour-ordered parallel sweep (indirect writes; see core/dispatch).
-/// Counts region-body invocations in st.dispatch_regions and pool chunks
-/// in st.dispatch_chunks.
+/// Counts region-body invocations and pool chunks in st.epoch.
 std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
                        lidx_t end);
 
@@ -236,17 +249,5 @@ const mesh::Colouring& loop_colouring(RankState& st, const LoopRecord& rec);
 /// the owned range (cached per loop name; zeros for direct loops).
 const mesh::OrderingQuality& loop_quality(RankState& st,
                                           const LoopRecord& rec);
-
-/// True when the loop must redundantly execute import-exec halo layers
-/// under owner-compute (it writes through a map).
-bool loop_executes_exec_halo(const LoopRecord& rec);
-
-/// Snapshot/restore helpers for global INC arguments.
-struct GblIncState {
-  std::vector<std::pair<double*, std::vector<double>>> snapshots;
-};
-GblIncState snapshot_gbl_incs(const LoopRecord& rec);
-void reduce_gbl_incs(RankState& st, const LoopRecord& rec,
-                     const GblIncState& snap);
 
 }  // namespace op2ca::core::detail

@@ -14,12 +14,15 @@ const std::vector<LIdxVec>* find_lists(
   return it == table.end() ? nullptr : &it->second;
 }
 
+/// Halo classes a segment walk covers (bit mask).
+constexpr unsigned kExec = 1, kNonexec = 2, kBothClasses = kExec | kNonexec;
+
 /// Iterates the (dat, class, layer) sequence of a grouped message in the
 /// canonical order shared by sender and receiver.
 template <typename Fn>
 void for_each_segment(const RankPlan& rp, rank_t q,
                       std::span<const DatSyncSpec> specs, bool exports,
-                      Fn&& fn) {
+                      Fn&& fn, unsigned classes = kBothClasses) {
   for (const DatSyncSpec& spec : specs) {
     const NeighborLists& nl =
         rp.lists[static_cast<std::size_t>(spec.set)];
@@ -27,6 +30,8 @@ void for_each_segment(const RankPlan& rp, rank_t q,
         find_lists(exports ? nl.exp_exec : nl.imp_exec, q);
     const std::vector<LIdxVec>* nonexec =
         find_lists(exports ? nl.exp_nonexec : nl.imp_nonexec, q);
+    if ((classes & kExec) == 0) exec = nullptr;
+    if ((classes & kNonexec) == 0) nonexec = nullptr;
     for (int k = 1; k <= spec.depth; ++k) {
       if (exec != nullptr &&
           k <= static_cast<int>(exec->size()))
@@ -39,64 +44,32 @@ void for_each_segment(const RankPlan& rp, rank_t q,
   }
 }
 
-/// gather_rows over a raw [idx, idx + n) subrange.
-void gather_range(const double* data, int dim, const lidx_t* idx,
-                  std::size_t n, std::byte* out) {
-  const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(double);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(out, data + static_cast<std::size_t>(idx[i]) *
-                                static_cast<std::size_t>(dim),
-                row_bytes);
-    out += row_bytes;
-  }
-}
-
-/// Scatter counterpart of gather_range.
-void scatter_range(double* data, int dim, const lidx_t* idx, std::size_t n,
-                   const std::byte* src) {
-  const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(double);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(data + static_cast<std::size_t>(idx[i]) *
-                           static_cast<std::size_t>(dim),
-                src, row_bytes);
-    src += row_bytes;
-  }
-}
-
-/// True when this spec's message region uses the legacy element-major
-/// wire shape (null layout or AoS storage).
-bool region_is_rows(const DatSyncSpec& spec) {
-  return spec.layout == nullptr || spec.layout->is_aos();
-}
-
-/// Component-major gather of list positions [b, e) out of a region of
-/// `n` total rows: component c of list slot j lands at region double
-/// c * n + j. Under SoA the inner j-loop reads one contiguous component
-/// plane and writes a unit-stride run — a pure streaming copy whenever
-/// the export rows are consecutive (which the locality layer arranges).
+/// Component-major gather of the `n` rows idx[0..n): component c of list
+/// slot j lands at region double c * n + j. Under SoA the inner j-loop
+/// reads one contiguous component plane and writes a unit-stride run — a
+/// pure streaming copy whenever the export rows are consecutive (which
+/// the locality layer arranges).
 void gather_cm(const double* data, const mesh::DatLayout& lay,
-               const lidx_t* idx, std::size_t b, std::size_t e,
-               std::size_t n, std::byte* region) {
+               const lidx_t* idx, std::size_t n, std::byte* region) {
   double* out = reinterpret_cast<double*>(region);
   for (int c = 0; c < lay.dim; ++c) {
     double* dst = out + static_cast<std::size_t>(c) * n;
     const std::size_t coff = static_cast<std::size_t>(c) *
                              static_cast<std::size_t>(lay.cstride);
-    for (std::size_t j = b; j < e; ++j)
+    for (std::size_t j = 0; j < n; ++j)
       dst[j] = data[lay.elem_offset(idx[j]) + coff];
   }
 }
 
 /// Scatter counterpart of gather_cm.
 void scatter_cm(double* data, const mesh::DatLayout& lay, const lidx_t* idx,
-                std::size_t b, std::size_t e, std::size_t n,
-                const std::byte* region) {
+                std::size_t n, const std::byte* region) {
   const double* in = reinterpret_cast<const double*>(region);
   for (int c = 0; c < lay.dim; ++c) {
     const double* src = in + static_cast<std::size_t>(c) * n;
     const std::size_t coff = static_cast<std::size_t>(c) *
                              static_cast<std::size_t>(lay.cstride);
-    for (std::size_t j = b; j < e; ++j)
+    for (std::size_t j = 0; j < n; ++j)
       data[lay.elem_offset(idx[j]) + coff] = src[j];
   }
 }
@@ -143,7 +116,7 @@ void gather_region(const double* data, const mesh::DatLayout* lay, int dim,
     gather_rows(data, dim, idx, out);
     return;
   }
-  gather_cm(data, *lay, idx.data(), 0, idx.size(), idx.size(), out);
+  gather_cm(data, *lay, idx.data(), idx.size(), out);
 }
 
 std::size_t unpack_region(double* data, const mesh::DatLayout* lay, int dim,
@@ -155,8 +128,7 @@ std::size_t unpack_region(double* data, const mesh::DatLayout* lay, int dim,
       idx.size() * static_cast<std::size_t>(dim) * sizeof(double);
   OP2CA_REQUIRE(offset + bytes <= in.size(),
                 "unpack_region: payload too short");
-  scatter_cm(data, *lay, idx.data(), 0, idx.size(), idx.size(),
-             in.data() + offset);
+  scatter_cm(data, *lay, idx.data(), idx.size(), in.data() + offset);
   return offset + bytes;
 }
 
@@ -220,126 +192,69 @@ void unpack_grouped(const RankPlan& rp, rank_t q,
 }
 
 GroupedPlan build_grouped_plan(const RankPlan& rp,
-                               std::span<const DatSyncSpec> specs) {
+                               std::span<const DatSyncSpec> specs,
+                               Grouping grouping, sim::tag_t tag) {
   GroupedPlan plan;
-  for (rank_t q : rp.neighbors) {
+  // Adds the side toward / from q that carries `classes` of specs [b, e).
+  const auto add_side = [&](rank_t q, sim::tag_t side_tag, std::size_t b,
+                            std::size_t e, unsigned classes) {
     GroupedPlan::Side side;
     side.q = q;
+    side.tag = side_tag;
     side.gather.resize(specs.size());
     side.scatter.resize(specs.size());
-    for (std::size_t s = 0; s < specs.size(); ++s) {
+    for (std::size_t s = b; s < e; ++s) {
       const std::size_t row =
           static_cast<std::size_t>(specs[s].dim) * sizeof(double);
       for_each_segment(rp, q, specs.subspan(s, 1), /*exports=*/true,
                        [&](const DatSyncSpec&, const LIdxVec& idx) {
                          side.gather[s].insert(side.gather[s].end(),
                                                idx.begin(), idx.end());
-                       });
+                       }, classes);
       for_each_segment(rp, q, specs.subspan(s, 1), /*exports=*/false,
                        [&](const DatSyncSpec&, const LIdxVec& idx) {
                          side.scatter[s].insert(side.scatter[s].end(),
                                                 idx.begin(), idx.end());
-                       });
+                       }, classes);
       side.send_bytes += side.gather[s].size() * row;
       side.recv_bytes += side.scatter[s].size() * row;
     }
     if (side.send_bytes > 0 || side.recv_bytes > 0)
       plan.sides.push_back(std::move(side));
+  };
+  for (rank_t q : rp.neighbors) {
+    if (grouping == Grouping::PerNeighbour) {
+      add_side(q, tag, 0, specs.size(), kBothClasses);
+      continue;
+    }
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      const sim::tag_t exec_tag = tag + 2 * static_cast<sim::tag_t>(s);
+      add_side(q, exec_tag, s, s + 1, kExec);
+      add_side(q, exec_tag + 1, s, s + 1, kNonexec);
+    }
   }
   return plan;
 }
 
 void pack_grouped(const GroupedPlan::Side& side,
-                  std::span<const DatSyncSpec> specs, std::byte* out,
-                  util::ThreadPool* pool) {
-  if (pool == nullptr || pool->threads() <= 1) {
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      gather_region(specs[s].data, specs[s].layout, specs[s].dim,
-                    side.gather[s], out);
-      out += side.gather[s].size() *
-             static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-    }
-    return;
-  }
-  // Thread t gathers chunk t of every spec's list into its slots: chunks
-  // tile the output exactly (row-major byte ranges for AoS regions,
-  // column slices of every component stream for component-major ones),
-  // so the buffer matches the serial pack byte-for-byte at any width.
-  std::vector<std::size_t> base(specs.size());
-  std::size_t off = 0;
+                  std::span<const DatSyncSpec> specs, std::byte* out) {
   for (std::size_t s = 0; s < specs.size(); ++s) {
-    base[s] = off;
-    off += side.gather[s].size() *
-           static_cast<std::size_t>(specs[s].dim) * sizeof(double);
+    gather_region(specs[s].data, specs[s].layout, specs[s].dim,
+                  side.gather[s], out);
+    out += side.gather[s].size() * static_cast<std::size_t>(specs[s].dim) *
+           sizeof(double);
   }
-  const std::size_t nt = static_cast<std::size_t>(pool->threads());
-  pool->run([&](int t) {
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      const std::size_t row =
-          static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-      const std::size_t n = side.gather[s].size();
-      const std::size_t b = n * static_cast<std::size_t>(t) / nt;
-      const std::size_t e = n * (static_cast<std::size_t>(t) + 1) / nt;
-      if (b == e) continue;
-      if (region_is_rows(specs[s]))
-        gather_range(specs[s].data, specs[s].dim, side.gather[s].data() + b,
-                     e - b, out + base[s] + b * row);
-      else
-        gather_cm(specs[s].data, *specs[s].layout, side.gather[s].data(),
-                  b, e, n, out + base[s]);
-    }
-  });
 }
 
 void unpack_grouped(const GroupedPlan::Side& side,
                     std::span<const DatSyncSpec> specs,
-                    std::span<const std::byte> payload,
-                    util::ThreadPool* pool) {
+                    std::span<const std::byte> payload) {
   OP2CA_REQUIRE(payload.size() == side.recv_bytes,
                 "unpack_grouped: payload does not match the plan");
-  if (pool == nullptr || pool->threads() <= 1) {
-    const std::byte* src = payload.data();
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      if (region_is_rows(specs[s]))
-        scatter_range(specs[s].data, specs[s].dim, side.scatter[s].data(),
-                      side.scatter[s].size(), src);
-      else
-        scatter_cm(specs[s].data, *specs[s].layout,
-                   side.scatter[s].data(), 0, side.scatter[s].size(),
-                   side.scatter[s].size(), src);
-      src += side.scatter[s].size() *
-             static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-    }
-    return;
-  }
-  // Import rows within a side are distinct, so chunks touch disjoint
-  // dat rows and the scatter is race-free at any width.
-  std::vector<std::size_t> base(specs.size());
-  std::size_t off = 0;
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    base[s] = off;
-    off += side.scatter[s].size() *
-           static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-  }
-  const std::size_t nt = static_cast<std::size_t>(pool->threads());
-  pool->run([&](int t) {
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      const std::size_t row =
-          static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-      const std::size_t n = side.scatter[s].size();
-      const std::size_t b = n * static_cast<std::size_t>(t) / nt;
-      const std::size_t e = n * (static_cast<std::size_t>(t) + 1) / nt;
-      if (b == e) continue;
-      if (region_is_rows(specs[s]))
-        scatter_range(specs[s].data, specs[s].dim,
-                      side.scatter[s].data() + b, e - b,
-                      payload.data() + base[s] + b * row);
-      else
-        scatter_cm(specs[s].data, *specs[s].layout,
-                   side.scatter[s].data(), b, e, n,
-                   payload.data() + base[s]);
-    }
-  });
+  std::size_t offset = 0;
+  for (std::size_t s = 0; s < specs.size(); ++s)
+    offset = unpack_region(specs[s].data, specs[s].layout, specs[s].dim,
+                           side.scatter[s], payload, offset);
 }
 
 }  // namespace op2ca::halo

@@ -4,9 +4,9 @@
 // iterate the same (dat, class, layer) sequence over symmetric lists, so
 // offsets agree without any header.
 //
-// The same pack/unpack primitives serve the baseline per-loop exchange
-// (one dat, one layer, exec and nonexec sent as two separate messages —
-// the 2 d p m^1 term of Eq (1)).
+// A GroupedPlan can also cut the same exchange per dat and halo class:
+// the baseline per-loop exchange (one dat, one layer, exec and nonexec
+// sent as two separate messages — the 2 d p m^1 term of Eq (1)).
 #pragma once
 
 #include <cstddef>
@@ -14,10 +14,10 @@
 #include <span>
 #include <vector>
 
+#include "op2ca/comm/transport.hpp"
 #include "op2ca/halo/halo_plan.hpp"
 #include "op2ca/mesh/layout.hpp"
 #include "op2ca/util/aligned.hpp"
-#include "op2ca/util/thread_pool.hpp"
 
 namespace op2ca::halo {
 
@@ -94,40 +94,50 @@ void unpack_grouped(const RankPlan& rp, rank_t q,
 /// change. DatSyncSpec::data pointers are NOT pinned — pack/unpack take
 /// the current specs so callers can rebind data arrays cheaply per epoch.
 struct GroupedPlan {
+  /// One message each way between this rank and q, under one tag.
   struct Side {
     rank_t q = -1;
+    sim::tag_t tag = 0;
     /// gather[s] / scatter[s]: specs[s]'s export / import rows toward /
-    /// from q — exec layers 1..depth then nonexec layers 1..depth,
-    /// concatenated in canonical message order.
+    /// from q — exec layers 1..depth then nonexec layers 1..depth (the
+    /// side's classes only), concatenated in canonical message order.
     std::vector<LIdxVec> gather;
     std::vector<LIdxVec> scatter;
     std::size_t send_bytes = 0;
     std::size_t recv_bytes = 0;
   };
-  /// One side per neighbour with traffic in either direction.
+  /// Sides with traffic in either direction, neighbour by neighbour.
   std::vector<Side> sides;
 };
 
-/// Flattens the segment walk for every neighbour of `rp`.
+/// How a plan cuts an exchange into messages.
+enum class Grouping {
+  /// One message per neighbour carrying every spec (Fig 8), tagged `tag`.
+  PerNeighbour,
+  /// One message per (spec, halo class, neighbour), the 2 d p m^1 term of
+  /// Eq (1): spec s's exec layers travel under tag + 2s, its nonexec
+  /// layers under tag + 2s + 1.
+  PerDatClass,
+};
+
+/// Flattens the segment walk for every neighbour of `rp`, cut into
+/// messages by `grouping`.
 GroupedPlan build_grouped_plan(const RankPlan& rp,
-                               std::span<const DatSyncSpec> specs);
+                               std::span<const DatSyncSpec> specs,
+                               Grouping grouping = Grouping::PerNeighbour,
+                               sim::tag_t tag = 0);
 
 /// Packs the grouped message toward side.q into `out`, which must hold
-/// side.send_bytes. Allocation-free by construction. With a pool, each
-/// dat's gather list splits into one contiguous chunk per thread —
-/// chunks write disjoint `out` segments, so the buffer is bitwise
-/// identical at every width (pass nullptr for the serial pack).
+/// side.send_bytes. Allocation-free by construction.
 void pack_grouped(const GroupedPlan::Side& side,
-                  std::span<const DatSyncSpec> specs, std::byte* out,
-                  util::ThreadPool* pool = nullptr);
+                  std::span<const DatSyncSpec> specs, std::byte* out);
 
 /// Unpacks a received grouped payload (side.recv_bytes long) from side.q.
-/// With a pool, scatter lists chunk the same way; every local row appears
-/// at most once across a side's scatter lists, so chunks write disjoint
-/// dat rows.
+/// A row may appear in more than one of a side's layers (a promoted
+/// element keeps an alias entry at its original nonexec layer), so the
+/// scatter runs on one thread, in list order.
 void unpack_grouped(const GroupedPlan::Side& side,
                     std::span<const DatSyncSpec> specs,
-                    std::span<const std::byte> payload,
-                    util::ThreadPool* pool = nullptr);
+                    std::span<const std::byte> payload);
 
 }  // namespace op2ca::halo

@@ -24,10 +24,10 @@
 // gathers then walk ascending addresses, which is what lets the compiler
 // vectorise them.
 //
-// Everything downstream (per-rank dats, LoopExchange / GroupedPlan
-// caches, colourings, the chain inspector's slice tables) is built
-// lazily from the plan *after* the World constructor runs this, so no
-// cache ever observes the pre-permutation numbering.
+// Everything downstream (per-rank dats, epoch windows and their
+// GroupedPlan exchanges, colourings, the chain inspector's slice
+// tables) is built lazily from the plan *after* the World constructor
+// runs this, so no cache ever observes the pre-permutation numbering.
 #pragma once
 
 #include "op2ca/halo/halo_plan.hpp"

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
@@ -194,12 +195,18 @@ TEST(ChainExec, ConfiguredDepthCapRaises) {
   WorldConfig cfg = base_config(4, 3);
   cfg.chains.enable("synthetic", 0, /*max_depth=*/1);
   World w(std::move(prob.mg.mesh), cfg);
-  EXPECT_THROW(
-      w.run([&](Runtime& rt) {
-        const auto h = apps::mgcfd::resolve_handles(rt, prob);
-        apps::mgcfd::run_synthetic_chain(rt, h, 2);
-      }),
-      Error);
+  try {
+    w.run([&](Runtime& rt) {
+      const auto h = apps::mgcfd::resolve_handles(rt, prob);
+      apps::mgcfd::run_synthetic_chain(rt, h, 2);
+    });
+    ADD_FAILURE() << "a chain deeper than its chains.cfg cap ran";
+  } catch (const Error& e) {
+    // The message names the depth the chain needs and the cap it broke.
+    const std::string what = e.what();
+    EXPECT_NE(what.find("needs 2 halo layers"), std::string::npos) << what;
+    EXPECT_NE(what.find("depth=1"), std::string::npos) << what;
+  }
 }
 
 TEST(ChainExec, NestedChainBeginRaises) {
@@ -309,6 +316,56 @@ TEST(ChainExec, DepthOneSyncDoesNotSatisfyDepthTwoChain) {
   });
   expect_allclose(ws.fetch_dat(sp.sres), w.fetch_dat(sres_id));
   expect_allclose(ws.fetch_dat(sp.sflux), w.fetch_dat(sflux_id));
+}
+
+TEST(ChainExec, LoopAndChainOfOneNameKeepSeparateWindows) {
+  // A CA chain named after one of its loops, then that loop run loose:
+  // the chain window and the loop's one-loop window share a name, and
+  // each must still run its own regions and exchanges.
+  const auto run = [](int nranks, bool enable_ca) {
+    apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1000, 1);
+    WorldConfig cfg = base_config(nranks, 2);
+    if (enable_ca) cfg.chains.enable("synth_update");
+    const mesh::dat_id sres = prob.sres;
+    World w(std::move(prob.mg.mesh), cfg);
+    w.run([&](Runtime& rt) {
+      namespace k = apps::mgcfd::kernels;
+      const auto h = apps::mgcfd::resolve_handles(rt, prob);
+      const auto update = [&] {
+        rt.par_loop("synth_update", h.edges0, k::synth_update,
+                    arg_dat(h.sres, 0, h.e2n0, Access::INC),
+                    arg_dat(h.sres, 1, h.e2n0, Access::INC),
+                    arg_dat(h.spres, 0, h.e2n0, Access::READ),
+                    arg_dat(h.spres, 1, h.e2n0, Access::READ));
+      };
+      for (int t = 0; t < 2; ++t) {
+        rt.par_loop("perturb", h.nodes0, k::synth_perturb,
+                    arg_dat(h.spres, Access::RW));
+        rt.chain_begin("synth_update");
+        update();
+        rt.par_loop("synth_edge_flux", h.edges0, k::synth_edge_flux,
+                    arg_dat(h.sflux, 0, h.e2n0, Access::INC),
+                    arg_dat(h.sflux, 1, h.e2n0, Access::INC),
+                    arg_dat(h.sres, 0, h.e2n0, Access::READ),
+                    arg_dat(h.sres, 1, h.e2n0, Access::READ),
+                    arg_dat(h.sewt, Access::READ));
+        rt.chain_end();
+        update();  // loose, after the chain of the same name
+      }
+    });
+    if (enable_ca) {
+      const LoopMetrics chain = w.chain_metrics().at("synth_update");
+      const LoopMetrics loose = w.loop_metrics().at("synth_update");
+      EXPECT_EQ(chain.calls, 2);
+      EXPECT_EQ(loose.calls, 2);
+      // Only the chain window runs sliced exec lists; the loose loop's
+      // own window runs the structural exec layer, which is not redundant.
+      EXPECT_GT(chain.redundant_elems, 0);
+      EXPECT_EQ(loose.redundant_elems, 0);
+    }
+    return w.fetch_dat(sres);
+  };
+  expect_allclose(run(1, false), run(4, true));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -160,6 +161,51 @@ TEST(GroupedPlan, UnpackMatchesReference) {
   }
   EXPECT_EQ(f.node_data[0], ref_copy.node_data[0]);
   EXPECT_EQ(f.cell_data[0], ref_copy.cell_data[0]);
+}
+
+TEST(GroupedPlan, PerDatClassCutsOneMessagePerDatAndClass) {
+  // The per-loop exchange: each (spec, halo class, neighbour) travels
+  // alone under tag + 2*spec + class and carries exactly that class's
+  // layers; together the sides move what the grouped message moves.
+  GroupedFixture f(4);
+  constexpr sim::tag_t kTag = 100;
+  for (rank_t r = 0; r < 4; ++r) {
+    const halo::RankPlan& rp = f.plan.ranks[static_cast<std::size_t>(r)];
+    const auto specs = f.specs(r);
+    const halo::GroupedPlan grouped = halo::build_grouped_plan(rp, specs);
+    const halo::GroupedPlan split = halo::build_grouped_plan(
+        rp, specs, halo::Grouping::PerDatClass, kTag);
+    std::map<rank_t, std::size_t> split_bytes;
+    for (const halo::GroupedPlan::Side& side : split.sides) {
+      const auto s = static_cast<std::size_t>((side.tag - kTag) / 2);
+      const bool exec = (side.tag - kTag) % 2 == 0;
+      ASSERT_LT(s, specs.size());
+      const halo::NeighborLists& nl =
+          rp.lists[static_cast<std::size_t>(specs[s].set)];
+      const auto layers = [&](const auto& table) {
+        LIdxVec rows;
+        const auto it = table.find(side.q);
+        if (it == table.end()) return rows;
+        for (int k = 0; k < specs[s].depth &&
+                        k < static_cast<int>(it->second.size());
+             ++k) {
+          const LIdxVec& layer = it->second[static_cast<std::size_t>(k)];
+          rows.insert(rows.end(), layer.begin(), layer.end());
+        }
+        return rows;
+      };
+      const LIdxVec gather = layers(exec ? nl.exp_exec : nl.exp_nonexec);
+      const LIdxVec scatter = layers(exec ? nl.imp_exec : nl.imp_nonexec);
+      for (std::size_t o = 0; o < specs.size(); ++o) {
+        EXPECT_EQ(side.gather[o], o == s ? gather : LIdxVec{});
+        EXPECT_EQ(side.scatter[o], o == s ? scatter : LIdxVec{});
+      }
+      split_bytes[side.q] += side.send_bytes;
+    }
+    for (const halo::GroupedPlan::Side& side : grouped.sides)
+      EXPECT_EQ(split_bytes[side.q], side.send_bytes)
+          << "rank " << r << " -> " << side.q;
+  }
 }
 
 TEST(GroupedPlan, PlanPackRejectsNothingButWrongSizeUnpackThrows) {
