@@ -16,11 +16,6 @@
 //   --csv          emit CSV instead of aligned text
 //   --calibrate=0  skip kernel calibration (use default costs)
 //   --threads=N    model N shared-memory workers per rank (Machine::threads_per_rank)
-//   --layout=K     dat storage layout {aos,soa,aosoa}; non-AoS enters the
-//                  model as Machine::vector_width (see --vector-width)
-//   --vector-width=X override the SIMD speedup factor applied for a
-//                  non-AoS layout (default: kDefaultLayoutSpeedup, the
-//                  measured direct-loop A/B ratio from BENCH_simd.json)
 //   --rails=N      model large messages spread over N network rails
 //                  (0 = keep the machine preset's rail count; overrides
 //                  Machine::net.net_rails)
@@ -62,21 +57,11 @@
 
 namespace op2ca::bench {
 
-/// SIMD speedup assumed for a non-AoS layout when --vector-width is not
-/// given: the measured direct-loop SoA/AoS ratio from BENCH_simd.json
-/// (RCM hex3d, 4 threads) on the reference host. Calibrated kernel costs
-/// are taken on AoS storage, so this enters the model's compute terms as
-/// a factor > 1; communication terms are unaffected (same bytes, different
-/// order on the wire).
-inline constexpr double kDefaultLayoutSpeedup = 1.6;
-
 struct BenchConfig {
   std::int64_t scale = 16;
   bool csv = false;
   bool calibrate = true;
   int threads = 1;
-  mesh::LayoutKind layout = mesh::LayoutKind::AoS;
-  double vector_width = 0;  ///< 0 = derive from `layout`.
   int rails = 0;  ///< 0 = machine preset's rail count.
   std::string calibration;  ///< BENCH_calibration.json path; empty = presets.
   bool device = false;
@@ -90,8 +75,6 @@ struct BenchConfig {
     cfg.csv = opt.get_bool("csv", false);
     cfg.calibrate = opt.get_bool("calibrate", true);
     cfg.threads = static_cast<int>(opt.get_int("threads", 1));
-    cfg.layout = mesh::layout_by_name(opt.get_string("layout", "aos"));
-    cfg.vector_width = opt.get_double("vector-width", 0);
     cfg.rails = static_cast<int>(opt.get_int("rails", 0));
     cfg.calibration = opt.get_string("calibration", "");
     cfg.device = opt.get_bool("device", false);
@@ -105,7 +88,6 @@ struct BenchConfig {
     OP2CA_REQUIRE(cfg.tile >= 1, "--tile must be >= 1");
     OP2CA_REQUIRE(cfg.scale >= 1, "--scale must be >= 1");
     OP2CA_REQUIRE(cfg.threads >= 1, "--threads must be >= 1");
-    OP2CA_REQUIRE(cfg.vector_width >= 0, "--vector-width must be >= 0");
     OP2CA_REQUIRE(cfg.rails >= 0 && cfg.rails <= sim::kMaxRails,
                   "--rails must be in [0, 8]");
     OP2CA_REQUIRE(cfg.pipeline_stages >= 1,
@@ -113,15 +95,10 @@ struct BenchConfig {
     return cfg;
   }
 
-  /// Applies the intra-rank threading and layout knobs to a machine
-  /// preset: compute terms scale by Machine::compute_speedup(), and a
-  /// non-AoS layout divides them by Machine::vector_width.
+  /// Applies the intra-rank threading, wire and device knobs to a
+  /// machine preset: compute terms scale by Machine::compute_speedup().
   model::Machine apply_threads(model::Machine mach) const {
     mach.threads_per_rank = threads;
-    if (vector_width > 0)
-      mach.vector_width = vector_width;
-    else if (layout != mesh::LayoutKind::AoS)
-      mach.vector_width = kDefaultLayoutSpeedup;
     // Measured wire parameters replace the preset's guesses first, so an
     // explicit --rails still wins over the calibrated rail count.
     if (!calibration.empty())
@@ -144,10 +121,10 @@ struct BenchConfig {
 /// The options the fig drivers read: every BenchConfig field. Drivers
 /// that ignore some fields list only the ones they read.
 inline std::set<std::string> fig_option_names() {
-  return {"scale",        "csv",         "calibrate",
-          "threads",      "layout",      "vector-width",
-          "rails",        "calibration", "device",
-          "device-mode",  "pipeline-stages", "tile"};
+  return {"scale",       "csv",         "calibrate",
+          "threads",     "rails",       "calibration",
+          "device",      "device-mode", "pipeline-stages",
+          "tile"};
 }
 
 /// Paper mesh sizes by label.

@@ -5,13 +5,12 @@
 // measures batched region dispatch against the per-element dispatch it
 // replaced and the cached GroupedPlan pack+send against the
 // allocate-and-copy style, writing BENCH_hotpath.json. Further custom
-// sections write BENCH_locality.json, BENCH_simd.json and
-// BENCH_tiling.json (temporal chain tiling A/B).
+// sections write BENCH_locality.json and BENCH_tiling.json (temporal
+// chain tiling A/B).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <functional>
@@ -226,13 +225,11 @@ DispatchResult bench_direct_dispatch() {
     x[0] += 0.5 * y[0];
     x[1] += 0.25 * y[1];
   };
-  const mesh::DatLayout aos2 =
-      mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kN, 8);
   std::vector<cd::ResolvedArg> rargs(2);
   rargs[0].base = a.data();
-  rargs[0].bind_layout(aos2);
+  rargs[0].dim = 2;
   rargs[1].base = b.data();
-  rargs[1].bind_layout(aos2);
+  rargs[1].dim = 2;
 
   // Seed-style: one type-erased call per element, args resolved from the
   // vector inside every call.
@@ -240,8 +237,8 @@ DispatchResult bench_direct_dispatch() {
     kernel(cd::resolve_arg(rargs[0], i, false),
            cd::resolve_arg(rargs[1], i, false));
   };
-  // Batched: the range body par_loop stores for this (all-AoS) loop of
-  // two direct args.
+  // Batched: the range body par_loop stores for this loop of two direct
+  // args.
   constexpr auto kD = core::Arg::Kind::DatDirect;
   const std::function<void(lidx_t, lidx_t)> region =
       cd::make_loop_bodies<kD, kD>(kernel, rargs, false, "bench").range;
@@ -269,8 +266,6 @@ DispatchResult bench_indirect_dispatch() {
     t = static_cast<lidx_t>(rng.next_int(0, kNodes - 1));
 
   const auto kernel = apps::mgcfd::kernels::synth_update;
-  const mesh::DatLayout aos2 =
-      mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kNodes, 8);
   std::vector<cd::ResolvedArg> rargs(4);
   for (int j = 0; j < 4; ++j) {
     rargs[static_cast<std::size_t>(j)].base =
@@ -278,7 +273,7 @@ DispatchResult bench_indirect_dispatch() {
     rargs[static_cast<std::size_t>(j)].map_targets = map.data();
     rargs[static_cast<std::size_t>(j)].arity = 2;
     rargs[static_cast<std::size_t>(j)].idx = j % 2;
-    rargs[static_cast<std::size_t>(j)].bind_layout(aos2);
+    rargs[static_cast<std::size_t>(j)].dim = 2;
   }
 
   std::function<void(lidx_t)> element = [kernel, rargs](lidx_t i) {
@@ -440,8 +435,6 @@ ThreadedSweepResult bench_threaded_sweep() {
     t = static_cast<lidx_t>(rng.next_int(0, kNodes - 1));
 
   const auto kernel = apps::mgcfd::kernels::synth_update;
-  const mesh::DatLayout aos2 =
-      mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kNodes, 8);
   std::vector<cd::ResolvedArg> rargs(4);
   for (int j = 0; j < 4; ++j) {
     rargs[static_cast<std::size_t>(j)].base =
@@ -449,7 +442,7 @@ ThreadedSweepResult bench_threaded_sweep() {
     rargs[static_cast<std::size_t>(j)].map_targets = map.data();
     rargs[static_cast<std::size_t>(j)].arity = 2;
     rargs[static_cast<std::size_t>(j)].idx = j % 2;
-    rargs[static_cast<std::size_t>(j)].bind_layout(aos2);
+    rargs[static_cast<std::size_t>(j)].dim = 2;
   }
   constexpr auto kI = core::Arg::Kind::DatIndirect;
   const cd::LoopBodies bodies =
@@ -646,233 +639,6 @@ void write_locality_json(const char* path) {
         "(%.2fx) | 4t %.2f ns/edge (%.2fx)\n",
         o.name, o.gather_span, o.reuse_gap, o.widths[0].sweep_ns,
         o.widths[0].speedup, o.widths[1].sweep_ns, o.widths[1].speedup);
-  }
-}
-
-// ---------------------------------------------------------------------
-// SIMD layout A/B harness: the same scrambled/RCM hex3d methodology as
-// the locality harness, but the knob is the dat storage layout
-// (WorldConfig::layout = AoS / SoA / AoSoA) and the kernels are the two
-// shapes the layout is supposed to help or hurt:
-//   direct:   a partial-component update on dim-8 dats (touches 2 of 8
-//             components) — under AoS every 64-byte element row is
-//             pulled for 16 useful bytes and the loop strides by 8;
-//             under SoA/AoSoA the touched components stream
-//             contiguously and vectorise.
-//   indirect: the same 2-of-8 component pattern gathered through the
-//             edge->node map — the layout's worst case, since SoA turns
-//             one gathered row into one gather per touched component.
-// Results at pool widths 1 and 4 go to BENCH_simd.json; speedups are vs
-// AoS at the same ordering/width/kernel. best_speedup is the best
-// non-AoS direct-loop speedup in the RCM ordering (the configuration
-// the model's Machine::vector_width is calibrated from).
-// ---------------------------------------------------------------------
-
-inline constexpr int kSimdDim = 8;
-
-/// Direct partial-component update: a[0..1] from b[0..1] of dim-8 dats.
-struct SimdPartialUpdate {
-  template <typename A, typename B>
-  void operator()(A&& a, B&& b) const {
-    a[0] = 0.999 * a[0] + 1e-3 * b[0];
-    a[1] = 0.999 * a[1] - 1e-3 * b[1];
-  }
-};
-inline constexpr SimdPartialUpdate simd_partial_update{};
-
-/// Indirect 2-of-8 component gather/increment through an arity-2 map.
-struct SimdGatherUpdate {
-  template <typename R1, typename R2, typename P1, typename P2>
-  void operator()(R1&& r1, R2&& r2, P1&& p1, P2&& p2) const {
-    r1[0] += p1[0] - p2[1];
-    r1[1] += p2[0] - p1[1];
-    r2[0] += p2[1] - p1[0];
-    r2[1] += p1[1] - p2[0];
-  }
-};
-inline constexpr SimdGatherUpdate simd_gather_update{};
-
-struct SimdWidth {
-  int threads = 1;
-  double direct_ns = 0;    ///< per node, full executor path.
-  double indirect_ns = 0;  ///< per edge, full executor path.
-  double direct_speedup = 0;
-  double indirect_speedup = 0;
-};
-
-struct SimdLayout {
-  std::string name;
-  std::vector<SimdWidth> widths;
-};
-
-struct SimdOrder {
-  const char* name = "";
-  mesh::ReorderKind kind = mesh::ReorderKind::None;
-  std::vector<SimdLayout> layouts;
-};
-
-struct SimdResult {
-  gidx_t nodes = 0, edges = 0;
-  int aosoa_block = 8;
-  std::vector<SimdOrder> orders;
-  double best_speedup = 0;
-};
-
-/// One timed configuration: a World over `m` (copied) with the given
-/// reordering, layout and pool width; times the direct and indirect
-/// sweeps through the standard executor.
-SimdWidth bench_simd_case(const mesh::MeshDef& m, mesh::ReorderKind kind,
-                          const mesh::LayoutConfig& lc, int threads) {
-  core::WorldConfig cfg;
-  cfg.nranks = 1;
-  cfg.halo_depth = 1;
-  cfg.threads_per_rank = threads;
-  cfg.reorder.kind = kind;
-  cfg.layout = lc;
-  core::World w(m, cfg);
-
-  const auto num_nodes =
-      static_cast<double>(w.mesh().set(*w.mesh().find_set("nodes")).size);
-  const auto num_edges =
-      static_cast<double>(w.mesh().set(*w.mesh().find_set("edges")).size);
-  SimdWidth r;
-  r.threads = threads;
-  w.run([&](core::Runtime& rt) {
-    const core::Set nodes = rt.set("nodes");
-    const core::Set edges = rt.set("edges");
-    const core::Dat a = rt.dat("simd_a");
-    const core::Dat b = rt.dat("simd_b");
-    const core::Dat res = rt.dat("simd_res");
-    const core::Dat pres = rt.dat("simd_pres");
-    const core::Map map = rt.map("e2n");
-    r.direct_ns = 1e9 / num_nodes * time_per_call([&] {
-                    rt.par_loop("simd_direct", nodes, simd_partial_update,
-                                core::arg_dat(a, core::Access::RW),
-                                core::arg_dat(b, core::Access::READ));
-                  });
-    r.indirect_ns =
-        1e9 / num_edges * time_per_call([&] {
-          rt.par_loop("simd_indirect", edges, simd_gather_update,
-                      core::arg_dat(res, 0, map, core::Access::INC),
-                      core::arg_dat(res, 1, map, core::Access::INC),
-                      core::arg_dat(pres, 0, map, core::Access::READ),
-                      core::arg_dat(pres, 1, map, core::Access::READ));
-        });
-  });
-  return r;
-}
-
-/// `only` restricts the non-AoS layouts ("soa" | "aosoa"; empty = both —
-/// AoS always runs as the baseline).
-SimdResult bench_simd(const std::string& only, int aosoa_block) {
-  // ~373k nodes: the dim-8 streams (a + b = 48 MB) exceed the LLC, so
-  // the direct loop is bandwidth-bound and the layout decides how many
-  // of those bytes are useful.
-  mesh::Hex3D h = mesh::make_hex3d(72, 72, 72);
-  const auto nodes = h.nodes;
-  const gidx_t n = h.mesh.set(nodes).size;
-  Rng rng(7);
-  for (const char* name : {"simd_a", "simd_b", "simd_pres"}) {
-    std::vector<double> init(static_cast<std::size_t>(n) * kSimdDim);
-    for (auto& v : init) v = rng.next_range(0.5, 1.5);
-    h.mesh.add_dat(name, nodes, kSimdDim, std::move(init));
-  }
-  h.mesh.add_dat("simd_res", nodes, kSimdDim);
-  const mesh::MeshDef scrambled = mesh::scramble_mesh(h.mesh, 99);
-
-  SimdResult r;
-  r.nodes = h.mesh.set(h.nodes).size;
-  r.edges = h.mesh.set(h.edges).size;
-  r.aosoa_block = aosoa_block;
-
-  std::vector<std::pair<std::string, mesh::LayoutConfig>> layouts;
-  for (const mesh::LayoutKind kind :
-       {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA,
-        mesh::LayoutKind::AoSoA}) {
-    const std::string name(mesh::layout_name(kind));
-    if (kind != mesh::LayoutKind::AoS && !only.empty() && name != only)
-      continue;
-    mesh::LayoutConfig lc;
-    lc.kind = kind;
-    lc.aosoa_block = aosoa_block;
-    layouts.emplace_back(name, lc);
-  }
-
-  const std::pair<const char*, mesh::ReorderKind> orders[] = {
-      {"scrambled", mesh::ReorderKind::None},
-      {"rcm", mesh::ReorderKind::RCM},
-  };
-  for (const auto& [oname, okind] : orders) {
-    SimdOrder order;
-    order.name = oname;
-    order.kind = okind;
-    for (const auto& [lname, lc] : layouts) {
-      SimdLayout lay;
-      lay.name = lname;
-      for (const int threads : {1, 4})
-        lay.widths.push_back(bench_simd_case(scrambled, okind, lc, threads));
-      order.layouts.push_back(std::move(lay));
-    }
-    // Speedups vs AoS at the same ordering and width.
-    const SimdLayout& base = order.layouts.front();
-    for (SimdLayout& lay : order.layouts) {
-      for (std::size_t i = 0; i < lay.widths.size(); ++i) {
-        SimdWidth& w = lay.widths[i];
-        w.direct_speedup = base.widths[i].direct_ns / w.direct_ns;
-        w.indirect_speedup = base.widths[i].indirect_ns / w.indirect_ns;
-        if (&lay != &base && order.kind == mesh::ReorderKind::RCM)
-          r.best_speedup = std::max(r.best_speedup, w.direct_speedup);
-      }
-    }
-    r.orders.push_back(std::move(order));
-  }
-  return r;
-}
-
-void write_simd_json(const char* path, const std::string& only,
-                     int aosoa_block) {
-  const SimdResult r = bench_simd(only, aosoa_block);
-  std::ofstream os(path);
-  os.precision(5);
-  os << "{\n"
-     << "  \"mesh\": {\"nodes\": " << r.nodes << ", \"edges\": " << r.edges
-     << ", \"dim\": " << kSimdDim << ", \"aosoa_block\": " << r.aosoa_block
-     << "},\n"
-     << "  \"orders\": [\n";
-  for (std::size_t i = 0; i < r.orders.size(); ++i) {
-    const SimdOrder& o = r.orders[i];
-    os << "    {\"order\": \"" << o.name << "\", \"layouts\": [\n";
-    for (std::size_t l = 0; l < o.layouts.size(); ++l) {
-      const SimdLayout& lay = o.layouts[l];
-      os << "      {\"layout\": \"" << lay.name << "\", \"widths\": [";
-      for (std::size_t j = 0; j < lay.widths.size(); ++j) {
-        const SimdWidth& w = lay.widths[j];
-        os << (j == 0 ? "" : ", ") << "{\"threads\": " << w.threads
-           << ", \"direct_ns\": " << w.direct_ns
-           << ", \"indirect_ns\": " << w.indirect_ns
-           << ", \"direct_speedup\": " << w.direct_speedup
-           << ", \"indirect_speedup\": " << w.indirect_speedup << "}";
-      }
-      os << "]}" << (l + 1 < o.layouts.size() ? "," : "") << "\n";
-    }
-    os << "    ]}" << (i + 1 < r.orders.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n"
-     << "  \"best_speedup\": " << r.best_speedup << "\n"
-     << "}\n";
-  std::printf("simd: best non-AoS direct speedup %.2fx over AoS (rcm) "
-              "-> %s\n",
-              r.best_speedup, path);
-  for (const SimdOrder& o : r.orders) {
-    for (const SimdLayout& lay : o.layouts) {
-      std::printf("  %-9s %-5s |", o.name, lay.name.c_str());
-      for (const SimdWidth& w : lay.widths)
-        std::printf(" %dt direct %.2f ns (%.2fx) indirect %.2f ns "
-                    "(%.2fx) |",
-                    w.threads, w.direct_ns, w.direct_speedup, w.indirect_ns,
-                    w.indirect_speedup);
-      std::printf("\n");
-    }
   }
 }
 
@@ -1237,31 +1003,12 @@ void write_tiling_json(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  // Pull our layout flags out of argv before google-benchmark sees them
-  // (it rejects unrecognized arguments).
-  std::string layout_only;  // empty = run every layout in the A/B.
-  int aosoa_block = 8;
-  int keep = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--layout=", 0) == 0) {
-      layout_only = arg.substr(9);
-      if (layout_only == "aos") layout_only.clear();  // baseline always runs
-      else mesh::layout_by_name(layout_only);         // validate the name
-    } else if (arg.rfind("--aosoa-block=", 0) == 0) {
-      aosoa_block = std::atoi(arg.c_str() + 14);
-    } else {
-      argv[keep++] = argv[i];
-    }
-  }
-  argc = keep;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   write_hotpath_json("BENCH_hotpath.json");
   write_locality_json("BENCH_locality.json");
-  write_simd_json("BENCH_simd.json", layout_only, aosoa_block);
   write_tiling_json("BENCH_tiling.json");
   return 0;
 } catch (const std::exception& e) {

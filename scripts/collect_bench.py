@@ -14,7 +14,7 @@ Usage:
 
 DIR defaults to the current directory, OUT to results/bench_all.json
 under DIR. --expect names the sections that MUST be present (default:
-the bench_micro_kernels set — hotpath, locality, simd, tiling); a
+the bench_micro_kernels set — hotpath, locality, tiling); a
 missing or unparseable expected file exits non-zero so a CI run that
 silently dropped a section fails instead of uploading a truncated
 snapshot. Extra BENCH_*.json beyond the expected set (e.g.
@@ -30,7 +30,7 @@ import sys
 
 # The sections bench_micro_kernels always emits; a run that produced
 # fewer than these is a failed run, not a smaller one.
-DEFAULT_EXPECT = "hotpath,locality,simd,tiling"
+DEFAULT_EXPECT = "hotpath,locality,tiling"
 
 
 def collect(src_dir: str, expect: list) -> dict:
@@ -44,7 +44,7 @@ def collect(src_dir: str, expect: list) -> dict:
                  % (",".join(missing), src_dir or "."))
     for path in paths:
         name = os.path.basename(path)
-        # BENCH_simd.json -> "simd", BENCH_hotpath.json -> "hotpath", ...
+        # BENCH_hotpath.json -> "hotpath", BENCH_tiling.json -> "tiling", ...
         key = name[len("BENCH_"):-len(".json")]
         with open(path) as f:
             try:

@@ -6,12 +6,10 @@
 // whose targets are touched once per loop (pedges/cbnd) or combined
 // monotonically (edges).
 //
-// Every kernel is a function object with a templated call operator: the
-// runtime passes core::detail::ElemRef views whose component stride
-// depends on the dat's storage layout (WorldConfig::layout), while
-// plain `double*` still binds for direct calls in tests and benches.
-// Bodies index components with arg[k] only, so the same arithmetic runs
-// unchanged over AoS rows, SoA planes and AoSoA blocks.
+// Every kernel is a function object with a templated call operator.
+// The runtime passes one `double*` row per argument (a dat element's
+// `dim` contiguous components, or a gbl buffer), as do the direct calls
+// in tests and benches; bodies index components with arg[k].
 #pragma once
 
 #include <algorithm>

@@ -20,17 +20,13 @@ RankState::RankState(World* w, sim::TransportBackend& transport, rank_t r)
   if (w->config().reorder.enabled())
     colour_block = std::max<lidx_t>(1, w->config().reorder.colour_block);
   dats.resize(static_cast<std::size_t>(mesh.num_dats()));
-  const mesh::LayoutConfig& lcfg = w->config().layout;
   for (mesh::dat_id d = 0; d < mesh.num_dats(); ++d) {
     const mesh::DatDef& dd = mesh.dat(d);
-    const halo::SetLayout& sl = layout(dd.set);
     RankDat& rd = dats[static_cast<std::size_t>(d)];
     rd.dim = dd.dim;
-    rd.layout = mesh::DatLayout::make(
-        lcfg.resolve(mesh.set(dd.set).name, dd.name), dd.dim, sl.total,
-        lcfg.aosoa_block);
-    rd.data.resize(rd.layout.alloc_doubles());
-    halo::gather_local(dd.data, sl, rd.layout, rd.data.data());
+    rd.data.resize(static_cast<std::size_t>(layout(dd.set).total) *
+                   static_cast<std::size_t>(dd.dim));
+    halo::gather_local(dd.data, dd.dim, layout(dd.set), rd.data.data());
     // Halos are gathered straight from the global arrays, so every layer
     // the plan holds starts in sync.
     rd.fresh_depth = world->plan().depth;
@@ -53,10 +49,8 @@ RankDat& RankState::rank_dat(mesh::dat_id d) {
 
 void RankState::refresh_dat_from_global(
     mesh::dat_id d, const std::vector<double>& global_data) {
-  const mesh::DatDef& dd = world->mesh().dat(d);
   RankDat& rd = rank_dat(d);
-  rd.data.resize(rd.layout.alloc_doubles());
-  halo::gather_local(global_data, layout(dd.set), rd.layout,
+  halo::gather_local(global_data, rd.dim, layout(world->mesh().dat(d).set),
                      rd.data.data());
   rd.fresh_depth = world->plan().depth;
 }

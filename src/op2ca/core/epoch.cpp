@@ -45,7 +45,7 @@ Exchange make_exchange(RankState& st, const std::vector<DatSync>& syncs,
   for (const DatSync& s : syncs) {
     RankDat& rd = st.rank_dat(s.dat);
     ex.specs.push_back({st.world->mesh().dat(s.dat).set, rd.dim, s.depth,
-                        rd.data.data(), &rd.layout});
+                        rd.data.data()});
   }
   ex.plan = halo::build_grouped_plan(st.rank_plan(), ex.specs, grouping, tag);
   ex.recv_bufs.resize(ex.plan.sides.size());
@@ -85,11 +85,6 @@ void build_regions(RankState& st, Window& w, const LoopRecord* loops,
     const mesh::OrderingQuality& oq = loop_quality(st, loops[l]);
     w.statics.gather_span = std::max(w.statics.gather_span, oq.gather_span);
     w.statics.reuse_gap = std::max(w.statics.reuse_gap, oq.reuse_gap);
-    for (const Arg& a : loops[l].args)
-      if (a.kind != Arg::Kind::Gbl)
-        w.statics.layout_code =
-            std::max(w.statics.layout_code,
-                     static_cast<int>(st.rank_dat(a.dat).layout.kind));
   }
   st.epoch.plan_builds += 1;
 }

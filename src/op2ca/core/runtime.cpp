@@ -1,5 +1,7 @@
 #include "op2ca/core/runtime.hpp"
 
+#include <algorithm>
+
 #include "op2ca/core/runtime_detail.hpp"
 #include "op2ca/util/error.hpp"
 
@@ -69,7 +71,6 @@ void LoopMetrics::merge_from(const LoopMetrics& other) {
   busy_seconds += other.busy_seconds;
   gather_span = std::max(gather_span, other.gather_span);
   reuse_gap = std::max(reuse_gap, other.reuse_gap);
-  layout_code = std::max(layout_code, other.layout_code);
   halo_elems += other.halo_elems;
   numa_bytes += other.numa_bytes;
   node_bytes += other.node_bytes;
@@ -123,10 +124,6 @@ const halo::SetLayout& Runtime::layout(Set s) const {
   return state_->layout(s.id);
 }
 
-const mesh::DatLayout& Runtime::dat_layout(Dat d) const {
-  return state_->rank_dat(d.id).layout;
-}
-
 sim::Comm& Runtime::comm() {
   detail::flush_deferred(*state_);  // collectives are sync points
   return state_->comm;
@@ -174,7 +171,7 @@ detail::LoopRecord Runtime::make_record(const std::string& name, Set s,
                           "' does not live on the iteration set");
         detail::RankDat& rd = state_->rank_dat(a.dat);
         ra.base = rd.data.data();
-        ra.bind_layout(rd.layout);
+        ra.dim = rd.dim;
         as.dat = a.dat;
         as.mode = a.mode;
         as.indirect = false;
@@ -198,7 +195,7 @@ detail::LoopRecord Runtime::make_record(const std::string& name, Set s,
         const halo::LocalMap& lm =
             state_->rank_plan().maps[static_cast<std::size_t>(a.map)];
         ra.base = rd.data.data();
-        ra.bind_layout(rd.layout);
+        ra.dim = rd.dim;
         ra.map_targets = lm.targets.data();
         ra.arity = lm.arity;
         ra.idx = a.map_idx;

@@ -11,7 +11,6 @@
 // chain is enabled in the ChainConfig.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <concepts>
 #include <cstdint>
@@ -29,7 +28,6 @@
 #include "op2ca/core/chain_config.hpp"
 #include "op2ca/halo/halo_plan.hpp"
 #include "op2ca/halo/reorder.hpp"
-#include "op2ca/mesh/layout.hpp"
 #include "op2ca/mesh/mesh_def.hpp"
 #include "op2ca/mesh/reorder.hpp"
 #include "op2ca/partition/partition.hpp"
@@ -128,11 +126,8 @@ struct LoopMetrics {
   // reorder) should pull both down — asserted by the locality bench.
   double gather_span = 0;
   double reuse_gap = 0;
-  // SIMD data plane: the widest layout any dat arg of the loop is stored
-  // in (0 = AoS, 1 = SoA, 2 = AoSoA; max over args and ranks) and the
-  // total halo elements exchanged, so bytes / halo_elems gives the wire
+  // Total halo elements exchanged, so bytes / halo_elems gives the wire
   // bytes moved per exchanged element for EXPERIMENTS.md correlations.
-  int layout_code = 0;
   std::int64_t halo_elems = 0;
   // Transport hierarchy: wire bytes sent per machine tier (NUMA-local,
   // node-local, cross-network — flat topologies put everything in net).
@@ -158,25 +153,8 @@ class World;
 namespace detail {
 struct RankState;
 
-/// Strided view of one dat element: component c lives at p[c * stride].
-/// Under AoS (and for every gbl arg) stride == 1, so the implicit
-/// conversion hands legacy raw-pointer kernels the exact pointer they
-/// always received; stride-aware kernels index through operator[] and
-/// work under every layout.
-struct ElemRef {
-  double* p = nullptr;
-  lidx_t stride = 1;
-
-  double& operator[](int c) const {
-    return p[static_cast<std::size_t>(c) * static_cast<std::size_t>(stride)];
-  }
-  /// Legacy escape hatch: only layout-correct when stride == 1.
-  operator double*() const { return p; }
-};
-
-/// Per-argument iteration-time resolution data. The layout fields mirror
-/// mesh::DatLayout's shift/mask addressing; bind_layout keeps them
-/// coherent (the defaults describe an AoS dim-1 dat).
+/// Per-argument iteration-time resolution data: an element of a dat arg
+/// is the `dim`-double row base + t * dim, and a gbl arg is base itself.
 struct ResolvedArg {
   double* base = nullptr;
   const lidx_t* map_targets = nullptr;  ///< null for direct / gbl.
@@ -184,27 +162,6 @@ struct ResolvedArg {
   int idx = 0;
   int dim = 1;
   bool is_gbl = false;
-  // Storage layout of the dat behind `base` (see mesh::DatLayout):
-  // element i starts at (i >> bshift) * brow + (i & bmask), component c
-  // adds c * cstride. AoS keeps bshift = bmask = 0 and brow = dim, so
-  // the address math collapses to the legacy i * dim + c.
-  int bshift = 0;
-  lidx_t bmask = 0;
-  lidx_t cstride = 1;
-  std::size_t brow = 1;
-
-  void bind_layout(const mesh::DatLayout& lay) {
-    dim = lay.dim;
-    bshift = lay.bshift;
-    bmask = lay.bmask;
-    cstride = lay.cstride;
-    brow = lay.brow;
-  }
-
-  /// True when elements are plain rows: element t starts at
-  /// base + t * brow and its components are contiguous. Holds for AoS
-  /// dats and every gbl arg.
-  bool is_aos() const { return bshift == 0 && cstride == 1; }
 };
 
 /// A fully-resolved loop ready to execute (or be captured by a chain).
@@ -224,44 +181,28 @@ struct LoopRecord {
 
 [[noreturn]] void raise_out_of_region(const char* loop_name);
 
-/// Iteration `i`'s element of an arg whose kind `Kd` is fixed at compile
-/// time, in the generic shift/mask form (any layout): a gbl arg's base,
-/// a direct arg's element `i`, an indirect arg's map target of `i`.
-template <Arg::Kind Kd>
-ElemRef kind_elem(const ResolvedArg& a, lidx_t i, bool validate,
-                  const char* loop_name) {
-  if constexpr (Kd == Arg::Kind::Gbl) {
-    return {a.base, 1};
-  } else {
-    lidx_t t = i;
-    if constexpr (Kd == Arg::Kind::DatIndirect) {
-      t = a.map_targets[static_cast<std::size_t>(i) *
-                            static_cast<std::size_t>(a.arity) +
-                        static_cast<std::size_t>(a.idx)];
-      if (validate && t == kInvalidLocal) raise_out_of_region(loop_name);
-    }
-    return {a.base + static_cast<std::size_t>(t >> a.bshift) * a.brow +
-                static_cast<std::size_t>(t & a.bmask),
-            a.cstride};
-  }
-}
-
 /// Resolves one argument at iteration `i` from its run-time fields: the
 /// arg's kind is read from `is_gbl` / `map_targets` on every call. The
 /// stored region bodies never test kinds per element — par_loop fixes
 /// them at compile time (make_loop_bodies) — but they must hand kernels
-/// exactly the addresses this computes, so it is the reference the
-/// dispatch tests compare against.
-inline ElemRef resolve_arg(const ResolvedArg& a, lidx_t i, bool validate,
+/// exactly the rows this computes, so it is the reference the dispatch
+/// tests compare against.
+inline double* resolve_arg(const ResolvedArg& a, lidx_t i, bool validate,
                            const char* loop_name = "") {
-  if (a.is_gbl) return kind_elem<Arg::Kind::Gbl>(a, i, validate, loop_name);
-  if (a.map_targets != nullptr)
-    return kind_elem<Arg::Kind::DatIndirect>(a, i, validate, loop_name);
-  return kind_elem<Arg::Kind::DatDirect>(a, i, validate, loop_name);
+  if (a.is_gbl) return a.base;
+  lidx_t t = i;
+  if (a.map_targets != nullptr) {
+    t = a.map_targets[static_cast<std::size_t>(i) *
+                          static_cast<std::size_t>(a.arity) +
+                      static_cast<std::size_t>(a.idx)];
+    if (validate && t == kInvalidLocal) raise_out_of_region(loop_name);
+  }
+  return a.base +
+         static_cast<std::size_t>(t) * static_cast<std::size_t>(a.dim);
 }
 
-/// One argument of an all-AoS loop, flattened once per region so the
-/// batch loop carries no layout fields: `col` walks the arg's map column
+/// One argument of a loop, flattened once per region so the batch loop
+/// reads only what its kind needs: `col` walks the arg's map column
 /// (indirect args only) and `row` is the row length in doubles.
 struct AosArg {
   double* base = nullptr;
@@ -273,11 +214,12 @@ struct AosArg {
       : base(a.base),
         col(a.map_targets != nullptr ? a.map_targets + a.idx : nullptr),
         arity(static_cast<std::size_t>(a.arity)),
-        row(a.brow) {}
+        row(static_cast<std::size_t>(a.dim)) {}
 };
 
-/// kind_elem for an AoS arg: the plain row pointer base + t * row, or
-/// base for a gbl arg — the address resolve_arg computes.
+/// Iteration `i`'s row of an arg whose kind `Kd` is fixed at compile
+/// time: a gbl arg's base, a direct arg's row `i`, an indirect arg's row
+/// at the map target of `i` — the address resolve_arg computes.
 template <Arg::Kind Kd>
 double* kind_row(const AosArg& a, lidx_t i, bool validate,
                  const char* loop_name) {
@@ -292,17 +234,17 @@ double* kind_row(const AosArg& a, lidx_t i, bool validate,
   }
 }
 
-/// Batched dispatch over a contiguous iteration range (generic layouts):
-/// argument state is copied into locals once per region, then the kernel
-/// runs the whole range inside one type-erased call, receiving one
-/// strided ElemRef per argument.
+/// Batched dispatch over a contiguous iteration range: argument state is
+/// copied into locals once per region, then the kernel runs the whole
+/// range inside one type-erased call, receiving one `double*` row per
+/// argument at exactly the addresses resolve_arg computes.
 template <Arg::Kind... Kinds, typename K, std::size_t... I>
 void invoke_kernel_range(const K& k, const std::vector<ResolvedArg>& rargs,
                          lidx_t begin, lidx_t end, bool validate,
                          const char* name, std::index_sequence<I...>) {
-  const ResolvedArg a[sizeof...(I)] = {rargs[I]...};
+  const AosArg a[sizeof...(I)] = {AosArg(rargs[I])...};
   for (lidx_t i = begin; i < end; ++i)
-    k(kind_elem<Kinds>(a[I], i, validate, name)...);
+    k(kind_row<Kinds>(a[I], i, validate, name)...);
 }
 
 /// Batched dispatch over a gathered index list (exec-halo iterations).
@@ -310,32 +252,6 @@ template <Arg::Kind... Kinds, typename K, std::size_t... I>
 void invoke_kernel_list(const K& k, const std::vector<ResolvedArg>& rargs,
                         const lidx_t* idx, std::size_t n, bool validate,
                         const char* name, std::index_sequence<I...>) {
-  const ResolvedArg a[sizeof...(I)] = {rargs[I]...};
-  for (std::size_t j = 0; j < n; ++j) {
-    const lidx_t i = idx[j];
-    k(kind_elem<Kinds>(a[I], i, validate, name)...);
-  }
-}
-
-/// invoke_kernel_range for loops whose args are all is_aos(): the kernel
-/// receives plain `double*` rows at exactly the addresses resolve_arg
-/// computes, in the same order.
-template <Arg::Kind... Kinds, typename K, std::size_t... I>
-void invoke_kernel_range_aos(const K& k,
-                             const std::vector<ResolvedArg>& rargs,
-                             lidx_t begin, lidx_t end, bool validate,
-                             const char* name, std::index_sequence<I...>) {
-  const AosArg a[sizeof...(I)] = {AosArg(rargs[I])...};
-  for (lidx_t i = begin; i < end; ++i)
-    k(kind_row<Kinds>(a[I], i, validate, name)...);
-}
-
-/// invoke_kernel_list for loops whose args are all is_aos().
-template <Arg::Kind... Kinds, typename K, std::size_t... I>
-void invoke_kernel_list_aos(const K& k,
-                            const std::vector<ResolvedArg>& rargs,
-                            const lidx_t* idx, std::size_t n, bool validate,
-                            const char* name, std::index_sequence<I...>) {
   const AosArg a[sizeof...(I)] = {AosArg(rargs[I])...};
   for (std::size_t j = 0; j < n; ++j) {
     const lidx_t i = idx[j];
@@ -351,24 +267,11 @@ struct LoopBodies {
 
 /// Builds a loop's region bodies. `Kinds` are the args' kinds in order,
 /// taken from their KindArg types by par_loop, so each arg's addressing
-/// is fixed per instantiation. The addressing form is chosen once from
-/// the layouts bound into `ra`: the raw-row-pointer AoS loops when every
-/// arg is_aos(), the generic ElemRef loops otherwise.
+/// is fixed per instantiation.
 template <Arg::Kind... Kinds, typename K>
 LoopBodies make_loop_bodies(K kf, std::vector<ResolvedArg> ra, bool validate,
                             std::string name) {
   using Seq = std::make_index_sequence<sizeof...(Kinds)>;
-  const bool aos = std::all_of(ra.begin(), ra.end(),
-                               [](const ResolvedArg& a) { return a.is_aos(); });
-  if (aos)
-    return {[kf, ra, validate, name](lidx_t begin, lidx_t end) {
-              invoke_kernel_range_aos<Kinds...>(kf, ra, begin, end, validate,
-                                                name.c_str(), Seq{});
-            },
-            [kf, ra, validate, name](const lidx_t* idx, std::size_t n) {
-              invoke_kernel_list_aos<Kinds...>(kf, ra, idx, n, validate,
-                                               name.c_str(), Seq{});
-            }};
   return {[kf, ra, validate, name](lidx_t begin, lidx_t end) {
             invoke_kernel_range<Kinds...>(kf, ra, begin, end, validate,
                                           name.c_str(), Seq{});
@@ -393,14 +296,11 @@ public:
   Set set(mesh::set_id id) const { return Set{id}; }
   Dat dat(mesh::dat_id id) const { return Dat{id}; }
 
-  /// Local (renumbered) data array of a dat on this rank; element order
-  /// per the halo plan, storage order per dat_layout(d). Intended for
+  /// Local (renumbered) data array of a dat on this rank: 64-byte
+  /// aligned `dim`-double rows in halo-plan element order. Intended for
   /// initialization and inspection in tests.
   double* dat_data(Dat d);
   const halo::SetLayout& layout(Set s) const;
-  /// Storage descriptor of a dat's rank-local array (AoS unless the
-  /// WorldConfig::layout selects otherwise).
-  const mesh::DatLayout& dat_layout(Dat d) const;
 
   /// Executes (or captures, inside a chain) one parallel loop.
   template <typename Kernel, typename... Args>
@@ -487,17 +387,6 @@ struct WorldConfig {
   /// reduce over elements (indirect INC, global INC) reassociate their
   /// sums, like any other iteration-order change.
   mesh::ReorderConfig reorder{};
-  /// SIMD data plane: per-dat storage layout of the rank-local arrays
-  /// (mesh/layout). The default — pure AoS — is bitwise-identical to the
-  /// legacy runtime for every executor, thread width and reorder
-  /// setting. SoA / AoSoA change only how elements are stored inside a
-  /// rank: the global mesh arrays, fetch_dat / reset_dat and the VTK
-  /// output keep the classic row layout (transposed at the boundary),
-  /// and per-element arithmetic is unchanged, so direct loops stay exact
-  /// under any layout. Composes with `reorder`: renumbering happens
-  /// before the layout transpose, so blocked runs land in consecutive
-  /// lanes of the same AoSoA block.
-  mesh::LayoutConfig layout{};
   ChainConfig chains{};
   /// Lazy evaluation (the paper's future-work automation): par_loops are
   /// queued instead of executed, and flushed as an automatically-formed

@@ -48,12 +48,8 @@ struct Exchange {
 /// One dat's per-rank storage.
 struct RankDat {
   int dim = 0;
-  /// Storage descriptor: element order is always the halo-plan order
-  /// (owned | exec | nonexec); `layout` says how those elements are
-  /// arranged inside `data` (AoS rows by default, SoA planes / AoSoA
-  /// blocks when WorldConfig::layout selects them).
-  mesh::DatLayout layout;
-  /// 64-byte-aligned backing store, layout.alloc_doubles() long.
+  /// 64-byte-aligned backing store: one `dim`-double row per element, in
+  /// halo-plan order (owned | exec | nonexec).
   util::AlignedDVec data;
   /// Halo layers currently in sync with the owners; 0 = level-1 halo
   /// stale. This generalizes the paper's dirty bit to multi-layer halos.
@@ -89,7 +85,7 @@ struct Window {
   ChainAnalysis analysis;
   std::vector<Loop> loops;  ///< empty until the window first runs.
   std::vector<mesh::dat_id> written;  ///< dats whose halos go stale.
-  /// Metrics fixed by the window: gather_span, reuse_gap, layout_code.
+  /// Metrics fixed by the window: gather_span, reuse_gap.
   LoopMetrics statics;
   /// PerNeighbour exchanges by stale-sync mask (bit i = analysis.syncs[i]).
   std::map<std::uint64_t, Exchange> exchanges;

@@ -141,10 +141,8 @@ std::vector<double> World::fetch_dat(mesh::dat_id d) const {
       mesh_.set(dd.set).size * dd.dim));
   for (const auto& state : ranks_) {
     if (!state) continue;  // SPMD mode: peer ranks live in peer processes.
-    const halo::SetLayout& lay =
-        plan_.layout(state->rank, dd.set);
-    const detail::RankDat& rd = state->dats[static_cast<std::size_t>(d)];
-    halo::scatter_owned(rd.data.data(), lay, rd.layout, &out);
+    halo::scatter_owned(state->dats[static_cast<std::size_t>(d)].data.data(),
+                        dd.dim, plan_.layout(state->rank, dd.set), &out);
   }
   // SPMD mode: each process scattered only its owned slots into a
   // zero-initialized array, and every global element is owned by exactly
@@ -255,26 +253,24 @@ void World::write_metrics_csv(std::ostream& os) const {
   require_idle("write_metrics_csv");
   Table t;
   t.set_header({"kind", "name", "calls", "core_iters", "halo_iters",
-                "msgs", "bytes", "max_msg_bytes", "max_neighbors",
-                "wall_s", "pack_s", "core_s", "wait_s", "unpack_s",
-                "halo_s", "regions", "plan_builds", "staging_allocs",
-                "chunks", "colours", "busy_s", "gather_span",
-                "reuse_gap", "layout",
-                "bytes_per_elem", "numa_bytes", "node_bytes", "net_bytes",
-                "tile", "redundant_elems", "msgs_saved"});
+                "msgs", "bytes", "max_msg_bytes", "max_rank_bytes",
+                "max_neighbors", "wall_s", "pack_s", "core_s", "wait_s",
+                "unpack_s", "halo_s", "regions", "plan_builds",
+                "staging_allocs", "chunks", "colours", "busy_s",
+                "gather_span", "reuse_gap", "bytes_per_elem", "numa_bytes",
+                "node_bytes", "net_bytes", "tile", "redundant_elems",
+                "msgs_saved"});
   t.set_precision(6);
   auto add = [&t](const std::string& kind, const std::string& name,
                   const LoopMetrics& m) {
     t.add_row({kind, name, m.calls, m.core_iters, m.halo_iters, m.msgs,
-               m.bytes, m.max_msg_bytes,
+               m.bytes, m.max_msg_bytes, m.max_rank_bytes,
                static_cast<std::int64_t>(m.max_neighbors), m.wall_seconds,
                m.pack_seconds, m.core_seconds, m.wait_seconds,
                m.unpack_seconds, m.halo_seconds, m.dispatch_regions,
                m.plan_builds, m.staging_allocs, m.chunks,
                static_cast<std::int64_t>(m.max_colours), m.busy_seconds,
                m.gather_span, m.reuse_gap,
-               std::string(mesh::layout_name(
-                   static_cast<mesh::LayoutKind>(m.layout_code))),
                m.halo_elems > 0
                    ? static_cast<double>(m.bytes) /
                          static_cast<double>(m.halo_elems)

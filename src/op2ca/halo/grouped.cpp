@@ -44,36 +44,6 @@ void for_each_segment(const RankPlan& rp, rank_t q,
   }
 }
 
-/// Component-major gather of the `n` rows idx[0..n): component c of list
-/// slot j lands at region double c * n + j. Under SoA the inner j-loop
-/// reads one contiguous component plane and writes a unit-stride run — a
-/// pure streaming copy whenever the export rows are consecutive (which
-/// the locality layer arranges).
-void gather_cm(const double* data, const mesh::DatLayout& lay,
-               const lidx_t* idx, std::size_t n, std::byte* region) {
-  double* out = reinterpret_cast<double*>(region);
-  for (int c = 0; c < lay.dim; ++c) {
-    double* dst = out + static_cast<std::size_t>(c) * n;
-    const std::size_t coff = static_cast<std::size_t>(c) *
-                             static_cast<std::size_t>(lay.cstride);
-    for (std::size_t j = 0; j < n; ++j)
-      dst[j] = data[lay.elem_offset(idx[j]) + coff];
-  }
-}
-
-/// Scatter counterpart of gather_cm.
-void scatter_cm(double* data, const mesh::DatLayout& lay, const lidx_t* idx,
-                std::size_t n, const std::byte* region) {
-  const double* in = reinterpret_cast<const double*>(region);
-  for (int c = 0; c < lay.dim; ++c) {
-    const double* src = in + static_cast<std::size_t>(c) * n;
-    const std::size_t coff = static_cast<std::size_t>(c) *
-                             static_cast<std::size_t>(lay.cstride);
-    for (std::size_t j = 0; j < n; ++j)
-      data[lay.elem_offset(idx[j]) + coff] = src[j];
-  }
-}
-
 }  // namespace
 
 void gather_rows(const double* data, int dim, const LIdxVec& idx,
@@ -110,28 +80,6 @@ std::size_t unpack_rows(double* data, int dim, const LIdxVec& idx,
   return offset + idx.size() * row_bytes;
 }
 
-void gather_region(const double* data, const mesh::DatLayout* lay, int dim,
-                   const LIdxVec& idx, std::byte* out) {
-  if (lay == nullptr || lay->is_aos()) {
-    gather_rows(data, dim, idx, out);
-    return;
-  }
-  gather_cm(data, *lay, idx.data(), idx.size(), out);
-}
-
-std::size_t unpack_region(double* data, const mesh::DatLayout* lay, int dim,
-                          const LIdxVec& idx, std::span<const std::byte> in,
-                          std::size_t offset) {
-  if (lay == nullptr || lay->is_aos())
-    return unpack_rows(data, dim, idx, in, offset);
-  const std::size_t bytes =
-      idx.size() * static_cast<std::size_t>(dim) * sizeof(double);
-  OP2CA_REQUIRE(offset + bytes <= in.size(),
-                "unpack_region: payload too short");
-  scatter_cm(data, *lay, idx.data(), idx.size(), in.data() + offset);
-  return offset + bytes;
-}
-
 std::map<rank_t, std::int64_t> grouped_message_bytes(
     const RankPlan& rp, std::span<const DatSyncSpec> specs) {
   std::map<rank_t, std::int64_t> bytes;
@@ -149,27 +97,12 @@ std::map<rank_t, std::int64_t> grouped_message_bytes(
 }
 
 ByteBuf pack_grouped(const RankPlan& rp, rank_t q,
-                                    std::span<const DatSyncSpec> specs) {
-  // A dat's segments are consecutive in the canonical walk, so gathering
-  // the concatenated list per spec produces the same region placement as
-  // the per-segment walk — and for non-AoS dats it is the concatenated
-  // region the component-major wire shape is defined over (matching
-  // GroupedPlan, whose gather lists are flattened the same way).
+                     std::span<const DatSyncSpec> specs) {
   ByteBuf out;
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    LIdxVec rows;
-    for_each_segment(rp, q, specs.subspan(s, 1), /*exports=*/true,
-                     [&](const DatSyncSpec&, const LIdxVec& idx) {
-                       rows.insert(rows.end(), idx.begin(), idx.end());
-                     });
-    if (rows.empty()) continue;
-    const std::size_t base = out.size();
-    out.resize(base + rows.size() *
-                          static_cast<std::size_t>(specs[s].dim) *
-                          sizeof(double));
-    gather_region(specs[s].data, specs[s].layout, specs[s].dim, rows,
-                  out.data() + base);
-  }
+  for_each_segment(rp, q, specs, /*exports=*/true,
+                   [&](const DatSyncSpec& spec, const LIdxVec& idx) {
+                     pack_rows(spec.data, spec.dim, idx, &out);
+                   });
   return out;
 }
 
@@ -177,16 +110,11 @@ void unpack_grouped(const RankPlan& rp, rank_t q,
                     std::span<const DatSyncSpec> specs,
                     std::span<const std::byte> payload) {
   std::size_t offset = 0;
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    LIdxVec rows;
-    for_each_segment(rp, q, specs.subspan(s, 1), /*exports=*/false,
-                     [&](const DatSyncSpec&, const LIdxVec& idx) {
-                       rows.insert(rows.end(), idx.begin(), idx.end());
-                     });
-    if (rows.empty()) continue;
-    offset = unpack_region(specs[s].data, specs[s].layout, specs[s].dim,
-                           rows, payload, offset);
-  }
+  for_each_segment(rp, q, specs, /*exports=*/false,
+                   [&](const DatSyncSpec& spec, const LIdxVec& idx) {
+                     offset = unpack_rows(spec.data, spec.dim, idx, payload,
+                                          offset);
+                   });
   OP2CA_REQUIRE(offset == payload.size(),
                 "unpack_grouped: payload size mismatch");
 }
@@ -239,8 +167,7 @@ GroupedPlan build_grouped_plan(const RankPlan& rp,
 void pack_grouped(const GroupedPlan::Side& side,
                   std::span<const DatSyncSpec> specs, std::byte* out) {
   for (std::size_t s = 0; s < specs.size(); ++s) {
-    gather_region(specs[s].data, specs[s].layout, specs[s].dim,
-                  side.gather[s], out);
+    gather_rows(specs[s].data, specs[s].dim, side.gather[s], out);
     out += side.gather[s].size() * static_cast<std::size_t>(specs[s].dim) *
            sizeof(double);
   }
@@ -253,8 +180,8 @@ void unpack_grouped(const GroupedPlan::Side& side,
                 "unpack_grouped: payload does not match the plan");
   std::size_t offset = 0;
   for (std::size_t s = 0; s < specs.size(); ++s)
-    offset = unpack_region(specs[s].data, specs[s].layout, specs[s].dim,
-                           side.scatter[s], payload, offset);
+    offset = unpack_rows(specs[s].data, specs[s].dim, side.scatter[s],
+                         payload, offset);
 }
 
 }  // namespace op2ca::halo

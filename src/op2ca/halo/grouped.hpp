@@ -16,7 +16,6 @@
 
 #include "op2ca/comm/transport.hpp"
 #include "op2ca/halo/halo_plan.hpp"
-#include "op2ca/mesh/layout.hpp"
 #include "op2ca/util/aligned.hpp"
 
 namespace op2ca::halo {
@@ -26,19 +25,9 @@ struct DatSyncSpec {
   mesh::set_id set = -1;
   int dim = 0;
   int depth = 1;  ///< halo layers to sync (paper's per-dat h_l).
-  /// Local data array of the dat on this rank (layout order).
+  /// Local data array of the dat on this rank: `dim`-double rows, which
+  /// the wire carries element-major.
   double* data = nullptr;
-  /// Storage layout of `data`. Null (the default, so existing aggregate
-  /// initializers keep meaning what they meant) = classic AoS rows.
-  ///
-  /// Wire format: an AoS dat's message region stays element-major rows —
-  /// bitwise-identical to the legacy protocol. A SoA/AoSoA dat's region
-  /// is component-major (all component-0 values, then component-1, ...),
-  /// so the pack/unpack become contiguous per-component streams on both
-  /// sides. Sender and receiver derive each dat's layout kind from the
-  /// same WorldConfig, so the region shapes always agree; per-rank
-  /// padding never leaks into the message.
-  const mesh::DatLayout* layout = nullptr;
 };
 
 /// Appends data[idx] rows to `out`.
@@ -50,21 +39,9 @@ void pack_rows(const double* data, int dim, const LIdxVec& idx,
 void gather_rows(const double* data, int dim, const LIdxVec& idx,
                  std::byte* out);
 
-/// Layout-aware gather of one message region (idx.size() * dim doubles):
-/// element-major rows when `lay` is null / AoS, component-major streams
-/// otherwise. One region = one per-loop message or one dat's slice of a
-/// grouped message.
-void gather_region(const double* data, const mesh::DatLayout* lay, int dim,
-                   const LIdxVec& idx, std::byte* out);
-
 /// Copies rows from `in` at `offset` into data[idx]; returns new offset.
 std::size_t unpack_rows(double* data, int dim, const LIdxVec& idx,
                         std::span<const std::byte> in, std::size_t offset);
-
-/// Layout-aware inverse of gather_region; returns the advanced offset.
-std::size_t unpack_region(double* data, const mesh::DatLayout* lay, int dim,
-                          const LIdxVec& idx, std::span<const std::byte> in,
-                          std::size_t offset);
 
 /// Total bytes of the grouped message to each neighbour (doubles only).
 std::map<rank_t, std::int64_t> grouped_message_bytes(

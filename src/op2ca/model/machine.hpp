@@ -81,13 +81,6 @@ struct Machine {
   /// measured A/B ratio from BENCH_locality.json. 1 = partition order.
   /// Communication terms are unaffected: reordering moves no bytes.
   double locality_factor = 1.0;
-  /// SIMD speedup of the per-iteration cost under a vector-friendly dat
-  /// layout (WorldConfig::layout = SoA / AoSoA): calibrations are taken
-  /// on AoS storage, so a layout A/B ratio from BENCH_simd.json enters
-  /// the compute terms as a factor > 1. 1 = scalar AoS baseline.
-  /// Communication terms are unaffected: the wire carries the same
-  /// bytes in a different order.
-  double vector_width = 1.0;
   /// GPU path: the staged PCIe copies and kernel-launch overheads enter
   /// the model as a larger effective latency Lambda (Section 3.3).
   /// With `device.enabled` the extra term is derived from the PCIe tier

@@ -1,7 +1,7 @@
 // Cache-line-aligned storage for the data plane.
 //
 // Dat arrays and message staging buffers start on 64-byte boundaries so
-// unit-stride component loops and the chunked memcpy pack paths never
+// kernel row loops and the chunked memcpy pack paths never
 // split their first vector across cache lines. std::vector's default
 // allocator only guarantees alignof(std::max_align_t) (16 on x86-64);
 // AlignedAlloc upgrades that without changing any vector semantics —

@@ -163,7 +163,7 @@ TEST(ChainExec, DisabledChainMetersEveryField) {
     EXPECT_NEAR(chain.*field, sum, 1e-12 * (1.0 + sum));
   }
   EXPECT_EQ(chain.max_msg_bytes, std::max(u.max_msg_bytes, f.max_msg_bytes));
-  for (int M::*field : {&M::max_neighbors, &M::max_colours, &M::layout_code})
+  for (int M::*field : {&M::max_neighbors, &M::max_colours})
     EXPECT_EQ(chain.*field, std::max(u.*field, f.*field));
   for (double M::*field : {&M::gather_span, &M::reuse_gap})
     EXPECT_EQ(chain.*field, std::max(u.*field, f.*field));

@@ -23,8 +23,7 @@ enum class Mode { kOp2, kCa, kLazy };
 
 WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
                          mesh::ReorderKind reorder = mesh::ReorderKind::None,
-                         int threads = 1,
-                         mesh::LayoutConfig layout = {}) {
+                         int threads = 1) {
   WorldConfig cfg;
   cfg.nranks = nranks;
   cfg.partitioner = partition::Kind::KWay;
@@ -33,17 +32,9 @@ WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
   cfg.serial_dispatch = serial_dispatch;
   cfg.reorder.kind = reorder;
   cfg.threads_per_rank = threads;
-  cfg.layout = layout;
   if (mode == Mode::kCa) cfg.chains.enable("synthetic");
   if (mode == Mode::kLazy) cfg.lazy = true;
   return cfg;
-}
-
-mesh::LayoutConfig layout_cfg(mesh::LayoutKind kind, int block = 8) {
-  mesh::LayoutConfig lc;
-  lc.kind = kind;
-  lc.aosoa_block = block;
-  return lc;
 }
 
 /// The synthetic loop pair without chain brackets, so lazy mode can form
@@ -73,14 +64,12 @@ struct SynthResult {
 
 SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
                       mesh::ReorderKind reorder = mesh::ReorderKind::None,
-                      int threads = 1,
-                      mesh::LayoutConfig layout = {}) {
+                      int threads = 1) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
   World w(std::move(prob.mg.mesh),
-          equiv_config(nranks, mode, serial_dispatch, reorder, threads,
-                       layout));
+          equiv_config(nranks, mode, serial_dispatch, reorder, threads));
   w.run([&](Runtime& rt) {
     const auto h = apps::mgcfd::resolve_handles(rt, prob);
     for (int t = 0; t < 2; ++t) {
@@ -237,80 +226,6 @@ TEST(Equivalence, ReorderedWidthIndependentSweeps) {
       run_synth(4, Mode::kCa, false, mesh::ReorderKind::SFC, 4));
 }
 
-// -- SIMD data plane (WorldConfig::layout). -----------------------------
-//
-// Changing the storage layout moves no iteration and reassociates no
-// sum: the same per-element arithmetic runs in the same order over the
-// same logical cells, only their addresses change, and the transposing
-// halo wire carries the same values. Direct dats are therefore compared
-// bitwise against the AoS baseline at the same configuration; indirectly
-// accumulated dats are held to the 1e-9 tolerance (expected to be exact
-// too, but the contract we commit to is the tolerance).
-
-TEST(Equivalence, LayoutMatchesBaselineAllModes) {
-  for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult base = run_synth(5, mode, false);
-    for (const auto kind :
-         {mesh::LayoutKind::SoA, mesh::LayoutKind::AoSoA}) {
-      const SynthResult re = run_synth(5, mode, false,
-                                       mesh::ReorderKind::None, 1,
-                                       layout_cfg(kind));
-      EXPECT_EQ(base.spres, re.spres);  // direct loop: exact
-      testutil::expect_allclose(base.sres, re.sres);
-      testutil::expect_allclose(base.sflux, re.sflux);
-    }
-  }
-}
-
-TEST(Equivalence, LayoutFourThreadsWithReorder) {
-  // Layout composes with the locality layer and threaded sweeps: compare
-  // each layout against AoS at the SAME (reorder, width) configuration,
-  // where iteration order is identical.
-  for (const auto kind :
-       {mesh::LayoutKind::SoA, mesh::LayoutKind::AoSoA}) {
-    for (const auto reorder :
-         {mesh::ReorderKind::None, mesh::ReorderKind::RCM}) {
-      const SynthResult base =
-          run_synth(4, Mode::kOp2, false, reorder, 4);
-      const SynthResult re = run_synth(4, Mode::kOp2, false, reorder, 4,
-                                       layout_cfg(kind));
-      EXPECT_EQ(base.spres, re.spres);
-      testutil::expect_allclose(base.sres, re.sres);
-      testutil::expect_allclose(base.sflux, re.sflux);
-    }
-  }
-}
-
-TEST(Equivalence, LayoutBatchedMatchesPerElement) {
-  // Region batching stays bitwise under a non-AoS layout, like it is
-  // under AoS.
-  expect_bitwise(
-      run_synth(5, Mode::kOp2, false, mesh::ReorderKind::None, 1,
-                layout_cfg(mesh::LayoutKind::SoA)),
-      run_synth(5, Mode::kOp2, true, mesh::ReorderKind::None, 1,
-                layout_cfg(mesh::LayoutKind::SoA)));
-  expect_bitwise(
-      run_synth(5, Mode::kCa, false, mesh::ReorderKind::None, 1,
-                layout_cfg(mesh::LayoutKind::AoSoA, 4)),
-      run_synth(5, Mode::kCa, true, mesh::ReorderKind::None, 1,
-                layout_cfg(mesh::LayoutKind::AoSoA, 4)));
-}
-
-TEST(Equivalence, LayoutAosoaBlockInvariance) {
-  // The block size changes addressing only — every block width must
-  // produce the same result bitwise (tail blocks included: rank-local
-  // element counts here are not multiples of any block).
-  const SynthResult b8 = run_synth(5, Mode::kOp2, false,
-                                   mesh::ReorderKind::None, 1,
-                                   layout_cfg(mesh::LayoutKind::AoSoA, 8));
-  for (const int block : {2, 16}) {
-    const SynthResult other =
-        run_synth(5, Mode::kOp2, false, mesh::ReorderKind::None, 1,
-                  layout_cfg(mesh::LayoutKind::AoSoA, block));
-    expect_bitwise(b8, other);
-  }
-}
-
 // -- Temporal tiling (WorldConfig::tile). -------------------------------
 //
 // Fusing k back-to-back chain invocations into one exchange epoch moves
@@ -350,13 +265,12 @@ void tiled_program(Runtime& rt, const apps::mgcfd::Handles& h,
 }
 
 SynthResult run_synth_tiled(int nranks, int tile, Mode mode,
-                            int threads = 1,
-                            mesh::LayoutConfig layout = {}) {
+                            int threads = 1) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
   WorldConfig cfg = equiv_config(nranks, mode, false,
-                                 mesh::ReorderKind::None, threads, layout);
+                                 mesh::ReorderKind::None, threads);
   cfg.tile = tile;
   World w(std::move(prob.mg.mesh), cfg);
   w.run([&](Runtime& rt) {
@@ -393,24 +307,16 @@ TEST(Equivalence, TileOneIsBitwiseLegacy) {
   expect_bitwise(legacy, run_synth_tiled(5, 1, Mode::kCa));
 }
 
-TEST(Equivalence, TiledLayoutsAndThreads) {
-  // Tiling composes with the SIMD data plane and threaded sweeps: at
-  // each (layout, width) configuration the tiled run matches the OP2
-  // baseline of the same configuration.
-  for (const auto kind :
-       {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA,
-        mesh::LayoutKind::AoSoA}) {
-    for (const int threads : {1, 4}) {
-      const SynthResult base =
-          run_synth_tiled(4, 1, Mode::kOp2, threads, layout_cfg(kind));
-      for (const int tile : {2, 4}) {
-        const SynthResult ca =
-            run_synth_tiled(4, tile, Mode::kCa, threads,
-                            layout_cfg(kind));
-        EXPECT_EQ(base.spres, ca.spres);
-        testutil::expect_allclose(base.sres, ca.sres);
-        testutil::expect_allclose(base.sflux, ca.sflux);
-      }
+TEST(Equivalence, TiledAcrossThreadWidths) {
+  // Tiling composes with threaded sweeps: at each width the tiled run
+  // matches the OP2 baseline of the same width.
+  for (const int threads : {1, 4}) {
+    const SynthResult base = run_synth_tiled(4, 1, Mode::kOp2, threads);
+    for (const int tile : {2, 4}) {
+      const SynthResult ca = run_synth_tiled(4, tile, Mode::kCa, threads);
+      EXPECT_EQ(base.spres, ca.spres);
+      testutil::expect_allclose(base.sres, ca.sres);
+      testutil::expect_allclose(base.sflux, ca.sflux);
     }
   }
 }

@@ -239,8 +239,9 @@ TEST(Renumber, GatherScatterRoundTrip) {
   std::vector<double> out(global.size(), -1.0);
   for (rank_t r = 0; r < 3; ++r) {
     const SetLayout& lay = b.plan.layout(r, b.q.nodes);
-    const std::vector<double> local = gather_local(global, 2, lay);
-    scatter_owned(local, 2, lay, &out);
+    std::vector<double> local(static_cast<size_t>(2 * lay.total));
+    gather_local(global, 2, lay, local.data());
+    scatter_owned(local.data(), 2, lay, &out);
   }
   EXPECT_EQ(out, global);
 }

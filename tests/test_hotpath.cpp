@@ -1,9 +1,9 @@
 // Hot-path infrastructure tests: BufferPool recycling, GroupedPlan
 // pack/unpack against the reference (map-walking) implementation,
-// zero-copy transport semantics, the region bodies' two addressing paths
-// (raw AoS rows vs generic strided views) under compile-time argument
-// kinds and their validation guard, and the steady-state zero-allocation
-// / zero-rebuild guarantee of the cached exchange plans.
+// zero-copy transport semantics, the region bodies' row addressing under
+// compile-time argument kinds and its validation guard, and the
+// steady-state zero-allocation / zero-rebuild guarantee of the cached
+// exchange plans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -292,7 +292,6 @@ constexpr lidx_t kNodes = 40;
 
 /// Hand-built args of an edge loop over a direct dat, a node dat reached
 /// through both columns of an arity-2 map, a gbl READ and a gbl INC.
-/// `direct` / `indirect` pick the two dats' layouts (AoSoA blocks of 4).
 /// `rargs` lists them as direct, column 0, column 1, gbl READ, gbl INC;
 /// `interleaved` as gbl READ, column 0, direct, column 1, gbl INC.
 struct DispatchArgs {
@@ -302,23 +301,20 @@ struct DispatchArgs {
   double gbl_inc[kDim] = {0, 0, 0};
   std::vector<cd::ResolvedArg> rargs, interleaved;
 
-  DispatchArgs(mesh::LayoutKind direct, mesh::LayoutKind indirect) {
-    const mesh::DatLayout el = mesh::DatLayout::make(direct, kDim, kEdges, 4);
-    const mesh::DatLayout nl =
-        mesh::DatLayout::make(indirect, kDim, kNodes, 4);
-    edge_data.assign(el.alloc_doubles(), 0.0);
-    node_data.assign(nl.alloc_doubles(), 0.0);
+  DispatchArgs() {
+    edge_data.assign(static_cast<std::size_t>(kEdges) * kDim, 0.0);
+    node_data.assign(static_cast<std::size_t>(kNodes) * kDim, 0.0);
     for (lidx_t e = 0; e < kEdges; ++e) {
       map.push_back((e * 7) % kNodes);
       map.push_back((e * 11 + 3) % kNodes);
     }
     cd::ResolvedArg d;
     d.base = edge_data.data();
-    d.bind_layout(el);
+    d.dim = kDim;
     cd::ResolvedArg col[2];
     for (int c = 0; c < 2; ++c) {
       col[c].base = node_data.data();
-      col[c].bind_layout(nl);
+      col[c].dim = kDim;
       col[c].map_targets = map.data();
       col[c].arity = 2;
       col[c].idx = c;
@@ -348,22 +344,20 @@ cd::LoopBodies interleaved_bodies(K k, const DispatchArgs& f) {
                                                   "loop");
 }
 
-/// Records every component address the kernel is handed, per call, and
-/// whether the args arrived as raw row pointers (the AoS path) or as
-/// strided ElemRef views (the generic path).
+/// Records every component address the kernel is handed, per call.
 struct AddressRecorder {
   std::vector<std::vector<const double*>>* calls;
-  bool* raw;
 
   template <typename... A>
   void operator()(A&&... args) const {
+    static_assert((std::is_same_v<std::decay_t<A>, double*> && ...),
+                  "region bodies hand kernels double* rows");
     std::vector<const double*> row;
-    auto add = [&row](auto&& a) {
+    auto add = [&row](const double* a) {
       for (int c = 0; c < kDim; ++c) row.push_back(&a[c]);
     };
     (add(args), ...);
     calls->push_back(std::move(row));
-    *raw = (std::is_pointer_v<std::decay_t<A>> && ...);
   }
 };
 
@@ -375,7 +369,7 @@ std::vector<std::vector<const double*>> expected_addresses(
   for (lidx_t i : order) {
     std::vector<const double*> row;
     for (const cd::ResolvedArg& a : rargs) {
-      const cd::ElemRef r = cd::resolve_arg(a, i, false);
+      const double* r = cd::resolve_arg(a, i, false);
       for (int c = 0; c < kDim; ++c) row.push_back(&r[c]);
     }
     out.push_back(std::move(row));
@@ -391,77 +385,39 @@ std::vector<lidx_t> range_order(lidx_t begin, lidx_t end) {
   return out;
 }
 
-constexpr mesh::LayoutKind kLayouts[] = {
-    mesh::LayoutKind::AoS, mesh::LayoutKind::SoA, mesh::LayoutKind::AoSoA};
-
-TEST(Dispatch, RecordBodiesMatchResolveArgUnderEveryLayout) {
+TEST(Dispatch, RecordBodiesMatchResolveArg) {
   // The interleaved order puts a gbl READ first, a direct arg between two
   // indirect ones and a gbl INC last: each position must get its own
   // kind's addressing, not its neighbour's.
-  for (const auto kind : kLayouts) {
-    DispatchArgs f(kind, kind);
-    for (const bool interleaved : {false, true}) {
-      const std::vector<cd::ResolvedArg>& args =
-          interleaved ? f.interleaved : f.rargs;
-      std::vector<std::vector<const double*>> calls;
-      bool raw = kind != mesh::LayoutKind::AoS;
-      const AddressRecorder k{&calls, &raw};
-      const cd::LoopBodies b =
-          interleaved ? interleaved_bodies(k, f) : edge_loop_bodies(k, f, true);
-      b.range(3, 21);
-      EXPECT_EQ(calls, expected_addresses(args, range_order(3, 21)))
-          << mesh::layout_name(kind) << " interleaved=" << interleaved;
-      calls.clear();
-      b.list(kListOrder.data(), kListOrder.size());
-      EXPECT_EQ(calls, expected_addresses(args, kListOrder))
-          << mesh::layout_name(kind) << " interleaved=" << interleaved;
-      EXPECT_EQ(raw, kind == mesh::LayoutKind::AoS)
-          << mesh::layout_name(kind);
-    }
+  const DispatchArgs f;
+  for (const bool interleaved : {false, true}) {
+    const std::vector<cd::ResolvedArg>& args =
+        interleaved ? f.interleaved : f.rargs;
+    std::vector<std::vector<const double*>> calls;
+    const AddressRecorder k{&calls};
+    const cd::LoopBodies b =
+        interleaved ? interleaved_bodies(k, f) : edge_loop_bodies(k, f, true);
+    b.range(3, 21);
+    EXPECT_EQ(calls, expected_addresses(args, range_order(3, 21)))
+        << "interleaved=" << interleaved;
+    calls.clear();
+    b.list(kListOrder.data(), kListOrder.size());
+    EXPECT_EQ(calls, expected_addresses(args, kListOrder))
+        << "interleaved=" << interleaved;
   }
 }
 
-TEST(Dispatch, AosPathHandsRawRowsAtResolveArgAddresses) {
-  DispatchArgs f(mesh::LayoutKind::AoS, mesh::LayoutKind::AoS);
+TEST(Dispatch, BodiesHandRowsAtResolveArgAddresses) {
+  const DispatchArgs f;
   std::vector<std::vector<const double*>> calls;
-  bool raw = false;
-  const cd::LoopBodies b =
-      edge_loop_bodies(AddressRecorder{&calls, &raw}, f, true);
+  const cd::LoopBodies b = edge_loop_bodies(AddressRecorder{&calls}, f, true);
   b.list(kListOrder.data(), kListOrder.size());
-  EXPECT_TRUE(raw);
-  // Spot-check the legacy row arithmetic behind those addresses.
+  // Spot-check the row arithmetic behind those addresses.
   EXPECT_EQ(calls[0][0], f.edge_data.data() + 5 * kDim);
   EXPECT_EQ(calls[0][kDim], f.node_data.data() + f.map[10] * kDim);
   EXPECT_EQ(calls[0][2 * kDim], f.node_data.data() + f.map[11] * kDim);
   EXPECT_EQ(calls[0][3 * kDim], f.gbl_read);
   EXPECT_EQ(calls[0][4 * kDim + 2], f.gbl_inc + 2);
-}
-
-TEST(Dispatch, RecordBodiesPickTheAosPathOnlyWhenEveryArgIsAos) {
-  struct Case {
-    mesh::LayoutKind direct, indirect;
-    bool raw;
-  };
-  for (const Case c : {Case{mesh::LayoutKind::AoS, mesh::LayoutKind::AoS, true},
-                       Case{mesh::LayoutKind::SoA, mesh::LayoutKind::SoA, false},
-                       Case{mesh::LayoutKind::AoSoA, mesh::LayoutKind::AoSoA,
-                            false},
-                       Case{mesh::LayoutKind::AoS, mesh::LayoutKind::SoA, false},
-                       Case{mesh::LayoutKind::SoA, mesh::LayoutKind::AoS,
-                            false}}) {
-    DispatchArgs f(c.direct, c.indirect);
-    std::vector<std::vector<const double*>> calls;
-    bool raw = !c.raw;
-    const cd::LoopBodies b =
-        edge_loop_bodies(AddressRecorder{&calls, &raw}, f, true);
-    b.range(0, kEdges);
-    b.list(kListOrder.data(), kListOrder.size());
-    std::vector<lidx_t> order = range_order(0, kEdges);
-    order.insert(order.end(), kListOrder.begin(), kListOrder.end());
-    EXPECT_EQ(calls, expected_addresses(f.rargs, order));
-    EXPECT_EQ(raw, c.raw) << mesh::layout_name(c.direct) << "+"
-                          << mesh::layout_name(c.indirect);
-  }
 }
 
 /// Runs `body` expecting the out-of-region Error naming "bad_loop".
@@ -477,24 +433,21 @@ void expect_names_loop(F body) {
 }
 
 TEST(Dispatch, ValidationNamesTheLoopOnBothPaths) {
-  for (const auto kind : {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA}) {
-    DispatchArgs f(kind, kind);
-    f.map[2 * 4 + 1] = kInvalidLocal;  // edge 4, second column
-    std::vector<std::vector<const double*>> calls;
-    bool raw = false;
-    const cd::LoopBodies b = edge_loop_bodies(AddressRecorder{&calls, &raw},
-                                              f, true, "bad_loop");
-    expect_names_loop([&] { b.range(0, kEdges); });
-    EXPECT_EQ(calls.size(), 4u);  // edges 0-3 ran, edge 4 raised
-    const lidx_t idx[] = {7, 4};
-    expect_names_loop([&] { b.list(idx, 2); });
-    EXPECT_EQ(raw, kind == mesh::LayoutKind::AoS);
-    // Without validation the hole is not checked (the production
-    // default): iterations that avoid it run normally.
-    const cd::LoopBodies quiet = edge_loop_bodies(
-        AddressRecorder{&calls, &raw}, f, false, "bad_loop");
-    EXPECT_NO_THROW(quiet.range(0, 4));
-  }
+  // Both region bodies: the range walk and the gathered list.
+  DispatchArgs f;
+  f.map[2 * 4 + 1] = kInvalidLocal;  // edge 4, second column
+  std::vector<std::vector<const double*>> calls;
+  const cd::LoopBodies b =
+      edge_loop_bodies(AddressRecorder{&calls}, f, true, "bad_loop");
+  expect_names_loop([&] { b.range(0, kEdges); });
+  EXPECT_EQ(calls.size(), 4u);  // edges 0-3 ran, edge 4 raised
+  const lidx_t idx[] = {7, 4};
+  expect_names_loop([&] { b.list(idx, 2); });
+  // Without validation the hole is not checked (the production
+  // default): iterations that avoid it run normally.
+  const cd::LoopBodies quiet =
+      edge_loop_bodies(AddressRecorder{&calls}, f, false, "bad_loop");
+  EXPECT_NO_THROW(quiet.range(0, 4));
 }
 
 // -- Steady-state plan reuse: zero rebuilds, zero staging allocations. --

@@ -9,8 +9,11 @@
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
 #include "op2ca/core/runtime.hpp"
+#include "op2ca/mesh/hex3d.hpp"
 #include "op2ca/mesh/quad2d.hpp"
+#include "op2ca/util/aligned.hpp"
 #include "op2ca/util/error.hpp"
+#include "op2ca/util/rng.hpp"
 #include "test_common.hpp"
 
 namespace op2ca::core {
@@ -209,6 +212,30 @@ TEST(RuntimeOp2, FetchAndResetDat) {
   EXPECT_THROW(w.reset_dat(p.res, std::vector<double>(3)), Error);
 }
 
+TEST(RuntimeOp2, FetchDatRoundTripsRankRows) {
+  // Build a world, run nothing: fetch_dat must reproduce the global
+  // arrays exactly through gather_local -> scatter_owned, every owned
+  // row of every rank landing back at its global slot.
+  mesh::Hex3D h = mesh::make_hex3d(17, 17, 17);
+  const gidx_t n = h.mesh.set(h.nodes).size;
+  std::vector<double> init(static_cast<std::size_t>(n) * 3);
+  Rng rng(51);
+  for (auto& v : init) v = rng.next_range(-1.0, 1.0);
+  const mesh::dat_id d3 = h.mesh.add_dat("d3", h.nodes, 3, init);
+  World w(std::move(h.mesh), config_for(3, partition::Kind::KWay));
+  w.run([](Runtime&) {});
+  EXPECT_EQ(w.fetch_dat(d3), init);
+}
+
+TEST(RuntimeOp2, RankStorageIsCacheAligned) {
+  mesh::Hex3D h = mesh::make_hex3d(9, 9, 9);
+  h.mesh.add_dat("d2", h.nodes, 2);
+  World w(std::move(h.mesh), config_for(3, partition::Kind::KWay));
+  w.run([](Runtime& rt) {
+    EXPECT_TRUE(util::cache_aligned(rt.dat_data(rt.dat("d2"))));
+  });
+}
+
 TEST(RuntimeOp2, MetricsCountIterations) {
   QuadProblem p = make_quad_problem(8, 8);
   const gidx_t nedges = p.q.mesh.set(p.q.edges).size;
@@ -366,9 +393,14 @@ TEST(RuntimeOp2, MetricsCsvExport) {
   EXPECT_NE(csv.find("kind,name,calls"), std::string::npos);
   EXPECT_NE(csv.find("loop,update"), std::string::npos);
   EXPECT_NE(csv.find("loop,edge_flux"), std::string::npos);
+  // Every counter has a column; max_rank_bytes follows max_msg_bytes.
+  EXPECT_NE(csv.find("max_msg_bytes,max_rank_bytes"), std::string::npos);
   // Temporal-tiling ledger columns ride at the end of every row.
   EXPECT_NE(csv.find("tile,redundant_elems,msgs_saved"),
             std::string::npos);
+  std::istringstream header(csv.substr(0, csv.find('\n')));
+  for (std::string col; std::getline(header, col, ',');)
+    EXPECT_NE(col, "layout");
 }
 
 TEST(RuntimeOp2, MetricsMergeTilingFields) {

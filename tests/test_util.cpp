@@ -220,7 +220,7 @@ TEST(BufferPool, MixedSizesKeepLargeBuffersWithinWindow) {
   EXPECT_GE(pool.pooled_bytes(), std::size_t{1} << 16);
 }
 
-// -- Cache alignment (the SIMD data plane packs via SIMD-width loads, so
+// -- Cache alignment (the halo pack copies whole rows with wide loads, so
 // staging buffers carry the allocator's 64-byte guarantee). -------------
 
 TEST(BufferPool, BuffersAreCacheAligned) {
