@@ -16,6 +16,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -482,12 +483,13 @@ ThreadedSweepResult bench_threaded_sweep() {
 
 // ---------------------------------------------------------------------
 // Locality A/B harness: the indirect synthetic-update sweep over a
-// scrambled hex3d mesh, run through the full World executor with the
-// locality layer off (partition order) and on (RCM / SFC), at pool
-// widths 1 and 4, written to BENCH_locality.json. hex3d comes out of
-// the generator in lexicographic order, so the baseline scrambles it
-// first — the arbitrary mesh-file order the reordering literature
-// starts from. The reuse proxies (gather_span / reuse_gap, see
+// scrambled hex3d mesh, run through the full World executor as
+// scrambled (partition order) and renumbered by mesh::renumber (RCM /
+// SFC, blocked sweeps of 256-element colour blocks), at pool widths 1
+// and 4, written to BENCH_locality.json. hex3d comes out of the
+// generator in lexicographic order, so the baseline scrambles it first
+// — the arbitrary mesh-file order the reordering literature starts
+// from. The reuse proxies (gather_span / reuse_gap, see
 // mesh/reorder.hpp) of the localized edge->node map are recorded per
 // ordering so the JSON ties each speedup to a measured locality change.
 // ---------------------------------------------------------------------
@@ -511,31 +513,37 @@ struct LocalityResult {
   double best_speedup = 0;
 };
 
-/// One timed configuration: builds a World over `m` (copied) and times
-/// the indirect INC sweep; also reports the localized map's reuse
-/// proxies (width-independent, so callers read them from width 1).
-double bench_locality_case(const mesh::MeshDef& m, mesh::ReorderKind kind,
-                           int threads, mesh::OrderingQuality* oq) {
+/// A World running one sweep configuration through the full executor.
+std::unique_ptr<core::World> sweep_world(const mesh::MeshDef& m,
+                                         lidx_t colour_block, int threads) {
   core::WorldConfig cfg;
   cfg.nranks = 1;
   cfg.halo_depth = 1;
   cfg.threads_per_rank = threads;
-  cfg.reorder.kind = kind;
-  core::World w(m, cfg);
+  cfg.colour_block = colour_block;
+  return std::make_unique<core::World>(m, cfg);
+}
 
-  const auto e2n = *w.mesh().find_map("e2n");
-  const auto edges_id = *w.mesh().find_set("edges");
-  const auto nodes_id = *w.mesh().find_set("nodes");
-  const halo::RankPlan& rp = w.plan().ranks[0];
+/// One timed configuration: builds a World over `m` (copied) and times
+/// the indirect INC sweep; also reports the localized map's reuse
+/// proxies (width-independent, so callers read them from width 1).
+double bench_locality_case(const mesh::MeshDef& m, lidx_t colour_block,
+                           int threads, mesh::OrderingQuality* oq) {
+  const auto w = sweep_world(m, colour_block, threads);
+
+  const auto e2n = *w->mesh().find_map("e2n");
+  const auto edges_id = *w->mesh().find_set("edges");
+  const auto nodes_id = *w->mesh().find_set("nodes");
+  const halo::RankPlan& rp = w->plan().ranks[0];
   const halo::LocalMap& lm = rp.maps[static_cast<std::size_t>(e2n)];
   *oq = mesh::ordering_quality(
       lm.targets.data(), lm.arity,
       rp.sets[static_cast<std::size_t>(edges_id)].num_owned,
       rp.sets[static_cast<std::size_t>(nodes_id)].total);
 
-  const auto num_edges = static_cast<double>(w.mesh().set(edges_id).size);
+  const auto num_edges = static_cast<double>(w->mesh().set(edges_id).size);
   double per_edge_ns = 0;
-  w.run([&](core::Runtime& rt) {
+  w->run([&](core::Runtime& rt) {
     const core::Set edges = rt.set("edges");
     const core::Dat res = rt.dat("loc_res");
     const core::Dat pres = rt.dat("loc_pres");
@@ -572,19 +580,21 @@ LocalityResult bench_locality() {
   LocalityResult r;
   r.nodes = h.mesh.set(h.nodes).size;
   r.edges = h.mesh.set(h.edges).size;
-  const std::pair<const char*, mesh::ReorderKind> cases[] = {
-      {"none", mesh::ReorderKind::None},
+  const std::pair<const char*, std::optional<mesh::ReorderKind>> cases[] = {
+      {"none", std::nullopt},
       {"rcm", mesh::ReorderKind::RCM},
       {"sfc", mesh::ReorderKind::SFC},
   };
   for (const auto& [name, kind] : cases) {
+    const mesh::MeshDef m =
+        kind ? mesh::renumber(scrambled, *kind) : scrambled;
     LocalityOrder order;
     order.name = name;
     for (const int threads : {1, 4}) {
       mesh::OrderingQuality oq;
       LocalityWidth w;
       w.threads = threads;
-      w.sweep_ns = bench_locality_case(scrambled, kind, threads, &oq);
+      w.sweep_ns = bench_locality_case(m, kind ? 256 : 1, threads, &oq);
       if (threads == 1) {
         order.gather_span = oq.gather_span;
         order.reuse_gap = oq.reuse_gap;
@@ -646,25 +656,14 @@ void write_locality_json(const char* path) {
 // Colour-sweep scaling harness (BENCH_hotpath.json "colour_sweep"): the
 // indirect-INC update over a scrambled hex3d mesh through the full World
 // executor. Serial baseline = scrambled partition order, width 1. The
-// width rows run RCM-reordered with blocked colour-barrier sweeps at 2
-// and 4 threads, so `speedup` is what the locality layer and threading
-// buy together over the scrambled serial baseline — the number CI gates
-// on (>= 2x at 4 threads on multi-core runners; on a single-core host
-// it is carried by the reordering). It is the median over kGateReps
-// repetitions that each time the baseline and every width.
+// width rows run the mesh renumbered by RCM with blocked colour-barrier
+// sweeps (256-element colour blocks) at 2 and 4 threads, so `speedup` is
+// what renumbering and threading buy together over the scrambled serial
+// baseline — the number CI gates on (>= 2x at 4 threads on multi-core
+// runners; on a single-core host it is carried by the renumbering). It
+// is the median over kGateReps repetitions that each time the baseline
+// and every width.
 // ---------------------------------------------------------------------
-
-/// A World running one sweep configuration through the full executor.
-std::unique_ptr<core::World> sweep_world(const mesh::MeshDef& m,
-                                         mesh::ReorderKind kind,
-                                         int threads) {
-  core::WorldConfig cfg;
-  cfg.nranks = 1;
-  cfg.halo_depth = 1;
-  cfg.threads_per_rank = threads;
-  cfg.reorder.kind = kind;
-  return std::make_unique<core::World>(m, cfg);
-}
 
 /// Per-edge time of one timed sweep in `w`.
 double sweep_ns(core::World& w) {
@@ -722,10 +721,11 @@ ColourSweepResult bench_colour_sweep() {
   r.nodes = h.mesh.set(h.nodes).size;
   r.edges = h.mesh.set(h.edges).size;
   const std::vector<int> widths = {2, 4};
-  const auto serial = sweep_world(scrambled, mesh::ReorderKind::None, 1);
+  const auto serial = sweep_world(scrambled, 1, 1);
+  const mesh::MeshDef rcm = mesh::renumber(scrambled, mesh::ReorderKind::RCM);
   std::vector<std::unique_ptr<core::World>> worlds;
   for (const int threads : widths)
-    worlds.push_back(sweep_world(scrambled, mesh::ReorderKind::RCM, threads));
+    worlds.push_back(sweep_world(rcm, 256, threads));
   // Each repetition times the baseline and then every width, so drift on
   // a shared host hits both sides of each speedup alike.
   std::vector<double> serial_reps;

@@ -15,10 +15,6 @@ RankState::RankState(World* w, sim::TransportBackend& transport, rank_t r)
   // knob must reproduce the classic order exactly.
   if (w->config().threads_per_rank > 1 && !serial_dispatch)
     pool = std::make_unique<util::ThreadPool>(w->config().threads_per_rank);
-  // Blocked colouring rides with the locality layer: with reordering off
-  // every dispatch path must stay bitwise-identical to earlier builds.
-  if (w->config().reorder.enabled())
-    colour_block = std::max<lidx_t>(1, w->config().reorder.colour_block);
   dats.resize(static_cast<std::size_t>(mesh.num_dats()));
   for (mesh::dat_id d = 0; d < mesh.num_dats(); ++d) {
     const mesh::DatDef& dd = mesh.dat(d);

@@ -12,14 +12,14 @@
 //    the iteration set (conflict = two elements sharing a target through
 //    any written-dat map) is computed once per (set, conflict maps) and
 //    cached in RankState next to the exchange plans. It is per-element by
-//    default and blocked under the locality layer. Colours execute in
-//    ascending order with a pool barrier between them; within a colour
-//    no two conflict units (elements, or blocks kept whole on one thread)
-//    touch the same written element, so the intra-colour split across
-//    threads cannot affect any memory cell. Results are therefore a pure
-//    function of the colouring — deterministic at every pool width —
-//    though increment sums reassociate relative to the width-1 index
-//    order.
+//    default and blocked when WorldConfig::colour_block > 1. Colours
+//    execute in ascending order with a pool barrier between them; within
+//    a colour no two conflict units (elements, or blocks kept whole on
+//    one thread) touch the same written element, so the intra-colour
+//    split across threads cannot affect any memory cell. Results are
+//    therefore a pure function of the colouring — deterministic at every
+//    pool width — though increment sums reassociate relative to the
+//    width-1 index order.
 //  * Loops reducing into a global (arg_gbl INC) fall back to the serial
 //    region: the single accumulation buffer is inherently order- and
 //    sharing-sensitive.
@@ -243,34 +243,9 @@ const mesh::Colouring& loop_colouring(RankState& st, const LoopRecord& rec) {
   const std::vector<mesh::ColourMapView> views =
       conflict_views(st, rec.set, maps, identity);
   return st.colourings
-      .emplace(key, mesh::block_colouring(lay.total, views, st.colour_block))
+      .emplace(key, mesh::block_colouring(lay.total, views,
+                                          st.world->config().colour_block))
       .first->second;
-}
-
-const mesh::OrderingQuality& loop_quality(RankState& st,
-                                          const LoopRecord& rec) {
-  const auto it = st.loop_qualities.find(rec.name);
-  if (it != st.loop_qualities.end()) return it->second;
-  mesh::OrderingQuality q{};
-  const halo::RankPlan& rp = st.rank_plan();
-  mesh::map_id best = -1;
-  int best_arity = 0;
-  for (const ArgSpec& a : rec.spec.args)
-    if (a.indirect && a.map >= 0) {
-      const int ar = rp.maps[static_cast<std::size_t>(a.map)].arity;
-      if (ar > best_arity) {
-        best_arity = ar;
-        best = a.map;
-      }
-    }
-  if (best >= 0) {
-    const halo::LocalMap& lm = rp.maps[static_cast<std::size_t>(best)];
-    const mesh::MapDef& md = st.world->mesh().map(best);
-    q = mesh::ordering_quality(
-        lm.targets.data(), lm.arity, st.layout(rec.set).num_owned,
-        rp.sets[static_cast<std::size_t>(md.to)].total);
-  }
-  return st.loop_qualities.emplace(rec.name, q).first->second;
 }
 
 std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,

@@ -59,11 +59,11 @@ Exchange make_exchange(RankState& st, const std::vector<DatSync>& syncs,
   return ex;
 }
 
-/// Fills the per-loop regions, written dats and fixed metrics of a window
-/// whose syncs are set; counts as a plan build. A chain window (grouped)
-/// runs its Alg-3 core shrinks and sliced exec lists; a one-loop window
-/// runs core_count(1) and, when it writes through a map, the structural
-/// exec layer 1.
+/// Fills the per-loop regions and written dats of a window whose syncs
+/// are set; counts as a plan build. A chain window (grouped) runs its
+/// Alg-3 core shrinks and sliced exec lists; a one-loop window runs
+/// core_count(1) and, when it writes through a map, the structural exec
+/// layer 1.
 void build_regions(RankState& st, Window& w, const LoopRecord* loops,
                    std::size_t n) {
   const bool chain = w.grouping == halo::Grouping::PerNeighbour;
@@ -82,9 +82,6 @@ void build_regions(RankState& st, Window& w, const LoopRecord* loops,
       r.exec_range = lay.exec_layer(1);
     for (const auto& [dat, m] : merge_loop_accesses(loops[l].spec))
       if (writes(m.mode)) w.written.push_back(dat);
-    const mesh::OrderingQuality& oq = loop_quality(st, loops[l]);
-    w.statics.gather_span = std::max(w.statics.gather_span, oq.gather_span);
-    w.statics.reuse_gap = std::max(w.statics.reuse_gap, oq.reuse_gap);
   }
   st.epoch.plan_builds += 1;
 }
@@ -110,7 +107,6 @@ LoopMetrics& run_epoch(RankState& st, Window& w, const LoopRecord* loops,
                        std::size_t n, const WallTimer& timer) {
   LoopMetrics& m = st.epoch;
   m.calls = 1;
-  m.merge_from(w.statics);
   st.comm.stats().reset_epoch();
   const std::int64_t allocs_before = st.staging.allocations();
   const double busy_before = st.pool ? st.pool->busy_seconds() : 0.0;

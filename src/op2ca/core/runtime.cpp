@@ -69,8 +69,6 @@ void LoopMetrics::merge_from(const LoopMetrics& other) {
   chunks += other.chunks;
   max_colours = std::max(max_colours, other.max_colours);
   busy_seconds += other.busy_seconds;
-  gather_span = std::max(gather_span, other.gather_span);
-  reuse_gap = std::max(reuse_gap, other.reuse_gap);
   halo_elems += other.halo_elems;
   numa_bytes += other.numa_bytes;
   node_bytes += other.node_bytes;

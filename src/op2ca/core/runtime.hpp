@@ -27,9 +27,7 @@
 #include "op2ca/core/chain.hpp"
 #include "op2ca/core/chain_config.hpp"
 #include "op2ca/halo/halo_plan.hpp"
-#include "op2ca/halo/reorder.hpp"
 #include "op2ca/mesh/mesh_def.hpp"
-#include "op2ca/mesh/reorder.hpp"
 #include "op2ca/partition/partition.hpp"
 
 namespace op2ca::core {
@@ -119,13 +117,6 @@ struct LoopMetrics {
   std::int64_t chunks = 0;
   int max_colours = 0;
   double busy_seconds = 0;
-  // Locality proxies of the loop's dominant indirection in the order it
-  // is actually walked (mesh::ordering_quality, worst rank): mean jump
-  // between consecutive gathers and mean iteration gap before a target
-  // is touched again. 0 for direct loops. Reordering (WorldConfig::
-  // reorder) should pull both down — asserted by the locality bench.
-  double gather_span = 0;
-  double reuse_gap = 0;
   // Total halo elements exchanged, so bytes / halo_elems gives the wire
   // bytes moved per exchanged element for EXPERIMENTS.md correlations.
   std::int64_t halo_elems = 0;
@@ -378,15 +369,13 @@ struct WorldConfig {
   /// relative to width 1. Ignored when serial_dispatch is set. Loops
   /// reducing into globals execute serially regardless.
   int threads_per_rank = 1;
-  /// Locality layer (mesh/reorder + halo/reorder): cache-aware
-  /// renumbering of each rank's local elements within the halo-plan
-  /// layers, plus locality-aware (blocked) colouring of threaded
-  /// indirect sweeps. Off by default — the runtime is then
-  /// bitwise-identical to the un-reordered build. With it on, direct
-  /// loops stay exact (same arithmetic per element) while loops that
-  /// reduce over elements (indirect INC, global INC) reassociate their
-  /// sums, like any other iteration-order change.
-  mesh::ReorderConfig reorder{};
+  /// Elements per conflict block of a threaded indirect-write sweep
+  /// (mesh::block_colouring): > 1 resolves conflicts between contiguous
+  /// blocks of this many elements, so each colour class is a union of
+  /// contiguous runs. 1 (default) colours element by element. Locality
+  /// ordering itself is a mesh-level step (mesh::renumber before the
+  /// World). Must be >= 1.
+  lidx_t colour_block = 1;
   ChainConfig chains{};
   /// Lazy evaluation (the paper's future-work automation): par_loops are
   /// queued instead of executed, and flushed as an automatically-formed
@@ -451,9 +440,6 @@ public:
   const WorldConfig& config() const { return cfg_; }
   const partition::Partition& partition() const { return part_; }
   const halo::HaloPlan& plan() const { return plan_; }
-  /// Per-(rank, set) permutations the locality layer applied (empty
-  /// permutations when reordering is off). For tests and tools.
-  const halo::ReorderResult& reorder_result() const { return reorder_; }
 
   /// The transport backend every exchange flows over. For benches and
   /// fault-injection tests (e.g. sim::Transport::set_post_delay wire
@@ -490,7 +476,6 @@ private:
   WorldConfig cfg_;
   partition::Partition part_;
   halo::HaloPlan plan_;
-  halo::ReorderResult reorder_;
   std::unique_ptr<sim::TransportBackend> transport_;
   /// One state per rank in-process; in SPMD mode only ranks_[spmd_rank_]
   /// is non-null (this process owns exactly one rank's data).

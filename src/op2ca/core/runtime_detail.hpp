@@ -14,7 +14,6 @@
 #include "op2ca/core/runtime.hpp"
 #include "op2ca/halo/grouped.hpp"
 #include "op2ca/mesh/colouring.hpp"
-#include "op2ca/mesh/reorder.hpp"
 #include "op2ca/util/buffer_pool.hpp"
 #include "op2ca/util/thread_pool.hpp"
 
@@ -85,8 +84,6 @@ struct Window {
   ChainAnalysis analysis;
   std::vector<Loop> loops;  ///< empty until the window first runs.
   std::vector<mesh::dat_id> written;  ///< dats whose halos go stale.
-  /// Metrics fixed by the window: gather_span, reuse_gap.
-  LoopMetrics statics;
   /// PerNeighbour exchanges by stale-sync mask (bit i = analysis.syncs[i]).
   std::map<std::uint64_t, Exchange> exchanges;
 };
@@ -141,17 +138,6 @@ struct RankState {
            mesh::Colouring>
       colourings;
   std::vector<LIdxVec> colour_scratch;
-  /// Conflict-block granularity for colour-ordered sweeps: > 1 switches
-  /// loop_colouring to blocked colouring and run-aware dispatch
-  /// (contiguous runs execute through range bodies). 1 when the locality
-  /// layer is off — the legacy per-element path, bitwise-identical to
-  /// earlier builds.
-  lidx_t colour_block = 1;
-
-  /// Ordering-quality proxies per loop name (mesh::ordering_quality of
-  /// the loop's widest indirection, computed once — it is O(iterations)
-  /// and belongs to inspection, not the hot path).
-  std::map<std::string, mesh::OrderingQuality> loop_qualities;
 
   // Per-rank metrics, merged by the World after each run.
   std::map<std::string, LoopMetrics> loop_metrics;
@@ -237,13 +223,8 @@ std::int64_t run_list(RankState& st, const LoopRecord& rec,
 /// The rank's cached colouring for `rec`'s conflict structure (the maps
 /// through which the loop writes indirectly, plus an identity view when
 /// a written dat is also accessed directly). Built on first use, cached
-/// in RankState::colourings. Per-element, or blocked (st.colour_block > 1,
-/// the locality layer).
+/// in RankState::colourings. Per-element, or blocked when
+/// WorldConfig::colour_block > 1.
 const mesh::Colouring& loop_colouring(RankState& st, const LoopRecord& rec);
-
-/// Ordering-quality proxies of the loop's widest indirect argument over
-/// the owned range (cached per loop name; zeros for direct loops).
-const mesh::OrderingQuality& loop_quality(RankState& st,
-                                          const LoopRecord& rec);
 
 }  // namespace op2ca::core::detail

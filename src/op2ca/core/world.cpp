@@ -21,6 +21,9 @@ World::World(mesh::MeshDef mesh, WorldConfig cfg)
                 "World needs threads_per_rank >= 1");
   OP2CA_REQUIRE(cfg_.halo_depth >= 1, "World needs halo_depth >= 1");
   OP2CA_REQUIRE(cfg_.tile >= 1, "World needs tile >= 1");
+  OP2CA_REQUIRE(cfg_.colour_block >= 1,
+                "World needs colour_block >= 1, got " +
+                    std::to_string(cfg_.colour_block));
   OP2CA_REQUIRE(mesh_.num_sets() > 0, "World needs a non-empty mesh");
 
   // Temporal tiling needs layers for the fused window to grow into: a
@@ -54,13 +57,6 @@ World::World(mesh::MeshDef mesh, WorldConfig cfg)
   opts.depth = static_cast<int>(plan_depth);
   opts.build_local_maps = true;
   plan_ = halo::build_halo_plan(mesh_, part_, opts);
-
-  // Locality layer: permute each rank's local numbering within the plan's
-  // layers BEFORE any per-rank state exists. Dats, exchange plans,
-  // colourings and slice tables are all derived lazily from the plan, so
-  // ordering the permutation here is what guarantees no cache ever sees
-  // the pre-reorder numbering.
-  reorder_ = halo::apply_reorder(mesh_, cfg_.reorder, &plan_);
 
   transport_ = sim::make_backend(cfg_.transport, cfg_.nranks);
 
@@ -257,9 +253,8 @@ void World::write_metrics_csv(std::ostream& os) const {
                 "max_neighbors", "wall_s", "pack_s", "core_s", "wait_s",
                 "unpack_s", "halo_s", "regions", "plan_builds",
                 "staging_allocs", "chunks", "colours", "busy_s",
-                "gather_span", "reuse_gap", "bytes_per_elem", "numa_bytes",
-                "node_bytes", "net_bytes", "tile", "redundant_elems",
-                "msgs_saved"});
+                "bytes_per_elem", "numa_bytes", "node_bytes", "net_bytes",
+                "tile", "redundant_elems", "msgs_saved"});
   t.set_precision(6);
   auto add = [&t](const std::string& kind, const std::string& name,
                   const LoopMetrics& m) {
@@ -270,7 +265,6 @@ void World::write_metrics_csv(std::ostream& os) const {
                m.unpack_seconds, m.halo_seconds, m.dispatch_regions,
                m.plan_builds, m.staging_allocs, m.chunks,
                static_cast<std::int64_t>(m.max_colours), m.busy_seconds,
-               m.gather_span, m.reuse_gap,
                m.halo_elems > 0
                    ? static_cast<double>(m.bytes) /
                          static_cast<double>(m.halo_elems)

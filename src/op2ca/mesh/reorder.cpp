@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 
+#include "op2ca/mesh/adjacency.hpp"
 #include "op2ca/util/error.hpp"
 #include "op2ca/util/rng.hpp"
 
@@ -25,29 +27,81 @@ std::uint64_t interleave_bits(const std::uint32_t* q, int dim) {
   return key;
 }
 
-}  // namespace
+/// Groups larger than this connect as a path instead of a clique: the
+/// clique keeps RCM's profile tight for ordinary mesh incidence (a node
+/// shared by a handful of edges/cells) without letting a hub target
+/// (e.g. a boundary-condition element referenced by thousands of rows)
+/// blow the edge list up quadratically.
+constexpr std::size_t kCliqueCap = 16;
 
-const char* reorder_kind_name(ReorderKind k) {
-  switch (k) {
-    case ReorderKind::None: return "none";
-    case ReorderKind::RCM: return "rcm";
-    case ReorderKind::SFC: return "sfc";
-    case ReorderKind::Auto: return "auto";
+/// Joins the elements of one group (a map row, or the rows sharing a
+/// target) in both directions.
+void add_group_edges(std::span<const gidx_t> group,
+                     std::vector<std::pair<lidx_t, lidx_t>>* edges) {
+  const auto join = [&](std::size_t a, std::size_t b) {
+    const auto u = static_cast<lidx_t>(group[a]);
+    const auto v = static_cast<lidx_t>(group[b]);
+    edges->emplace_back(u, v);
+    edges->emplace_back(v, u);
+  };
+  if (group.size() <= kCliqueCap) {
+    for (std::size_t a = 0; a < group.size(); ++a)
+      for (std::size_t b = a + 1; b < group.size(); ++b) join(a, b);
+  } else {
+    for (std::size_t a = 0; a + 1 < group.size(); ++a) join(a, a + 1);
   }
-  return "?";
 }
 
-bool ReorderConfig::enabled() const {
-  if (kind != ReorderKind::None) return true;
-  for (const auto& [name, k] : per_set)
-    if (k != ReorderKind::None) return true;
-  return false;
+/// Loop-conflict adjacency of set `s`: two elements are adjacent when a
+/// map entry joins them — either as same-row targets of a map onto `s`,
+/// or as rows of a map from `s` sharing a target. This is exactly the
+/// structure indirect kernels gather through, so minimising its
+/// bandwidth is minimising the gather working set.
+LocalCsr conflict_graph(const MeshDef& mesh, set_id s) {
+  std::vector<std::pair<lidx_t, lidx_t>> edges;
+  for (map_id m = 0; m < mesh.num_maps(); ++m) {
+    const MapDef& md = mesh.map(m);
+    const auto ar = static_cast<std::size_t>(md.arity);
+    if (ar == 0) continue;
+    if (md.to == s)
+      for (std::size_t f = 0; f < md.targets.size(); f += ar)
+        add_group_edges({md.targets.data() + f, ar}, &edges);
+    if (md.from == s) {
+      const Csr rev = reverse_map(mesh, m);
+      for (gidx_t t = 0; t < rev.num_rows(); ++t)
+        add_group_edges(rev.row(t), &edges);
+    }
+  }
+  return csr_from_edges(static_cast<lidx_t>(mesh.set(s).size),
+                        std::move(edges));
 }
 
-ReorderKind ReorderConfig::for_set(const std::string& set_name) const {
-  const auto it = per_set.find(set_name);
-  return it == per_set.end() ? kind : it->second;
+/// Rewrites `in` under per-set new_of_old permutations: rows of every
+/// map and dat move to their set's new positions and map targets are
+/// renamed into the target set's numbering.
+MeshDef relabel(const MeshDef& in, const std::vector<GIdxVec>& perm) {
+  MeshDef out;
+  for (set_id s = 0; s < in.num_sets(); ++s)
+    out.add_set(in.set(s).name, in.set(s).size);
+  for (map_id m = 0; m < in.num_maps(); ++m) {
+    const MapDef& md = in.map(m);
+    GIdxVec targets = permute_rows(perm[static_cast<std::size_t>(md.from)],
+                                   md.arity, md.targets);
+    const GIdxVec& pt = perm[static_cast<std::size_t>(md.to)];
+    for (gidx_t& t : targets) t = pt[static_cast<std::size_t>(t)];
+    out.add_map(md.name, md.from, md.to, md.arity, std::move(targets));
+  }
+  for (dat_id d = 0; d < in.num_dats(); ++d) {
+    const DatDef& dd = in.dat(d);
+    out.add_dat(dd.name, dd.set, dd.dim,
+                permute_rows(perm[static_cast<std::size_t>(dd.set)], dd.dim,
+                             dd.data));
+  }
+  if (in.has_coords()) out.set_coords(in.coords_set(), in.coords_dat());
+  return out;
 }
+
+}  // namespace
 
 bool Permutation::is_identity() const {
   for (lidx_t i = 0; i < size(); ++i)
@@ -88,17 +142,6 @@ bool permutation_valid(const Permutation& p) {
   return true;
 }
 
-bool permutation_preserves_blocks(const Permutation& p,
-                                  const BlockVec& blocks) {
-  if (p.empty()) return true;  // identity
-  for (const auto& [b, e] : blocks)
-    for (lidx_t i = b; i < e; ++i) {
-      const lidx_t d = p.new_of_old[static_cast<std::size_t>(i)];
-      if (d < b || d >= e) return false;
-    }
-  return true;
-}
-
 LocalCsr csr_from_edges(lidx_t n,
                         std::vector<std::pair<lidx_t, lidx_t>> edges) {
   std::sort(edges.begin(), edges.end());
@@ -116,121 +159,85 @@ LocalCsr csr_from_edges(lidx_t n,
   return csr;
 }
 
-Permutation rcm_order(const LocalCsr& adj, const BlockVec& blocks) {
+Permutation rcm_order(const LocalCsr& adj) {
   const lidx_t n = adj.num_rows();
-  LIdxVec new_of_old(static_cast<std::size_t>(n));
-  std::iota(new_of_old.begin(), new_of_old.end(), 0);
-
-  std::vector<int> block_of(static_cast<std::size_t>(n), -1);
-  for (std::size_t b = 0; b < blocks.size(); ++b)
-    for (lidx_t i = blocks[b].first; i < blocks[b].second; ++i)
-      block_of[static_cast<std::size_t>(i)] = static_cast<int>(b);
-
-  // In-block degree (adjacency leaving the block does not count: it can
-  // neither be followed nor violated).
-  std::vector<lidx_t> degree(static_cast<std::size_t>(n), 0);
-  for (lidx_t e = 0; e < n; ++e)
-    for (lidx_t v : adj.row(e))
-      if (block_of[static_cast<std::size_t>(v)] ==
-          block_of[static_cast<std::size_t>(e)])
-        ++degree[static_cast<std::size_t>(e)];
-
+  const auto by_degree = [&](lidx_t a, lidx_t b) {
+    const std::size_t da = adj.row(a).size();
+    const std::size_t db = adj.row(b).size();
+    return da != db ? da < db : a < b;
+  };
+  // Seeds in ascending (degree, index): every component starts from a
+  // (locally) minimal-degree element, the usual RCM pseudo-peripheral
+  // stand-in.
+  LIdxVec seeds(static_cast<std::size_t>(n));
+  std::iota(seeds.begin(), seeds.end(), 0);
+  std::sort(seeds.begin(), seeds.end(), by_degree);
   std::vector<char> visited(static_cast<std::size_t>(n), 0);
-  LIdxVec order, frontier;
-  for (const auto& [b0, b1] : blocks) {
-    if (b1 - b0 < 2) continue;
-    order.clear();
-    // Seeds in ascending (degree, index): every component of the block
-    // starts from a (locally) minimal-degree element, the usual RCM
-    // pseudo-peripheral stand-in.
-    LIdxVec seeds;
-    for (lidx_t i = b0; i < b1; ++i) seeds.push_back(i);
-    std::sort(seeds.begin(), seeds.end(), [&](lidx_t a, lidx_t b) {
-      const lidx_t da = degree[static_cast<std::size_t>(a)];
-      const lidx_t db = degree[static_cast<std::size_t>(b)];
-      return da != db ? da < db : a < b;
-    });
-    for (lidx_t seed : seeds) {
-      if (visited[static_cast<std::size_t>(seed)]) continue;
-      visited[static_cast<std::size_t>(seed)] = 1;
-      order.push_back(seed);
-      for (std::size_t head = order.size() - 1; head < order.size();
-           ++head) {
-        const lidx_t u = order[head];
-        frontier.clear();
-        for (lidx_t v : adj.row(u)) {
-          if (v < b0 || v >= b1) continue;
-          if (visited[static_cast<std::size_t>(v)]) continue;
-          visited[static_cast<std::size_t>(v)] = 1;
-          frontier.push_back(v);
-        }
-        std::sort(frontier.begin(), frontier.end(),
-                  [&](lidx_t a, lidx_t b) {
-                    const lidx_t da = degree[static_cast<std::size_t>(a)];
-                    const lidx_t db = degree[static_cast<std::size_t>(b)];
-                    return da != db ? da < db : a < b;
-                  });
-        order.insert(order.end(), frontier.begin(), frontier.end());
+  LIdxVec order;
+  order.reserve(static_cast<std::size_t>(n));
+  for (const lidx_t seed : seeds) {
+    if (visited[static_cast<std::size_t>(seed)]) continue;
+    visited[static_cast<std::size_t>(seed)] = 1;
+    order.push_back(seed);
+    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+      const lidx_t u = order[head];
+      const auto frontier = static_cast<std::ptrdiff_t>(order.size());
+      for (const lidx_t v : adj.row(u)) {
+        if (visited[static_cast<std::size_t>(v)]) continue;
+        visited[static_cast<std::size_t>(v)] = 1;
+        order.push_back(v);
       }
+      std::sort(order.begin() + frontier, order.end(), by_degree);
     }
-    // Reverse Cuthill–McKee: the reversal tightens the profile.
-    const lidx_t len = static_cast<lidx_t>(order.size());
-    for (lidx_t m = 0; m < len; ++m)
-      new_of_old[static_cast<std::size_t>(order[static_cast<std::size_t>(m)])] =
-          b0 + (len - 1 - m);
   }
+  // Reverse Cuthill–McKee: the reversal tightens the profile.
+  LIdxVec new_of_old(static_cast<std::size_t>(n));
+  for (lidx_t m = 0; m < n; ++m)
+    new_of_old[static_cast<std::size_t>(order[static_cast<std::size_t>(m)])] =
+        n - 1 - m;
   return make_permutation(std::move(new_of_old));
 }
 
-Permutation sfc_order(std::span<const double> coords, int dim, lidx_t n,
-                      const BlockVec& blocks) {
+Permutation sfc_order(std::span<const double> coords, int dim, lidx_t n) {
   OP2CA_REQUIRE(dim == 2 || dim == 3, "sfc_order: dim must be 2 or 3");
   OP2CA_REQUIRE(coords.size() >=
                     static_cast<std::size_t>(n) *
                         static_cast<std::size_t>(dim),
                 "sfc_order: coords shorter than n x dim");
-  LIdxVec new_of_old(static_cast<std::size_t>(n));
-  std::iota(new_of_old.begin(), new_of_old.end(), 0);
-
-  std::vector<std::pair<std::uint64_t, lidx_t>> keyed;
-  for (const auto& [b0, b1] : blocks) {
-    if (b1 - b0 < 2) continue;
-    double lo[3] = {std::numeric_limits<double>::max(),
-                    std::numeric_limits<double>::max(),
-                    std::numeric_limits<double>::max()};
-    double hi[3] = {std::numeric_limits<double>::lowest(),
-                    std::numeric_limits<double>::lowest(),
-                    std::numeric_limits<double>::lowest()};
-    for (lidx_t i = b0; i < b1; ++i)
-      for (int a = 0; a < dim; ++a) {
-        const double x = coords[static_cast<std::size_t>(i) *
-                                    static_cast<std::size_t>(dim) +
-                                static_cast<std::size_t>(a)];
-        lo[a] = std::min(lo[a], x);
-        hi[a] = std::max(hi[a], x);
-      }
-    const std::uint32_t qmax = (1u << kSfcBits) - 1u;
-    keyed.clear();
-    keyed.reserve(static_cast<std::size_t>(b1 - b0));
-    for (lidx_t i = b0; i < b1; ++i) {
-      std::uint32_t q[3] = {0, 0, 0};
-      for (int a = 0; a < dim; ++a) {
-        const double span = hi[a] - lo[a];
-        if (span <= 0) continue;
-        const double x = coords[static_cast<std::size_t>(i) *
-                                    static_cast<std::size_t>(dim) +
-                                static_cast<std::size_t>(a)];
-        const double t = (x - lo[a]) / span;
-        q[a] = static_cast<std::uint32_t>(
-            std::min(1.0, std::max(0.0, t)) * qmax);
-      }
-      keyed.emplace_back(interleave_bits(q, dim), i);
+  const auto x = [&](lidx_t i, int a) {
+    return coords[static_cast<std::size_t>(i) * static_cast<std::size_t>(dim) +
+                  static_cast<std::size_t>(a)];
+  };
+  double lo[3] = {std::numeric_limits<double>::max(),
+                  std::numeric_limits<double>::max(),
+                  std::numeric_limits<double>::max()};
+  double hi[3] = {std::numeric_limits<double>::lowest(),
+                  std::numeric_limits<double>::lowest(),
+                  std::numeric_limits<double>::lowest()};
+  for (lidx_t i = 0; i < n; ++i)
+    for (int a = 0; a < dim; ++a) {
+      lo[a] = std::min(lo[a], x(i, a));
+      hi[a] = std::max(hi[a], x(i, a));
     }
-    std::sort(keyed.begin(), keyed.end());
-    for (std::size_t m = 0; m < keyed.size(); ++m)
-      new_of_old[static_cast<std::size_t>(keyed[m].second)] =
-          b0 + static_cast<lidx_t>(m);
+  const std::uint32_t qmax = (1u << kSfcBits) - 1u;
+  std::vector<std::pair<std::uint64_t, lidx_t>> keyed;
+  keyed.reserve(static_cast<std::size_t>(n));
+  for (lidx_t i = 0; i < n; ++i) {
+    std::uint32_t q[3] = {0, 0, 0};
+    for (int a = 0; a < dim; ++a) {
+      const double span = hi[a] - lo[a];
+      if (span <= 0) continue;
+      const double t = (x(i, a) - lo[a]) / span;
+      q[a] = static_cast<std::uint32_t>(std::min(1.0, std::max(0.0, t)) *
+                                        qmax);
+    }
+    keyed.emplace_back(interleave_bits(q, dim), i);
   }
+  std::sort(keyed.begin(), keyed.end());
+  LIdxVec new_of_old(static_cast<std::size_t>(n));
+  for (std::size_t m = 0; m < keyed.size(); ++m)
+    new_of_old[static_cast<std::size_t>(keyed[m].second)] =
+        static_cast<lidx_t>(m);
   return make_permutation(std::move(new_of_old));
 }
 
@@ -297,37 +304,39 @@ MeshDef scramble_mesh(const MeshDef& in, std::uint64_t seed,
                 p[static_cast<std::size_t>(j)]);
     }
   }
+  MeshDef out = relabel(in, perm);
+  if (perms_out != nullptr) *perms_out = std::move(perm);
+  return out;
+}
 
-  MeshDef out;
-  for (set_id s = 0; s < in.num_sets(); ++s)
-    out.add_set(in.set(s).name, in.set(s).size);
-  for (map_id m = 0; m < in.num_maps(); ++m) {
-    const MapDef& md = in.map(m);
-    const GIdxVec& pf = perm[static_cast<std::size_t>(md.from)];
-    const GIdxVec& pt = perm[static_cast<std::size_t>(md.to)];
-    GIdxVec targets(md.targets.size());
-    const std::size_t ar = static_cast<std::size_t>(md.arity);
-    for (std::size_t f = 0; f < pf.size(); ++f) {
-      const std::size_t nf = static_cast<std::size_t>(pf[f]);
-      for (std::size_t k = 0; k < ar; ++k)
-        targets[nf * ar + k] =
-            pt[static_cast<std::size_t>(md.targets[f * ar + k])];
+MeshDef renumber(const MeshDef& in, ReorderKind kind,
+                 std::vector<GIdxVec>* perms_out) {
+  std::vector<GIdxVec> perm(static_cast<std::size_t>(in.num_sets()));
+  for (set_id s = 0; s < in.num_sets(); ++s) {
+    const SetDef& sd = in.set(s);
+    OP2CA_REQUIRE(sd.size <= std::numeric_limits<lidx_t>::max(),
+                  "renumber: set '" + sd.name + "' has " +
+                      std::to_string(sd.size) +
+                      " elements, more than lidx_t can index");
+    std::vector<double> coords;
+    if (kind != ReorderKind::RCM) {
+      try {
+        coords = derive_coords(in, s);
+      } catch (const Error&) {
+        OP2CA_REQUIRE(kind == ReorderKind::Auto,
+                      "renumber: SFC requested for set '" + sd.name +
+                          "' but no geometric path exists");
+      }
     }
-    out.add_map(md.name, md.from, md.to, md.arity, std::move(targets));
+    const Permutation p =
+        coords.empty()
+            ? rcm_order(conflict_graph(in, s))
+            : sfc_order(coords, in.dat(in.coords_dat()).dim,
+                        static_cast<lidx_t>(sd.size));
+    perm[static_cast<std::size_t>(s)].assign(p.new_of_old.begin(),
+                                             p.new_of_old.end());
   }
-  for (dat_id d = 0; d < in.num_dats(); ++d) {
-    const DatDef& dd = in.dat(d);
-    const GIdxVec& p = perm[static_cast<std::size_t>(dd.set)];
-    std::vector<double> data(dd.data.size());
-    const std::size_t dim = static_cast<std::size_t>(dd.dim);
-    for (std::size_t e = 0; e < p.size(); ++e) {
-      const std::size_t ne = static_cast<std::size_t>(p[e]);
-      for (std::size_t c = 0; c < dim; ++c)
-        data[ne * dim + c] = dd.data[e * dim + c];
-    }
-    out.add_dat(dd.name, dd.set, dd.dim, std::move(data));
-  }
-  if (in.has_coords()) out.set_coords(in.coords_set(), in.coords_dat());
+  MeshDef out = relabel(in, perm);
   if (perms_out != nullptr) *perms_out = std::move(perm);
   return out;
 }

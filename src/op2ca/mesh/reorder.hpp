@@ -1,35 +1,25 @@
-// Cache-aware intra-layer element reordering (the locality layer).
+// Mesh renumbering for cache locality.
 //
-// The halo plan fixes a coarse structure per rank and set — owned
-// elements sorted by decreasing inward distance, then import-exec and
-// import-nonexec layers — but leaves the order *within* those segments
-// at global-id order, i.e. whatever the mesh file happened to use.
-// Indirect kernels then gather and scatter through maps whose targets
-// hop arbitrarily through memory, and the hot path is bound by cache
-// misses rather than compute (Sulyok et al., "Locality Optimized
-// Unstructured Mesh Algorithms on GPUs").
+// Indirect kernels gather and scatter through maps. When a mesh file
+// lists elements in arbitrary order, those gathers hop through memory
+// and the sweep is bound by cache misses rather than compute (Sulyok et
+// al., "Locality Optimized Unstructured Mesh Algorithms on GPUs").
+// renumber() relabels every set of a global MeshDef once, before a World
+// partitions it. The halo plan orders each rank's owned elements by
+// (inward distance, global id) and its imports by (layer, global id), so
+// a renumbered mesh reaches every rank in locality order with no
+// per-rank pass. Orderings:
 //
-// This header provides the ordering algorithms and the permutation
-// plumbing; halo/reorder.hpp applies them to a built HaloPlan without
-// crossing any layer boundary:
-//
-//  * rcm_order — Reverse Cuthill–McKee over the loop-conflict adjacency
+//  * RCM — Reverse Cuthill–McKee over the loop-conflict adjacency
 //    (elements adjacent when a map entry joins them), the classic
 //    bandwidth-minimising order for gather/scatter locality.
-//  * sfc_order — Morton space-filling-curve order over element
-//    coordinates, which clusters geometric neighbours for sets with a
-//    geometric embedding.
-//
-// Both are *block-constrained*: they permute only within caller-given
-// [begin, end) blocks, so layer boundaries (and the din-descending core
-// prefix property the CA executor's shrinking cores depend on) survive
-// by construction.
+//  * SFC — Morton space-filling-curve order over (derived) element
+//    coordinates, which clusters geometric neighbours.
+//  * Auto — SFC for sets with a geometric path to the coords, else RCM.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,35 +29,14 @@
 namespace op2ca::mesh {
 
 enum class ReorderKind {
-  None,  ///< keep partition order (bitwise-legacy).
   RCM,   ///< Reverse Cuthill–McKee over the conflict adjacency.
   SFC,   ///< Morton space-filling curve over (derived) coordinates.
   Auto,  ///< SFC when the set has a geometric path, else RCM.
 };
 
-const char* reorder_kind_name(ReorderKind k);
-
-/// Per-World reordering policy (WorldConfig::reorder). Off by default:
-/// with kind == None and no per-set overrides the runtime is
-/// bitwise-identical to the un-reordered build.
-struct ReorderConfig {
-  ReorderKind kind = ReorderKind::None;  ///< default for every set.
-  /// Per-set overrides by set name (may also switch a set *off*).
-  std::map<std::string, ReorderKind> per_set;
-  /// Elements per colour block for the locality-aware colour sweep
-  /// (core/dispatch): conflicts are resolved between contiguous blocks
-  /// of this many elements, so each colour class becomes a union of
-  /// cache-friendly runs instead of a strided scatter. Only consulted
-  /// when reordering is enabled; <= 1 keeps per-element colouring.
-  lidx_t colour_block = 256;
-
-  bool enabled() const;
-  ReorderKind for_set(const std::string& set_name) const;
-};
-
-/// A local-element permutation: new_of_old[i] is the new index of the
+/// A permutation of one set: new_of_old[i] is the new index of the
 /// element previously at i, old_of_new its inverse. Empty vectors mean
-/// identity (the set was not reordered).
+/// identity.
 struct Permutation {
   LIdxVec new_of_old;
   LIdxVec old_of_new;
@@ -83,13 +52,7 @@ Permutation make_permutation(LIdxVec new_of_old);
 /// and each a bijection on [0, size).
 bool permutation_valid(const Permutation& p);
 
-/// Half-open [begin, end) index blocks a reordering may not cross.
-using BlockVec = std::vector<std::pair<lidx_t, lidx_t>>;
-/// True iff p maps every block onto itself (layer boundaries preserved).
-bool permutation_preserves_blocks(const Permutation& p,
-                                  const BlockVec& blocks);
-
-/// Symmetric local adjacency in CSR form (lidx_t index space).
+/// Symmetric adjacency in CSR form (lidx_t index space).
 struct LocalCsr {
   std::vector<std::size_t> offsets;  ///< size = num_rows + 1.
   LIdxVec adj;
@@ -109,49 +72,43 @@ struct LocalCsr {
 LocalCsr csr_from_edges(lidx_t n,
                         std::vector<std::pair<lidx_t, lidx_t>> edges);
 
-/// Reverse Cuthill–McKee within each block: per connected component a
-/// BFS from a minimum-degree seed, neighbours visited in ascending
-/// (degree, index) order, then the visit order reversed. Adjacency
-/// entries leaving a block are ignored, so blocks permute independently.
-Permutation rcm_order(const LocalCsr& adj, const BlockVec& blocks);
+/// Reverse Cuthill–McKee: per connected component a BFS from a
+/// minimum-degree seed, neighbours visited in ascending (degree, index)
+/// order, then the visit order reversed.
+Permutation rcm_order(const LocalCsr& adj);
 
-/// Morton (Z-order) space-filling-curve order within each block.
-/// `coords` is row-major n x dim (dim 2 or 3); each block's bounding box
-/// is quantised to a 2^kSfcBits grid and elements sorted by interleaved
-/// key (ties by original index — the order is deterministic).
-Permutation sfc_order(std::span<const double> coords, int dim, lidx_t n,
-                      const BlockVec& blocks);
+/// Morton (Z-order) space-filling-curve order. `coords` is row-major
+/// n x dim (dim 2 or 3); the bounding box is quantised to a 2^kSfcBits
+/// grid and elements sorted by interleaved key (ties by original index —
+/// the order is deterministic).
+Permutation sfc_order(std::span<const double> coords, int dim, lidx_t n);
 
-/// Applies p to row-major data: out[new * dim + c] = in[old * dim + c].
-template <typename T>
-std::vector<T> permute_rows(const Permutation& p, int dim,
+/// Applies a new_of_old permutation to row-major data:
+/// out[new * dim + c] = in[old * dim + c]. Empty means identity.
+template <typename T, typename I>
+std::vector<T> permute_rows(const std::vector<I>& new_of_old, int dim,
                             const std::vector<T>& in) {
-  if (p.empty()) return in;
+  if (new_of_old.empty()) return in;
   std::vector<T> out(in.size());
   const std::size_t d = static_cast<std::size_t>(dim);
-  for (lidx_t i = 0; i < p.size(); ++i) {
-    const std::size_t src = static_cast<std::size_t>(i) * d;
-    const std::size_t dst =
-        static_cast<std::size_t>(p.new_of_old[static_cast<std::size_t>(i)]) *
-        d;
-    for (std::size_t c = 0; c < d; ++c) out[dst + c] = in[src + c];
+  for (std::size_t i = 0; i < new_of_old.size(); ++i) {
+    const std::size_t dst = static_cast<std::size_t>(new_of_old[i]) * d;
+    for (std::size_t c = 0; c < d; ++c) out[dst + c] = in[i * d + c];
   }
   return out;
 }
 
-/// Inverse of permute_rows: recovers the original row order.
-template <typename T>
-std::vector<T> unpermute_rows(const Permutation& p, int dim,
+/// Inverse of permute_rows: recovers the original row order (e.g. a
+/// fetched dat of a renumbered mesh, back in the input's numbering).
+template <typename T, typename I>
+std::vector<T> unpermute_rows(const std::vector<I>& new_of_old, int dim,
                               const std::vector<T>& in) {
-  if (p.empty()) return in;
+  if (new_of_old.empty()) return in;
   std::vector<T> out(in.size());
   const std::size_t d = static_cast<std::size_t>(dim);
-  for (lidx_t i = 0; i < p.size(); ++i) {
-    const std::size_t src =
-        static_cast<std::size_t>(p.new_of_old[static_cast<std::size_t>(i)]) *
-        d;
-    const std::size_t dst = static_cast<std::size_t>(i) * d;
-    for (std::size_t c = 0; c < d; ++c) out[dst + c] = in[src + c];
+  for (std::size_t i = 0; i < new_of_old.size(); ++i) {
+    const std::size_t src = static_cast<std::size_t>(new_of_old[i]) * d;
+    for (std::size_t c = 0; c < d; ++c) out[i * d + c] = in[src + c];
   }
   return out;
 }
@@ -179,5 +136,15 @@ OrderingQuality ordering_quality(const lidx_t* targets, int arity,
 /// non-null, receives per-set new_of_old global permutations.
 MeshDef scramble_mesh(const MeshDef& in, std::uint64_t seed,
                       std::vector<GIdxVec>* perms_out = nullptr);
+
+/// Renumbers every set of `in` in `kind` order, rewriting maps, dats and
+/// coords like scramble_mesh. Call it before constructing a World; map
+/// fetched results back with unpermute_rows and the set's permutation,
+/// which `perms_out` (when non-null) receives as per-set new_of_old.
+/// Raises when SFC is requested for a set with no geometric path (Auto
+/// falls back to RCM there) or a set has more elements than lidx_t
+/// indexes.
+MeshDef renumber(const MeshDef& in, ReorderKind kind,
+                 std::vector<GIdxVec>* perms_out = nullptr);
 
 }  // namespace op2ca::mesh

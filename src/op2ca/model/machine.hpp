@@ -74,13 +74,6 @@ struct Machine {
   double compute_speedup() const {
     return 1.0 + (threads_per_rank - 1) * thread_efficiency;
   }
-  /// Ordering-quality multiplier on the per-iteration cost g. Kernel
-  /// calibrations are taken in partition order; the locality layer
-  /// (WorldConfig::reorder) lowers the effective cost of memory-bound
-  /// kernels, entering the model as a factor < 1 — typically the
-  /// measured A/B ratio from BENCH_locality.json. 1 = partition order.
-  /// Communication terms are unaffected: reordering moves no bytes.
-  double locality_factor = 1.0;
   /// GPU path: the staged PCIe copies and kernel-launch overheads enter
   /// the model as a larger effective latency Lambda (Section 3.3).
   /// With `device.enabled` the extra term is derived from the PCIe tier

@@ -12,7 +12,7 @@ double t_op2_loop(const Machine& mach, const LoopTerms& t) {
   // messages are usually latency-bound and stay below it.
   const double B =
       mach.effective_bandwidth(static_cast<std::size_t>(t.m1));
-  const double su = mach.compute_speedup() / mach.locality_factor;
+  const double su = mach.compute_speedup();
   const double compute_core =
       t.g * static_cast<double>(t.core_iters) / su;
   const double comm = static_cast<double>(t.msgs_per_neighbor) * t.p *
@@ -35,7 +35,7 @@ double t_ca_chain(const Machine& mach, const ChainTerms& t) {
   // the rail count while Eq (1) keeps flat bandwidth.
   const double B =
       mach.effective_bandwidth(static_cast<std::size_t>(t.m_r));
-  const double su = mach.compute_speedup() / mach.locality_factor;
+  const double su = mach.compute_speedup();
   double compute_core = 0.0, compute_halo = 0.0;
   for (const LoopTerms& lt : t.loops) {
     compute_core += lt.g * static_cast<double>(lt.core_iters) / su;
@@ -61,7 +61,7 @@ double t_ca_chain_tiled(const Machine& mach, const ChainTerms& t, int tile) {
   const double L = mach.effective_latency();
   const double B =
       mach.effective_bandwidth(static_cast<std::size_t>(m_tile));
-  const double su = mach.compute_speedup() / mach.locality_factor;
+  const double su = mach.compute_speedup();
   double compute_core = 0.0, compute_halo = 0.0;
   for (const LoopTerms& lt : t.loops) {
     compute_core += lt.g * static_cast<double>(lt.core_iters) / su;

@@ -22,6 +22,7 @@
 #include "op2ca/mesh/mesh_io.hpp"
 #include "op2ca/mesh/multigrid.hpp"
 #include "op2ca/mesh/quad2d.hpp"
+#include "op2ca/mesh/reorder.hpp"
 #include "op2ca/mesh/vtk.hpp"
 #include "op2ca/model/calibrate.hpp"
 #include "op2ca/model/components.hpp"

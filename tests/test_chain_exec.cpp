@@ -165,8 +165,6 @@ TEST(ChainExec, DisabledChainMetersEveryField) {
   EXPECT_EQ(chain.max_msg_bytes, std::max(u.max_msg_bytes, f.max_msg_bytes));
   for (int M::*field : {&M::max_neighbors, &M::max_colours})
     EXPECT_EQ(chain.*field, std::max(u.*field, f.*field));
-  for (double M::*field : {&M::gather_span, &M::reuse_gap})
-    EXPECT_EQ(chain.*field, std::max(u.*field, f.*field));
 
   EXPECT_EQ(chain.calls, 3);
   EXPECT_EQ(chain.tile, 1);

@@ -9,11 +9,14 @@
 // each multi-rank, on the MG-CFD synthetic chain and a Hydra chain.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "op2ca/apps/hydra/hydra.hpp"
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
 #include "op2ca/comm/mpi_backend.hpp"
 #include "op2ca/core/runtime.hpp"
+#include "op2ca/mesh/reorder.hpp"
 #include "test_common.hpp"
 
 namespace op2ca::core {
@@ -22,7 +25,6 @@ namespace {
 enum class Mode { kOp2, kCa, kLazy };
 
 WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
-                         mesh::ReorderKind reorder = mesh::ReorderKind::None,
                          int threads = 1) {
   WorldConfig cfg;
   cfg.nranks = nranks;
@@ -30,7 +32,6 @@ WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
   cfg.halo_depth = 2;
   cfg.validate = true;
   cfg.serial_dispatch = serial_dispatch;
-  cfg.reorder.kind = reorder;
   cfg.threads_per_rank = threads;
   if (mode == Mode::kCa) cfg.chains.enable("synthetic");
   if (mode == Mode::kLazy) cfg.lazy = true;
@@ -62,14 +63,26 @@ struct SynthResult {
   std::vector<double> sres, sflux, spres;
 };
 
+/// `order`, when set, renumbers the mesh before the World and maps the
+/// fetched dats back to the input numbering.
 SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
-                      mesh::ReorderKind reorder = mesh::ReorderKind::None,
-                      int threads = 1) {
+                      std::optional<mesh::ReorderKind> order = {},
+                      int threads = 1, lidx_t colour_block = 1) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
-  World w(std::move(prob.mg.mesh),
-          equiv_config(nranks, mode, serial_dispatch, reorder, threads));
+  std::vector<GIdxVec> perms;
+  WorldConfig cfg = equiv_config(nranks, mode, serial_dispatch, threads);
+  cfg.colour_block = colour_block;
+  World w(order ? mesh::renumber(prob.mg.mesh, *order, &perms)
+                : std::move(prob.mg.mesh),
+          cfg);
+  const auto fetch = [&](mesh::dat_id d) {
+    const mesh::DatDef& dd = w.mesh().dat(d);
+    if (!order) return w.fetch_dat(d);
+    return mesh::unpermute_rows(perms[static_cast<std::size_t>(dd.set)],
+                                dd.dim, w.fetch_dat(d));
+  };
   w.run([&](Runtime& rt) {
     const auto h = apps::mgcfd::resolve_handles(rt, prob);
     for (int t = 0; t < 2; ++t) {
@@ -81,8 +94,7 @@ SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
       }
     }
   });
-  return SynthResult{w.fetch_dat(sres), w.fetch_dat(sflux),
-                     w.fetch_dat(spres)};
+  return SynthResult{fetch(sres), fetch(sflux), fetch(spres)};
 }
 
 /// run_synth on another transport backend. The backend moves the same
@@ -163,13 +175,14 @@ TEST(Equivalence, TransportMpiStubMatchesSim) {
   }
 }
 
-// -- Locality layer (WorldConfig::reorder). -----------------------------
+// -- Renumbered meshes (mesh::renumber). --------------------------------
 //
-// With reorder OFF every path above already proves bitwise identity to
-// the legacy numbering. With it ON, per-element arithmetic is unchanged
-// (direct loops exact — spres is written by the direct perturb loop) but
-// element order inside each layer is permuted, so indirect-INC sums
-// reassociate: cross-configuration comparisons use the usual tolerance.
+// Every path above runs the natural numbering. A renumbered mesh keeps
+// per-element arithmetic (direct loops exact after mapping the fetched
+// dats back — spres is written by the direct perturb loop) but permutes
+// element order, so indirect-INC sums reassociate: comparisons against
+// the natural order use the usual tolerance. Rows at more than 1 thread
+// run blocked sweeps (colour_block 256).
 
 TEST(Equivalence, ReorderedMatchesBaselineToTolerance) {
   const SynthResult base = run_synth(5, Mode::kOp2, false);
@@ -183,8 +196,8 @@ TEST(Equivalence, ReorderedMatchesBaselineToTolerance) {
 }
 
 TEST(Equivalence, ReorderedBatchedMatchesPerElement) {
-  // Same (permuted) iteration order with and without region batching:
-  // bitwise, exactly like the un-reordered equivalence above.
+  // Same (renumbered) iteration order with and without region batching:
+  // bitwise, exactly like the natural-order equivalence above.
   expect_bitwise(
       run_synth(5, Mode::kOp2, false, mesh::ReorderKind::RCM),
       run_synth(5, Mode::kOp2, true, mesh::ReorderKind::RCM));
@@ -207,7 +220,7 @@ TEST(Equivalence, ReorderedModesAgreeFourThreads) {
   const SynthResult base = run_synth(4, Mode::kOp2, false);
   for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
     const SynthResult re =
-        run_synth(4, mode, false, mesh::ReorderKind::RCM, 4);
+        run_synth(4, mode, false, mesh::ReorderKind::RCM, 4, 256);
     EXPECT_EQ(base.spres, re.spres);  // direct loop: exact
     testutil::expect_allclose(base.sres, re.sres);
     testutil::expect_allclose(base.sflux, re.sflux);
@@ -217,13 +230,16 @@ TEST(Equivalence, ReorderedModesAgreeFourThreads) {
 TEST(Equivalence, ReorderedWidthIndependentSweeps) {
   // Blocked colour sweeps are a pure function of the colouring and the
   // block structure — chunk boundaries move with pool width, but blocks
-  // never straddle threads, so any width > 1 is bitwise-identical.
+  // never straddle threads, so any width > 1 is bitwise-identical, in
+  // natural order as in renumbered ones.
+  expect_bitwise(run_synth(4, Mode::kOp2, false, {}, 2, 256),
+                 run_synth(4, Mode::kOp2, false, {}, 4, 256));
   expect_bitwise(
-      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 2),
-      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 4));
+      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 2, 256),
+      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 4, 256));
   expect_bitwise(
-      run_synth(4, Mode::kCa, false, mesh::ReorderKind::SFC, 2),
-      run_synth(4, Mode::kCa, false, mesh::ReorderKind::SFC, 4));
+      run_synth(4, Mode::kCa, false, mesh::ReorderKind::SFC, 2, 256),
+      run_synth(4, Mode::kCa, false, mesh::ReorderKind::SFC, 4, 256));
 }
 
 // -- Temporal tiling (WorldConfig::tile). -------------------------------
@@ -269,8 +285,7 @@ SynthResult run_synth_tiled(int nranks, int tile, Mode mode,
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
-  WorldConfig cfg = equiv_config(nranks, mode, false,
-                                 mesh::ReorderKind::None, threads);
+  WorldConfig cfg = equiv_config(nranks, mode, false, threads);
   cfg.tile = tile;
   World w(std::move(prob.mg.mesh), cfg);
   w.run([&](Runtime& rt) {

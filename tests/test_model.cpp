@@ -57,35 +57,6 @@ TEST(PerfModel, Equation1Arithmetic) {
   EXPECT_NEAR(t_op2_loop(m, t), 1e-4 + 1e-6, 1e-12);
 }
 
-TEST(PerfModel, LocalityFactorScalesComputeOnly) {
-  Machine m = archer2();
-  m.net.latency_s = 1e-6;
-  m.net.bandwidth_Bps = 1e9;
-
-  LoopTerms t;
-  t.g = 1e-8;
-  t.core_iters = 10000;  // compute = 1e-4 s, compute-bound
-  t.halo_iters = 100;
-  t.d = 2;
-  t.p = 3;
-  t.m1 = 1000;
-  t.msgs_per_neighbor = 2 * t.d;
-  const double base = t_op2_loop(m, t);
-
-  // Reordering halves the effective memory-bound iteration cost; the
-  // communication term moves no fewer bytes and must not change.
-  m.locality_factor = 0.5;
-  EXPECT_NEAR(t_op2_loop(m, t), 0.5e-4 + 0.5e-6, 1e-12);
-  EXPECT_LT(t_op2_loop(m, t), base);
-
-  // Comm-bound loops clamp at the unchanged communication time.
-  t.core_iters = 100;  // compute = 5e-7 even at factor 1
-  m.locality_factor = 1.0;
-  const double comm_bound = t_op2_loop(m, t);
-  m.locality_factor = 0.5;
-  EXPECT_NEAR(t_op2_loop(m, t), comm_bound - 0.5e-6, 1e-12);
-}
-
 TEST(PerfModel, Equation3UsesGroupedMessage) {
   Machine m = archer2();
   m.net.latency_s = 1e-6;

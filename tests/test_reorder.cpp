@@ -1,22 +1,21 @@
-// Property tests for the locality layer (mesh/reorder + halo/reorder):
-// permutation plumbing, the ordering algorithms themselves, block-aware
-// colouring, and the World-level invariants — every per-(rank, set)
-// permutation is a bijection that maps each layer block onto itself, dat
-// contents round-trip through the permuted gather/scatter, and the
-// orderings measurably improve the reuse proxies on a scrambled mesh.
+// Property tests for mesh renumbering (mesh/reorder): permutation
+// plumbing, the ordering algorithms, the shared relabelling behind
+// scramble_mesh and renumber, block-aware colouring, and the mesh-level
+// invariants — renumbered meshes cut the reuse proxies of a scrambled
+// mesh, SFC without a geometric path fails loudly, and a World rejects a
+// colour_block below 1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "op2ca/core/runtime.hpp"
-#include "op2ca/halo/reorder.hpp"
 #include "op2ca/mesh/colouring.hpp"
 #include "op2ca/mesh/hex3d.hpp"
 #include "op2ca/mesh/reorder.hpp"
 #include "op2ca/util/rng.hpp"
-#include "test_common.hpp"
 
 namespace op2ca::mesh {
 namespace {
@@ -64,25 +63,15 @@ TEST(Permutation, RowsRoundTrip) {
   std::vector<double> data(64 * 3);
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<double>(i) * 0.5;
-  const std::vector<double> permuted = permute_rows(p, 3, data);
+  const std::vector<double> permuted = permute_rows(p.new_of_old, 3, data);
   EXPECT_NE(permuted, data);
-  EXPECT_EQ(unpermute_rows(p, 3, permuted), data);
+  EXPECT_EQ(unpermute_rows(p.new_of_old, 3, permuted), data);
   // Row i of the input lands at row new_of_old[i].
   for (lidx_t i = 0; i < p.size(); ++i) {
     const auto dst = static_cast<std::size_t>(
         p.new_of_old[static_cast<std::size_t>(i)]);
     EXPECT_EQ(permuted[dst * 3], data[static_cast<std::size_t>(i) * 3]);
   }
-}
-
-TEST(Permutation, BlockPreservationPredicate) {
-  const BlockVec blocks{{0, 3}, {3, 5}, {5, 8}};
-  EXPECT_TRUE(permutation_preserves_blocks(
-      make_permutation(LIdxVec{2, 0, 1, 4, 3, 7, 5, 6}), blocks));
-  // 0 <-> 7 crosses the first and last blocks.
-  EXPECT_FALSE(permutation_preserves_blocks(
-      make_permutation(LIdxVec{7, 1, 2, 3, 4, 5, 6, 0}), blocks));
-  EXPECT_TRUE(permutation_preserves_blocks(Permutation{}, blocks));
 }
 
 // -- Ordering algorithms. -----------------------------------------------
@@ -100,7 +89,7 @@ TEST(Rcm, RecoversPathBandwidth) {
     edges.emplace_back(lbl(i + 1), lbl(i));
   }
   const LocalCsr csr = csr_from_edges(n, edges);
-  const Permutation p = rcm_order(csr, {{0, n}});
+  const Permutation p = rcm_order(csr);
   ASSERT_TRUE(permutation_valid(p));
   lidx_t bandwidth = 0;
   for (lidx_t i = 0; i + 1 < n; ++i) {
@@ -109,21 +98,6 @@ TEST(Rcm, RecoversPathBandwidth) {
     bandwidth = std::max(bandwidth, std::abs(a - b));
   }
   EXPECT_EQ(bandwidth, 1);
-}
-
-TEST(Rcm, RespectsBlockBoundaries) {
-  // One path spanning two blocks: the cross-block edge must be ignored
-  // and each block permuted independently.
-  const lidx_t n = 16;
-  std::vector<std::pair<lidx_t, lidx_t>> edges;
-  for (lidx_t i = 0; i + 1 < n; ++i) {
-    edges.emplace_back(i, i + 1);
-    edges.emplace_back(i + 1, i);
-  }
-  const BlockVec blocks{{0, 10}, {10, 16}};
-  const Permutation p = rcm_order(csr_from_edges(n, edges), blocks);
-  ASSERT_TRUE(permutation_valid(p));
-  EXPECT_TRUE(permutation_preserves_blocks(p, blocks));
 }
 
 TEST(Sfc, ClustersGridNeighbours) {
@@ -143,7 +117,7 @@ TEST(Sfc, ClustersGridNeighbours) {
       coords[e * 2 + 1] = static_cast<double>(y);
     }
   }
-  const Permutation p = sfc_order(coords, 2, n, {{0, n}});
+  const Permutation p = sfc_order(coords, 2, n);
   ASSERT_TRUE(permutation_valid(p));
   // Mean |index difference| over geometric neighbour pairs, scrambled
   // storage vs after the SFC permutation.
@@ -187,67 +161,121 @@ TEST(OrderingQuality, DetectsLocalOrder) {
 
   // The same edges visited in scrambled order: both proxies blow up.
   const Permutation p = make_permutation(shuffled_identity(n, 3));
-  const std::vector<lidx_t> scrambled = permute_rows(p, 2, ordered);
+  const std::vector<lidx_t> scrambled = permute_rows(p.new_of_old, 2, ordered);
   const OrderingQuality bad =
       ordering_quality(scrambled.data(), 2, n, n + 1);
   EXPECT_GT(bad.gather_span, 4.0 * good.gather_span);
   EXPECT_GT(bad.reuse_gap, 4.0 * good.reuse_gap);
 }
 
-// -- scramble_mesh. ------------------------------------------------------
+// -- scramble_mesh and renumber. ----------------------------------------
 
 TEST(ScrambleMesh, RelabelsConsistently) {
+  // scramble_mesh and renumber share one relabelling: check it on the
+  // scramble of the natural mesh and on each renumbering of a scramble.
   const Hex3D h = make_hex3d(4, 4, 4);
-  std::vector<GIdxVec> perms;
-  const MeshDef out = scramble_mesh(h.mesh, 42, &perms);
-  ASSERT_EQ(static_cast<int>(perms.size()), h.mesh.num_sets());
-  ASSERT_EQ(out.num_sets(), h.mesh.num_sets());
+  const MeshDef scrambled = scramble_mesh(h.mesh, 7);
+  const ReorderKind kinds[] = {ReorderKind::RCM, ReorderKind::SFC,
+                               ReorderKind::Auto};
+  for (int which = 0; which < 4; ++which) {
+    const MeshDef& in = which == 0 ? h.mesh : scrambled;
+    std::vector<GIdxVec> perms;
+    const MeshDef out = which == 0 ? scramble_mesh(in, 42, &perms)
+                                   : renumber(in, kinds[which - 1], &perms);
+    ASSERT_EQ(static_cast<int>(perms.size()), in.num_sets());
+    ASSERT_EQ(out.num_sets(), in.num_sets());
 
-  // Each per-set perm is a bijection and at least one is non-trivial.
-  bool moved = false;
-  for (int s = 0; s < h.mesh.num_sets(); ++s) {
-    const auto& p = perms[static_cast<std::size_t>(s)];
-    ASSERT_EQ(static_cast<gidx_t>(p.size()), h.mesh.set(s).size);
-    std::vector<bool> seen(p.size(), false);
-    for (const gidx_t g : p) {
-      ASSERT_GE(g, 0);
-      ASSERT_LT(g, static_cast<gidx_t>(p.size()));
-      ASSERT_FALSE(seen[static_cast<std::size_t>(g)]);
-      seen[static_cast<std::size_t>(g)] = true;
+    // Each per-set perm is a bijection and at least one is non-trivial.
+    bool moved = false;
+    for (int s = 0; s < in.num_sets(); ++s) {
+      const auto& p = perms[static_cast<std::size_t>(s)];
+      ASSERT_EQ(static_cast<gidx_t>(p.size()), in.set(s).size);
+      std::vector<bool> seen(p.size(), false);
+      for (const gidx_t g : p) {
+        ASSERT_GE(g, 0);
+        ASSERT_LT(g, static_cast<gidx_t>(p.size()));
+        ASSERT_FALSE(seen[static_cast<std::size_t>(g)]);
+        seen[static_cast<std::size_t>(g)] = true;
+      }
+      for (std::size_t i = 0; i < p.size(); ++i)
+        if (p[i] != static_cast<gidx_t>(i)) moved = true;
     }
-    for (std::size_t i = 0; i < p.size(); ++i)
-      if (p[i] != static_cast<gidx_t>(i)) moved = true;
-  }
-  EXPECT_TRUE(moved);
+    EXPECT_TRUE(moved);
 
-  // Maps commute with the relabelling: row e of the old map appears as
-  // row perm_from[e] of the new map with perm_to applied to each target.
-  for (int m = 0; m < h.mesh.num_maps(); ++m) {
-    const MapDef& om = h.mesh.map(m);
-    const MapDef& nm = out.map(m);
-    const auto& pf = perms[static_cast<std::size_t>(om.from)];
-    const auto& pt = perms[static_cast<std::size_t>(om.to)];
-    for (gidx_t e = 0; e < h.mesh.set(om.from).size; ++e) {
-      const auto ne = static_cast<std::size_t>(pf[static_cast<std::size_t>(e)]);
-      for (int k = 0; k < om.arity; ++k) {
-        const gidx_t old_t =
-            om.targets[static_cast<std::size_t>(e) * om.arity + k];
-        EXPECT_EQ(nm.targets[ne * static_cast<std::size_t>(nm.arity) + k],
-                  pt[static_cast<std::size_t>(old_t)]);
+    // Maps commute with the relabelling: row e of the old map appears as
+    // row perm_from[e] of the new map with perm_to applied to each target.
+    for (int m = 0; m < in.num_maps(); ++m) {
+      const MapDef& om = in.map(m);
+      const MapDef& nm = out.map(m);
+      const auto& pf = perms[static_cast<std::size_t>(om.from)];
+      const auto& pt = perms[static_cast<std::size_t>(om.to)];
+      for (gidx_t e = 0; e < in.set(om.from).size; ++e) {
+        const auto ne =
+            static_cast<std::size_t>(pf[static_cast<std::size_t>(e)]);
+        for (int k = 0; k < om.arity; ++k) {
+          const gidx_t old_t =
+              om.targets[static_cast<std::size_t>(e) * om.arity + k];
+          EXPECT_EQ(nm.targets[ne * static_cast<std::size_t>(nm.arity) + k],
+                    pt[static_cast<std::size_t>(old_t)]);
+        }
       }
     }
-  }
 
-  // Dats move with their rows (coords stay attached to the right node).
-  const DatDef& oc = h.mesh.dat(h.coords);
-  const DatDef& nc = out.dat(h.coords);
-  const auto& pn = perms[static_cast<std::size_t>(oc.set)];
-  for (std::size_t i = 0; i < pn.size(); ++i) {
-    const auto ni = static_cast<std::size_t>(pn[i]);
-    for (int c = 0; c < oc.dim; ++c)
-      EXPECT_EQ(nc.data[ni * oc.dim + c], oc.data[i * oc.dim + c]);
+    // Dats move with their rows (coords stay attached to the right node).
+    const DatDef& oc = in.dat(h.coords);
+    const DatDef& nc = out.dat(h.coords);
+    const auto& pn = perms[static_cast<std::size_t>(oc.set)];
+    for (std::size_t i = 0; i < pn.size(); ++i) {
+      const auto ni = static_cast<std::size_t>(pn[i]);
+      for (int c = 0; c < oc.dim; ++c)
+        EXPECT_EQ(nc.data[ni * oc.dim + c], oc.data[i * oc.dim + c]);
+    }
+    EXPECT_EQ(out.coords_dat(), in.coords_dat());
   }
-  EXPECT_EQ(out.coords_dat(), h.mesh.coords_dat());
+}
+
+TEST(Renumber, OrderingImprovesReuseProxiesOnScrambledMesh) {
+  // On a scrambled mesh, RCM and SFC must each cut both locality proxies
+  // of the global edge->node gather stream below half the scrambled ones.
+  const Hex3D h = make_hex3d(12, 12, 12);
+  const MeshDef scrambled = scramble_mesh(h.mesh, 1234);
+  const auto quality = [&](const MeshDef& m) {
+    const MapDef& e2n = m.map(h.e2n);
+    const LIdxVec targets(e2n.targets.begin(), e2n.targets.end());
+    return ordering_quality(targets.data(), e2n.arity,
+                            static_cast<lidx_t>(m.set(h.edges).size),
+                            static_cast<lidx_t>(m.set(h.nodes).size));
+  };
+  const OrderingQuality none = quality(scrambled);
+  for (const ReorderKind kind : {ReorderKind::RCM, ReorderKind::SFC}) {
+    const OrderingQuality q = quality(renumber(scrambled, kind));
+    EXPECT_LT(q.gather_span, 0.5 * none.gather_span);
+    EXPECT_LT(q.reuse_gap, 0.5 * none.reuse_gap);
+  }
+}
+
+TEST(Renumber, SfcNeedsGeometricPathAutoFallsBackToRcm) {
+  // "orphan" has no map to or from the coords set: SFC must raise naming
+  // it, Auto must order it by RCM and every other set by SFC.
+  const Hex3D h = make_hex3d(4, 3, 2);
+  MeshDef with_orphan = h.mesh;
+  const set_id orphan = with_orphan.add_set("orphan", 5);
+  try {
+    renumber(with_orphan, ReorderKind::SFC);
+    ADD_FAILURE() << "SFC without a geometric path was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'orphan'"), std::string::npos)
+        << e.what();
+  }
+  std::vector<GIdxVec> autos, sfcs, rcms;
+  renumber(with_orphan, ReorderKind::Auto, &autos);
+  renumber(h.mesh, ReorderKind::SFC, &sfcs);
+  renumber(with_orphan, ReorderKind::RCM, &rcms);
+  for (set_id s = 0; s < h.mesh.num_sets(); ++s)
+    EXPECT_EQ(autos[static_cast<std::size_t>(s)],
+              sfcs[static_cast<std::size_t>(s)]);
+  EXPECT_EQ(autos[static_cast<std::size_t>(orphan)],
+            rcms[static_cast<std::size_t>(orphan)]);
 }
 
 // -- Block colouring. ----------------------------------------------------
@@ -291,140 +319,25 @@ TEST(BlockColouring, ValidAndBlockAligned) {
 }  // namespace
 }  // namespace op2ca::mesh
 
-// -- World-level invariants. --------------------------------------------
+// -- World configuration. -----------------------------------------------
 
 namespace op2ca::core {
 namespace {
 
-mesh::MeshDef scrambled_hex(gidx_t nx, gidx_t ny, gidx_t nz) {
-  const mesh::Hex3D h = mesh::make_hex3d(nx, ny, nz);
-  return mesh::scramble_mesh(h.mesh, 1234);
-}
-
-WorldConfig reorder_config(int nranks, mesh::ReorderKind kind) {
-  WorldConfig cfg;
-  cfg.nranks = nranks;
-  cfg.partitioner = partition::Kind::KWay;
-  cfg.halo_depth = 2;
-  cfg.validate = true;
-  cfg.reorder.kind = kind;
-  return cfg;
-}
-
-TEST(WorldReorder, PermutationsValidAndBlockPreserving) {
-  const World ref(scrambled_hex(6, 5, 4),
-                  reorder_config(3, mesh::ReorderKind::None));
-  for (const auto kind :
-       {mesh::ReorderKind::RCM, mesh::ReorderKind::SFC,
-        mesh::ReorderKind::Auto}) {
-    const World w(scrambled_hex(6, 5, 4), reorder_config(3, kind));
-    const halo::ReorderResult& res = w.reorder_result();
-    ASSERT_TRUE(res.any());
-    const int depth = w.plan().depth;
-    for (int r = 0; r < 3; ++r) {
-      for (int s = 0; s < w.mesh().num_sets(); ++s) {
-        const auto& p = res.perms[static_cast<std::size_t>(r)]
-                                [static_cast<std::size_t>(s)];
-        if (p.empty()) continue;
-        EXPECT_TRUE(mesh::permutation_valid(p));
-        const halo::SetLayout& rl = ref.plan().layout(r, s);
-        const halo::SetLayout& wl = w.plan().layout(r, s);
-        ASSERT_EQ(p.size(), rl.total);
-        // Layer blocks (with din shells clamped at depth + 1) map onto
-        // themselves.
-        EXPECT_TRUE(mesh::permutation_preserves_blocks(
-            p, halo::reorder_blocks(rl, depth)));
-        // local_to_global is exactly the reference, permuted.
-        for (lidx_t i = 0; i < p.size(); ++i) {
-          EXPECT_EQ(wl.local_to_global[static_cast<std::size_t>(
-                        p.new_of_old[static_cast<std::size_t>(i)])],
-                    rl.local_to_global[static_cast<std::size_t>(i)]);
-        }
-        // owned_din: reference values clamped to depth + 1, permuted,
-        // and still non-increasing in local order.
-        for (lidx_t i = 0; i < rl.num_owned; ++i) {
-          const int expect = std::min(
-              rl.owned_din[static_cast<std::size_t>(i)], depth + 1);
-          EXPECT_EQ(wl.owned_din[static_cast<std::size_t>(
-                        p.new_of_old[static_cast<std::size_t>(i)])],
-                    expect);
-        }
-        for (lidx_t i = 1; i < wl.num_owned; ++i) {
-          EXPECT_GE(wl.owned_din[static_cast<std::size_t>(i - 1)],
-                    wl.owned_din[static_cast<std::size_t>(i)]);
-        }
-        // core_count agrees with the un-reordered plan for every shrink
-        // the executors can request.
-        for (int shrink = 0; shrink <= depth; ++shrink)
-          EXPECT_EQ(wl.core_count(shrink), rl.core_count(shrink));
-      }
+TEST(WorldColourBlock, RejectsBelowOne) {
+  for (const lidx_t bad : {0, -3}) {
+    WorldConfig cfg;
+    cfg.nranks = 2;
+    cfg.colour_block = bad;
+    try {
+      World w(mesh::make_hex3d(3, 3, 3).mesh, cfg);
+      ADD_FAILURE() << "colour_block " << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("colour_block"),
+                std::string::npos)
+          << e.what();
     }
   }
-}
-
-TEST(WorldReorder, DatContentsRoundTripThroughPermutedPlan) {
-  // reset_dat scatters global rows through the permuted local_to_global;
-  // fetch_dat gathers them back. No loops run, so the round trip must be
-  // exact — this is the dat permute/inverse-permute property end to end.
-  mesh::MeshDef m = scrambled_hex(5, 4, 3);
-  const auto nodes = *m.find_set("nodes");
-  const auto d = m.add_dat("probe", nodes, 2);
-  const auto n = static_cast<std::size_t>(m.set(nodes).size);
-  std::vector<double> global(n * 2);
-  for (std::size_t i = 0; i < global.size(); ++i)
-    global[i] = std::sin(static_cast<double>(i));
-
-  World w(std::move(m), reorder_config(4, mesh::ReorderKind::RCM));
-  ASSERT_TRUE(w.reorder_result().any());
-  w.reset_dat(d, global);
-  EXPECT_EQ(w.fetch_dat(d), global);
-}
-
-TEST(WorldReorder, OrderingImprovesReuseProxiesOnScrambledMesh) {
-  // The end-to-end point of the layer: on a scrambled mesh, RCM and SFC
-  // must improve both locality proxies of the edge->node gather stream
-  // over partition order (single rank, so the full map is one stream).
-  const auto quality = [](mesh::ReorderKind kind) {
-    const World w(scrambled_hex(12, 12, 12), reorder_config(1, kind));
-    const auto e2n = *w.mesh().find_map("e2n");
-    const auto edges = *w.mesh().find_set("edges");
-    const auto nodes = *w.mesh().find_set("nodes");
-    const halo::RankPlan& rp = w.plan().ranks[0];
-    const halo::LocalMap& lm = rp.maps[static_cast<std::size_t>(e2n)];
-    return mesh::ordering_quality(
-        lm.targets.data(), lm.arity,
-        rp.sets[static_cast<std::size_t>(edges)].num_owned,
-        rp.sets[static_cast<std::size_t>(nodes)].total);
-  };
-  const mesh::OrderingQuality none = quality(mesh::ReorderKind::None);
-  const mesh::OrderingQuality rcm = quality(mesh::ReorderKind::RCM);
-  const mesh::OrderingQuality sfc = quality(mesh::ReorderKind::SFC);
-  EXPECT_LT(rcm.gather_span, 0.5 * none.gather_span);
-  EXPECT_LT(rcm.reuse_gap, 0.5 * none.reuse_gap);
-  EXPECT_LT(sfc.gather_span, 0.5 * none.gather_span);
-  EXPECT_LT(sfc.reuse_gap, 0.5 * none.reuse_gap);
-}
-
-TEST(WorldReorder, PerSetOverrideAndDisabledConfig) {
-  // A per-set override can switch one set off; a fully disabled config
-  // leaves no trace.
-  WorldConfig cfg = reorder_config(2, mesh::ReorderKind::RCM);
-  cfg.reorder.per_set["nodes"] = mesh::ReorderKind::None;
-  const World w(scrambled_hex(4, 4, 4), cfg);
-  const auto nodes = *w.mesh().find_set("nodes");
-  ASSERT_TRUE(w.reorder_result().any());
-  EXPECT_EQ(w.reorder_result().set_kind[static_cast<std::size_t>(nodes)],
-            mesh::ReorderKind::None);
-  for (int r = 0; r < 2; ++r) {
-    EXPECT_TRUE(w.reorder_result()
-                    .perms[static_cast<std::size_t>(r)]
-                          [static_cast<std::size_t>(nodes)]
-                    .empty());
-  }
-
-  const World off(scrambled_hex(4, 4, 4),
-                  reorder_config(2, mesh::ReorderKind::None));
-  EXPECT_FALSE(off.reorder_result().any());
 }
 
 }  // namespace

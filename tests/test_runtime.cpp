@@ -400,7 +400,8 @@ TEST(RuntimeOp2, MetricsCsvExport) {
             std::string::npos);
   std::istringstream header(csv.substr(0, csv.find('\n')));
   for (std::string col; std::getline(header, col, ',');)
-    EXPECT_NE(col, "layout");
+    for (const char* gone : {"layout", "gather_span", "reuse_gap"})
+      EXPECT_NE(col, gone);
 }
 
 TEST(RuntimeOp2, MetricsMergeTilingFields) {
