@@ -74,7 +74,9 @@ int main(int argc, char** argv) try {
   cfg.partitioner = partition::Kind::KWay;
   cfg.halo_depth = 2;
   if (ca) cfg.chains.enable("flux_update", 0, 2);
-  core::World w(std::move(m), cfg);
+  // The World gets a copy: it frees its dat values once the ranks hold
+  // them, and the VTK snapshot below reads the coordinates from `m`.
+  core::World w(m, cfg);
 
   WallTimer timer;
   std::vector<double> rms_history;
@@ -130,12 +132,11 @@ int main(int argc, char** argv) try {
   if (!vtk_path.empty()) {
     // Cell-centred q mapped onto nodes for visualisation: write the
     // density component averaged per node via c2n incidence.
-    const mesh::MeshDef& mm = w.mesh();
-    const gidx_t nn = mm.set(grid.nodes).size;
+    const gidx_t nn = m.set(grid.nodes).size;
     std::vector<double> rho(static_cast<std::size_t>(nn), 0.0);
     std::vector<int> counts(static_cast<std::size_t>(nn), 0);
-    const mesh::MapDef& c2n = mm.map(grid.c2n);
-    for (gidx_t c = 0; c < mm.set(grid.cells).size; ++c)
+    const mesh::MapDef& c2n = m.map(grid.c2n);
+    for (gidx_t c = 0; c < m.set(grid.cells).size; ++c)
       for (int k = 0; k < 4; ++k) {
         const gidx_t n = c2n.targets[static_cast<std::size_t>(4 * c + k)];
         rho[static_cast<std::size_t>(n)] +=
@@ -146,7 +147,7 @@ int main(int argc, char** argv) try {
       if (counts[static_cast<std::size_t>(n)] > 0)
         rho[static_cast<std::size_t>(n)] /=
             counts[static_cast<std::size_t>(n)];
-    mesh::write_vtk(vtk_path, mm, grid.c2n, {{"rho", rho}});
+    mesh::write_vtk(vtk_path, m, grid.c2n, {{"rho", rho}});
     std::cout << "wrote " << vtk_path << '\n';
   }
   return 0;

@@ -1,5 +1,5 @@
-// Per-rank dat storage: localization from the global MeshDef arrays into
-// the halo-plan layout, and refresh/scatter helpers.
+// Per-rank dat storage: localization from a global array into the
+// halo-plan layout, and the staging-buffer return path.
 #include "op2ca/core/runtime_detail.hpp"
 #include "op2ca/halo/renumber.hpp"
 #include "op2ca/util/error.hpp"
@@ -15,18 +15,11 @@ RankState::RankState(World* w, sim::TransportBackend& transport, rank_t r)
   // knob must reproduce the classic order exactly.
   if (w->config().threads_per_rank > 1 && !serial_dispatch)
     pool = std::make_unique<util::ThreadPool>(w->config().threads_per_rank);
+  // Storage is sized and filled by World's constructor, one dat at a
+  // time (refresh_dat_from_global).
   dats.resize(static_cast<std::size_t>(mesh.num_dats()));
-  for (mesh::dat_id d = 0; d < mesh.num_dats(); ++d) {
-    const mesh::DatDef& dd = mesh.dat(d);
-    RankDat& rd = dats[static_cast<std::size_t>(d)];
-    rd.dim = dd.dim;
-    rd.data.resize(static_cast<std::size_t>(layout(dd.set).total) *
-                   static_cast<std::size_t>(dd.dim));
-    halo::gather_local(dd.data, dd.dim, layout(dd.set), rd.data.data());
-    // Halos are gathered straight from the global arrays, so every layer
-    // the plan holds starts in sync.
-    rd.fresh_depth = world->plan().depth;
-  }
+  for (mesh::dat_id d = 0; d < mesh.num_dats(); ++d)
+    dats[static_cast<std::size_t>(d)].dim = mesh.dat(d).dim;
 }
 
 const halo::RankPlan& RankState::rank_plan() const {
@@ -46,8 +39,14 @@ RankDat& RankState::rank_dat(mesh::dat_id d) {
 void RankState::refresh_dat_from_global(
     mesh::dat_id d, const std::vector<double>& global_data) {
   RankDat& rd = rank_dat(d);
-  halo::gather_local(global_data, rd.dim, layout(world->mesh().dat(d).set),
-                     rd.data.data());
+  const halo::SetLayout& lay = layout(world->mesh().dat(d).set);
+  // Sizes the storage on the first gather only: exchanges hold pointers
+  // into it, so it never moves afterwards.
+  rd.data.resize(static_cast<std::size_t>(lay.total) *
+                 static_cast<std::size_t>(rd.dim));
+  halo::gather_local(global_data, rd.dim, lay, rd.data.data());
+  // Halos are gathered straight from the global array, so every layer
+  // the plan holds is in sync.
   rd.fresh_depth = world->plan().depth;
 }
 

@@ -155,8 +155,8 @@ LoopMetrics& run_epoch(RankState& st, Window& w, const LoopRecord* loops,
       if (side.send_bytes > 0) {
         ByteBuf buf = st.staging.take(side.send_bytes);
         halo::pack_grouped(side, ex->specs, buf.data());
-        for (const LIdxVec& g : side.gather)
-          m.halo_elems += static_cast<std::int64_t>(g.size());
+        for (const halo::GroupedPlan::Segment& g : side.gather)
+          m.halo_elems += static_cast<std::int64_t>(g.rows->size());
         reqs.push_back(st.comm.isend(side.q, side.tag, std::move(buf)));
       }
       if (side.recv_bytes > 0)

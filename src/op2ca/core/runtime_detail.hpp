@@ -149,7 +149,8 @@ struct RankState {
   const halo::SetLayout& layout(mesh::set_id s) const;
   RankDat& rank_dat(mesh::dat_id d);
 
-  /// Re-gathers a dat's local copy from a global array (owned + halos).
+  /// Gathers a dat's local copy (owned + halos) from a global array; the
+  /// first call sizes the storage.
   void refresh_dat_from_global(mesh::dat_id d,
                                const std::vector<double>& global_data);
 

@@ -50,22 +50,22 @@ World::World(mesh::MeshDef mesh, WorldConfig cfg)
     seed = *id;
   }
 
-  part_ = partition::partition_mesh(mesh_, cfg_.nranks, cfg_.partitioner,
-                                    seed);
-
   halo::HaloPlanOptions opts;
   opts.depth = static_cast<int>(plan_depth);
   opts.build_local_maps = true;
-  plan_ = halo::build_halo_plan(mesh_, part_, opts);
+  plan_ = halo::build_halo_plan(
+      mesh_,
+      partition::partition_mesh(mesh_, cfg_.nranks, cfg_.partitioner, seed),
+      opts);
 
   transport_ = sim::make_backend(cfg_.transport, cfg_.nranks);
 
   // Process-per-rank SPMD mode: under a real MPI the backend pins this
   // process to one rank; only that rank's state (dats, plans, pools)
-  // exists here — peer ranks live in peer processes. The partition and
-  // halo plan above are deterministic functions of the mesh and config,
-  // so every process derives the identical global plan and disagreement
-  // is impossible by construction.
+  // exists here — peer ranks live in peer processes. The halo plan above
+  // is a deterministic function of the mesh and config (its partition
+  // included), so every process derives the identical global plan and
+  // disagreement is impossible by construction.
   if (auto* mpi = dynamic_cast<sim::MpiBackend*>(transport_.get()))
     spmd_rank_ = mpi->local_rank();
   ranks_.resize(static_cast<std::size_t>(cfg_.nranks));
@@ -73,6 +73,17 @@ World::World(mesh::MeshDef mesh, WorldConfig cfg)
     if (spmd_rank_ < 0 || r == spmd_rank_)
       ranks_[static_cast<std::size_t>(r)] =
           std::make_unique<detail::RankState>(this, *transport_, r);
+
+  // The ranks gather their rows of each dat in turn, and the World frees
+  // that dat's global values before the next, so it never holds every dat
+  // twice. From here on the ranks own the values: fetch_dat reads them,
+  // reset_dat replaces them.
+  for (mesh::dat_id d = 0; d < mesh_.num_dats(); ++d) {
+    std::vector<double>& global = mesh_.mutable_dat(d).data;
+    for (auto& state : ranks_)
+      if (state) state->refresh_dat_from_global(d, global);
+    std::vector<double>().swap(global);
+  }
 }
 
 World::~World() = default;

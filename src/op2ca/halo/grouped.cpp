@@ -129,23 +129,19 @@ GroupedPlan build_grouped_plan(const RankPlan& rp,
     GroupedPlan::Side side;
     side.q = q;
     side.tag = side_tag;
-    side.gather.resize(specs.size());
-    side.scatter.resize(specs.size());
     for (std::size_t s = b; s < e; ++s) {
       const std::size_t row =
           static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-      for_each_segment(rp, q, specs.subspan(s, 1), /*exports=*/true,
-                       [&](const DatSyncSpec&, const LIdxVec& idx) {
-                         side.gather[s].insert(side.gather[s].end(),
-                                               idx.begin(), idx.end());
-                       }, classes);
-      for_each_segment(rp, q, specs.subspan(s, 1), /*exports=*/false,
-                       [&](const DatSyncSpec&, const LIdxVec& idx) {
-                         side.scatter[s].insert(side.scatter[s].end(),
-                                                idx.begin(), idx.end());
-                       }, classes);
-      side.send_bytes += side.gather[s].size() * row;
-      side.recv_bytes += side.scatter[s].size() * row;
+      for (const bool exports : {true, false}) {
+        auto& segs = exports ? side.gather : side.scatter;
+        std::size_t& bytes = exports ? side.send_bytes : side.recv_bytes;
+        for_each_segment(rp, q, specs.subspan(s, 1), exports,
+                         [&](const DatSyncSpec&, const LIdxVec& idx) {
+                           if (idx.empty()) return;
+                           segs.push_back({s, &idx});
+                           bytes += idx.size() * row;
+                         }, classes);
+      }
     }
     if (side.send_bytes > 0 || side.recv_bytes > 0)
       plan.sides.push_back(std::move(side));
@@ -166,9 +162,10 @@ GroupedPlan build_grouped_plan(const RankPlan& rp,
 
 void pack_grouped(const GroupedPlan::Side& side,
                   std::span<const DatSyncSpec> specs, std::byte* out) {
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    gather_rows(specs[s].data, specs[s].dim, side.gather[s], out);
-    out += side.gather[s].size() * static_cast<std::size_t>(specs[s].dim) *
+  for (const GroupedPlan::Segment& seg : side.gather) {
+    const DatSyncSpec& spec = specs[seg.spec];
+    gather_rows(spec.data, spec.dim, *seg.rows, out);
+    out += seg.rows->size() * static_cast<std::size_t>(spec.dim) *
            sizeof(double);
   }
 }
@@ -179,9 +176,10 @@ void unpack_grouped(const GroupedPlan::Side& side,
   OP2CA_REQUIRE(payload.size() == side.recv_bytes,
                 "unpack_grouped: payload does not match the plan");
   std::size_t offset = 0;
-  for (std::size_t s = 0; s < specs.size(); ++s)
-    offset = unpack_rows(specs[s].data, specs[s].dim, side.scatter[s],
-                         payload, offset);
+  for (const GroupedPlan::Segment& seg : side.scatter) {
+    const DatSyncSpec& spec = specs[seg.spec];
+    offset = unpack_rows(spec.data, spec.dim, *seg.rows, payload, offset);
+  }
 }
 
 }  // namespace op2ca::halo

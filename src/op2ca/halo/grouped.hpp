@@ -61,25 +61,31 @@ void unpack_grouped(const RankPlan& rp, rank_t q,
                     std::span<const std::byte> payload);
 
 /// Cached grouped-exchange plan: the (dat, class, layer) segment walk
-/// of a grouped message flattened, per neighbour, into one concatenated
-/// gather (export) and scatter (import) row-index list per dat, plus the
-/// total byte counts. Built once at inspection time; steady-state epochs
-/// then pack/unpack with zero map lookups and zero allocations.
+/// of a grouped message resolved, per neighbour, into the export and
+/// import layer lists it visits, plus the total byte counts. Built once
+/// at inspection time; steady-state epochs then pack/unpack with zero map
+/// lookups and zero allocations.
 ///
-/// The plan pins the (specs, neighbour lists) geometry it was built from:
-/// rebuild whenever the participating dat set, sync depths or dims
-/// change. DatSyncSpec::data pointers are NOT pinned — pack/unpack take
-/// the current specs so callers can rebind data arrays cheaply per epoch.
+/// The plan points into the RankPlan it was built from, which must
+/// outlive it (the World owns both). It pins the (specs, neighbour lists)
+/// geometry: rebuild whenever the participating dat set, sync depths or
+/// dims change. DatSyncSpec::data pointers are NOT pinned — pack/unpack
+/// take the current specs so callers can rebind data arrays cheaply.
 struct GroupedPlan {
+  /// One non-empty layer list of a message, carrying rows of specs[spec].
+  struct Segment {
+    std::size_t spec = 0;
+    const LIdxVec* rows = nullptr;  ///< a RankPlan per-layer list.
+  };
   /// One message each way between this rank and q, under one tag.
   struct Side {
     rank_t q = -1;
     sim::tag_t tag = 0;
-    /// gather[s] / scatter[s]: specs[s]'s export / import rows toward /
-    /// from q — exec layers 1..depth then nonexec layers 1..depth (the
-    /// side's classes only), concatenated in canonical message order.
-    std::vector<LIdxVec> gather;
-    std::vector<LIdxVec> scatter;
+    /// The export / import lists toward / from q in message order: per
+    /// spec, exec layers 1..depth then nonexec layers 1..depth (the
+    /// side's classes only).
+    std::vector<Segment> gather;
+    std::vector<Segment> scatter;
     std::size_t send_bytes = 0;
     std::size_t recv_bytes = 0;
   };

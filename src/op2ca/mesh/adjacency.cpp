@@ -67,9 +67,9 @@ Csr set_graph(const MeshDef& mesh, set_id s) {
 
 std::vector<double> derive_coords(const MeshDef& mesh, set_id s) {
   OP2CA_REQUIRE(mesh.has_coords(), "MeshDef has no coords dat");
-  const DatDef& coords = mesh.dat(mesh.coords_dat());
-  const int dim = coords.dim;
-  if (s == mesh.coords_set()) return coords.data;
+  const int dim = mesh.dat(mesh.coords_dat()).dim;
+  const std::vector<double>& coords = mesh.dat_values(mesh.coords_dat());
+  if (s == mesh.coords_set()) return coords;
 
   const gidx_t n = mesh.set(s).size;
   std::vector<double> out(static_cast<std::size_t>(n * dim), 0.0);
@@ -85,7 +85,7 @@ std::vector<double> derive_coords(const MeshDef& mesh, set_id s) {
             mp.targets[static_cast<std::size_t>(e * mp.arity + k)];
         for (int d = 0; d < dim; ++d)
           out[static_cast<std::size_t>(e * dim + d)] +=
-              coords.data[static_cast<std::size_t>(t * dim + d)];
+              coords[static_cast<std::size_t>(t * dim + d)];
         ++counts[static_cast<std::size_t>(e)];
       }
     }
@@ -114,7 +114,7 @@ std::vector<double> derive_coords(const MeshDef& mesh, set_id s) {
             mp.targets[static_cast<std::size_t>(e * mp.arity + k)];
         for (int d = 0; d < dim; ++d)
           out[static_cast<std::size_t>(t * dim + d)] +=
-              coords.data[static_cast<std::size_t>(e * dim + d)];
+              coords[static_cast<std::size_t>(e * dim + d)];
         ++counts[static_cast<std::size_t>(t)];
       }
     }

@@ -66,6 +66,18 @@ DatDef& MeshDef::mutable_dat(dat_id id) {
   return dats_[static_cast<std::size_t>(id)];
 }
 
+const std::vector<double>& MeshDef::dat_values(dat_id id) const {
+  const DatDef& d = dat(id);
+  const gidx_t expected = set(d.set).size * d.dim;
+  OP2CA_REQUIRE(static_cast<gidx_t>(d.data.size()) == expected,
+                "dat '" + d.name + "' holds " +
+                    std::to_string(d.data.size()) + " of its " +
+                    std::to_string(expected) +
+                    " values (a World's mesh holds none: read them with "
+                    "World::fetch_dat)");
+  return d.data;
+}
+
 std::optional<set_id> MeshDef::find_set(const std::string& name) const {
   for (int i = 0; i < num_sets(); ++i)
     if (sets_[static_cast<std::size_t>(i)].name == name) return i;

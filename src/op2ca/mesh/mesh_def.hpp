@@ -1,7 +1,9 @@
 // Global (pre-partitioning) mesh description: sets, maps and dats, exactly
-// mirroring OP2's op_decl_set / op_decl_map / op_decl_dat. A MeshDef is
-// immutable once built and shared read-only by all simulated ranks; the
+// mirroring OP2's op_decl_set / op_decl_map / op_decl_dat. The
 // partitioner and halo builder consume it to produce per-rank local views.
+// A World keeps its copy's topology (sets, maps, dat declarations) but
+// frees every dat's values once its ranks hold their rows: read a World's
+// dat values through World::fetch_dat, not through its MeshDef.
 #pragma once
 
 #include <optional>
@@ -38,7 +40,8 @@ struct DatDef {
   std::string name;
   set_id set = -1;
   int dim = 0;
-  std::vector<double> data;  ///< size() == set_size * dim.
+  /// set_size * dim values, or none once a World has distributed them.
+  std::vector<double> data;
 };
 
 class MeshDef {
@@ -56,6 +59,9 @@ public:
   const MapDef& map(map_id id) const;
   const DatDef& dat(dat_id id) const;
   DatDef& mutable_dat(dat_id id);
+  /// A dat's values; raises naming the dat when it does not hold
+  /// set size x dim of them (a World's MeshDef holds none).
+  const std::vector<double>& dat_values(dat_id id) const;
 
   int num_sets() const { return static_cast<int>(sets_.size()); }
   int num_maps() const { return static_cast<int>(maps_.size()); }

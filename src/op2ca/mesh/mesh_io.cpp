@@ -168,10 +168,11 @@ void write_meshdef(std::ostream& os, const MeshDef& mesh) {
   os.precision(17);
   for (dat_id d = 0; d < mesh.num_dats(); ++d) {
     const DatDef& dd = mesh.dat(d);
+    const std::vector<double>& values = mesh.dat_values(d);
     os << "dat " << dd.name << ' ' << mesh.set(dd.set).name << ' '
        << dd.dim << '\n';
-    for (std::size_t i = 0; i < dd.data.size(); ++i)
-      os << dd.data[i]
+    for (std::size_t i = 0; i < values.size(); ++i)
+      os << values[i]
          << ((i + 1) % static_cast<std::size_t>(dd.dim) == 0 ? '\n' : ' ');
   }
   if (mesh.has_coords())

@@ -29,7 +29,8 @@ void write_vtk(const std::string& path, const MeshDef& mesh,
   const MapDef& mp = mesh.map(elements_to_points);
   OP2CA_REQUIRE(mp.to == mesh.coords_set(),
                 "write_vtk: map must target the coordinate set");
-  const DatDef& coords = mesh.dat(mesh.coords_dat());
+  const int cdim = mesh.dat(mesh.coords_dat()).dim;
+  const std::vector<double>& coords = mesh.dat_values(mesh.coords_dat());
   const gidx_t npoints = mesh.set(mesh.coords_set()).size;
   const gidx_t ncells = mesh.set(mp.from).size;
   const int cell_type = vtk_cell_type(mp.arity);
@@ -43,11 +44,10 @@ void write_vtk(const std::string& path, const MeshDef& mesh,
   for (gidx_t i = 0; i < npoints; ++i) {
     for (int d = 0; d < 3; ++d) {
       const double v =
-          d < coords.dim
-              ? coords.data[static_cast<std::size_t>(i) *
-                                static_cast<std::size_t>(coords.dim) +
+          d < cdim ? coords[static_cast<std::size_t>(i) *
+                                static_cast<std::size_t>(cdim) +
                             static_cast<std::size_t>(d)]
-              : 0.0;
+                   : 0.0;
       os << v << (d == 2 ? '\n' : ' ');
     }
   }

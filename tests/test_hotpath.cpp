@@ -182,23 +182,34 @@ TEST(GroupedPlan, PerDatClassCutsOneMessagePerDatAndClass) {
       ASSERT_LT(s, specs.size());
       const halo::NeighborLists& nl =
           rp.lists[static_cast<std::size_t>(specs[s].set)];
+      // The side points at the plan's own non-empty layer lists, in
+      // layer order; it copies none of them.
+      using Lists = std::vector<const LIdxVec*>;
       const auto layers = [&](const auto& table) {
-        LIdxVec rows;
+        Lists lists;
         const auto it = table.find(side.q);
-        if (it == table.end()) return rows;
+        if (it == table.end()) return lists;
         for (int k = 0; k < specs[s].depth &&
                         k < static_cast<int>(it->second.size());
              ++k) {
           const LIdxVec& layer = it->second[static_cast<std::size_t>(k)];
-          rows.insert(rows.end(), layer.begin(), layer.end());
+          if (!layer.empty()) lists.push_back(&layer);
         }
-        return rows;
+        return lists;
       };
-      const LIdxVec gather = layers(exec ? nl.exp_exec : nl.exp_nonexec);
-      const LIdxVec scatter = layers(exec ? nl.imp_exec : nl.imp_nonexec);
+      const auto of_spec =
+          [](const std::vector<halo::GroupedPlan::Segment>& segs,
+             std::size_t o) {
+            Lists lists;
+            for (const halo::GroupedPlan::Segment& seg : segs)
+              if (seg.spec == o) lists.push_back(seg.rows);
+            return lists;
+          };
+      const Lists gather = layers(exec ? nl.exp_exec : nl.exp_nonexec);
+      const Lists scatter = layers(exec ? nl.imp_exec : nl.imp_nonexec);
       for (std::size_t o = 0; o < specs.size(); ++o) {
-        EXPECT_EQ(side.gather[o], o == s ? gather : LIdxVec{});
-        EXPECT_EQ(side.scatter[o], o == s ? scatter : LIdxVec{});
+        EXPECT_EQ(of_spec(side.gather, o), o == s ? gather : Lists{});
+        EXPECT_EQ(of_spec(side.scatter, o), o == s ? scatter : Lists{});
       }
       split_bytes[side.q] += side.send_bytes;
     }

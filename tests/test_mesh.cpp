@@ -297,6 +297,18 @@ TEST(MeshIo, RejectsMalformedInput) {
   expect_error("op2ca-mesh 1\nset e 144115188075855872\n"
                "dat d e 64\n",
                "dat 'd' over set 'e'");
+  // Writing raises too when a dat holds no values (a World's mesh).
+  Quad2D freed = make_quad2d(2, 2);
+  const dat_id u = freed.mesh.add_dat("u", freed.cells, 2);
+  std::vector<double>().swap(freed.mesh.mutable_dat(u).data);
+  std::ostringstream os;
+  try {
+    write_meshdef(os, freed.mesh);
+    ADD_FAILURE() << "wrote a dat that holds no values";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("dat 'u'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MeshIo, CommentsAndWhitespaceIgnored) {
@@ -343,6 +355,16 @@ TEST(Vtk, RejectsBadInput) {
       write_vtk("/tmp/op2ca_vtk_bad.vtk", q.mesh, q.c2n,
                 {{"bad", std::vector<double>(5)}}),
       Error);
+  // A coords dat without values, as in a World's mesh: the error names it.
+  Quad2D freed = make_quad2d(2, 2);
+  std::vector<double>().swap(freed.mesh.mutable_dat(freed.coords).data);
+  try {
+    write_vtk("/tmp/op2ca_vtk_bad.vtk", freed.mesh, freed.c2n, {});
+    ADD_FAILURE() << "wrote a mesh whose coords hold no values";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("dat 'coords'"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

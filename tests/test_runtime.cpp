@@ -8,6 +8,7 @@
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
+#include "op2ca/comm/mpi_backend.hpp"
 #include "op2ca/core/runtime.hpp"
 #include "op2ca/mesh/hex3d.hpp"
 #include "op2ca/mesh/quad2d.hpp"
@@ -215,16 +216,32 @@ TEST(RuntimeOp2, FetchAndResetDat) {
 TEST(RuntimeOp2, FetchDatRoundTripsRankRows) {
   // Build a world, run nothing: fetch_dat must reproduce the global
   // arrays exactly through gather_local -> scatter_owned, every owned
-  // row of every rank landing back at its global slot.
-  mesh::Hex3D h = mesh::make_hex3d(17, 17, 17);
-  const gidx_t n = h.mesh.set(h.nodes).size;
-  std::vector<double> init(static_cast<std::size_t>(n) * 3);
-  Rng rng(51);
-  for (auto& v : init) v = rng.next_range(-1.0, 1.0);
-  const mesh::dat_id d3 = h.mesh.add_dat("d3", h.nodes, 3, init);
-  World w(std::move(h.mesh), config_for(3, partition::Kind::KWay));
-  w.run([](Runtime&) {});
-  EXPECT_EQ(w.fetch_dat(d3), init);
+  // row of every rank landing back at its global slot. The World keeps
+  // no global values once its ranks hold theirs, on either backend.
+  std::vector<sim::BackendKind> backends = {sim::BackendKind::Sim};
+  if (!sim::MpiBackend::compiled_with_mpi())
+    backends.push_back(sim::BackendKind::Mpi);  // the in-process stub
+  for (const sim::BackendKind backend : backends) {
+    mesh::Hex3D h = mesh::make_hex3d(17, 17, 17);
+    const gidx_t n = h.mesh.set(h.nodes).size;
+    std::vector<double> init(static_cast<std::size_t>(n) * 3);
+    Rng rng(51);
+    for (auto& v : init) v = rng.next_range(-1.0, 1.0);
+    const mesh::dat_id d3 = h.mesh.add_dat("d3", h.nodes, 3, init);
+    WorldConfig cfg = config_for(3, partition::Kind::KWay);
+    cfg.transport.backend = backend;
+    World w(std::move(h.mesh), cfg);
+    for (mesh::dat_id d = 0; d < w.mesh().num_dats(); ++d) {
+      EXPECT_TRUE(w.mesh().dat(d).data.empty()) << w.mesh().dat(d).name;
+      EXPECT_EQ(w.mesh().dat(d).data.capacity(), 0u)
+          << w.mesh().dat(d).name;
+    }
+    w.run([](Runtime&) {});
+    EXPECT_EQ(w.fetch_dat(d3), init);
+    for (auto& v : init) v = -v;
+    w.reset_dat(d3, init);
+    EXPECT_EQ(w.fetch_dat(d3), init);
+  }
 }
 
 TEST(RuntimeOp2, RankStorageIsCacheAligned) {
