@@ -16,7 +16,6 @@
 #include <functional>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -492,12 +491,14 @@ ThreadedSweepResult bench_threaded_sweep() {
 // from. The reuse proxies (gather_span / reuse_gap, see
 // mesh/reorder.hpp) of the localized edge->node map are recorded per
 // ordering so the JSON ties each speedup to a measured locality change.
+// Each sweep_ns and speedup is the median of kGateReps repetitions that
+// each time every ordering at one width, with min and max beside it.
 // ---------------------------------------------------------------------
 
 struct LocalityWidth {
   int threads = 1;
-  double sweep_ns = 0;  ///< per edge, full executor path.
-  double speedup = 0;   ///< vs partition order at the same width.
+  Spread sweep_ns;  ///< per edge, full executor path.
+  Spread speedup;   ///< vs partition order at the same width.
 };
 
 struct LocalityOrder {
@@ -510,7 +511,7 @@ struct LocalityOrder {
 struct LocalityResult {
   gidx_t nodes = 0, edges = 0;
   std::vector<LocalityOrder> orders;
-  double best_speedup = 0;
+  double best_speedup = 0;  ///< best median speedup.
 };
 
 /// A World running one sweep configuration through the full executor.
@@ -524,41 +525,27 @@ std::unique_ptr<core::World> sweep_world(const mesh::MeshDef& m,
   return std::make_unique<core::World>(m, cfg);
 }
 
-/// One timed configuration: builds a World over `m` (copied) and times
-/// the indirect INC sweep; also reports the localized map's reuse
-/// proxies (width-independent, so callers read them from width 1).
-double bench_locality_case(const mesh::MeshDef& m, lidx_t colour_block,
-                           int threads, mesh::OrderingQuality* oq) {
-  const auto w = sweep_world(m, colour_block, threads);
-
-  const auto e2n = *w->mesh().find_map("e2n");
-  const auto edges_id = *w->mesh().find_set("edges");
-  const auto nodes_id = *w->mesh().find_set("nodes");
-  const halo::RankPlan& rp = w->plan().ranks[0];
-  const halo::LocalMap& lm = rp.maps[static_cast<std::size_t>(e2n)];
-  *oq = mesh::ordering_quality(
-      lm.targets.data(), lm.arity,
-      rp.sets[static_cast<std::size_t>(edges_id)].num_owned,
-      rp.sets[static_cast<std::size_t>(nodes_id)].total);
-
-  const auto num_edges = static_cast<double>(w->mesh().set(edges_id).size);
-  double per_edge_ns = 0;
-  w->run([&](core::Runtime& rt) {
+/// Per-edge time of one timed indirect INC sweep in `w`, over the dats
+/// `<prefix>_res` (INC) and `<prefix>_pres` (READ) through e2n.
+double sweep_ns(core::World& w, const std::string& prefix) {
+  const auto num_edges =
+      static_cast<double>(w.mesh().set(*w.mesh().find_set("edges")).size);
+  double ns = 0;
+  w.run([&](core::Runtime& rt) {
     const core::Set edges = rt.set("edges");
-    const core::Dat res = rt.dat("loc_res");
-    const core::Dat pres = rt.dat("loc_pres");
+    const core::Dat res = rt.dat(prefix + "_res");
+    const core::Dat pres = rt.dat(prefix + "_pres");
     const core::Map map = rt.map("e2n");
-    per_edge_ns =
-        1e9 / num_edges * time_per_call([&] {
-          rt.par_loop("loc_update", edges,
-                      apps::mgcfd::kernels::synth_update,
-                      core::arg_dat(res, 0, map, core::Access::INC),
-                      core::arg_dat(res, 1, map, core::Access::INC),
-                      core::arg_dat(pres, 0, map, core::Access::READ),
-                      core::arg_dat(pres, 1, map, core::Access::READ));
-        });
+    ns = 1e9 / num_edges * time_per_call([&] {
+           rt.par_loop(prefix + "_update", edges,
+                       apps::mgcfd::kernels::synth_update,
+                       core::arg_dat(res, 0, map, core::Access::INC),
+                       core::arg_dat(res, 1, map, core::Access::INC),
+                       core::arg_dat(pres, 0, map, core::Access::READ),
+                       core::arg_dat(pres, 1, map, core::Access::READ));
+         });
   });
-  return per_edge_ns;
+  return ns;
 }
 
 LocalityResult bench_locality() {
@@ -575,42 +562,59 @@ LocalityResult bench_locality() {
     for (auto& v : pres) v = rng.next_range(0.5, 1.5);
     h.mesh.add_dat("loc_pres", nodes, 2, std::move(pres));
   }
-  const mesh::MeshDef scrambled = mesh::scramble_mesh(h.mesh, 99);
-
   LocalityResult r;
   r.nodes = h.mesh.set(h.nodes).size;
   r.edges = h.mesh.set(h.edges).size;
-  const std::pair<const char*, std::optional<mesh::ReorderKind>> cases[] = {
-      {"none", std::nullopt},
+  // meshes[0] is the scrambled baseline, the rest renumber it.
+  std::vector<mesh::MeshDef> meshes;
+  meshes.push_back(mesh::scramble_mesh(h.mesh, 99));
+  h.mesh = {};
+  std::vector<lidx_t> blocks = {1};
+  r.orders.push_back({"none", 0, 0, {}});
+  const std::pair<const char*, mesh::ReorderKind> cases[] = {
       {"rcm", mesh::ReorderKind::RCM},
       {"sfc", mesh::ReorderKind::SFC},
   };
   for (const auto& [name, kind] : cases) {
-    const mesh::MeshDef m =
-        kind ? mesh::renumber(scrambled, *kind) : scrambled;
-    LocalityOrder order;
-    order.name = name;
-    for (const int threads : {1, 4}) {
-      mesh::OrderingQuality oq;
+    meshes.push_back(mesh::renumber(meshes.front(), kind));
+    blocks.push_back(256);
+    r.orders.push_back({name, 0, 0, {}});
+  }
+  // One width at a time, every ordering's World alive: each repetition
+  // times the baseline and every renumbered ordering, so drift on a
+  // shared host hits both sides of each speedup alike.
+  for (const int threads : {1, 4}) {
+    std::vector<std::unique_ptr<core::World>> worlds;
+    for (std::size_t o = 0; o < meshes.size(); ++o) {
+      worlds.push_back(sweep_world(meshes[o], blocks[o], threads));
+      if (threads > 1) continue;
+      // The localized map's reuse proxies (width-independent).
+      const mesh::MeshDef& m = worlds.back()->mesh();
+      const halo::RankPlan& rp = worlds.back()->plan().ranks[0];
+      const halo::LocalMap& lm =
+          rp.maps[static_cast<std::size_t>(*m.find_map("e2n"))];
+      const mesh::OrderingQuality oq = mesh::ordering_quality(
+          lm.targets.data(), lm.arity,
+          rp.sets[static_cast<std::size_t>(*m.find_set("edges"))].num_owned,
+          rp.sets[static_cast<std::size_t>(*m.find_set("nodes"))].total);
+      r.orders[o].gather_span = oq.gather_span;
+      r.orders[o].reuse_gap = oq.reuse_gap;
+    }
+    std::vector<std::vector<double>> ns_reps(worlds.size()),
+        speedup_reps(worlds.size());
+    for (int rep = 0; rep < kGateReps; ++rep) {
+      for (std::size_t o = 0; o < worlds.size(); ++o)
+        ns_reps[o].push_back(sweep_ns(*worlds[o], "loc"));
+      for (std::size_t o = 0; o < worlds.size(); ++o)
+        speedup_reps[o].push_back(ns_reps[0].back() / ns_reps[o].back());
+    }
+    for (std::size_t o = 0; o < worlds.size(); ++o) {
       LocalityWidth w;
       w.threads = threads;
-      w.sweep_ns = bench_locality_case(m, kind ? 256 : 1, threads, &oq);
-      if (threads == 1) {
-        order.gather_span = oq.gather_span;
-        order.reuse_gap = oq.reuse_gap;
-      }
-      order.widths.push_back(w);
-    }
-    r.orders.push_back(std::move(order));
-  }
-  // Speedups vs partition order at matching width.
-  const LocalityOrder& base = r.orders.front();
-  for (LocalityOrder& order : r.orders) {
-    for (std::size_t i = 0; i < order.widths.size(); ++i) {
-      order.widths[i].speedup =
-          base.widths[i].sweep_ns / order.widths[i].sweep_ns;
-      if (&order != &base)
-        r.best_speedup = std::max(r.best_speedup, order.widths[i].speedup);
+      w.sweep_ns = spread(ns_reps[o]);
+      w.speedup = spread(speedup_reps[o]);
+      if (o > 0) r.best_speedup = std::max(r.best_speedup, w.speedup.median);
+      r.orders[o].widths.push_back(w);
     }
   }
   return r;
@@ -631,24 +635,28 @@ void write_locality_json(const char* path) {
        << ", \"reuse_gap\": " << o.reuse_gap << ", \"widths\": [";
     for (std::size_t j = 0; j < o.widths.size(); ++j) {
       const LocalityWidth& w = o.widths[j];
-      os << (j == 0 ? "" : ", ") << "{\"threads\": " << w.threads
-         << ", \"sweep_ns\": " << w.sweep_ns
-         << ", \"speedup\": " << w.speedup << "}";
+      os << (j == 0 ? "" : ", ") << "{\"threads\": " << w.threads << ", "
+         << json_spread("sweep_ns", w.sweep_ns) << ", "
+         << json_spread("speedup", w.speedup) << "}";
     }
     os << "]}" << (i + 1 < r.orders.size() ? "," : "") << "\n";
   }
   os << "  ],\n"
      << "  \"best_speedup\": " << r.best_speedup << "\n"
      << "}\n";
-  std::printf("locality: best reordered speedup %.2fx over partition "
-              "order -> %s\n",
-              r.best_speedup, path);
+  std::printf("locality: best reordered speedup %.2fx (median of %d) over "
+              "partition order -> %s\n",
+              r.best_speedup, kGateReps, path);
   for (const LocalityOrder& o : r.orders) {
     std::printf(
         "  %-4s gather_span %.1f reuse_gap %.1f | 1t %.2f ns/edge "
-        "(%.2fx) | 4t %.2f ns/edge (%.2fx)\n",
-        o.name, o.gather_span, o.reuse_gap, o.widths[0].sweep_ns,
-        o.widths[0].speedup, o.widths[1].sweep_ns, o.widths[1].speedup);
+        "(%.2fx, min %.2fx, max %.2fx) | 4t %.2f ns/edge (%.2fx, min "
+        "%.2fx, max %.2fx)\n",
+        o.name, o.gather_span, o.reuse_gap, o.widths[0].sweep_ns.median,
+        o.widths[0].speedup.median, o.widths[0].speedup.min,
+        o.widths[0].speedup.max, o.widths[1].sweep_ns.median,
+        o.widths[1].speedup.median, o.widths[1].speedup.min,
+        o.widths[1].speedup.max);
   }
 }
 
@@ -664,28 +672,6 @@ void write_locality_json(const char* path) {
 // is the median over kGateReps repetitions that each time the baseline
 // and every width.
 // ---------------------------------------------------------------------
-
-/// Per-edge time of one timed sweep in `w`.
-double sweep_ns(core::World& w) {
-  const auto num_edges =
-      static_cast<double>(w.mesh().set(*w.mesh().find_set("edges")).size);
-  double ns = 0;
-  w.run([&](core::Runtime& rt) {
-    const core::Set edges = rt.set("edges");
-    const core::Dat res = rt.dat("sweep_res");
-    const core::Dat pres = rt.dat("sweep_pres");
-    const core::Map map = rt.map("e2n");
-    ns = 1e9 / num_edges * time_per_call([&] {
-           rt.par_loop("sweep_update", edges,
-                       apps::mgcfd::kernels::synth_update,
-                       core::arg_dat(res, 0, map, core::Access::INC),
-                       core::arg_dat(res, 1, map, core::Access::INC),
-                       core::arg_dat(pres, 0, map, core::Access::READ),
-                       core::arg_dat(pres, 1, map, core::Access::READ));
-         });
-  });
-  return ns;
-}
 
 struct ColourSweepWidth {
   int threads = 1;
@@ -732,9 +718,9 @@ ColourSweepResult bench_colour_sweep() {
   std::vector<std::vector<double>> ns_reps(widths.size()),
       speedup_reps(widths.size());
   for (int rep = 0; rep < kGateReps; ++rep) {
-    serial_reps.push_back(sweep_ns(*serial));
+    serial_reps.push_back(sweep_ns(*serial, "sweep"));
     for (std::size_t i = 0; i < widths.size(); ++i) {
-      ns_reps[i].push_back(sweep_ns(*worlds[i]));
+      ns_reps[i].push_back(sweep_ns(*worlds[i], "sweep"));
       speedup_reps[i].push_back(serial_reps.back() / ns_reps[i].back());
     }
   }
