@@ -227,9 +227,9 @@ DispatchResult bench_direct_dispatch() {
   };
   std::vector<cd::ResolvedArg> rargs(2);
   rargs[0].base = a.data();
-  rargs[0].dim = 2;
+  rargs[0].row = 2;
   rargs[1].base = b.data();
-  rargs[1].dim = 2;
+  rargs[1].row = 2;
 
   // Seed-style: one type-erased call per element, args resolved from the
   // vector inside every call.
@@ -270,10 +270,9 @@ DispatchResult bench_indirect_dispatch() {
   for (int j = 0; j < 4; ++j) {
     rargs[static_cast<std::size_t>(j)].base =
         j < 2 ? res.data() : pres.data();
-    rargs[static_cast<std::size_t>(j)].map_targets = map.data();
+    rargs[static_cast<std::size_t>(j)].col = map.data() + j % 2;
     rargs[static_cast<std::size_t>(j)].arity = 2;
-    rargs[static_cast<std::size_t>(j)].idx = j % 2;
-    rargs[static_cast<std::size_t>(j)].dim = 2;
+    rargs[static_cast<std::size_t>(j)].row = 2;
   }
 
   std::function<void(lidx_t)> element = [kernel, rargs](lidx_t i) {
@@ -439,10 +438,9 @@ ThreadedSweepResult bench_threaded_sweep() {
   for (int j = 0; j < 4; ++j) {
     rargs[static_cast<std::size_t>(j)].base =
         j < 2 ? res.data() : pres.data();
-    rargs[static_cast<std::size_t>(j)].map_targets = map.data();
+    rargs[static_cast<std::size_t>(j)].col = map.data() + j % 2;
     rargs[static_cast<std::size_t>(j)].arity = 2;
-    rargs[static_cast<std::size_t>(j)].idx = j % 2;
-    rargs[static_cast<std::size_t>(j)].dim = 2;
+    rargs[static_cast<std::size_t>(j)].row = 2;
   }
   constexpr auto kI = core::Arg::Kind::DatIndirect;
   const cd::LoopBodies bodies =

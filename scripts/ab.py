@@ -22,6 +22,8 @@ IQR as a share of the base median, the bound, and a verdict:
   gain    CHANGE won >= 9/10 of at least 10 pairs, and its median beats
           BASE's by more than the base IQR
   ok      none of these
+Each workload also prints failed/attempted checks per side, and is marked
+failed-share when CHANGE failed a larger share of its checks than BASE.
 The last line is a JSON object with every run's values. Needs git,
 cmake and a C++ toolchain; no network and no package beyond Python's
 standard library.
@@ -87,6 +89,13 @@ def quartiles(values):
 def spread(q):
     """`median [q1, q3]` of a (q1, median, q3) triple."""
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+
+def failed_share_rises(failed, attempted):
+    """True when CHANGE failed a larger share of its attempted checks."""
+    share = {side: failed[side] / attempted[side] if attempted[side] else 0.0
+             for side in SIDES}
+    return share["change"] > share["base"]
 
 
 def summarize(metric, runs):
@@ -162,12 +171,14 @@ def main():
         for workload in workloads:
             runs = {side: [] for side in SIDES}
             failed = {side: 0 for side in SIDES}
+            attempted = {side: 0 for side in SIDES}
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
                     result = run_once(roots[side], env, workload, args.seed,
                                       seconds)
                     failed[side] += result["failed"]
+                    attempted[side] += result["attempted"]
                     runs[side].append({k: v["value"]
                                        for k, v in result["metrics"].items()})
                 print(f"ab: {workload} pair {i + 1}/{args.pairs}",
@@ -175,9 +186,12 @@ def main():
             rows = [summarize(m, {side: [r[m["name"]] for r in runs[side]]
                                   for side in SIDES})
                     for m in bench["end_to_end"]]
+            share_rises = failed_share_rises(failed, attempted)
             print(f"\n{workload}: {args.pairs} pairs of {seconds} s, seed "
-                  f"{args.seed}, failed checks base {failed['base']} "
-                  f"change {failed['change']}")
+                  f"{args.seed}, failed/attempted checks base "
+                  f"{failed['base']}/{attempted['base']} change "
+                  f"{failed['change']}/{attempted['change']}"
+                  + ("  failed-share" if share_rises else ""))
             print(f"  {'metric':<12} {'base median [q1, q3]':>30} "
                   f"{'change median [q1, q3]':>30} {'delta':>8} "
                   f"{'wins':>6} {'base IQR':>8} {'bound':>6}  verdict")
@@ -186,8 +200,10 @@ def main():
                       f"{spread(r['change']):>30} {r['delta']:>+8.1%} "
                       f"{r['wins']:>3}/{r['pairs']:<2} {r['base_iqr']:>8.1%}"
                       f" {r['bound']:>6.0%}  {r['verdict']}")
-            report["workloads"][workload] = {"rows": rows, "runs": runs,
-                                             "failed": failed}
+            report["workloads"][workload] = {
+                "rows": rows, "runs": runs, "failed": failed,
+                "attempted": attempted,
+                "verdict": "failed-share" if share_rises else "ok"}
         print(json.dumps(report))
     finally:
         if not args.work:

@@ -12,15 +12,11 @@ void CommStats::reset_epoch() {
   epoch_msgs_received = 0;
   epoch_bytes_received = 0;
   epoch_max_msg_bytes = 0;
-  for (int t = 0; t < kNumTiers; ++t) {
-    epoch_msgs_by_tier[t] = 0;
-    epoch_bytes_by_tier[t] = 0;
-  }
   epoch_neighbors.clear();
 }
 
-Comm::Comm(TransportBackend& transport, rank_t rank, const CostModel* cost)
-    : transport_(&transport), rank_(rank), cost_(cost) {
+Comm::Comm(TransportBackend& transport, rank_t rank)
+    : transport_(&transport), rank_(rank) {
   OP2CA_REQUIRE(rank >= 0 && rank < transport.size(),
                 "Comm rank out of range");
   dest_mu_ = std::make_unique<std::mutex[]>(
@@ -74,18 +70,13 @@ Request Comm::post_send(rank_t dst, tag_t tag, Message msg) {
 
 void Comm::record_send(rank_t dst, std::size_t bytes) {
   const auto n = static_cast<std::int64_t>(bytes);
-  const int tier = static_cast<int>(tier_to(dst));
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.msgs_sent += 1;
   stats_.bytes_sent += n;
-  stats_.msgs_by_tier[tier] += 1;
-  stats_.bytes_by_tier[tier] += n;
   stats_.send_neighbors.insert(dst);
   stats_.epoch_msgs_sent += 1;
   stats_.epoch_bytes_sent += n;
   stats_.epoch_max_msg_bytes = std::max(stats_.epoch_max_msg_bytes, n);
-  stats_.epoch_msgs_by_tier[tier] += 1;
-  stats_.epoch_bytes_by_tier[tier] += n;
   stats_.epoch_neighbors.insert(dst);
 }
 

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "op2ca/comm/cost_model.hpp"
 #include "op2ca/comm/transport.hpp"
 #include "op2ca/util/types.hpp"
 
@@ -28,9 +27,6 @@ struct CommStats {
   /// copied from a caller-owned span.
   std::int64_t sends_moved = 0;
   std::int64_t sends_copied = 0;
-  /// Wire messages sent per machine tier (indexed by Tier).
-  std::int64_t msgs_by_tier[kNumTiers] = {0, 0, 0};
-  std::int64_t bytes_by_tier[kNumTiers] = {0, 0, 0};
   std::set<rank_t> send_neighbors;
   std::set<rank_t> recv_neighbors;
 
@@ -39,8 +35,6 @@ struct CommStats {
   std::int64_t epoch_msgs_received = 0;
   std::int64_t epoch_bytes_received = 0;
   std::int64_t epoch_max_msg_bytes = 0;
-  std::int64_t epoch_msgs_by_tier[kNumTiers] = {0, 0, 0};
-  std::int64_t epoch_bytes_by_tier[kNumTiers] = {0, 0, 0};
   std::set<rank_t> epoch_neighbors;
 
   void reset_epoch();
@@ -72,10 +66,7 @@ private:
 /// statistics. Receives, waits and collectives remain rank-thread-only.
 class Comm {
 public:
-  /// `cost` (optional) supplies the machine topology that splits the
-  /// per-tier statistics; without it every peer counts as Tier::Net.
-  Comm(TransportBackend& transport, rank_t rank,
-       const CostModel* cost = nullptr);
+  Comm(TransportBackend& transport, rank_t rank);
 
   rank_t rank() const { return rank_; }
   int size() const { return transport_->size(); }
@@ -120,16 +111,12 @@ public:
 
 private:
   Request post_send(rank_t dst, tag_t tag, Message msg);
-  /// Stats + tier accounting for one wire message to `dst`.
+  /// Stats for one wire message to `dst`.
   void record_send(rank_t dst, std::size_t bytes);
   void record_recv(rank_t src, std::size_t bytes);
-  Tier tier_to(rank_t peer) const {
-    return cost_ != nullptr ? cost_->tier_of(rank_, peer) : Tier::Net;
-  }
 
   TransportBackend* transport_;
   rank_t rank_;
-  const CostModel* cost_;
   CommStats stats_;
 
   /// Per-destination send serialisation (see class doc).

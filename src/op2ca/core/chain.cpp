@@ -104,9 +104,9 @@ std::uint64_t chain_structural_hash(const LoopRecord* loops, std::size_t n) {
   };
   for (std::size_t l = 0; l < n; ++l) {
     const LoopRecord& rec = loops[l];
-    for (char c : rec.name) mix(static_cast<unsigned char>(c));
+    for (char c : rec.spec.name) mix(static_cast<unsigned char>(c));
     mix(0x7f01);
-    mix(static_cast<std::uint64_t>(rec.set));
+    mix(static_cast<std::uint64_t>(rec.spec.set));
     for (const ArgSpec& a : rec.spec.args) {
       mix(static_cast<std::uint64_t>(a.dat));
       mix(static_cast<std::uint64_t>(a.mode));

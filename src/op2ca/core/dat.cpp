@@ -7,8 +7,7 @@
 namespace op2ca::core::detail {
 
 RankState::RankState(World* w, sim::TransportBackend& transport, rank_t r)
-    : world(w), rank(r),
-      comm(transport, r, &w->config().cost) {
+    : world(w), rank(r), comm(transport, r) {
   const mesh::MeshDef& mesh = world->mesh();
   serial_dispatch = w->config().serial_dispatch;
   // serial_dispatch wins over the pool: the per-element equivalence

@@ -73,7 +73,7 @@ void build_regions(RankState& st, Window& w, const LoopRecord* loops,
                               st.world->plan().depth, w.spec, w.analysis);
   w.loops.resize(n);
   for (std::size_t l = 0; l < n; ++l) {
-    const halo::SetLayout& lay = st.layout(loops[l].set);
+    const halo::SetLayout& lay = st.layout(loops[l].spec.set);
     Window::Loop& r = w.loops[l];
     r.core_end = lay.core_count(chain ? w.analysis.shrink[l] : 1);
     r.owned_end = lay.num_owned;
@@ -114,9 +114,11 @@ LoopMetrics& run_epoch(RankState& st, Window& w, const LoopRecord* loops,
   // Global-INC buffers before any iteration runs.
   std::vector<std::pair<double*, std::vector<double>>> gbl_before;
   for (std::size_t l = 0; l < n; ++l)
-    for (const Arg& a : loops[l].args)
-      if (a.kind == Arg::Kind::Gbl && a.mode == Access::INC)
-        gbl_before.push_back({a.gbl, {a.gbl, a.gbl + a.gbl_dim}});
+    for (std::size_t j = 0; j < loops[l].rargs.size(); ++j) {
+      const ResolvedArg& a = loops[l].rargs[j];
+      if (a.is_gbl && loops[l].spec.args[j].mode == Access::INC)
+        gbl_before.push_back({a.base, {a.base, a.base + a.row}});
+    }
 
   // -- 1. Post the exchanges of the stale syncs: one per dat (per-dat
   //    grouping) or one per stale set (grouped). The dirty bits are
@@ -211,7 +213,7 @@ LoopMetrics& run_epoch(RankState& st, Window& w, const LoopRecord* loops,
   m.msgs = cs.epoch_msgs_sent;
   m.bytes = m.max_rank_bytes = cs.epoch_bytes_sent;
   m.max_msg_bytes = cs.epoch_max_msg_bytes;
-  m.max_neighbors = static_cast<int>(cs.epoch_neighbors.size());
+  m.max_neighbors = static_cast<std::int64_t>(cs.epoch_neighbors.size());
   m.wall_seconds = timer.elapsed();
   m.pack_seconds = t_pack;
   m.core_seconds = t_core - t_pack;
@@ -220,9 +222,6 @@ LoopMetrics& run_epoch(RankState& st, Window& w, const LoopRecord* loops,
   m.halo_seconds = m.wall_seconds - t_unpack;
   m.staging_allocs = st.staging.allocations() - allocs_before;
   m.busy_seconds = st.pool ? st.pool->busy_seconds() - busy_before : 0.0;
-  m.numa_bytes = cs.epoch_bytes_by_tier[static_cast<int>(sim::Tier::Numa)];
-  m.node_bytes = cs.epoch_bytes_by_tier[static_cast<int>(sim::Tier::Node)];
-  m.net_bytes = cs.epoch_bytes_by_tier[static_cast<int>(sim::Tier::Net)];
   return m;
 }
 
@@ -255,7 +254,7 @@ LoopMetrics run_loop(RankState& st, const LoopRecord& rec) {
   const WallTimer timer;
   st.epoch = LoopMetrics{};
   const LoopMetrics& m = run_epoch(st, loop_window(st, rec), &rec, 1, timer);
-  add_call(st.loop_metrics[rec.name], m);
+  add_call(st.loop_metrics[rec.spec.name], m);
   return m;
 }
 

@@ -8,16 +8,14 @@ void Runtime::submit(detail::LoopRecord rec) {
   // Validate global-INC constraints: the redundant execution of exec
   // halos would double-count contributions, so loops that reduce into a
   // global may not also write through a map.
-  bool has_gbl_inc = false;
-  for (const Arg& a : rec.args)
-    has_gbl_inc |= a.kind == Arg::Kind::Gbl && a.mode == Access::INC;
+  const bool has_gbl_inc = rec.has_gbl_inc();
   if (has_gbl_inc) {
     OP2CA_REQUIRE(!rec.spec.has_indirect_write(),
-                  "par_loop '" + rec.name +
+                  "par_loop '" + rec.spec.name +
                       "': global INC cannot be combined with indirect "
                       "writes (owner-compute would double-count)");
     OP2CA_REQUIRE(!state_->capturing,
-                  "par_loop '" + rec.name +
+                  "par_loop '" + rec.spec.name +
                       "': global reductions are synchronisation points and "
                       "cannot appear inside a loop-chain");
   }

@@ -49,33 +49,10 @@ KindArg<Arg::Kind::Gbl> arg_gbl(double* value, int dim, Access mode) {
 }
 
 void LoopMetrics::merge_from(const LoopMetrics& other) {
-  calls = std::max(calls, other.calls);  // same on every rank (SPMD)
-  core_iters += other.core_iters;
-  halo_iters += other.halo_iters;
-  msgs += other.msgs;
-  bytes += other.bytes;
-  max_msg_bytes = std::max(max_msg_bytes, other.max_msg_bytes);
-  max_rank_bytes = std::max(max_rank_bytes, other.max_rank_bytes);
-  max_neighbors = std::max(max_neighbors, other.max_neighbors);
-  wall_seconds += other.wall_seconds;
-  pack_seconds += other.pack_seconds;
-  core_seconds += other.core_seconds;
-  wait_seconds += other.wait_seconds;
-  unpack_seconds += other.unpack_seconds;
-  halo_seconds += other.halo_seconds;
-  dispatch_regions += other.dispatch_regions;
-  plan_builds += other.plan_builds;
-  staging_allocs += other.staging_allocs;
-  chunks += other.chunks;
-  max_colours = std::max(max_colours, other.max_colours);
-  busy_seconds += other.busy_seconds;
-  halo_elems += other.halo_elems;
-  numa_bytes += other.numa_bytes;
-  node_bytes += other.node_bytes;
-  net_bytes += other.net_bytes;
-  tile = std::max(tile, other.tile);  // largest fused epoch seen
-  redundant_elems += other.redundant_elems;
-  msgs_saved += other.msgs_saved;
+  for_each_field([&](const char*, auto field, Merge merge) {
+    this->*field = merge == Merge::Max ? std::max(this->*field, other.*field)
+                                       : this->*field + other.*field;
+  });
 }
 
 namespace detail {
@@ -135,31 +112,26 @@ void Runtime::barrier() {
 bool Runtime::validation_enabled() const { return world_->config().validate; }
 
 detail::LoopRecord Runtime::make_record(const std::string& name, Set s,
-                                        std::vector<Arg> args) {
+                                        const std::vector<Arg>& args) {
   const mesh::MeshDef& mesh = world_->mesh();
   OP2CA_REQUIRE(s.id >= 0 && s.id < mesh.num_sets(),
                 "par_loop '" + name + "': invalid set");
 
   detail::LoopRecord rec;
-  rec.name = name;
-  rec.set = s.id;
   rec.spec.name = name;
   rec.spec.set = s.id;
-  rec.args = std::move(args);
-  rec.rargs.reserve(rec.args.size());
-  rec.spec.args.reserve(rec.args.size());
+  rec.rargs.reserve(args.size());
+  rec.spec.args.reserve(args.size());
 
-  for (const Arg& a : rec.args) {
+  for (const Arg& a : args) {
     detail::ResolvedArg ra;
     ArgSpec as;
+    as.mode = a.mode;
     switch (a.kind) {
       case Arg::Kind::Gbl: {
         ra.base = a.gbl;
-        ra.dim = a.gbl_dim;
+        ra.row = static_cast<std::size_t>(a.gbl_dim);
         ra.is_gbl = true;
-        as.dat = -1;
-        as.mode = a.mode;
-        as.indirect = false;
         break;
       }
       case Arg::Kind::DatDirect: {
@@ -169,10 +141,8 @@ detail::LoopRecord Runtime::make_record(const std::string& name, Set s,
                           "' does not live on the iteration set");
         detail::RankDat& rd = state_->rank_dat(a.dat);
         ra.base = rd.data.data();
-        ra.dim = rd.dim;
+        ra.row = static_cast<std::size_t>(rd.dim);
         as.dat = a.dat;
-        as.mode = a.mode;
-        as.indirect = false;
         break;
       }
       case Arg::Kind::DatIndirect: {
@@ -193,12 +163,10 @@ detail::LoopRecord Runtime::make_record(const std::string& name, Set s,
         const halo::LocalMap& lm =
             state_->rank_plan().maps[static_cast<std::size_t>(a.map)];
         ra.base = rd.data.data();
-        ra.dim = rd.dim;
-        ra.map_targets = lm.targets.data();
-        ra.arity = lm.arity;
-        ra.idx = a.map_idx;
+        ra.row = static_cast<std::size_t>(rd.dim);
+        ra.col = lm.targets.data() + a.map_idx;
+        ra.arity = static_cast<std::size_t>(lm.arity);
         as.dat = a.dat;
-        as.mode = a.mode;
         as.indirect = true;
         as.map = a.map;
         as.map_idx = a.map_idx;
@@ -210,18 +178,6 @@ detail::LoopRecord Runtime::make_record(const std::string& name, Set s,
     rec.spec.args.push_back(as);
   }
   return rec;
-}
-
-const std::vector<detail::ResolvedArg>& Runtime::record_args(
-    const detail::LoopRecord& rec) const {
-  return rec.rargs;
-}
-
-void Runtime::set_bodies(
-    detail::LoopRecord& rec, std::function<void(lidx_t, lidx_t)> range_body,
-    std::function<void(const lidx_t*, std::size_t)> list_body) {
-  rec.range_body = std::move(range_body);
-  rec.list_body = std::move(list_body);
 }
 
 }  // namespace op2ca::core

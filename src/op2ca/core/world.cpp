@@ -43,19 +43,12 @@ World::World(mesh::MeshDef mesh, WorldConfig cfg)
                     " halo layers exceeds the plan limit of " +
                     std::to_string(halo::kMaxHaloDepth) + " layers");
 
-  mesh::set_id seed = 0;
-  if (!cfg_.seed_set.empty()) {
-    const auto id = mesh_.find_set(cfg_.seed_set);
-    OP2CA_REQUIRE(id.has_value(), "unknown seed set: " + cfg_.seed_set);
-    seed = *id;
-  }
-
   halo::HaloPlanOptions opts;
   opts.depth = static_cast<int>(plan_depth);
   opts.build_local_maps = true;
   plan_ = halo::build_halo_plan(
       mesh_,
-      partition::partition_mesh(mesh_, cfg_.nranks, cfg_.partitioner, seed),
+      partition::partition_mesh(mesh_, cfg_.nranks, cfg_.partitioner, 0),
       opts);
 
   transport_ = sim::make_backend(cfg_.transport, cfg_.nranks);
@@ -171,12 +164,8 @@ void World::reset_dat(mesh::dat_id d, const std::vector<double>& global) {
     if (state) state->refresh_dat_from_global(d, global);
 }
 
-namespace {
+namespace detail {
 
-// LoopMetrics is a flat struct of scalars; the wire format for the SPMD
-// cross-process merge is simply [u32 name length | name | raw struct]
-// per map entry. Every process runs the same binary, so the raw layout
-// matches by construction.
 ByteBuf serialize_metrics(const std::map<std::string, LoopMetrics>& m) {
   static_assert(std::is_trivially_copyable_v<LoopMetrics>,
                 "LoopMetrics must stay flat for the SPMD metrics wire");
@@ -217,7 +206,7 @@ void merge_serialized_metrics(const ByteBuf& blob,
   }
 }
 
-}  // namespace
+}  // namespace detail
 
 void World::require_idle(const char* call) const {
   if (running_.load())
@@ -240,9 +229,10 @@ std::map<std::string, LoopMetrics> World::merged_metrics(
     // peers' in rank order, so every process reports the same totals the
     // threaded World would.
     const std::vector<ByteBuf> all =
-        spmd_comm().allgather_bytes(serialize_metrics(merged));
+        spmd_comm().allgather_bytes(detail::serialize_metrics(merged));
     std::map<std::string, LoopMetrics> global;
-    for (const ByteBuf& blob : all) merge_serialized_metrics(blob, &global);
+    for (const ByteBuf& blob : all)
+      detail::merge_serialized_metrics(blob, &global);
     return global;
   }
   return merged;
@@ -258,30 +248,22 @@ std::map<std::string, LoopMetrics> World::chain_metrics() const {
 
 void World::write_metrics_csv(std::ostream& os) const {
   require_idle("write_metrics_csv");
+  using Merge = LoopMetrics::Merge;
+  std::vector<std::string> header = {"kind", "name"};
+  LoopMetrics::for_each_field(
+      [&header](const char* name, auto, Merge) { header.push_back(name); });
   Table t;
-  t.set_header({"kind", "name", "calls", "core_iters", "halo_iters",
-                "msgs", "bytes", "max_msg_bytes", "max_rank_bytes",
-                "max_neighbors", "wall_s", "pack_s", "core_s", "wait_s",
-                "unpack_s", "halo_s", "regions", "plan_builds",
-                "staging_allocs", "chunks", "colours", "busy_s",
-                "bytes_per_elem", "numa_bytes", "node_bytes", "net_bytes",
-                "tile", "redundant_elems", "msgs_saved"});
+  t.set_header(std::move(header));
   t.set_precision(6);
   auto add = [&t](const std::string& kind, const std::string& name,
                   const LoopMetrics& m) {
-    t.add_row({kind, name, m.calls, m.core_iters, m.halo_iters, m.msgs,
-               m.bytes, m.max_msg_bytes, m.max_rank_bytes,
-               static_cast<std::int64_t>(m.max_neighbors), m.wall_seconds,
-               m.pack_seconds, m.core_seconds, m.wait_seconds,
-               m.unpack_seconds, m.halo_seconds, m.dispatch_regions,
-               m.plan_builds, m.staging_allocs, m.chunks,
-               static_cast<std::int64_t>(m.max_colours), m.busy_seconds,
-               m.halo_elems > 0
-                   ? static_cast<double>(m.bytes) /
-                         static_cast<double>(m.halo_elems)
-                   : 0.0,
-               m.numa_bytes, m.node_bytes, m.net_bytes, m.tile,
-               m.redundant_elems, m.msgs_saved});
+    std::vector<Cell> row(2 + LoopMetrics::num_fields());
+    row[0] = kind;
+    row[1] = name;
+    std::size_t col = 2;
+    LoopMetrics::for_each_field(
+        [&](const char*, auto field, Merge) { row[col++] = m.*field; });
+    t.add_row(std::move(row));
   };
   for (const auto& [name, m] : loop_metrics()) add("loop", name, m);
   for (const auto& [name, m] : chain_metrics()) add("chain", name, m);

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
@@ -148,26 +150,27 @@ TEST(ChainExec, DisabledChainMetersEveryField) {
   const LoopMetrics& u = loops.at("synth_update");
   const LoopMetrics& f = loops.at("synth_edge_flux");
 
-  using M = LoopMetrics;
-  for (std::int64_t M::*field :
-       {&M::core_iters, &M::halo_iters, &M::msgs, &M::bytes,
-        &M::dispatch_regions, &M::plan_builds, &M::staging_allocs,
-        &M::chunks, &M::halo_elems, &M::numa_bytes, &M::node_bytes,
-        &M::net_bytes, &M::redundant_elems, &M::msgs_saved})
-    EXPECT_EQ(chain.*field, u.*field + f.*field);
-  for (double M::*field :
-       {&M::wall_seconds, &M::pack_seconds, &M::core_seconds,
-        &M::wait_seconds, &M::unpack_seconds, &M::halo_seconds,
-        &M::busy_seconds}) {
-    const double sum = u.*field + f.*field;
-    EXPECT_NEAR(chain.*field, sum, 1e-12 * (1.0 + sum));
-  }
-  EXPECT_EQ(chain.max_msg_bytes, std::max(u.max_msg_bytes, f.max_msg_bytes));
-  for (int M::*field : {&M::max_neighbors, &M::max_colours})
-    EXPECT_EQ(chain.*field, std::max(u.*field, f.*field));
+  LoopMetrics::for_each_field([&](const char* name, auto field,
+                                  LoopMetrics::Merge merge) {
+    const std::string_view n = name;
+    if (n == "calls" || n == "tile" || n == "max_rank_bytes") return;
+    if (merge == LoopMetrics::Merge::Max) {
+      EXPECT_EQ(chain.*field, std::max(u.*field, f.*field)) << name;
+    } else if constexpr (std::is_same_v<decltype(field),
+                                        double LoopMetrics::*>) {
+      const double sum = u.*field + f.*field;
+      EXPECT_NEAR(chain.*field, sum, 1e-12 * (1.0 + sum)) << name;
+    } else {
+      EXPECT_EQ(chain.*field, u.*field + f.*field) << name;
+    }
+  });
 
   EXPECT_EQ(chain.calls, 3);
   EXPECT_EQ(chain.tile, 1);
+  // One invocation sends every loop's bytes, so a rank's bytes per
+  // invocation are at least those of either loop.
+  EXPECT_GE(chain.max_rank_bytes,
+            std::max(u.max_rank_bytes, f.max_rank_bytes));
   // The threaded and halo counters are present, not zero.
   EXPECT_GT(chain.chunks, 0);
   EXPECT_GT(chain.busy_seconds, 0.0);

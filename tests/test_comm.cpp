@@ -8,6 +8,7 @@
 #include "op2ca/util/rng.hpp"
 
 #include "op2ca/comm/comm.hpp"
+#include "op2ca/comm/cost_model.hpp"
 #include "op2ca/util/buffer_pool.hpp"
 #include "op2ca/util/error.hpp"
 

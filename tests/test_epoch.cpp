@@ -3,10 +3,11 @@
 //
 // Each row runs a World twice to warm its caches, clears the metrics and
 // runs once more. It then hashes every integer field of every
-// loop_metrics() and chain_metrics() entry, and, separately, the bits of
-// every dat's fetch_dat(). dispatch_regions, chunks, plan_builds and
-// staging_allocs are left out: they count how the work was dispatched and
-// cached, not what was executed or sent.
+// loop_metrics() and chain_metrics() entry, in LoopMetrics::for_each_field
+// order, and, separately, the bits of every dat's fetch_dat().
+// dispatch_regions, chunks, plan_builds and staging_allocs are left out:
+// they count how the work was dispatched and cached, not what was
+// executed or sent.
 //
 // Rows: the MG-CFD V-cycle plus the synthetic chain, run as per-loop OP2,
 // CA, lazy and tile=2, and one Hydra RK step with the hydra-rk chain
@@ -19,6 +20,8 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,13 +52,16 @@ std::uint64_t hash_metrics(const World& w) {
     for (const auto& [name, m] : entries) {
       f.u64(name.size());
       f.bytes(name.data(), name.size());
-      for (const std::int64_t v :
-           {m.calls, m.core_iters, m.halo_iters, m.msgs, m.bytes,
-            m.max_msg_bytes, m.max_rank_bytes,
-            std::int64_t{m.max_neighbors}, std::int64_t{m.max_colours},
-            m.halo_elems, m.numa_bytes, m.node_bytes, m.net_bytes, m.tile,
-            m.redundant_elems, m.msgs_saved})
-        f.u64(static_cast<std::uint64_t>(v));
+      LoopMetrics::for_each_field(
+          [&](const char* field_name, auto field, LoopMetrics::Merge) {
+            if constexpr (std::is_same_v<decltype(field),
+                                         std::int64_t LoopMetrics::*>) {
+              const std::string_view n = field_name;
+              if (n != "dispatch_regions" && n != "plan_builds" &&
+                  n != "staging_allocs" && n != "chunks")
+                f.u64(static_cast<std::uint64_t>(m.*field));
+            }
+          });
     }
   }
   return f.h;
@@ -163,29 +169,29 @@ Row run_row(Mode mode, const char* label, int nranks, int threads) {
 
 // The dats column was taken from the two-executor code (separate
 // per-loop and chain executors) that the epoch executor replaced; the
-// metrics column at b0d5822, the last commit with dat layouts, hashed
-// without its layout counter.
+// metrics column at 84959f3, the last commit with per-tier byte counters,
+// hashed without them.
 const Row kPinned[] = {
-    {"mgcfd-op2/r3/t1", 0xf5d40c34fecae4b7ull, 0x5f81b80383bf2e17ull},
-    {"mgcfd-op2/r3/t2", 0x9c12827f3539915full, 0x1f9d9abf23668d69ull},
-    {"mgcfd-op2/r4/t1", 0xaa4839e83270534dull, 0xa67e4ce4be05e902ull},
-    {"mgcfd-op2/r4/t2", 0x219a8ca46eb5d32dull, 0xbd49f7d712213081ull},
-    {"mgcfd-ca/r3/t1", 0x26dad6282bb0c140ull, 0x28a285eca65405ebull},
-    {"mgcfd-ca/r3/t2", 0x6d85101b2e1049ccull, 0x3a9f8e410cad85a1ull},
-    {"mgcfd-ca/r4/t1", 0x116ec8f8ebb94c2dull, 0xf26105130d1b7af4ull},
-    {"mgcfd-ca/r4/t2", 0xeae16fb997ce0a1dull, 0x67285b5a988b3111ull},
-    {"mgcfd-lazy/r3/t1", 0x43b36fe8b43769d6ull, 0x5f81b80383bf2e17ull},
-    {"mgcfd-lazy/r3/t2", 0x4aefb6b77493d9f6ull, 0x1f9d9abf23668d69ull},
-    {"mgcfd-lazy/r4/t1", 0x561e0416150dd191ull, 0x8bb9659d4b9a3807ull},
-    {"mgcfd-lazy/r4/t2", 0xe947aacb90cf759dull, 0xe97d57e7b9b89ca4ull},
-    {"mgcfd-tile2/r3/t1", 0x8f934a7231ee0705ull, 0xb21dfe39bd88179full},
-    {"mgcfd-tile2/r3/t2", 0xbdba724321f90ae5ull, 0x25c80ee36a6b3d11ull},
-    {"mgcfd-tile2/r4/t1", 0x3d2571496f590f2cull, 0x7d3ce63aebebf452ull},
-    {"mgcfd-tile2/r4/t2", 0x9ee9a960768571bdull, 0xf74dd06df06d5c06ull},
-    {"hydra-rk/r3/t1", 0x91512d8eb0509a42ull, 0x765a7f9ab15401b4ull},
-    {"hydra-rk/r3/t2", 0x05f8edfe3357bd48ull, 0xe13bae5d0a782f69ull},
-    {"hydra-rk/r4/t1", 0x59195cf0161352f7ull, 0xafebabdd6928c93cull},
-    {"hydra-rk/r4/t2", 0x416fe5bf3adbd590ull, 0x789dc2974ce98c34ull},
+    {"mgcfd-op2/r3/t1", 0x3eb2f88fc0410b51ull, 0x5f81b80383bf2e17ull},
+    {"mgcfd-op2/r3/t2", 0x4e7a0d5e623ba0f9ull, 0x1f9d9abf23668d69ull},
+    {"mgcfd-op2/r4/t1", 0x6fae1d2d9bb0eb7bull, 0xa67e4ce4be05e902ull},
+    {"mgcfd-op2/r4/t2", 0xe1c8509e835b779bull, 0xbd49f7d712213081ull},
+    {"mgcfd-ca/r3/t1", 0xdf76d428b9916c57ull, 0x28a285eca65405ebull},
+    {"mgcfd-ca/r3/t2", 0x6c293aa90ad1eb2bull, 0x3a9f8e410cad85a1ull},
+    {"mgcfd-ca/r4/t1", 0x2449e469f5a6ebb1ull, 0xf26105130d1b7af4ull},
+    {"mgcfd-ca/r4/t2", 0x2cad154b3bde8a71ull, 0x67285b5a988b3111ull},
+    {"mgcfd-lazy/r3/t1", 0x8775045525d33317ull, 0x5f81b80383bf2e17ull},
+    {"mgcfd-lazy/r3/t2", 0xa1d348eb6762323bull, 0x1f9d9abf23668d69ull},
+    {"mgcfd-lazy/r4/t1", 0xdf6a62eefde22f82ull, 0x8bb9659d4b9a3807ull},
+    {"mgcfd-lazy/r4/t2", 0x7aff52b43bbdfb3eull, 0xe97d57e7b9b89ca4ull},
+    {"mgcfd-tile2/r3/t1", 0x38b7c1ecb7f69314ull, 0xb21dfe39bd88179full},
+    {"mgcfd-tile2/r3/t2", 0x25c16e1581732facull, 0x25c80ee36a6b3d11ull},
+    {"mgcfd-tile2/r4/t1", 0x0556d34cadaf624aull, 0x7d3ce63aebebf452ull},
+    {"mgcfd-tile2/r4/t2", 0x5313222a6e1e382bull, 0xf74dd06df06d5c06ull},
+    {"hydra-rk/r3/t1", 0x36e1ac80dffb2700ull, 0x765a7f9ab15401b4ull},
+    {"hydra-rk/r3/t2", 0x8cc4cccdb028b726ull, 0xe13bae5d0a782f69ull},
+    {"hydra-rk/r4/t1", 0x57884dab29296c69ull, 0xafebabdd6928c93cull},
+    {"hydra-rk/r4/t2", 0xa7e3668f463768eaull, 0x789dc2974ce98c34ull},
 };
 
 TEST(EpochPin, CountersAndResultsPinned) {

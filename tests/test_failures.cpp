@@ -114,13 +114,6 @@ TEST(ChainConfigParse, RejectsGarbage) {
   EXPECT_THROW(ChainConfig::load("/nonexistent/path/chains.cfg"), Error);
 }
 
-TEST(WorldFailures, BadSeedSetName) {
-  mesh::Quad2D q = mesh::make_quad2d(4, 4);
-  WorldConfig cfg;
-  cfg.seed_set = "nonexistent";
-  EXPECT_THROW(World(std::move(q.mesh), cfg), Error);
-}
-
 TEST(WorldFailures, ZeroRanksRejected) {
   mesh::Quad2D q = mesh::make_quad2d(4, 4);
   WorldConfig cfg;

@@ -321,19 +321,18 @@ struct DispatchArgs {
     }
     cd::ResolvedArg d;
     d.base = edge_data.data();
-    d.dim = kDim;
+    d.row = kDim;
     cd::ResolvedArg col[2];
     for (int c = 0; c < 2; ++c) {
       col[c].base = node_data.data();
-      col[c].dim = kDim;
-      col[c].map_targets = map.data();
+      col[c].row = kDim;
+      col[c].col = map.data() + c;
       col[c].arity = 2;
-      col[c].idx = c;
     }
     cd::ResolvedArg g[2];
     for (int j = 0; j < 2; ++j) {
       g[j].base = j == 0 ? gbl_read : gbl_inc;
-      g[j].dim = kDim;
+      g[j].row = kDim;
       g[j].is_gbl = true;
     }
     rargs = {d, col[0], col[1], g[0], g[1]};

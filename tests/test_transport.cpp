@@ -1,11 +1,10 @@
-// Transport-layer tests: tier accounting, the hierarchical cost model,
-// backend selection (sim / mpi-stub) and the calibration-file loader.
+// Transport-layer tests: the hierarchical cost model, backend selection
+// (sim / mpi-stub) and the calibration-file loader.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <exception>
 #include <mutex>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,29 +48,6 @@ void spmd(TransportBackend& t, int nranks, Fn fn) {
   }
   for (auto& th : threads) th.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-// ---- Tier accounting. -----------------------------------------------------
-
-TEST(Tiers, SendStatsSplitByMachineTier) {
-  CostModel cm;
-  cm.ranks_per_numa = 2;
-  cm.ranks_per_node = 4;
-  Transport t(8);
-  Comm c(t, 0, &cm);
-  ByteBuf b = pattern_bytes(100);
-  auto r1 = c.isend(1, 0, std::span<const std::byte>(b));  // same NUMA.
-  auto r2 = c.isend(2, 0, std::span<const std::byte>(b));  // same node.
-  auto r3 = c.isend(4, 0, std::span<const std::byte>(b));  // across nodes.
-  c.wait(r1);
-  c.wait(r2);
-  c.wait(r3);
-  const CommStats& s = c.stats();
-  EXPECT_EQ(s.msgs_by_tier[static_cast<int>(Tier::Numa)], 1);
-  EXPECT_EQ(s.msgs_by_tier[static_cast<int>(Tier::Node)], 1);
-  EXPECT_EQ(s.msgs_by_tier[static_cast<int>(Tier::Net)], 1);
-  EXPECT_EQ(s.bytes_by_tier[static_cast<int>(Tier::Numa)], 100);
-  EXPECT_EQ(s.epoch_msgs_by_tier[static_cast<int>(Tier::Net)], 1);
 }
 
 // ---- Hierarchical cost model. ---------------------------------------------
