@@ -1,6 +1,7 @@
 #include "op2ca/comm/comm.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "op2ca/util/error.hpp"
 
@@ -9,8 +10,6 @@ namespace op2ca::sim {
 void CommStats::reset_epoch() {
   epoch_msgs_sent = 0;
   epoch_bytes_sent = 0;
-  epoch_msgs_received = 0;
-  epoch_bytes_received = 0;
   epoch_max_msg_bytes = 0;
   epoch_neighbors.clear();
 }
@@ -44,8 +43,17 @@ Request Comm::isend(rank_t dst, tag_t tag, ByteBuf payload) {
   return post_send(dst, tag, std::move(msg));
 }
 
+void Comm::check_peer(const char* op, rank_t peer) const {
+  OP2CA_REQUIRE(peer >= 0 && peer < size(),
+                std::string(op) + ": rank " + std::to_string(peer) +
+                    " is outside [0, " + std::to_string(size()) + ")");
+  OP2CA_REQUIRE(peer != rank_, std::string(op) + " with self (rank " +
+                                   std::to_string(peer) +
+                                   ") is not supported");
+}
+
 Request Comm::post_send(rank_t dst, tag_t tag, Message msg) {
-  OP2CA_REQUIRE(dst != rank_, "isend to self is not supported");
+  check_peer("isend", dst);
   msg.src = rank_;
   msg.dst = dst;
   msg.tag = tag;
@@ -80,19 +88,9 @@ void Comm::record_send(rank_t dst, std::size_t bytes) {
   stats_.epoch_neighbors.insert(dst);
 }
 
-void Comm::record_recv(rank_t src, std::size_t bytes) {
-  const auto n = static_cast<std::int64_t>(bytes);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.msgs_received += 1;
-  stats_.bytes_received += n;
-  stats_.epoch_msgs_received += 1;
-  stats_.epoch_bytes_received += n;
-  stats_.recv_neighbors.insert(src);
-}
-
 Request Comm::irecv(rank_t src, tag_t tag, ByteBuf* out) {
   OP2CA_REQUIRE(out != nullptr, "irecv requires an output buffer");
-  OP2CA_REQUIRE(src != rank_, "irecv from self is not supported");
+  check_peer("irecv", src);
   Request req;
   req.kind_ = Request::Kind::Recv;
   req.peer = src;
@@ -107,7 +105,6 @@ void Comm::wait(Request& req) {
   if (req.kind_ == Request::Kind::Recv) {
     Message msg = transport_->match(rank_, req.peer, req.tag);
     *req.recv_buffer = std::move(msg.payload);
-    record_recv(req.peer, req.recv_buffer->size());
   }
   req.kind_ = Request::Kind::None;
 }

@@ -21,19 +21,14 @@ namespace op2ca::sim {
 struct CommStats {
   std::int64_t msgs_sent = 0;
   std::int64_t bytes_sent = 0;
-  std::int64_t msgs_received = 0;
-  std::int64_t bytes_received = 0;
   /// Sends whose payload was moved into the mailbox (zero-copy path) vs
   /// copied from a caller-owned span.
   std::int64_t sends_moved = 0;
   std::int64_t sends_copied = 0;
   std::set<rank_t> send_neighbors;
-  std::set<rank_t> recv_neighbors;
 
   std::int64_t epoch_msgs_sent = 0;
   std::int64_t epoch_bytes_sent = 0;
-  std::int64_t epoch_msgs_received = 0;
-  std::int64_t epoch_bytes_received = 0;
   std::int64_t epoch_max_msg_bytes = 0;
   std::set<rank_t> epoch_neighbors;
 
@@ -113,7 +108,8 @@ private:
   Request post_send(rank_t dst, tag_t tag, Message msg);
   /// Stats for one wire message to `dst`.
   void record_send(rank_t dst, std::size_t bytes);
-  void record_recv(rank_t src, std::size_t bytes);
+  /// Raises unless `peer` is another rank of this communicator.
+  void check_peer(const char* op, rank_t peer) const;
 
   TransportBackend* transport_;
   rank_t rank_;

@@ -161,7 +161,6 @@ void flush_lazy(RankState& st) {
   if (st.lazy_queue.empty()) return;
   std::vector<LoopRecord> loops = std::move(st.lazy_queue);
   st.lazy_queue.clear();
-  ++st.lazy_flushes;
 
   // Greedy segmentation: grow each window while it stays CA-feasible;
   // flush it as an auto-formed chain (>= 2 loops) or a plain loop.

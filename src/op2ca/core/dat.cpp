@@ -26,7 +26,11 @@ const halo::RankPlan& RankState::rank_plan() const {
 }
 
 const halo::SetLayout& RankState::layout(mesh::set_id s) const {
-  return rank_plan().sets[static_cast<std::size_t>(s)];
+  const auto& sets = rank_plan().sets;
+  OP2CA_REQUIRE(s >= 0 && static_cast<std::size_t>(s) < sets.size(),
+                "set id " + std::to_string(s) + " is outside [0, " +
+                    std::to_string(sets.size()) + ")");
+  return sets[static_cast<std::size_t>(s)];
 }
 
 RankDat& RankState::rank_dat(mesh::dat_id d) {

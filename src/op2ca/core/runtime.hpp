@@ -394,21 +394,15 @@ struct WorldConfig {
   bool serial_dispatch = false;
   /// Intra-rank shared-memory parallelism: each rank runs its regions on
   /// a worker pool of this width. 1 (default) keeps the single-threaded
-  /// dispatch, bitwise-identical to previous behaviour. With > 1, direct
-  /// regions split into contiguous chunks and indirect-write loops run
-  /// as colour-ordered sweeps (mesh/colouring); results are deterministic
-  /// for any width > 1 (colour classes are conflict-free, so intra-class
-  /// order cannot affect any memory cell) but reassociate increment sums
-  /// relative to width 1. Ignored when serial_dispatch is set. Loops
-  /// reducing into globals execute serially regardless.
+  /// dispatch. With > 1, every loop runs colour-ordered sweeps of
+  /// 256-element blocks of the local numbering (core/dispatch,
+  /// mesh/colouring); results are deterministic for any width > 1 (no
+  /// two blocks of a colour touch the same written element) but
+  /// reassociate increment sums relative to width 1. Blocks assume a
+  /// numbering with locality: renumber scrambled input with
+  /// mesh::renumber before the World. Ignored when serial_dispatch is
+  /// set. Loops reducing into globals execute serially regardless.
   int threads_per_rank = 1;
-  /// Elements per conflict block of a threaded indirect-write sweep
-  /// (mesh::block_colouring): > 1 resolves conflicts between contiguous
-  /// blocks of this many elements, so each colour class is a union of
-  /// contiguous runs. 1 (default) colours element by element. Locality
-  /// ordering itself is a mesh-level step (mesh::renumber before the
-  /// World). Must be >= 1.
-  lidx_t colour_block = 1;
   ChainConfig chains{};
   /// Lazy evaluation (the paper's future-work automation): par_loops are
   /// queued instead of executed, and flushed as an automatically-formed

@@ -21,9 +21,6 @@ World::World(mesh::MeshDef mesh, WorldConfig cfg)
                 "World needs threads_per_rank >= 1");
   OP2CA_REQUIRE(cfg_.halo_depth >= 1, "World needs halo_depth >= 1");
   OP2CA_REQUIRE(cfg_.tile >= 1, "World needs tile >= 1");
-  OP2CA_REQUIRE(cfg_.colour_block >= 1,
-                "World needs colour_block >= 1, got " +
-                    std::to_string(cfg_.colour_block));
   OP2CA_REQUIRE(mesh_.num_sets() > 0, "World needs a non-empty mesh");
 
   // Temporal tiling needs layers for the fused window to grow into: a

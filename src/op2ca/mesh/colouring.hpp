@@ -1,15 +1,15 @@
-// Greedy mesh colouring for race-free shared-memory execution of
+// Greedy block colouring for race-free shared-memory execution of
 // indirect-increment loops (the classic OP2 intra-rank parallelisation:
 // Reguly et al., "Acceleration of a Full-scale Industrial CFD
-// Application with OP2"). Two from-set elements conflict when any map
-// entering the colouring sends both onto the same target element; the
-// colouring partitions the from-set into classes such that no class
-// contains a conflict, so every class can execute its elements in any
-// order — and in particular split across threads — with each written
-// target touched by at most one element.
+// Application with OP2"). The from-set is cut into contiguous blocks; two
+// blocks conflict when any map entering the colouring sends an element of
+// each onto the same target element. The colouring partitions the blocks
+// into classes that contain no conflict, so the blocks of one class can
+// run in any order — and in particular split across threads — with each
+// written target touched by one block only.
 //
-// The colouring is a pure function of (element count, target arrays):
-// first-fit over elements in ascending index order. Thread count never
+// The colouring is a pure function of (element count, block size, target
+// arrays): first-fit over blocks in ascending order. Thread count never
 // enters, which is what makes colour-ordered parallel sweeps
 // deterministic at any pool width.
 #pragma once
@@ -34,35 +34,29 @@ struct ColourMapView {
 };
 
 struct Colouring {
-  int num_colours = 0;
-  std::vector<int> colour;       ///< per element, 0..num_colours-1.
-  /// Per colour, the class's elements in execution order (ascending).
-  std::vector<LIdxVec> classes;
-  /// Conflict granularity: elements [b*block_elems, (b+1)*block_elems)
-  /// form block b and share one colour. 1 = classic per-element
-  /// colouring. With block_elems > 1 a colour class is conflict-free
-  /// *between* blocks only — elements inside a block may conflict with
-  /// each other, so a parallel sweep must keep each block on one thread
-  /// and run it in class order (core/dispatch aligns its chunk
-  /// boundaries to blocks).
+  /// Elements [b * block_elems, (b + 1) * block_elems) form block b, the
+  /// unit that takes a colour. Elements inside a block may conflict with
+  /// each other, so a parallel sweep keeps each block on one thread and
+  /// runs it in ascending order.
   lidx_t block_elems = 1;
+  int num_colours = 0;
+  std::vector<int> colour;  ///< per block, 0..num_colours-1.
+  /// Per colour, the class's block ids in ascending order.
+  std::vector<LIdxVec> classes;
 };
 
-/// First-fit colouring of contiguous blocks of `block_elems` elements
-/// in ascending order: each block takes the smallest colour unused by
-/// every earlier block it conflicts with (two blocks conflict when any of
-/// their elements share a target through any view). Deterministic;
-/// classes partition [0, n). block_elems <= 1 is the classic
-/// per-element colouring; larger blocks make every colour class a union
-/// of contiguous runs that the dispatcher can execute as range regions
-/// instead of gathered lists.
+/// First-fit colouring of the contiguous blocks of `block_elems`
+/// elements of [0, n), in ascending order: each block takes the smallest
+/// colour unused by every earlier block it conflicts with. Deterministic;
+/// the classes partition the blocks. block_elems <= 1 colours element by
+/// element.
 Colouring block_colouring(lidx_t n, std::span<const ColourMapView> views,
                           lidx_t block_elems = 1);
 
-/// Validity predicate (property tests): no two same-colour elements
-/// share a target through any view. Honours `c.block_elems`: with
-/// blocked colourings the conflict-free unit is the block, so
-/// same-block sharing is legal.
+/// Validity predicate (property tests): `c.colour` has one entry per
+/// block of [0, n), the classes list every block once under its colour,
+/// and no two blocks of one colour share a target through any view.
+/// Sharing inside a block is legal: a parallel sweep never splits one.
 bool colouring_valid(const Colouring& c, lidx_t n,
                      std::span<const ColourMapView> views);
 

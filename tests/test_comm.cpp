@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "op2ca/util/rng.hpp"
@@ -212,6 +214,24 @@ TEST(Transport, SelfSendRejected) {
   EXPECT_THROW(c.isend(0, 0, std::span<const std::byte>{}), Error);
   op2ca::ByteBuf buf;
   EXPECT_THROW(c.irecv(0, 0, &buf), Error);
+  // Peers outside [0, size) raise, naming the rank and the range, before
+  // a send takes a per-destination lock or a wait blocks on a match.
+  for (const rank_t bad : {-1, 2}) {
+    const auto expect_named = [bad](const std::function<void()>& op) {
+      try {
+        op();
+        ADD_FAILURE() << "rank " << bad << " was accepted";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("rank " + std::to_string(bad)), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("[0, 2)"), std::string::npos) << what;
+      }
+    };
+    expect_named([&] { c.isend(bad, 0, std::span<const std::byte>{}); });
+    expect_named([&] { c.isend(bad, 0, op2ca::ByteBuf(8)); });
+    expect_named([&] { c.irecv(bad, 0, &buf); });
+  }
 }
 
 TEST(Transport, RandomTrafficStress) {

@@ -167,31 +167,33 @@ Row run_row(Mode mode, const char* label, int nranks, int threads) {
           metrics, dats};
 }
 
-// The dats column was taken from the two-executor code (separate
-// per-loop and chain executors) that the epoch executor replaced; the
-// metrics column at 84959f3, the last commit with per-tier byte counters,
-// hashed without them.
+// The /t1 rows' dats column was taken from the two-executor code
+// (separate per-loop and chain executors) that the epoch executor
+// replaced; their metrics column at 84959f3, the last commit with
+// per-tier byte counters, hashed without them. The /t2 rows were taken
+// at 5370d09 with WorldConfig::colour_block = 256, the blocked sweep that
+// became the one pooled form.
 const Row kPinned[] = {
     {"mgcfd-op2/r3/t1", 0x3eb2f88fc0410b51ull, 0x5f81b80383bf2e17ull},
-    {"mgcfd-op2/r3/t2", 0x4e7a0d5e623ba0f9ull, 0x1f9d9abf23668d69ull},
+    {"mgcfd-op2/r3/t2", 0xbc0d1b87ddf203b5ull, 0x993d076bce6c45f8ull},
     {"mgcfd-op2/r4/t1", 0x6fae1d2d9bb0eb7bull, 0xa67e4ce4be05e902ull},
-    {"mgcfd-op2/r4/t2", 0xe1c8509e835b779bull, 0xbd49f7d712213081ull},
+    {"mgcfd-op2/r4/t2", 0xd98aad03a7c26e95ull, 0xa67e4ce4be05e902ull},
     {"mgcfd-ca/r3/t1", 0xdf76d428b9916c57ull, 0x28a285eca65405ebull},
-    {"mgcfd-ca/r3/t2", 0x6c293aa90ad1eb2bull, 0x3a9f8e410cad85a1ull},
+    {"mgcfd-ca/r3/t2", 0xc0d0f1670133d783ull, 0xe20eb82d8cbbb5beull},
     {"mgcfd-ca/r4/t1", 0x2449e469f5a6ebb1ull, 0xf26105130d1b7af4ull},
-    {"mgcfd-ca/r4/t2", 0x2cad154b3bde8a71ull, 0x67285b5a988b3111ull},
+    {"mgcfd-ca/r4/t2", 0x28cd37d4c1ed8aa3ull, 0x5f9bf30a3efa1506ull},
     {"mgcfd-lazy/r3/t1", 0x8775045525d33317ull, 0x5f81b80383bf2e17ull},
-    {"mgcfd-lazy/r3/t2", 0xa1d348eb6762323bull, 0x1f9d9abf23668d69ull},
+    {"mgcfd-lazy/r3/t2", 0xca38abfc1a37c210ull, 0x993d076bce6c45f8ull},
     {"mgcfd-lazy/r4/t1", 0xdf6a62eefde22f82ull, 0x8bb9659d4b9a3807ull},
-    {"mgcfd-lazy/r4/t2", 0x7aff52b43bbdfb3eull, 0xe97d57e7b9b89ca4ull},
+    {"mgcfd-lazy/r4/t2", 0xa966dd4fbbc510f8ull, 0x8bb9659d4b9a3807ull},
     {"mgcfd-tile2/r3/t1", 0x38b7c1ecb7f69314ull, 0xb21dfe39bd88179full},
-    {"mgcfd-tile2/r3/t2", 0x25c16e1581732facull, 0x25c80ee36a6b3d11ull},
+    {"mgcfd-tile2/r3/t2", 0x36af329a5742cf4eull, 0x786a7a7097e26b83ull},
     {"mgcfd-tile2/r4/t1", 0x0556d34cadaf624aull, 0x7d3ce63aebebf452ull},
-    {"mgcfd-tile2/r4/t2", 0x5313222a6e1e382bull, 0xf74dd06df06d5c06ull},
+    {"mgcfd-tile2/r4/t2", 0xa803d6c2b71dc542ull, 0xa8f384a8f09699dcull},
     {"hydra-rk/r3/t1", 0x36e1ac80dffb2700ull, 0x765a7f9ab15401b4ull},
-    {"hydra-rk/r3/t2", 0x8cc4cccdb028b726ull, 0xe13bae5d0a782f69ull},
+    {"hydra-rk/r3/t2", 0xffb4d9b3d9f845c3ull, 0xe68595aa6e8f2277ull},
     {"hydra-rk/r4/t1", 0x57884dab29296c69ull, 0xafebabdd6928c93cull},
-    {"hydra-rk/r4/t2", 0xa7e3668f463768eaull, 0x789dc2974ce98c34ull},
+    {"hydra-rk/r4/t2", 0x57d875e68a3362bdull, 0xb7b5431dfc4accb6ull},
 };
 
 TEST(EpochPin, CountersAndResultsPinned) {

@@ -67,13 +67,12 @@ struct SynthResult {
 /// fetched dats back to the input numbering.
 SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
                       std::optional<mesh::ReorderKind> order = {},
-                      int threads = 1, lidx_t colour_block = 1) {
+                      int threads = 1) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
   std::vector<GIdxVec> perms;
   WorldConfig cfg = equiv_config(nranks, mode, serial_dispatch, threads);
-  cfg.colour_block = colour_block;
   World w(order ? mesh::renumber(prob.mg.mesh, *order, &perms)
                 : std::move(prob.mg.mesh),
           cfg);
@@ -182,7 +181,7 @@ TEST(Equivalence, TransportMpiStubMatchesSim) {
 // dats back — spres is written by the direct perturb loop) but permutes
 // element order, so indirect-INC sums reassociate: comparisons against
 // the natural order use the usual tolerance. Rows at more than 1 thread
-// run blocked sweeps (colour_block 256).
+// run the pooled sweep of 256-element colour blocks.
 
 TEST(Equivalence, ReorderedMatchesBaselineToTolerance) {
   const SynthResult base = run_synth(5, Mode::kOp2, false);
@@ -220,7 +219,7 @@ TEST(Equivalence, ReorderedModesAgreeFourThreads) {
   const SynthResult base = run_synth(4, Mode::kOp2, false);
   for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
     const SynthResult re =
-        run_synth(4, mode, false, mesh::ReorderKind::RCM, 4, 256);
+        run_synth(4, mode, false, mesh::ReorderKind::RCM, 4);
     EXPECT_EQ(base.spres, re.spres);  // direct loop: exact
     testutil::expect_allclose(base.sres, re.sres);
     testutil::expect_allclose(base.sflux, re.sflux);
@@ -228,18 +227,18 @@ TEST(Equivalence, ReorderedModesAgreeFourThreads) {
 }
 
 TEST(Equivalence, ReorderedWidthIndependentSweeps) {
-  // Blocked colour sweeps are a pure function of the colouring and the
-  // block structure — chunk boundaries move with pool width, but blocks
-  // never straddle threads, so any width > 1 is bitwise-identical, in
-  // natural order as in renumbered ones.
-  expect_bitwise(run_synth(4, Mode::kOp2, false, {}, 2, 256),
-                 run_synth(4, Mode::kOp2, false, {}, 4, 256));
+  // Pooled sweeps are a pure function of the block colouring — share
+  // boundaries move with pool width, but blocks never straddle threads,
+  // so any width > 1 is bitwise-identical, in natural order as in
+  // renumbered ones.
+  expect_bitwise(run_synth(4, Mode::kOp2, false, {}, 2),
+                 run_synth(4, Mode::kOp2, false, {}, 4));
   expect_bitwise(
-      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 2, 256),
-      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 4, 256));
+      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 2),
+      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 4));
   expect_bitwise(
-      run_synth(4, Mode::kCa, false, mesh::ReorderKind::SFC, 2, 256),
-      run_synth(4, Mode::kCa, false, mesh::ReorderKind::SFC, 4, 256));
+      run_synth(4, Mode::kCa, false, mesh::ReorderKind::SFC, 2),
+      run_synth(4, Mode::kCa, false, mesh::ReorderKind::SFC, 4));
 }
 
 // -- Temporal tiling (WorldConfig::tile). -------------------------------

@@ -288,6 +288,22 @@ TEST(RuntimeOp2, RejectsApiMisuse) {
     EXPECT_THROW(rt.set("nope"), Error);
     EXPECT_THROW(rt.map("nope"), Error);
     EXPECT_THROW(rt.dat("nope"), Error);
+    // Set ids outside the mesh raise, naming the id and the range.
+    for (const mesh::set_id bad : {-1, 99}) {
+      try {
+        rt.layout(rt.set(bad));
+        ADD_FAILURE() << "set id " << bad << " was accepted";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("set id " + std::to_string(bad)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("[0, " + std::to_string(rt.mesh().num_sets()) +
+                            ")"),
+                  std::string::npos)
+            << what;
+      }
+    }
 
     const Set nodes = rt.set("nodes");
     const Set edges = rt.set("edges");

@@ -145,11 +145,13 @@ TEST(ThreadedExec, MetricsReportChunksAndColours) {
   run_synth(3, Mode::kOp2, 4, &w);
   std::unique_ptr<World> owned(w);
   const auto metrics = owned->loop_metrics();
-  // Direct RW loop: contiguous chunks, no colouring.
+  // Direct RW loop: one colour of blocks split across the pool; only
+  // indirect-write sweeps count colours.
   EXPECT_GT(metrics.at("synth_perturb").chunks, 0);
   EXPECT_EQ(metrics.at("synth_perturb").max_colours, 0);
-  // Indirect-INC loops: colour-ordered sweeps over >= 2 colours (every
-  // interior node is shared by two edges), counted as chunked regions.
+  // Indirect-INC loops: colour-ordered sweeps over >= 2 colours (blocks
+  // of consecutive edges share nodes with their neighbours), counted as
+  // chunked regions.
   for (const char* name : {"synth_update", "synth_edge_flux"}) {
     EXPECT_GT(metrics.at(name).chunks, 0) << name;
     EXPECT_GE(metrics.at(name).max_colours, 2) << name;
