@@ -818,8 +818,7 @@ std::unique_ptr<core::World> tiling_world(const mesh::MeshDef& m, int tile) {
   core::WorldConfig cfg;
   cfg.nranks = 4;
   cfg.halo_depth = 2;
-  cfg.tile = tile;
-  cfg.chains.enable("tile_chain");
+  cfg.chains.enable("tile_chain", 0, 0, tile);
   auto w = std::make_unique<core::World>(m, cfg);
   // Inject a 500us per-post wire latency: exchange epochs then dominate
   // wall the way a real network would, and the A/B isolates what fusing

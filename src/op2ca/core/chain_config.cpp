@@ -99,11 +99,14 @@ ChainConfig ChainConfig::parse(std::istream& in) {
 
 void ChainConfig::enable(const std::string& name, int loops, int max_depth,
                          int tile) {
+  OP2CA_REQUIRE(tile >= 1, "ChainConfig: chain '" + name +
+                               "' needs tile >= 1, got " +
+                               std::to_string(tile));
   entries_[name] = Entry{true, loops, max_depth, tile};
 }
 
 void ChainConfig::disable(const std::string& name) {
-  entries_[name] = Entry{false, 0, 0, 0};
+  entries_[name] = Entry{false, 0, 0, 1};
 }
 
 bool ChainConfig::enabled(const std::string& name) const {
@@ -124,7 +127,7 @@ int ChainConfig::expected_loops(const std::string& name) const {
 
 int ChainConfig::tile(const std::string& name) const {
   const auto it = entries_.find(name);
-  return it == entries_.end() ? 0 : it->second.tile;
+  return it == entries_.end() ? 1 : it->second.tile;
 }
 
 }  // namespace op2ca::core

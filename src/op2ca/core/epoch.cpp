@@ -259,11 +259,11 @@ LoopMetrics run_loop(RankState& st, const LoopRecord& rec) {
 }
 
 void run_chain(RankState& st, const std::string& name,
-               const std::string& key, const std::vector<LoopRecord>& loops,
-               int tile) {
+               const std::string& key, const LoopRecord* loops,
+               std::size_t n, int tile) {
   const WallTimer timer;
   st.epoch = LoopMetrics{};
-  Window& w = chain_window(st, key, loops.data(), loops.size());
+  Window& w = chain_window(st, key, loops, n);
   if (w.loops.empty()) {
     // Checked before the regions exist, so a failing window fails again.
     const int required = w.analysis.required_depth;
@@ -276,9 +276,9 @@ void run_chain(RankState& st, const std::string& name,
                       "; raise WorldConfig::halo_depth");
     OP2CA_REQUIRE(cap == 0 || required <= cap,
                   needs + "chains.cfg caps it at depth=" + std::to_string(cap));
-    build_regions(st, w, loops.data(), loops.size());
+    build_regions(st, w, loops, n);
   }
-  LoopMetrics& m = run_epoch(st, w, loops.data(), loops.size(), timer);
+  LoopMetrics& m = run_epoch(st, w, loops, n, timer);
   m.tile = tile;
   // Per-invocation execution would have paid this epoch's message count
   // once per fused invocation (the stale-dat mask repeats under a steady

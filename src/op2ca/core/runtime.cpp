@@ -91,7 +91,7 @@ Dat Runtime::dat(const std::string& name) const {
 }
 
 double* Runtime::dat_data(Dat d) {
-  detail::flush_deferred(*state_);  // direct data access is a sync point
+  detail::flush_deferred(*state_, "Runtime::dat_data");
   return state_->rank_dat(d.id).data.data();
 }
 
@@ -99,13 +99,8 @@ const halo::SetLayout& Runtime::layout(Set s) const {
   return state_->layout(s.id);
 }
 
-sim::Comm& Runtime::comm() {
-  detail::flush_deferred(*state_);  // collectives are sync points
-  return state_->comm;
-}
-
 void Runtime::barrier() {
-  detail::flush_deferred(*state_);
+  detail::flush_deferred(*state_, "Runtime::barrier");
   state_->comm.barrier();
 }
 

@@ -20,15 +20,13 @@ World::World(mesh::MeshDef mesh, WorldConfig cfg)
   OP2CA_REQUIRE(cfg_.threads_per_rank >= 1,
                 "World needs threads_per_rank >= 1");
   OP2CA_REQUIRE(cfg_.halo_depth >= 1, "World needs halo_depth >= 1");
-  OP2CA_REQUIRE(cfg_.tile >= 1, "World needs tile >= 1");
   OP2CA_REQUIRE(mesh_.num_sets() > 0, "World needs a non-empty mesh");
 
   // Temporal tiling needs layers for the fused window to grow into: a
   // tile of k invocations extends the Alg-3 window roughly k-fold, so
-  // the plan is built k times deeper. The largest tile any chain can run
-  // at governs (per-chain tile= entries may exceed the world default);
-  // tile == 1 everywhere leaves the depth untouched — bitwise-legacy.
-  int max_tile = cfg_.tile;
+  // the plan is built k times deeper. The largest tile any enabled chain
+  // can run at governs; tile 1 everywhere leaves the depth untouched.
+  int max_tile = 1;
   for (const auto& [name, entry] : cfg_.chains.entries())
     if (entry.enabled) max_tile = std::max(max_tile, entry.tile);
   const std::int64_t plan_depth =
@@ -91,8 +89,11 @@ void World::run(const std::function<void(Runtime&)>& spmd) {
     try {
       Runtime rt(this, state);
       spmd(rt);
-      detail::flush_deferred(*state);  // drain tiles + lazy queue
+      detail::flush_deferred(*state, "the end of World::run");
     } catch (...) {
+      // A failed run drops its deferred loops: they belong to the failed
+      // program, and their arg_gbl READ pointers into its frames.
+      state->deferred = {};
       {
         std::lock_guard<std::mutex> lock(error_mu);
         if (!first_error) first_error = std::current_exception();

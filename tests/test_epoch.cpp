@@ -10,10 +10,11 @@
 // executed or sent.
 //
 // Rows: the MG-CFD V-cycle plus the synthetic chain, run as per-loop OP2,
-// CA, lazy and tile=2, and one Hydra RK step with the hydra-rk chain
+// CA, lazy and tile=2; one Hydra RK step with the hydra-rk chain
 // selection (period, vflux, iflux and jacob under CA; weight and gradl
-// disabled, so they take the per-loop path); each at 3 and 4 ranks with
-// 1 and 2 threads per rank.
+// disabled, so they take the per-loop path); and a program that
+// interleaves every kind of deferred work (mixed_step), run eager and
+// lazy. Each at 3 and 4 ranks with 1 and 2 threads per rank.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -77,13 +78,13 @@ std::uint64_t hash_dats(const World& w) {
   return f.h;
 }
 
-/// The synthetic chain without its leading perturbation loop: it directly
-/// follows a run_synthetic_chain invocation, so a tile=2 world fuses the
-/// two invocations into one epoch.
+/// The synthetic chain without its leading perturbation loop, bracketed
+/// as `chain`: it directly follows a run_synthetic_chain invocation, so a
+/// tile=2 world fuses the two invocations into one epoch.
 void synthetic_chain_body(Runtime& rt, const apps::mgcfd::Handles& h,
-                          int nchains) {
+                          const char* chain, int nchains) {
   namespace k = apps::mgcfd::kernels;
-  rt.chain_begin("synthetic");
+  rt.chain_begin(chain);
   for (int c = 0; c < nchains; ++c) {
     rt.par_loop("synth_update", h.edges0, k::synth_update,
                 arg_dat(h.sres, 0, h.e2n0, Access::INC),
@@ -100,7 +101,35 @@ void synthetic_chain_body(Runtime& rt, const apps::mgcfd::Handles& h,
   rt.chain_end();
 }
 
-enum class Mode { Op2, Ca, Lazy, Tile2, HydraRk };
+/// One step that interleaves every kind of deferred work: six invocations
+/// of the tile=4 chain "tiled" (a full tile, then a partial one cut by the
+/// loose loops after it), a loose update/flux pair, the disabled chain
+/// "off", a barrier, the untiled "synthetic" chain with its loose
+/// perturbation loop, and three more "tiled" invocations that the end of
+/// the run drains as a partial tile.
+void mixed_step(Runtime& rt, const apps::mgcfd::Handles& h) {
+  namespace k = apps::mgcfd::kernels;
+  rt.par_loop("synth_perturb", h.nodes0, k::synth_perturb,
+              arg_dat(h.spres, Access::RW));
+  for (int i = 0; i < 6; ++i) synthetic_chain_body(rt, h, "tiled", 1);
+  rt.par_loop("loose_update", h.edges0, k::synth_update,
+              arg_dat(h.sres, 0, h.e2n0, Access::INC),
+              arg_dat(h.sres, 1, h.e2n0, Access::INC),
+              arg_dat(h.spres, 0, h.e2n0, Access::READ),
+              arg_dat(h.spres, 1, h.e2n0, Access::READ));
+  rt.par_loop("loose_flux", h.edges0, k::synth_edge_flux,
+              arg_dat(h.sflux, 0, h.e2n0, Access::INC),
+              arg_dat(h.sflux, 1, h.e2n0, Access::INC),
+              arg_dat(h.sres, 0, h.e2n0, Access::READ),
+              arg_dat(h.sres, 1, h.e2n0, Access::READ),
+              arg_dat(h.sewt, Access::READ));
+  synthetic_chain_body(rt, h, "off", 1);
+  rt.barrier();
+  apps::mgcfd::run_synthetic_chain(rt, h, 2);
+  for (int i = 0; i < 3; ++i) synthetic_chain_body(rt, h, "tiled", 1);
+}
+
+enum class Mode { Op2, Ca, Lazy, Tile2, HydraRk, Mixed, MixedLazy };
 
 struct Row {
   std::string name;
@@ -144,12 +173,25 @@ Row run_row(Mode mode, const char* label, int nranks, int threads) {
         [&](Runtime& rt) {
           apps::hydra::run_setup(rt, apps::hydra::resolve_handles(rt, ids));
         });
+  } else if (mode == Mode::Mixed || mode == Mode::MixedLazy) {
+    apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 2);
+    cfg.partitioner = partition::Kind::KWay;
+    cfg.chains.enable("tiled", 2, 0, 4);
+    cfg.chains.disable("off");
+    cfg.chains.enable("synthetic", 4, 2);
+    cfg.lazy = mode == Mode::MixedLazy;
+    World w(std::move(prob.mg.mesh), cfg);
+    metered(
+        w,
+        [&](Runtime& rt) {
+          mixed_step(rt, apps::mgcfd::resolve_handles(rt, prob));
+        },
+        [](Runtime&) {});
   } else {
     apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 2);
     cfg.partitioner = partition::Kind::KWay;
     if (mode == Mode::Ca || mode == Mode::Tile2)
-      cfg.chains.enable("synthetic", 6, 2);
-    if (mode == Mode::Tile2) cfg.tile = 2;
+      cfg.chains.enable("synthetic", 6, 2, mode == Mode::Tile2 ? 2 : 1);
     cfg.lazy = mode == Mode::Lazy;
     World w(std::move(prob.mg.mesh), cfg);
     metered(
@@ -158,7 +200,7 @@ Row run_row(Mode mode, const char* label, int nranks, int threads) {
           const auto h = apps::mgcfd::resolve_handles(rt, prob);
           apps::mgcfd::solver_iteration(rt, h);
           apps::mgcfd::run_synthetic_chain(rt, h, 3);
-          synthetic_chain_body(rt, h, 3);
+          synthetic_chain_body(rt, h, "synthetic", 3);
         },
         [](Runtime&) {});
   }
@@ -172,7 +214,8 @@ Row run_row(Mode mode, const char* label, int nranks, int threads) {
 // replaced; their metrics column at 84959f3, the last commit with
 // per-tier byte counters, hashed without them. The /t2 rows were taken
 // at 5370d09 with WorldConfig::colour_block = 256, the blocked sweep that
-// became the one pooled form.
+// became the one pooled form. The mixed rows were taken at 0cc7c53, where
+// chain capture, lazy loops and temporal tiles still kept three queues.
 const Row kPinned[] = {
     {"mgcfd-op2/r3/t1", 0x3eb2f88fc0410b51ull, 0x5f81b80383bf2e17ull},
     {"mgcfd-op2/r3/t2", 0xbc0d1b87ddf203b5ull, 0x993d076bce6c45f8ull},
@@ -194,13 +237,22 @@ const Row kPinned[] = {
     {"hydra-rk/r3/t2", 0xffb4d9b3d9f845c3ull, 0xe68595aa6e8f2277ull},
     {"hydra-rk/r4/t1", 0x57884dab29296c69ull, 0xafebabdd6928c93cull},
     {"hydra-rk/r4/t2", 0x57d875e68a3362bdull, 0xb7b5431dfc4accb6ull},
+    {"mixed-eager/r3/t1", 0xf0c42aa00bca119bull, 0x6c7773a338847482ull},
+    {"mixed-eager/r3/t2", 0xd1ce931f168bf238ull, 0x3ddfc1e639cf39c4ull},
+    {"mixed-eager/r4/t1", 0x9a852f65c138af32ull, 0x88275c17fcce53f3ull},
+    {"mixed-eager/r4/t2", 0xee19b29b048d138cull, 0x97a6bf227c9217c0ull},
+    {"mixed-lazy/r3/t1", 0x69f71a01f9b66c2bull, 0x0b388250d7a79884ull},
+    {"mixed-lazy/r3/t2", 0xc47ba394606ac51dull, 0x172f87d0462a47e6ull},
+    {"mixed-lazy/r4/t1", 0x48139b190b321cbfull, 0x8107400fca9a6dabull},
+    {"mixed-lazy/r4/t2", 0x091bd5d5084846a7ull, 0x3cbd71e89ba2a5b8ull},
 };
 
 TEST(EpochPin, CountersAndResultsPinned) {
   const std::pair<Mode, const char*> modes[] = {
       {Mode::Op2, "mgcfd-op2"},   {Mode::Ca, "mgcfd-ca"},
       {Mode::Lazy, "mgcfd-lazy"}, {Mode::Tile2, "mgcfd-tile2"},
-      {Mode::HydraRk, "hydra-rk"},
+      {Mode::HydraRk, "hydra-rk"}, {Mode::Mixed, "mixed-eager"},
+      {Mode::MixedLazy, "mixed-lazy"},
   };
   std::vector<Row> rows;
   for (const auto& [mode, label] : modes)

@@ -5,8 +5,14 @@
 // a time; since both paths visit elements in the same order, every double
 // must match exactly — EXPECT_EQ on the raw vectors, no tolerance.
 //
-// Covered modes: per-loop OP2, explicit CA chains, and lazy auto-chaining,
-// each multi-rank, on the MG-CFD synthetic chain and a Hydra chain.
+// Covered modes, each multi-rank: per-loop OP2, explicit CA chains, lazy
+// auto-chaining and temporal tiles (a chain's tile=<k> entry), on the
+// MG-CFD synthetic chain and a Hydra chain. Chain brackets, lazy loops
+// and tiles all queue in the rank's one deferred window, so each mode is
+// also a different way of cutting that window into epochs. Further
+// sections hold the other backends and numberings to the same results:
+// the mpi-stub transport bitwise, renumbered meshes and thread widths
+// within the usual tolerance.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -241,7 +247,7 @@ TEST(Equivalence, ReorderedWidthIndependentSweeps) {
       run_synth(4, Mode::kCa, false, mesh::ReorderKind::SFC, 4));
 }
 
-// -- Temporal tiling (WorldConfig::tile). -------------------------------
+// -- Temporal tiling (ChainConfig tile=<k>). ----------------------------
 //
 // Fusing k back-to-back chain invocations into one exchange epoch moves
 // the core/boundary split (deeper shrink levels) and regenerates halo
@@ -252,9 +258,9 @@ TEST(Equivalence, ReorderedWidthIndependentSweeps) {
 
 /// GENUINELY back-to-back chain invocations: run_synthetic_chain puts
 /// the direct perturb loop before each bracket, which is intervening
-/// work that (correctly) flushes every tile window at size 1. Here
-/// perturb runs once up front and the bracketed pairs repeat, so full
-/// windows actually form and fuse.
+/// work that (correctly) ends every tile at one invocation. Here perturb
+/// runs once up front and the bracketed pairs repeat, so full tiles
+/// actually form and fuse.
 void tiled_program(Runtime& rt, const apps::mgcfd::Handles& h,
                    int timesteps) {
   namespace k = apps::mgcfd::kernels;
@@ -285,7 +291,7 @@ SynthResult run_synth_tiled(int nranks, int tile, Mode mode,
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
   WorldConfig cfg = equiv_config(nranks, mode, false, threads);
-  cfg.tile = tile;
+  if (mode == Mode::kCa) cfg.chains.enable("synthetic", 0, 0, tile);
   World w(std::move(prob.mg.mesh), cfg);
   w.run([&](Runtime& rt) {
     const auto h = apps::mgcfd::resolve_handles(rt, prob);
@@ -306,8 +312,8 @@ TEST(Equivalence, TiledMatchesOp2Baseline) {
 }
 
 TEST(Equivalence, TileOneIsBitwiseLegacy) {
-  // An explicit tile=1 run must take the identical code path as a run
-  // that never touches WorldConfig::tile: bitwise, not just tolerant.
+  // An explicit tile=1 entry must take the identical code path as a
+  // chain enabled without one: bitwise, not just tolerant.
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;

@@ -2,8 +2,11 @@
 // legibly, never deadlock, and leave errors attributable.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/core/chain_config.hpp"
@@ -44,9 +47,9 @@ chain gradl depth=1
   EXPECT_EQ(cfg.expected_loops("period"), 6);
   EXPECT_EQ(cfg.max_depth("period"), 2);
   EXPECT_EQ(cfg.tile("vflux"), 1);
-  // tile unset -> 0: the chain inherits WorldConfig::tile.
-  EXPECT_EQ(cfg.tile("gradl"), 0);
-  EXPECT_EQ(cfg.tile("unlisted"), 0);
+  // tile unset -> 1: the chain runs untiled.
+  EXPECT_EQ(cfg.tile("gradl"), 1);
+  EXPECT_EQ(cfg.tile("unlisted"), 1);
 
   // Programmatic enable() carries the same field.
   ChainConfig prog;
@@ -144,7 +147,7 @@ TEST(WorldFailures, BadHaloDepthRejected) {
     }
   };
   cfg = WorldConfig{};
-  cfg.tile = 64;  // 2 x 64 = 128 layers.
+  cfg.chains.enable("deep", 0, 0, 64);  // 2 x 64 = 128 layers.
   expect_depth_error(cfg, "64");
   std::istringstream in("chain big tile=1073741824\n");
   cfg = WorldConfig{};
@@ -228,6 +231,84 @@ TEST(WorldFailures, EmptyChainIsNoOp) {
     rt.chain_end();
   });
   SUCCEED();
+}
+
+/// A 6x6 quad mesh whose edges carry one value, 1 everywhere, and a
+/// direct loop that adds 1 to it (no halo exchange).
+struct EdgeValue {
+  mesh::MeshDef mesh;
+  mesh::dat_id v = -1;
+};
+
+EdgeValue edge_value_mesh() {
+  mesh::Quad2D q = mesh::make_quad2d(6, 6);
+  const auto ne = static_cast<std::size_t>(q.mesh.set(q.edges).size);
+  const mesh::dat_id v =
+      q.mesh.add_dat("v", q.edges, 1, std::vector<double>(ne, 1.0));
+  return {std::move(q.mesh), v};
+}
+
+void add_one(Runtime& rt, mesh::dat_id v) {
+  rt.par_loop("add_one", rt.set("edges"), [](double* e) { e[0] += 1.0; },
+              arg_dat(rt.dat(v), Access::RW));
+}
+
+TEST(WorldFailures, RunEndingInsideChainRaises) {
+  // A run that ends inside chain_begin/chain_end raises, naming the
+  // chain, and drops the open bracket with its loop: the next run's loop
+  // is a loose loop again and runs.
+  EdgeValue ev = edge_value_mesh();
+  WorldConfig cfg;
+  cfg.nranks = 2;
+  World w(std::move(ev.mesh), cfg);
+  try {
+    w.run([&](Runtime& rt) {
+      rt.chain_begin("x");
+      add_one(rt, ev.v);
+    });
+    ADD_FAILURE() << "a run ending inside chain 'x' returned normally";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("chain 'x'"), std::string::npos) << what;
+    EXPECT_NE(what.find("World::run"), std::string::npos) << what;
+  }
+  w.run([&](Runtime& rt) { add_one(rt, ev.v); });
+  for (const double x : w.fetch_dat(ev.v)) ASSERT_EQ(x, 2.0);
+}
+
+TEST(WorldFailures, SyncPointInsideChainRaises) {
+  // A loop-chain holds no synchronisation point: dat_data, barrier and
+  // flush inside an open bracket raise, naming the call and the chain,
+  // for a CA-enabled and a disabled chain alike. The bracket stays open
+  // and its loop runs once, at chain_end.
+  for (const bool enabled : {true, false}) {
+    EdgeValue ev = edge_value_mesh();
+    WorldConfig cfg;
+    cfg.nranks = 2;
+    if (enabled) cfg.chains.enable("x");
+    World w(std::move(ev.mesh), cfg);
+    w.run([&](Runtime& rt) {
+      rt.chain_begin("x");
+      add_one(rt, ev.v);
+      const std::pair<const char*, std::function<void()>> calls[] = {
+          {"dat_data", [&] { rt.dat_data(rt.dat(ev.v)); }},
+          {"barrier", [&] { rt.barrier(); }},
+          {"flush", [&] { rt.flush(); }},
+      };
+      for (const auto& [call, sync] : calls) {
+        try {
+          sync();
+          ADD_FAILURE() << call << " inside chain 'x' returned normally";
+        } catch (const Error& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find(call), std::string::npos) << what;
+          EXPECT_NE(what.find("chain 'x'"), std::string::npos) << what;
+        }
+      }
+      rt.chain_end();
+    });
+    for (const double x : w.fetch_dat(ev.v)) ASSERT_EQ(x, 2.0) << enabled;
+  }
 }
 
 TEST(WorldFailures, ValidationCatchesOutOfRegionAccess) {

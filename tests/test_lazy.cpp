@@ -7,6 +7,8 @@
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
 #include "op2ca/core/runtime.hpp"
+#include "op2ca/mesh/quad2d.hpp"
+#include "op2ca/util/error.hpp"
 #include "test_common.hpp"
 
 namespace op2ca::core {
@@ -170,6 +172,27 @@ TEST(Lazy, ExplicitChainsStillWork) {
   });
   EXPECT_GT(w.chain_metrics().at("synthetic").calls, 0);
   for (double v : w.fetch_dat(sflux)) ASSERT_TRUE(std::isfinite(v));
+}
+
+TEST(Lazy, FailedRunDropsQueuedLoops) {
+  // A loop queued before the SPMD function threw belongs to the failed
+  // run: it never runs, not even at the next run's first flush.
+  mesh::Quad2D q = mesh::make_quad2d(4, 4);
+  const auto nn = static_cast<std::size_t>(q.mesh.set(q.nodes).size);
+  const mesh::dat_id v =
+      q.mesh.add_dat("v", q.nodes, 1, std::vector<double>(nn, 10.0));
+  World w(std::move(q.mesh), lazy_config(1, true));
+  const auto add_one = [v](Runtime& rt) {
+    rt.par_loop("add_one", rt.set("nodes"), [](double* p) { p[0] += 1.0; },
+                arg_dat(rt.dat(v), Access::RW));
+  };
+  EXPECT_THROW(w.run([&](Runtime& rt) {
+                 add_one(rt);
+                 raise("deliberate failure after queueing a loop");
+               }),
+               Error);
+  w.run(add_one);
+  for (const double x : w.fetch_dat(v)) ASSERT_EQ(x, 11.0);
 }
 
 TEST(Lazy, BitwiseDeterministicAcrossRuns) {
