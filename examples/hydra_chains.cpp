@@ -7,7 +7,9 @@
 //                  [--config=chains.cfg]
 //
 // Without --config, a built-in configuration enabling period, vflux,
-// iflux and jacob (the profitable chains of Fig 12/13) is used.
+// iflux and jacob (the profitable chains of Fig 12/13) is used. Exits 1
+// when any dat holds a non-finite value after the run.
+#include <cmath>
 #include <exception>
 #include <iostream>
 #include <sstream>
@@ -71,6 +73,13 @@ chain jacob   loops=3 depth=1
               << " bytes=" << m.bytes << " core=" << m.core_iters
               << " halo=" << m.halo_iters << '\n';
   }
+  for (mesh::dat_id d = 0; d < w.mesh().num_dats(); ++d)
+    for (const double v : w.fetch_dat(d))
+      if (!std::isfinite(v)) {
+        std::cout << "dat '" << w.mesh().dat(d).name << "' not finite\n";
+        return 1;
+      }
+  std::cout << "every dat finite after " << iters << " iterations\n";
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "hydra_chains: " << e.what() << '\n';
