@@ -16,14 +16,11 @@ int main(int argc, char** argv) try {
 
   apps::hydra::Problem prob = apps::hydra::build_problem(
       bench::scaled_mesh("8M", cfg.scale * 4));
-  const auto specs = apps::hydra::chain_specs(prob);
-  const std::set<mesh::dat_id> rk{
-      prob.qo,  prob.qp, prob.ql,   prob.qrg,  prob.qmu,
-      prob.vol, prob.xp, prob.jacp, prob.jaca, prob.jacb};
-  std::map<std::string, double> host_g;
-  for (const auto& [cname, spec] : specs)
-    for (const auto& loop : spec.loops)
-      host_g[loop.name] = model::default_host_g();
+  const core::Recording program = apps::hydra::record_program(prob);
+  const core::ChainSpec period = program.chains_by_name().at("period");
+  const std::set<mesh::dat_id> stale =
+      model::steady_state_stale(period, program.loose_written());
+  const std::map<std::string, double> host_g = bench::default_costs(program);
 
   Table t("Ablation — partitioner effect on halos and chain times (8M/" +
           std::to_string(cfg.scale * 4) + ", 64 ranks)");
@@ -42,8 +39,7 @@ int main(int argc, char** argv) try {
         partition::evaluate_partition(prob.an.mesh, part, prob.an.nodes);
     const halo::HaloPlan plan = bench::plan_for(prob.an.mesh, part, 2);
     const bench::ChainPrediction p = bench::predict_chain(
-        mach, prob.an.mesh, plan, specs.at("period"),
-        model::steady_state_stale(specs.at("period"), rk), host_g);
+        mach, prob.an.mesh, plan, period, stale, host_g);
     t.add_row({std::string(partition::kind_name(kind)), q.imbalance,
                q.edge_cut, static_cast<std::int64_t>(q.max_neighbors),
                p.t_op2 * 1e3, p.t_ca * 1e3, p.gain_pct});

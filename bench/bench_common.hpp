@@ -15,7 +15,6 @@
 //   --scale=N      divide mesh nodes and rank counts by N (default 16; use 64 for a quick pass)
 //   --csv          emit CSV instead of aligned text
 //   --calibrate=0  skip kernel calibration (use default costs)
-//   --threads=N    model N shared-memory workers per rank (Machine::threads_per_rank)
 //   --rails=N      model large messages spread over N network rails
 //                  (0 = keep the machine preset's rail count; overrides
 //                  Machine::net.net_rails)
@@ -45,6 +44,7 @@
 
 #include "op2ca/comm/cost_model.hpp"
 #include "op2ca/core/chain.hpp"
+#include "op2ca/core/recorder.hpp"
 #include "op2ca/core/runtime.hpp"
 #include "op2ca/halo/halo_plan.hpp"
 #include "op2ca/model/calibrate.hpp"
@@ -61,7 +61,6 @@ struct BenchConfig {
   std::int64_t scale = 16;
   bool csv = false;
   bool calibrate = true;
-  int threads = 1;
   int rails = 0;  ///< 0 = machine preset's rail count.
   std::string calibration;  ///< BENCH_calibration.json path; empty = presets.
   bool device = false;
@@ -74,7 +73,6 @@ struct BenchConfig {
     cfg.scale = opt.get_int("scale", 16);
     cfg.csv = opt.get_bool("csv", false);
     cfg.calibrate = opt.get_bool("calibrate", true);
-    cfg.threads = static_cast<int>(opt.get_int("threads", 1));
     cfg.rails = static_cast<int>(opt.get_int("rails", 0));
     cfg.calibration = opt.get_string("calibration", "");
     cfg.device = opt.get_bool("device", false);
@@ -87,7 +85,6 @@ struct BenchConfig {
     cfg.tile = static_cast<int>(opt.get_int("tile", 1));
     OP2CA_REQUIRE(cfg.tile >= 1, "--tile must be >= 1");
     OP2CA_REQUIRE(cfg.scale >= 1, "--scale must be >= 1");
-    OP2CA_REQUIRE(cfg.threads >= 1, "--threads must be >= 1");
     OP2CA_REQUIRE(cfg.rails >= 0 && cfg.rails <= sim::kMaxRails,
                   "--rails must be in [0, 8]");
     OP2CA_REQUIRE(cfg.pipeline_stages >= 1,
@@ -95,10 +92,8 @@ struct BenchConfig {
     return cfg;
   }
 
-  /// Applies the intra-rank threading, wire and device knobs to a
-  /// machine preset: compute terms scale by Machine::compute_speedup().
-  model::Machine apply_threads(model::Machine mach) const {
-    mach.threads_per_rank = threads;
+  /// Applies the wire and device knobs to a machine preset.
+  model::Machine apply_to(model::Machine mach) const {
     // Measured wire parameters replace the preset's guesses first, so an
     // explicit --rails still wins over the calibrated rail count.
     if (!calibration.empty())
@@ -121,10 +116,8 @@ struct BenchConfig {
 /// The options the fig drivers read: every BenchConfig field. Drivers
 /// that ignore some fields list only the ones they read.
 inline std::set<std::string> fig_option_names() {
-  return {"scale",       "csv",         "calibrate",
-          "threads",     "rails",       "calibration",
-          "device",      "device-mode", "pipeline-stages",
-          "tile"};
+  return {"scale",  "csv",         "calibrate",       "rails", "calibration",
+          "device", "device-mode", "pipeline-stages", "tile"};
 }
 
 /// Paper mesh sizes by label.
@@ -167,6 +160,19 @@ inline halo::HaloPlan plan_for(const mesh::MeshDef& mesh,
   opts.depth = depth;
   opts.build_local_maps = true;
   return halo::build_halo_plan(mesh, part, opts);
+}
+
+/// The default per-iteration cost of every loop a recording holds, in
+/// and out of chains: the kernel costs --calibrate=0 prices with.
+inline std::map<std::string, double> default_costs(
+    const core::Recording& program) {
+  std::map<std::string, double> g;
+  for (const core::ChainSpec& chain : program.chains)
+    for (const core::LoopSpec& loop : chain.loops)
+      g[loop.name] = model::default_host_g();
+  for (const core::LoopSpec& loop : program.loose)
+    g[loop.name] = model::default_host_g();
+  return g;
 }
 
 /// Predicted OP2 and CA times for one chain execution on `mach`.

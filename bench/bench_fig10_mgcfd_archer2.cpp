@@ -10,7 +10,7 @@ using namespace op2ca;
 int main(int argc, char** argv) try {
   const Options opt(argc, argv, bench::fig_option_names());
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
-  const model::Machine mach = cfg.apply_threads(model::archer2());
+  const model::Machine mach = cfg.apply_to(model::archer2());
 
   for (const std::string mesh : {"8M", "24M"}) {
     bench::MgcfdBench b(cfg, mesh);

@@ -31,7 +31,7 @@ model::Machine unscaled_cirrus(std::int64_t scale) {
 int main(int argc, char** argv) try {
   const Options opt(argc, argv, bench::fig_option_names());
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
-  const model::Machine mach = cfg.apply_threads(unscaled_cirrus(cfg.scale));
+  const model::Machine mach = cfg.apply_to(unscaled_cirrus(cfg.scale));
 
   for (const std::string mesh : {"8M", "24M"}) {
     bench::MgcfdBench b(cfg, mesh);

@@ -9,7 +9,7 @@ using namespace op2ca;
 int main(int argc, char** argv) try {
   const Options opt(argc, argv, bench::fig_option_names());
   const bench::BenchConfig cfg = bench::BenchConfig::from_options(opt);
-  const model::Machine mach = cfg.apply_threads(model::archer2());
+  const model::Machine mach = cfg.apply_to(model::archer2());
   constexpr int kIterations = 20;  // paper: 20 main-loop iterations
 
   for (const std::string mesh : {"8M", "24M"}) {

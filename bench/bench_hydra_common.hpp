@@ -1,5 +1,5 @@
-// Shared Hydra bench pipeline: problem + chain specs per mesh label,
-// RIB partitions/plans cached per rank count (Hydra's default
+// Shared Hydra bench pipeline: problem + recorded chain specs per mesh
+// label, RIB partitions/plans cached per rank count (Hydra's default
 // partitioner), kernel-cost calibration over one full iteration.
 #pragma once
 
@@ -15,9 +15,15 @@ public:
   HydraBench(const BenchConfig& cfg, const std::string& mesh_label)
       : cfg_(cfg),
         prob_(apps::hydra::build_problem(
-            scaled_mesh(mesh_label, cfg.scale))),
-        specs_(apps::hydra::chain_specs(prob_)) {
-    if (cfg.calibrate) {
+            scaled_mesh(mesh_label, cfg.scale))) {
+    // The chains and the rk_update loop between them, as run_setup and
+    // run_iteration issue them.
+    const core::Recording program = apps::hydra::record_program(prob_);
+    specs_ = program.chains_by_name();
+    outer_written_ = program.loose_written();
+    if (!cfg.calibrate) {
+      host_g_ = default_costs(program);
+    } else {
       apps::hydra::Problem small = apps::hydra::build_problem(20000);
       host_g_ = model::calibrate_loop_costs(
           std::move(small.an.mesh), [&](core::Runtime& rt) {
@@ -33,36 +39,19 @@ public:
     return specs_;
   }
 
-  /// Dats the inter-iteration rk_update loop re-dirties.
-  std::set<mesh::dat_id> rk_written() const {
-    return {prob_.qo,  prob_.qp,  prob_.ql,   prob_.qrg,  prob_.qmu,
-            prob_.vol, prob_.xp,  prob_.jacp, prob_.jaca, prob_.jacb};
-  }
-
   ChainPrediction predict(const model::Machine& mach, int machine_nodes,
                           const std::string& chain) {
     const int nranks = scaled_ranks(mach, machine_nodes, cfg_.scale);
     const halo::HaloPlan& plan = plan_for_ranks(nranks);
     const core::ChainSpec& spec = specs_.at(chain);
     const std::set<mesh::dat_id> stale =
-        model::steady_state_stale(spec, rk_written());
-    return predict_chain(mach, prob_.an.mesh, plan, spec, stale, host_g(),
+        model::steady_state_stale(spec, outer_written_);
+    return predict_chain(mach, prob_.an.mesh, plan, spec, stale, host_g_,
                          cfg_.tile);
   }
 
   int ranks_for(const model::Machine& mach, int machine_nodes) const {
     return scaled_ranks(mach, machine_nodes, cfg_.scale);
-  }
-
-  const std::map<std::string, double>& host_g() {
-    if (host_g_.empty()) {
-      // Fallback costs when calibration was skipped.
-      for (const auto& [name, spec] : specs_)
-        for (const auto& loop : spec.loops)
-          host_g_[loop.name] = model::default_host_g();
-      host_g_["rk_update"] = model::default_host_g();
-    }
-    return host_g_;
   }
 
 private:
@@ -82,6 +71,8 @@ private:
   BenchConfig cfg_;
   apps::hydra::Problem prob_;
   std::map<std::string, core::ChainSpec> specs_;
+  /// Dats the loop outside the chains (rk_update) writes.
+  std::set<mesh::dat_id> outer_written_;
   std::map<std::string, double> host_g_;
   int cached_ranks_ = -1;
   std::unique_ptr<halo::HaloPlan> plan_;

@@ -24,8 +24,7 @@ public:
             apps::mgcfd::run_synthetic_chain(rt, h, 2);
           });
     } else {
-      for (const std::string& name : apps::mgcfd::synthetic_loop_names())
-        host_g_[name] = model::default_host_g();
+      host_g_ = default_costs(apps::mgcfd::record_synthetic_chain(prob_, 1));
     }
   }
 
@@ -37,10 +36,13 @@ public:
                           int nchains) {
     const int nranks = scaled_ranks(mach, machine_nodes, cfg_.scale);
     const halo::HaloPlan& plan = plan_for_ranks(nranks);
-    const core::ChainSpec spec =
-        apps::mgcfd::synthetic_chain_spec(prob_, nchains);
+    // The chain, and the synth_perturb loop outside it that re-dirties
+    // spres every timestep.
+    const core::Recording program =
+        apps::mgcfd::record_synthetic_chain(prob_, nchains);
+    const core::ChainSpec& spec = program.chains.at(0);
     const std::set<mesh::dat_id> stale =
-        model::steady_state_stale(spec, {prob_.spres});
+        model::steady_state_stale(spec, program.loose_written());
     return predict_chain(mach, prob_.mg.mesh, plan, spec, stale, host_g_,
                          cfg_.tile);
   }

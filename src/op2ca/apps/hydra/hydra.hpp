@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "op2ca/core/recorder.hpp"
 #include "op2ca/core/runtime.hpp"
 #include "op2ca/mesh/annulus.hpp"
 
@@ -52,34 +53,54 @@ struct Handles {
   core::Dat jacp, jaca, jacb;
   core::Dat bwts, pwk, cbv, bwk, ewk;
 };
-Handles resolve_handles(core::Runtime& rt, const Problem& prob);
+/// The handles of a Problem's sets, maps and dats, from a Runtime or a
+/// SpecRecorder.
+Handles resolve_handles(const core::MeshHandles& rt, const Problem& prob);
+
+// The entry points below are templates on the runtime type RT: a
+// core::Runtime executes them, a core::SpecRecorder records them (both
+// are instantiated in the library).
 
 /// The six chains. Each function issues the chain's loops between
 /// chain_begin/chain_end under the paper's chain name; whether they run
 /// with CA is decided by the World's ChainConfig.
-void run_chain_weight(core::Runtime& rt, const Handles& h);
-void run_chain_period(core::Runtime& rt, const Handles& h);
-void run_chain_gradl(core::Runtime& rt, const Handles& h);
-void run_chain_vflux(core::Runtime& rt, const Handles& h);
-void run_chain_iflux(core::Runtime& rt, const Handles& h);
-void run_chain_jacob(core::Runtime& rt, const Handles& h);
+template <typename RT>
+void run_chain_weight(RT& rt, const Handles& h);
+template <typename RT>
+void run_chain_period(RT& rt, const Handles& h);
+template <typename RT>
+void run_chain_gradl(RT& rt, const Handles& h);
+template <typename RT>
+void run_chain_vflux(RT& rt, const Handles& h);
+template <typename RT>
+void run_chain_iflux(RT& rt, const Handles& h);
+template <typename RT>
+void run_chain_jacob(RT& rt, const Handles& h);
 
 /// Setup phase (weight + period once), mirroring the paper's placement
 /// of weight/period outside the main time-marching loop.
-void run_setup(core::Runtime& rt, const Handles& h);
+template <typename RT>
+void run_setup(RT& rt, const Handles& h);
 
 /// One main-loop iteration: gradl, vflux, iflux, jacob, period, then the
 /// RK-style state update that re-dirties the read dats.
-void run_iteration(core::Runtime& rt, const Handles& h);
+template <typename RT>
+void run_iteration(RT& rt, const Handles& h);
 
 /// One full 5-step Runge-Kutta iteration, Hydra's actual time-marching
 /// scheme: each stage recomputes gradients and fluxes (gradl, vflux,
 /// iflux) and applies a stage-weighted update; jacob and period run once
 /// per iteration. Exercises every chain 5x per time step.
-void run_rk_iteration(core::Runtime& rt, const Handles& h);
+template <typename RT>
+void run_rk_iteration(RT& rt, const Handles& h);
 
-/// Structural specs of the six chains (planned-mode analysis and the
-/// Table 3/4 benches). Keys: weight, period, gradl, vflux, iflux, jacob.
+/// run_setup then run_iteration, recorded over the problem's mesh: the
+/// six chains, and the rk_update loop outside them (planned mode).
+core::Recording record_program(const Problem& prob);
+
+/// The six chains of record_program by name (planned-mode analysis and
+/// the Table 3/4 benches). Keys: weight, period, gradl, vflux, iflux,
+/// jacob.
 std::map<std::string, core::ChainSpec> chain_specs(const Problem& prob);
 
 /// Chain names in table order.

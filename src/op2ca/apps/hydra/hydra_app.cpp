@@ -1,8 +1,7 @@
-// Hydra driver glue: setup phase, main-loop iteration, and the
-// structural ChainSpecs used by planned-mode analysis and the Table 3/4
-// benches. The specs mirror run_chain_* exactly (same sets, dats, modes,
-// self-combine flags) — tests pin the inspector output against the
-// paper's tables through these.
+// Hydra driver glue: setup phase, main-loop iteration, and their
+// recording, whose chains feed planned-mode analysis and the Table 3/4
+// benches — tests pin the inspector output against the paper's tables
+// through these.
 #include "op2ca/apps/hydra/hydra.hpp"
 #include "op2ca/apps/hydra/hydra_kernels.hpp"
 
@@ -11,12 +10,14 @@ namespace op2ca::apps::hydra {
 using core::Access;
 using core::arg_dat;
 
-void run_setup(core::Runtime& rt, const Handles& h) {
+template <typename RT>
+void run_setup(RT& rt, const Handles& h) {
   run_chain_weight(rt, h);
   run_chain_period(rt, h);
 }
 
-void run_iteration(core::Runtime& rt, const Handles& h) {
+template <typename RT>
+void run_iteration(RT& rt, const Handles& h) {
   run_chain_gradl(rt, h);
   run_chain_vflux(rt, h);
   run_chain_iflux(rt, h);
@@ -34,7 +35,8 @@ void run_iteration(core::Runtime& rt, const Handles& h) {
               arg_dat(h.visres, Access::READ));
 }
 
-void run_rk_iteration(core::Runtime& rt, const Handles& h) {
+template <typename RT>
+void run_rk_iteration(RT& rt, const Handles& h) {
   // Classic 5-stage RK coefficients (Jameson-style).
   static const double kAlpha[5] = {0.25, 1.0 / 6.0, 0.375, 0.5, 1.0};
   for (int stage = 0; stage < 5; ++stage) {
@@ -62,155 +64,23 @@ void run_rk_iteration(core::Runtime& rt, const Handles& h) {
               arg_dat(h.visres, Access::READ));
 }
 
-namespace {
+template void run_setup(core::Runtime&, const Handles&);
+template void run_iteration(core::Runtime&, const Handles&);
+template void run_rk_iteration(core::Runtime&, const Handles&);
+template void run_setup(core::SpecRecorder&, const Handles&);
+template void run_iteration(core::SpecRecorder&, const Handles&);
+template void run_rk_iteration(core::SpecRecorder&, const Handles&);
 
-core::ArgSpec ind(mesh::dat_id d, core::Access mode, mesh::map_id m,
-                  int col, bool self_combine = false) {
-  core::ArgSpec a;
-  a.dat = d;
-  a.mode = mode;
-  a.indirect = true;
-  a.map = m;
-  a.map_idx = col;
-  a.self_combine = self_combine;
-  return a;
+core::Recording record_program(const Problem& prob) {
+  return core::record(prob.an.mesh, [&](core::SpecRecorder& rec) {
+    const Handles h = resolve_handles(rec, prob);
+    run_setup(rec, h);
+    run_iteration(rec, h);
+  });
 }
 
-core::ArgSpec dir(mesh::dat_id d, core::Access mode) {
-  core::ArgSpec a;
-  a.dat = d;
-  a.mode = mode;
-  a.indirect = false;
-  return a;
-}
-
-core::LoopSpec loop(const std::string& name, mesh::set_id set,
-                    std::vector<core::ArgSpec> args) {
-  core::LoopSpec l;
-  l.name = name;
-  l.set = set;
-  l.args = std::move(args);
-  return l;
-}
-
-}  // namespace
-
-std::map<std::string, core::ChainSpec> chain_specs(const Problem& p) {
-  const mesh::Annulus& an = p.an;
-  const mesh::map_id e2n = an.e2n, pe2n = an.pe2n, b2n = an.b2n,
-                     cb2n = an.cb2n;
-  constexpr bool kSelf = true;
-
-  std::map<std::string, core::ChainSpec> specs;
-
-  {
-    core::ChainSpec c;
-    c.name = "weight";
-    c.loops = {
-        loop("sumbwts", an.bnd,
-             {ind(p.qo, Access::INC, b2n, 0), dir(p.bwts, Access::READ)}),
-        loop("periodsym", an.pedges,
-             {ind(p.qo, Access::RW, pe2n, 0, kSelf),
-              ind(p.qo, Access::RW, pe2n, 1, kSelf)}),
-        loop("centreline", an.cbnd,
-             {ind(p.qo, Access::WRITE, cb2n, 0), dir(p.cbv, Access::READ)}),
-        loop("edgelength", an.edges,
-             {ind(p.qo, Access::RW, e2n, 0, kSelf),
-              ind(p.qo, Access::RW, e2n, 1, kSelf),
-              dir(p.ewk, Access::READ)}),
-        loop("periodicity", an.pedges,
-             {ind(p.qo, Access::RW, pe2n, 0, kSelf),
-              ind(p.qo, Access::RW, pe2n, 1, kSelf)}),
-    };
-    specs["weight"] = std::move(c);
-  }
-
-  {
-    core::ChainSpec c;
-    c.name = "period";
-    const core::LoopSpec negflag =
-        loop("negflag", an.pedges,
-             {ind(p.vol, Access::RW, pe2n, 0, kSelf),
-              ind(p.vol, Access::RW, pe2n, 1, kSelf),
-              dir(p.pwk, Access::WRITE)});
-    const core::LoopSpec limxp =
-        loop("limxp", an.edges,
-             {ind(p.qo, Access::RW, e2n, 0, kSelf),
-              ind(p.qo, Access::RW, e2n, 1, kSelf),
-              ind(p.vol, Access::READ, e2n, 0),
-              ind(p.vol, Access::READ, e2n, 1)});
-    const core::LoopSpec periodicity =
-        loop("periodicity", an.pedges,
-             {ind(p.qo, Access::RW, pe2n, 0, kSelf),
-              ind(p.qo, Access::RW, pe2n, 1, kSelf)});
-    c.loops = {negflag, limxp, periodicity, limxp, periodicity, negflag};
-    specs["period"] = std::move(c);
-  }
-
-  {
-    core::ChainSpec c;
-    c.name = "gradl";
-    c.loops = {
-        loop("edgecon", an.edges,
-             {ind(p.qp, Access::INC, e2n, 0), ind(p.qp, Access::INC, e2n, 1),
-              ind(p.ql, Access::INC, e2n, 0), ind(p.ql, Access::INC, e2n, 1),
-              dir(p.ewk, Access::READ)}),
-        loop("period", an.pedges,
-             {ind(p.qp, Access::RW, pe2n, 0, kSelf),
-              ind(p.qp, Access::RW, pe2n, 1, kSelf),
-              ind(p.ql, Access::RW, pe2n, 0, kSelf),
-              ind(p.ql, Access::RW, pe2n, 1, kSelf)}),
-    };
-    specs["gradl"] = std::move(c);
-  }
-
-  {
-    core::ChainSpec c;
-    c.name = "vflux";
-    c.loops = {
-        loop("initres", an.nodes, {dir(p.res, Access::WRITE)}),
-        loop("vflux_edge", an.edges,
-             {ind(p.qp, Access::READ, e2n, 0), ind(p.qp, Access::READ, e2n, 1),
-              ind(p.xp, Access::READ, e2n, 0), ind(p.xp, Access::READ, e2n, 1),
-              ind(p.ql, Access::READ, e2n, 0), ind(p.ql, Access::READ, e2n, 1),
-              ind(p.qmu, Access::READ, e2n, 0), ind(p.qmu, Access::READ, e2n, 1),
-              ind(p.qrg, Access::READ, e2n, 0), ind(p.qrg, Access::READ, e2n, 1),
-              ind(p.res, Access::INC, e2n, 0), ind(p.res, Access::INC, e2n, 1)}),
-    };
-    specs["vflux"] = std::move(c);
-  }
-
-  {
-    core::ChainSpec c;
-    c.name = "iflux";
-    c.loops = {
-        loop("initviscres", an.nodes, {dir(p.visres, Access::WRITE)}),
-        loop("iflux_edge", an.edges,
-             {ind(p.qrg, Access::READ, e2n, 0), ind(p.qrg, Access::READ, e2n, 1),
-              ind(p.visres, Access::INC, e2n, 0),
-              ind(p.visres, Access::INC, e2n, 1)}),
-    };
-    specs["iflux"] = std::move(c);
-  }
-
-  {
-    core::ChainSpec c;
-    c.name = "jacob";
-    c.loops = {
-        loop("jac_period", an.pedges,
-             {ind(p.jacp, Access::READ, pe2n, 0),
-              ind(p.jacp, Access::READ, pe2n, 1),
-              ind(p.jaca, Access::READ, pe2n, 0),
-              ind(p.jaca, Access::READ, pe2n, 1),
-              dir(p.pwk, Access::WRITE)}),
-        loop("jac_centreline", an.cbnd, {dir(p.cbv, Access::RW)}),
-        loop("jac_corrections", an.bnd,
-             {ind(p.jacb, Access::READ, b2n, 0), dir(p.bwk, Access::WRITE)}),
-    };
-    specs["jacob"] = std::move(c);
-  }
-
-  return specs;
+std::map<std::string, core::ChainSpec> chain_specs(const Problem& prob) {
+  return record_program(prob).chains_by_name();
 }
 
 std::vector<std::string> chain_names() {

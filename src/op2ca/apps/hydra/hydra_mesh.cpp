@@ -68,7 +68,7 @@ Problem build_problem(gidx_t target_nodes, std::uint64_t seed) {
   return p;
 }
 
-Handles resolve_handles(core::Runtime& rt, const Problem& prob) {
+Handles resolve_handles(const core::MeshHandles& rt, const Problem& prob) {
   (void)prob;
   Handles h;
   h.nodes = rt.set("nodes");

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "op2ca/core/recorder.hpp"
 #include "op2ca/core/runtime.hpp"
 #include "op2ca/mesh/multigrid.hpp"
 
@@ -37,7 +38,7 @@ struct Problem {
 Problem build_problem(gidx_t target_nodes, int num_levels,
                       std::uint64_t seed = 7);
 
-/// Handle bundle resolved inside the SPMD function.
+/// Handle bundle resolved inside the SPMD function (or a recording).
 struct Handles {
   struct Level {
     core::Set nodes, edges;
@@ -50,7 +51,7 @@ struct Handles {
   core::Map e2n0;
   core::Dat sres, spres, sflux, sewt;
 };
-Handles resolve_handles(core::Runtime& rt, const Problem& prob);
+Handles resolve_handles(const core::MeshHandles& rt, const Problem& prob);
 
 /// One multigrid V-cycle iteration of the Euler solver; returns the
 /// residual RMS (global reduction).
@@ -64,13 +65,16 @@ std::vector<double> run_solver(core::Runtime& rt, const Handles& h,
 /// the chain re-dirties spres, then `nchains` update/edge_flux pairs run
 /// inside chain 'synthetic' (2*nchains loops). With the chain enabled in
 /// the ChainConfig this executes per Alg 2; otherwise as 2*nchains
-/// standard OP2 loops.
-void run_synthetic_chain(core::Runtime& rt, const Handles& h, int nchains);
+/// standard OP2 loops. RT is core::Runtime (executes) or
+/// core::SpecRecorder (records); both are instantiated in the library.
+template <typename RT>
+void run_synthetic_chain(RT& rt, const Handles& h, int nchains);
 
-/// Structural spec of the synthetic chain for planned-mode analysis.
+/// run_synthetic_chain recorded over the problem's mesh: the
+/// synth_perturb loop outside the bracket, and the chain (planned mode).
+core::Recording record_synthetic_chain(const Problem& prob, int nchains);
+
+/// The chain of record_synthetic_chain.
 core::ChainSpec synthetic_chain_spec(const Problem& prob, int nchains);
-
-/// Loop names of the synthetic chain (calibration keys).
-std::vector<std::string> synthetic_loop_names();
 
 }  // namespace op2ca::apps::mgcfd

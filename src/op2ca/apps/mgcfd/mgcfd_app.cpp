@@ -12,7 +12,7 @@ using core::Access;
 using core::arg_dat;
 using core::arg_gbl;
 
-Handles resolve_handles(core::Runtime& rt, const Problem& prob) {
+Handles resolve_handles(const core::MeshHandles& rt, const Problem& prob) {
   Handles h;
   h.levels.resize(prob.levels.size());
   for (std::size_t l = 0; l < prob.levels.size(); ++l) {

@@ -5,6 +5,8 @@
 // chain re-dirties spres each timestep, so the baseline re-exchanges
 // sres on every edge_flux (nchains messages per dat-class per neighbour
 // per timestep) while CA sends one grouped message.
+#include <utility>
+
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
 #include "op2ca/util/error.hpp"
@@ -14,7 +16,8 @@ namespace op2ca::apps::mgcfd {
 using core::Access;
 using core::arg_dat;
 
-void run_synthetic_chain(core::Runtime& rt, const Handles& h, int nchains) {
+template <typename RT>
+void run_synthetic_chain(RT& rt, const Handles& h, int nchains) {
   OP2CA_REQUIRE(nchains >= 1, "run_synthetic_chain: nchains >= 1");
 
   rt.par_loop("synth_perturb", h.nodes0, kernels::synth_perturb,
@@ -37,42 +40,17 @@ void run_synthetic_chain(core::Runtime& rt, const Handles& h, int nchains) {
   rt.chain_end();
 }
 
-core::ChainSpec synthetic_chain_spec(const Problem& prob, int nchains) {
-  const mesh::MeshDef& m = prob.mg.mesh;
-  const mesh::set_id edges = *m.find_set("edges_l0");
-  const mesh::map_id e2n = *m.find_map("e2n_l0");
+template void run_synthetic_chain(core::Runtime&, const Handles&, int);
+template void run_synthetic_chain(core::SpecRecorder&, const Handles&, int);
 
-  core::ChainSpec spec;
-  spec.name = "synthetic";
-  for (int c = 0; c < nchains; ++c) {
-    core::LoopSpec update;
-    update.name = "synth_update";
-    update.set = edges;
-    update.args = {
-        {prob.sres, core::Access::INC, true, e2n, 0},
-        {prob.sres, core::Access::INC, true, e2n, 1},
-        {prob.spres, core::Access::READ, true, e2n, 0},
-        {prob.spres, core::Access::READ, true, e2n, 1},
-    };
-    spec.loops.push_back(update);
-
-    core::LoopSpec flux;
-    flux.name = "synth_edge_flux";
-    flux.set = edges;
-    flux.args = {
-        {prob.sflux, core::Access::INC, true, e2n, 0},
-        {prob.sflux, core::Access::INC, true, e2n, 1},
-        {prob.sres, core::Access::READ, true, e2n, 0},
-        {prob.sres, core::Access::READ, true, e2n, 1},
-        {prob.sewt, core::Access::READ, false, -1, 0},
-    };
-    spec.loops.push_back(flux);
-  }
-  return spec;
+core::Recording record_synthetic_chain(const Problem& prob, int nchains) {
+  return core::record(prob.mg.mesh, [&](core::SpecRecorder& rec) {
+    run_synthetic_chain(rec, resolve_handles(rec, prob), nchains);
+  });
 }
 
-std::vector<std::string> synthetic_loop_names() {
-  return {"synth_perturb", "synth_update", "synth_edge_flux"};
+core::ChainSpec synthetic_chain_spec(const Problem& prob, int nchains) {
+  return std::move(record_synthetic_chain(prob, nchains).chains.at(0));
 }
 
 }  // namespace op2ca::apps::mgcfd

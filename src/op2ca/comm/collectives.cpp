@@ -14,108 +14,10 @@ constexpr tag_t kTagReduceUp = -1;
 constexpr tag_t kTagBcastDown = -2;
 constexpr tag_t kTagGather = -3;
 
-template <typename T>
-std::span<const std::byte> as_bytes_of(const T& v) {
-  return {reinterpret_cast<const std::byte*>(&v), sizeof(T)};
-}
-
-template <typename T>
-T from_bytes(const ByteBuf& buf) {
-  OP2CA_ASSERT(buf.size() == sizeof(T), "collective payload size mismatch");
-  T v;
-  std::memcpy(&v, buf.data(), sizeof(T));
-  return v;
-}
-
-/// Reduce-to-root then broadcast. Op is a binary callable.
-template <typename T, typename Op>
-T allreduce_impl(Comm& comm, T value, Op op) {
-  const int nranks = comm.size();
-  if (nranks == 1) return value;
-  if (comm.rank() == 0) {
-    T acc = value;
-    // Fixed rank order keeps floating-point reductions deterministic.
-    for (rank_t src = 1; src < nranks; ++src) {
-      ByteBuf buf;
-      Request r = comm.irecv(src, kTagReduceUp, &buf);
-      comm.wait(r);
-      acc = op(acc, from_bytes<T>(buf));
-    }
-    for (rank_t dst = 1; dst < nranks; ++dst) {
-      Request r = comm.isend(dst, kTagBcastDown, as_bytes_of(acc));
-      comm.wait(r);
-    }
-    return acc;
-  }
-  Request s = comm.isend(0, kTagReduceUp, as_bytes_of(value));
-  comm.wait(s);
-  ByteBuf buf;
-  Request r = comm.irecv(0, kTagBcastDown, &buf);
-  comm.wait(r);
-  return from_bytes<T>(buf);
-}
-
-template <typename T>
-std::vector<T> allgather_impl(Comm& comm, T value) {
-  const int nranks = comm.size();
-  std::vector<T> all(static_cast<std::size_t>(nranks));
-  all[static_cast<std::size_t>(comm.rank())] = value;
-  if (nranks == 1) return all;
-  if (comm.rank() == 0) {
-    for (rank_t src = 1; src < nranks; ++src) {
-      ByteBuf buf;
-      Request r = comm.irecv(src, kTagGather, &buf);
-      comm.wait(r);
-      all[static_cast<std::size_t>(src)] = from_bytes<T>(buf);
-    }
-    std::span<const std::byte> blob{
-        reinterpret_cast<const std::byte*>(all.data()),
-        all.size() * sizeof(T)};
-    for (rank_t dst = 1; dst < nranks; ++dst) {
-      Request r = comm.isend(dst, kTagBcastDown, blob);
-      comm.wait(r);
-    }
-    return all;
-  }
-  Request s = comm.isend(0, kTagGather, as_bytes_of(value));
-  comm.wait(s);
-  ByteBuf buf;
-  Request r = comm.irecv(0, kTagBcastDown, &buf);
-  comm.wait(r);
-  OP2CA_ASSERT(buf.size() == all.size() * sizeof(T),
-               "allgather payload size mismatch");
-  std::memcpy(all.data(), buf.data(), buf.size());
-  return all;
-}
-
 }  // namespace
 
 double Comm::allreduce_sum(double value) {
-  return allreduce_impl(*this, value, [](double a, double b) { return a + b; });
-}
-
-double Comm::allreduce_max(double value) {
-  return allreduce_impl(*this, value,
-                        [](double a, double b) { return std::max(a, b); });
-}
-
-std::int64_t Comm::allreduce_sum(std::int64_t value) {
-  return allreduce_impl(*this, value,
-                        [](std::int64_t a, std::int64_t b) { return a + b; });
-}
-
-std::int64_t Comm::allreduce_max(std::int64_t value) {
-  return allreduce_impl(
-      *this, value,
-      [](std::int64_t a, std::int64_t b) { return std::max(a, b); });
-}
-
-std::vector<double> Comm::allgather(double value) {
-  return allgather_impl(*this, value);
-}
-
-std::vector<std::int64_t> Comm::allgather(std::int64_t value) {
-  return allgather_impl(*this, value);
+  return allreduce_sum(std::vector<double>{value})[0];
 }
 
 std::vector<double> Comm::allreduce_sum(std::vector<double> values) {
@@ -178,7 +80,8 @@ std::vector<ByteBuf> Comm::allgather_bytes(const ByteBuf& blob) {
       const std::uint64_t len = b.size();
       std::memcpy(packed.data() + off, &len, sizeof(len));
       off += sizeof(len);
-      std::memcpy(packed.data() + off, b.data(), b.size());
+      // copy_n, not memcpy: an empty blob's data() may be null.
+      std::copy_n(b.data(), b.size(), packed.data() + off);
       off += b.size();
     }
     for (rank_t dst = 1; dst < nranks; ++dst) {
@@ -206,7 +109,7 @@ std::vector<ByteBuf> Comm::allgather_bytes(const ByteBuf& blob) {
                  "allgather_bytes blob truncated");
     ByteBuf& out = all[static_cast<std::size_t>(src)];
     out.resize(static_cast<std::size_t>(len));
-    std::memcpy(out.data(), packed.data() + off, out.size());
+    std::copy_n(packed.data() + off, out.size(), out.data());
     off += len;
   }
   return all;

@@ -83,13 +83,9 @@ public:
   void barrier();
 
   /// Collectives (implemented over point-to-point; see collectives.cpp).
+  /// Sum of one value across ranks, accumulated in rank order: the
+  /// epoch executor reduces arg_gbl INC results through this.
   double allreduce_sum(double value);
-  double allreduce_max(double value);
-  std::int64_t allreduce_sum(std::int64_t value);
-  std::int64_t allreduce_max(std::int64_t value);
-  /// Gathers one value from each rank, in rank order, on every rank.
-  std::vector<double> allgather(double value);
-  std::vector<std::int64_t> allgather(std::int64_t value);
   /// Element-wise vector sum across ranks (deterministic rank-order
   /// accumulation on the root). All ranks must pass the same size.
   /// World::fetch_dat uses this in SPMD mode to combine per-rank owned

@@ -21,7 +21,6 @@
 // exchanges send every message whole, as one isend.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -155,17 +154,6 @@ struct CostModel {
   /// Eq (3) is pack_time + unpack_time of the grouped message).
   double pack_time(std::int64_t bytes) const {
     return static_cast<double>(bytes) / pack_bandwidth_Bps;
-  }
-
-  /// Wire time of one temporally-tiled exchange epoch, amortised per
-  /// chain invocation: `tile` invocations share one grouped message of
-  /// tile * `bytes` (each skipped epoch's halo layers ride along), so the
-  /// per-invocation latency shrinks k-fold while the per-invocation byte
-  /// cost stays flat. tile <= 1 is exactly message_time(bytes, t).
-  double tiled_epoch_time(std::int64_t bytes, int tile, Tier t) const {
-    const int k = std::max(1, tile);
-    return message_time(bytes * static_cast<std::int64_t>(k), t) /
-           static_cast<double>(k);
   }
 };
 

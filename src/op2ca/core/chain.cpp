@@ -170,7 +170,9 @@ void run_disabled(RankState& st, const std::string& name,
 /// flushed at a sync point cache distinct plans and exchanges, and
 /// repeating the same geometry hits the cache. One invocation, or the
 /// loud fallback for an infeasible fused window, runs each invocation
-/// under the chain's own plan key, as the untiled executor does.
+/// under the chain's own plan key, as the untiled executor does. Every
+/// rank reaches the same structural fallback, so rank 0 warns for the
+/// World.
 void run_invocations(RankState& st, const std::string& name,
                      const LoopRecord* loops, std::size_t n, int inv) {
   if (inv >= 2) {
@@ -180,7 +182,7 @@ void run_invocations(RankState& st, const std::string& name,
       run_chain(st, name, key, loops, n, inv);
       return;
     }
-    if (st.tile_fallbacks.insert(key).second) {
+    if (st.tile_fallbacks.insert(key).second && st.rank == 0) {
       OP2CA_LOG_WARN << "chain '" << name << "': fused tile of " << inv
                      << " invocations is infeasible (inspector rejection, "
                         "halo plan too shallow, or over the chain's depth "

@@ -5,7 +5,8 @@
 // loops, each with its iteration set and access descriptors. It is what
 // the inspector consumes — both when the Runtime captures live par_loop
 // calls and when benches analyse application chains without executing
-// them (planned mode).
+// them (planned mode, which records the same chain functions through a
+// SpecRecorder, core/recorder.hpp).
 //
 // ChainAnalysis is the inspector's output:
 //  * per-loop, per-dat halo extensions HE_{D_l} and the per-loop
@@ -43,6 +44,8 @@ struct ArgSpec {
   /// multi-arity RW; declaring it lets the inspector avoid inflating
   /// upstream halo depths for cross-element reads that never happen.
   bool self_combine = false;
+
+  bool operator==(const ArgSpec&) const = default;
 };
 
 /// One loop of a chain.
@@ -53,12 +56,19 @@ struct LoopSpec {
   /// True when some arg writes through a map — the loop must then execute
   /// import-exec halo layers (owner-compute redundant execution).
   bool has_indirect_write() const;
+  /// True when some arg reduces into a global (arg_gbl INC, an arg with
+  /// no dat).
+  bool has_gbl_inc() const;
+
+  bool operator==(const LoopSpec&) const = default;
 };
 
 /// An ordered sequence of loops without global synchronisation.
 struct ChainSpec {
   std::string name;
   std::vector<LoopSpec> loops;
+
+  bool operator==(const ChainSpec&) const = default;
 };
 
 /// A dat the chained execution must sync before starting, and how deep.

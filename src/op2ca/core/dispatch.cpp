@@ -146,7 +146,7 @@ std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
     st.epoch.dispatch_regions += end - begin;
     return end - begin;
   }
-  if (st.pool == nullptr || rec.has_gbl_inc()) {
+  if (st.pool == nullptr || rec.spec.has_gbl_inc()) {
     rec.range_body(begin, end);
     st.epoch.dispatch_regions += 1;
     return end - begin;
@@ -188,7 +188,7 @@ std::int64_t run_list(RankState& st, const LoopRecord& rec,
     st.epoch.dispatch_regions += static_cast<std::int64_t>(idx.size());
     return static_cast<std::int64_t>(idx.size());
   }
-  if (st.pool == nullptr || rec.has_gbl_inc()) {
+  if (st.pool == nullptr || rec.spec.has_gbl_inc()) {
     rec.list_body(idx.data(), idx.size());
     st.epoch.dispatch_regions += 1;
     return static_cast<std::int64_t>(idx.size());

@@ -40,6 +40,12 @@ bool LoopSpec::has_indirect_write() const {
   return false;
 }
 
+bool LoopSpec::has_gbl_inc() const {
+  for (const ArgSpec& a : args)
+    if (a.dat < 0 && a.mode == Access::INC) return true;
+  return false;
+}
+
 std::map<mesh::dat_id, MergedAccess> merge_loop_accesses(
     const LoopSpec& loop) {
   std::map<mesh::dat_id, MergedAccess> merged;

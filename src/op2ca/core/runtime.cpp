@@ -65,30 +65,76 @@ void raise_out_of_region(const char* loop_name) {
 
 }  // namespace detail
 
-Runtime::Runtime(World* world, detail::RankState* state)
-    : world_(world), state_(state) {}
-
-rank_t Runtime::rank() const { return state_->rank; }
-int Runtime::nranks() const { return world_->config().nranks; }
-const mesh::MeshDef& Runtime::mesh() const { return world_->mesh(); }
-
-Set Runtime::set(const std::string& name) const {
-  const auto id = world_->mesh().find_set(name);
+Set MeshHandles::set(const std::string& name) const {
+  const auto id = mesh_->find_set(name);
   OP2CA_REQUIRE(id.has_value(), "unknown set: " + name);
   return Set{*id};
 }
 
-Map Runtime::map(const std::string& name) const {
-  const auto id = world_->mesh().find_map(name);
+Map MeshHandles::map(const std::string& name) const {
+  const auto id = mesh_->find_map(name);
   OP2CA_REQUIRE(id.has_value(), "unknown map: " + name);
   return Map{*id};
 }
 
-Dat Runtime::dat(const std::string& name) const {
-  const auto id = world_->mesh().find_dat(name);
+Dat MeshHandles::dat(const std::string& name) const {
+  const auto id = mesh_->find_dat(name);
   OP2CA_REQUIRE(id.has_value(), "unknown dat: " + name);
   return Dat{*id};
 }
+
+LoopSpec make_loop_spec(const mesh::MeshDef& mesh, const std::string& name,
+                        Set s, const std::vector<Arg>& args, bool in_chain) {
+  OP2CA_REQUIRE(s.id >= 0 && s.id < mesh.num_sets(),
+                "par_loop '" + name + "': invalid set");
+  LoopSpec spec;
+  spec.name = name;
+  spec.set = s.id;
+  spec.args.reserve(args.size());
+  for (const Arg& a : args) {
+    ArgSpec& as = spec.args.emplace_back();
+    as.mode = a.mode;
+    if (a.kind == Arg::Kind::Gbl) continue;
+    const mesh::DatDef& dd = mesh.dat(a.dat);
+    as.dat = a.dat;
+    if (a.kind == Arg::Kind::DatDirect) {
+      OP2CA_REQUIRE(dd.set == s.id,
+                    "par_loop '" + name + "': direct arg dat '" + dd.name +
+                        "' does not live on the iteration set");
+      continue;
+    }
+    const mesh::MapDef& mp = mesh.map(a.map);
+    OP2CA_REQUIRE(mp.from == s.id,
+                  "par_loop '" + name + "': map '" + mp.name +
+                      "' does not start at the iteration set");
+    OP2CA_REQUIRE(mp.to == dd.set,
+                  "par_loop '" + name + "': map '" + mp.name +
+                      "' does not land on dat '" + dd.name + "' set");
+    OP2CA_REQUIRE(a.map_idx >= 0 && a.map_idx < mp.arity,
+                  "par_loop '" + name + "': map index out of arity");
+    as.indirect = true;
+    as.map = a.map;
+    as.map_idx = a.map_idx;
+    as.self_combine = a.self_combine;
+  }
+  if (spec.has_gbl_inc()) {
+    OP2CA_REQUIRE(!spec.has_indirect_write(),
+                  "par_loop '" + name +
+                      "': global INC cannot be combined with indirect "
+                      "writes (owner-compute would double-count)");
+    OP2CA_REQUIRE(!in_chain,
+                  "par_loop '" + name +
+                      "': global reductions are synchronisation points and "
+                      "cannot appear inside a loop-chain");
+  }
+  return spec;
+}
+
+Runtime::Runtime(World* world, detail::RankState* state)
+    : MeshHandles(world->mesh()), world_(world), state_(state) {}
+
+rank_t Runtime::rank() const { return state_->rank; }
+int Runtime::nranks() const { return world_->config().nranks; }
 
 double* Runtime::dat_data(Dat d) {
   detail::flush_deferred(*state_, "Runtime::dat_data");
@@ -108,69 +154,30 @@ bool Runtime::validation_enabled() const { return world_->config().validate; }
 
 detail::LoopRecord Runtime::make_record(const std::string& name, Set s,
                                         const std::vector<Arg>& args) {
-  const mesh::MeshDef& mesh = world_->mesh();
-  OP2CA_REQUIRE(s.id >= 0 && s.id < mesh.num_sets(),
-                "par_loop '" + name + "': invalid set");
-
   detail::LoopRecord rec;
-  rec.spec.name = name;
-  rec.spec.set = s.id;
+  rec.spec = make_loop_spec(mesh(), name, s, args,
+                            state_->deferred.open_chain.has_value());
   rec.rargs.reserve(args.size());
-  rec.spec.args.reserve(args.size());
-
   for (const Arg& a : args) {
-    detail::ResolvedArg ra;
-    ArgSpec as;
-    as.mode = a.mode;
-    switch (a.kind) {
-      case Arg::Kind::Gbl: {
-        ra.base = a.gbl;
-        ra.row = static_cast<std::size_t>(a.gbl_dim);
-        ra.is_gbl = true;
-        break;
-      }
-      case Arg::Kind::DatDirect: {
-        const mesh::DatDef& dd = mesh.dat(a.dat);
-        OP2CA_REQUIRE(dd.set == s.id,
-                      "par_loop '" + name + "': direct arg dat '" + dd.name +
-                          "' does not live on the iteration set");
-        detail::RankDat& rd = state_->rank_dat(a.dat);
-        ra.base = rd.data.data();
-        ra.row = static_cast<std::size_t>(rd.dim);
-        as.dat = a.dat;
-        break;
-      }
-      case Arg::Kind::DatIndirect: {
-        const mesh::DatDef& dd = mesh.dat(a.dat);
-        const mesh::MapDef& mp = mesh.map(a.map);
-        OP2CA_REQUIRE(mp.from == s.id,
-                      "par_loop '" + name + "': map '" + mp.name +
-                          "' does not start at the iteration set");
-        OP2CA_REQUIRE(mp.to == dd.set,
-                      "par_loop '" + name + "': map '" + mp.name +
-                          "' does not land on dat '" + dd.name + "' set");
-        OP2CA_REQUIRE(a.map_idx >= 0 && a.map_idx < mp.arity,
-                      "par_loop '" + name + "': map index out of arity");
-        detail::RankDat& rd = state_->rank_dat(a.dat);
-        OP2CA_REQUIRE(world_->plan().has_local_maps,
-                      "par_loop '" + name +
-                          "': halo plan was built without local maps");
-        const halo::LocalMap& lm =
-            state_->rank_plan().maps[static_cast<std::size_t>(a.map)];
-        ra.base = rd.data.data();
-        ra.row = static_cast<std::size_t>(rd.dim);
-        ra.col = lm.targets.data() + a.map_idx;
-        ra.arity = static_cast<std::size_t>(lm.arity);
-        as.dat = a.dat;
-        as.indirect = true;
-        as.map = a.map;
-        as.map_idx = a.map_idx;
-        as.self_combine = a.self_combine;
-        break;
-      }
+    detail::ResolvedArg& ra = rec.rargs.emplace_back();
+    if (a.kind == Arg::Kind::Gbl) {
+      ra.base = a.gbl;
+      ra.row = static_cast<std::size_t>(a.gbl_dim);
+      ra.is_gbl = true;
+      continue;
     }
-    rec.rargs.push_back(ra);
-    rec.spec.args.push_back(as);
+    detail::RankDat& rd = state_->rank_dat(a.dat);
+    ra.base = rd.data.data();
+    ra.row = static_cast<std::size_t>(rd.dim);
+    if (a.kind == Arg::Kind::DatIndirect) {
+      OP2CA_REQUIRE(world_->plan().has_local_maps,
+                    "par_loop '" + name +
+                        "': halo plan was built without local maps");
+      const halo::LocalMap& lm =
+          state_->rank_plan().maps[static_cast<std::size_t>(a.map)];
+      ra.col = lm.targets.data() + a.map_idx;
+      ra.arity = static_cast<std::size_t>(lm.arity);
+    }
   }
   return rec;
 }

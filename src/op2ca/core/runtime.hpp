@@ -44,8 +44,9 @@ struct Dat {
 };
 
 /// A par_loop argument descriptor (OP2's op_arg_dat / op_arg_gbl), which
-/// make_record resolves into a LoopSpec entry and a ResolvedArg. par_loop
-/// itself takes the KindArg that arg_dat / arg_gbl return.
+/// make_loop_spec translates into a LoopSpec entry and a Runtime resolves
+/// into a ResolvedArg. par_loop itself takes the KindArg that arg_dat /
+/// arg_gbl return.
 struct Arg {
   enum class Kind { DatDirect, DatIndirect, Gbl };
   Kind kind = Kind::DatDirect;
@@ -83,6 +84,38 @@ KindArg<Arg::Kind::DatIndirect> arg_dat(Dat d, int idx, Map m, Access mode,
                                         bool self_combine = false);
 /// Global argument: READ passes a constant, INC sum-reduces across ranks.
 KindArg<Arg::Kind::Gbl> arg_gbl(double* value, int dim, Access mode);
+
+/// Translates one par_loop's arguments into its LoopSpec over `mesh` and
+/// validates them: the set exists, a direct dat lives on it, a map starts
+/// at it and lands on its dat's set at a column within its arity, and a
+/// global INC neither writes through a map (owner-compute would
+/// double-count) nor sits inside a chain bracket (`in_chain`): a
+/// reduction is a synchronisation point. Runtime::par_loop and
+/// SpecRecorder::par_loop both build their specs here.
+LoopSpec make_loop_spec(const mesh::MeshDef& mesh, const std::string& name,
+                        Set s, const std::vector<Arg>& args, bool in_chain);
+
+/// Set / Map / Dat handles by name over a mesh, as a Runtime and a
+/// SpecRecorder hand them to an application. An unknown name raises.
+class MeshHandles {
+public:
+  /// The mesh's topology and dat declarations. A Runtime's mesh is its
+  /// World's, which holds no dat values: they live in the ranks
+  /// (Runtime::dat_data, World::fetch_dat).
+  const mesh::MeshDef& mesh() const { return *mesh_; }
+
+  Set set(const std::string& name) const;
+  Map map(const std::string& name) const;
+  Dat dat(const std::string& name) const;
+  Set set(mesh::set_id id) const { return Set{id}; }
+  Dat dat(mesh::dat_id id) const { return Dat{id}; }
+
+protected:
+  explicit MeshHandles(const mesh::MeshDef& mesh) : mesh_(&mesh) {}
+
+private:
+  const mesh::MeshDef* mesh_;
+};
 
 /// Per-loop / per-chain measurements, merged across ranks by the World.
 /// for_each_field lists every field once: merge_from, the metrics CSV and
@@ -211,13 +244,6 @@ struct LoopRecord {
   std::vector<ResolvedArg> rargs;   ///< spec.args-parallel.
   std::function<void(lidx_t, lidx_t)> range_body;  ///< [begin, end).
   std::function<void(const lidx_t*, std::size_t)> list_body;
-
-  /// True when the loop reduces into a global (arg_gbl INC).
-  bool has_gbl_inc() const {
-    for (std::size_t j = 0; j < rargs.size(); ++j)
-      if (rargs[j].is_gbl && spec.args[j].mode == Access::INC) return true;
-    return false;
-  }
 };
 
 [[noreturn]] void raise_out_of_region(const char* loop_name);
@@ -314,19 +340,10 @@ void merge_serialized_metrics(const ByteBuf& blob,
 }  // namespace detail
 
 /// One rank's view of the World inside the SPMD function.
-class Runtime {
+class Runtime : public MeshHandles {
 public:
   rank_t rank() const;
   int nranks() const;
-  /// The World's mesh: topology and dat declarations but no dat values
-  /// (World::mesh). Values live in the ranks: dat_data, World::fetch_dat.
-  const mesh::MeshDef& mesh() const;
-
-  Set set(const std::string& name) const;
-  Map map(const std::string& name) const;
-  Dat dat(const std::string& name) const;
-  Set set(mesh::set_id id) const { return Set{id}; }
-  Dat dat(mesh::dat_id id) const { return Dat{id}; }
 
   /// Local (renumbered) data array of a dat on this rank: 64-byte
   /// aligned `dim`-double rows in halo-plan element order. Intended for

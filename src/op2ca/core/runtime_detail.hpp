@@ -117,8 +117,8 @@ struct RankState {
 
   /// Chain capture, lazy loops and temporal tiles share this window and
   /// flush_deferred. `tile_fallbacks` names the "<chain>#tile<n>" keys
-  /// already warned about, so the loud per-invocation fallback logs once,
-  /// not every timestep.
+  /// already warned about, so rank 0 logs the loud per-invocation
+  /// fallback once per World, not every timestep.
   Deferred deferred;
   std::set<std::string> tile_fallbacks;
 

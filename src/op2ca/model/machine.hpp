@@ -62,18 +62,6 @@ struct Machine {
   double compute_scale = 1.0;
   int ranks_per_node = 1;
   bool is_gpu = false;
-  /// Shared-memory workers per rank (WorldConfig::threads_per_rank).
-  /// Compute terms scale by compute_speedup(); communication terms do
-  /// not — threads share one NIC, which is exactly why the CA gain
-  /// grows with thread count (compute shrinks, latency does not).
-  int threads_per_rank = 1;
-  /// Parallel efficiency of the intra-rank sweep: colour-sweep barriers
-  /// and the serial tail keep the speedup below linear.
-  double thread_efficiency = 0.95;
-  /// Effective compute speedup of a threads_per_rank-wide rank.
-  double compute_speedup() const {
-    return 1.0 + (threads_per_rank - 1) * thread_efficiency;
-  }
   /// GPU path: the staged PCIe copies and kernel-launch overheads enter
   /// the model as a larger effective latency Lambda (Section 3.3).
   /// With `device.enabled` the extra term is derived from the PCIe tier

@@ -12,13 +12,11 @@ double t_op2_loop(const Machine& mach, const LoopTerms& t) {
   // messages are usually latency-bound and stay below it.
   const double B =
       mach.effective_bandwidth(static_cast<std::size_t>(t.m1));
-  const double su = mach.compute_speedup();
-  const double compute_core =
-      t.g * static_cast<double>(t.core_iters) / su;
+  const double compute_core = t.g * static_cast<double>(t.core_iters);
   const double comm = static_cast<double>(t.msgs_per_neighbor) * t.p *
                       (L + static_cast<double>(t.m1) / B);
   return std::max(compute_core, comm) +
-         t.g * static_cast<double>(t.halo_iters) / su;
+         t.g * static_cast<double>(t.halo_iters);
 }
 
 double t_op2_chain(const Machine& mach, const std::vector<LoopTerms>& ts) {
@@ -35,11 +33,10 @@ double t_ca_chain(const Machine& mach, const ChainTerms& t) {
   // the rail count while Eq (1) keeps flat bandwidth.
   const double B =
       mach.effective_bandwidth(static_cast<std::size_t>(t.m_r));
-  const double su = mach.compute_speedup();
   double compute_core = 0.0, compute_halo = 0.0;
   for (const LoopTerms& lt : t.loops) {
-    compute_core += lt.g * static_cast<double>(lt.core_iters) / su;
-    compute_halo += lt.g * static_cast<double>(lt.halo_iters) / su;
+    compute_core += lt.g * static_cast<double>(lt.core_iters);
+    compute_halo += lt.g * static_cast<double>(lt.halo_iters);
   }
   // c: the EXTRA staging cost of the grouped message relative to the
   // baseline. Both executors pack their sends; only the receiver-side
@@ -61,11 +58,10 @@ double t_ca_chain_tiled(const Machine& mach, const ChainTerms& t, int tile) {
   const double L = mach.effective_latency();
   const double B =
       mach.effective_bandwidth(static_cast<std::size_t>(m_tile));
-  const double su = mach.compute_speedup();
   double compute_core = 0.0, compute_halo = 0.0;
   for (const LoopTerms& lt : t.loops) {
-    compute_core += lt.g * static_cast<double>(lt.core_iters) / su;
-    compute_halo += lt.g * static_cast<double>(lt.halo_iters) / su;
+    compute_core += lt.g * static_cast<double>(lt.core_iters);
+    compute_halo += lt.g * static_cast<double>(lt.halo_iters);
   }
   const double c = mach.net.pack_time(m_tile);
   const double comm = t.p * (L + static_cast<double>(m_tile) / B + c);

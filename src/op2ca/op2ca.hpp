@@ -33,6 +33,5 @@
 #include "op2ca/partition/quality.hpp"
 #include "op2ca/util/options.hpp"
 #include "op2ca/util/rng.hpp"
-#include "op2ca/util/stats.hpp"
 #include "op2ca/util/table.hpp"
 #include "op2ca/util/timer.hpp"

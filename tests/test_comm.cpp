@@ -1,6 +1,7 @@
 // Unit tests for the simulated message-passing substrate.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -134,25 +135,80 @@ TEST(Transport, BarrierSynchronizes) {
   });
 }
 
-TEST(Collectives, AllreduceSumAndMax) {
+// The three collectives the runtime calls: allreduce_sum(double) from the
+// epoch executor (arg_gbl INC), and allreduce_sum(vector) and
+// allgather_bytes from World::fetch_dat and the metrics merge in
+// process-per-rank SPMD mode. Here they run on the sim fabric.
+TEST(Collectives, AllreduceSum) {
   constexpr int kRanks = 5;
   Transport t(kRanks);
   spmd(t, kRanks, [](Comm& c) {
-    const double sum = c.allreduce_sum(static_cast<double>(c.rank() + 1));
-    EXPECT_DOUBLE_EQ(sum, 15.0);
-    const std::int64_t mx =
-        c.allreduce_max(static_cast<std::int64_t>(c.rank() * 10));
-    EXPECT_EQ(mx, 40);
+    EXPECT_DOUBLE_EQ(c.allreduce_sum(static_cast<double>(c.rank() + 1)),
+                     15.0);
   });
 }
 
-TEST(Collectives, Allgather) {
+TEST(Collectives, VectorSumIsBitwiseTheRankOrderSum) {
+  // Element 0 cancels only when summed in rank order: (1 + 1e16) rounds
+  // to 1e16, so ((1 + 1e16) - 1e16) + 1 = 1, where any other order of
+  // the same four terms gives 0 or 2.
+  constexpr int kRanks = 4;
+  const double col0[kRanks] = {1.0, 1e16, -1e16, 1.0};
+  std::vector<double> expected(3);
+  for (int r = 0; r < kRanks; ++r) {
+    expected[0] += col0[r];
+    expected[1] += 0.1 * (r + 1);
+    expected[2] += 1.0 / (r + 3);
+  }
+  ASSERT_EQ(expected[0], 1.0);
+  Transport t(kRanks);
+  spmd(t, kRanks, [&](Comm& c) {
+    const int r = c.rank();
+    const std::vector<double> sum =
+        c.allreduce_sum(std::vector<double>{col0[r], 0.1 * (r + 1),
+                                            1.0 / (r + 3)});
+    ASSERT_EQ(sum.size(), expected.size());
+    EXPECT_EQ(std::memcmp(sum.data(), expected.data(),
+                          sum.size() * sizeof(double)),
+              0);
+  });
+}
+
+TEST(Collectives, VectorSumLengthMismatchRaises) {
+  // Rank 2 contributes three elements where the root holds two. The root
+  // names the rank and raises; poisoning the fabric then unblocks the
+  // peers waiting for the broadcast, which raise too.
+  constexpr int kRanks = 3;
+  Transport t(kRanks);
+  std::atomic<int> errors{0};
+  std::string root_error;
+  spmd(t, kRanks, [&](Comm& c) {
+    try {
+      c.allreduce_sum(std::vector<double>(c.rank() == 2 ? 3 : 2, 1.0));
+    } catch (const Error& e) {
+      if (c.rank() == 0) root_error = e.what();
+      ++errors;
+      t.poison();
+    }
+  });
+  EXPECT_EQ(errors.load(), kRanks);
+  EXPECT_NE(root_error.find("rank 2"), std::string::npos) << root_error;
+}
+
+TEST(Collectives, AllgatherBytesReturnsBlobsInRankOrder) {
+  // Rank r contributes r bytes of value r: rank 0's blob is empty.
   constexpr int kRanks = 4;
   Transport t(kRanks);
   spmd(t, kRanks, [](Comm& c) {
-    const auto all = c.allgather(static_cast<std::int64_t>(c.rank() * 2));
-    ASSERT_EQ(all.size(), 4u);
-    for (int i = 0; i < 4; ++i) EXPECT_EQ(all[static_cast<size_t>(i)], 2 * i);
+    const op2ca::ByteBuf mine(static_cast<std::size_t>(c.rank()),
+                              static_cast<std::byte>(c.rank()));
+    const std::vector<op2ca::ByteBuf> all = c.allgather_bytes(mine);
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(kRanks));
+    for (int r = 0; r < kRanks; ++r)
+      EXPECT_EQ(all[static_cast<std::size_t>(r)],
+                op2ca::ByteBuf(static_cast<std::size_t>(r),
+                               static_cast<std::byte>(r)))
+          << "blob of rank " << r << " on rank " << c.rank();
   });
 }
 
@@ -160,7 +216,11 @@ TEST(Collectives, SingleRankIsIdentity) {
   Transport t(1);
   Comm c(t, 0);
   EXPECT_DOUBLE_EQ(c.allreduce_sum(3.5), 3.5);
-  EXPECT_EQ(c.allgather(std::int64_t{9}).at(0), 9);
+  EXPECT_EQ(c.allreduce_sum(std::vector<double>{1.5, -2.0}),
+            (std::vector<double>{1.5, -2.0}));
+  const std::vector<op2ca::ByteBuf> all = c.allgather_bytes(bytes_of("x"));
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(string_of(all[0]), "x");
 }
 
 TEST(CommStats, CountsMessagesAndNeighbors) {
@@ -286,8 +346,9 @@ TEST(Collectives, ManySequentialReductionsStayConsistent) {
     double acc = 0.0;
     for (int i = 1; i <= 50; ++i) {
       acc = c.allreduce_sum(static_cast<double>(c.rank()) + acc / 100.0);
-      const auto all = c.allgather(static_cast<std::int64_t>(i));
-      for (std::int64_t v : all) EXPECT_EQ(v, i);
+      const auto all = c.allgather_bytes(bytes_of(std::to_string(i)));
+      for (const op2ca::ByteBuf& b : all)
+        EXPECT_EQ(string_of(b), std::to_string(i));
     }
     EXPECT_TRUE(std::isfinite(acc));
   });

@@ -200,10 +200,11 @@ TEST(HydraComponents, Table5Signs) {
       halo::build_halo_plan(prob.an.mesh, part, opts);
 
   // Steady state: the rk_update loop re-dirties the state dats between
-  // iterations.
+  // iterations. The benches take this set from the recorded program.
   const std::set<mesh::dat_id> rk_written{
       prob.qo, prob.qp, prob.ql, prob.qrg, prob.qmu,
       prob.vol, prob.xp, prob.jacp, prob.jaca, prob.jacb};
+  EXPECT_EQ(apps::hydra::record_program(prob).loose_written(), rk_written);
   auto extract = [&](const char* name) {
     const core::ChainSpec& spec = specs.at(name);
     const auto stale = steady_state_stale(spec, rk_written);

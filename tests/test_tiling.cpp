@@ -24,6 +24,7 @@
 #include "op2ca/mesh/quad2d.hpp"
 #include "op2ca/mesh/reorder.hpp"
 #include "op2ca/util/error.hpp"
+#include "op2ca/util/log.hpp"
 #include "test_common.hpp"
 
 namespace op2ca::core {
@@ -282,9 +283,20 @@ TEST(Tiling, DepthCapFallsBackPerInvocation) {
   // max_depth=2 admits the single-invocation requirement exactly; the
   // fused 4-window needs 8 layers, so the clamp rejects it and the loud
   // fallback runs each invocation as an ordinary CA epoch. Results are
-  // identical to the untiled run and the metrics show no fusion.
+  // identical to the untiled run and the metrics show no fusion. Every
+  // rank falls back alike, and the World warns once, not once per rank.
   const TiledRun untiled = run_jacobi(1, 4, /*max_depth=*/2);
+  const log::Level level = log::level();
+  log::set_level(log::Level::Warn);
+  testing::internal::CaptureStderr();
   const TiledRun capped = run_jacobi(4, 4, /*max_depth=*/2);
+  const std::string err = testing::internal::GetCapturedStderr();
+  log::set_level(level);
+  std::size_t warnings = 0;
+  for (std::size_t at = err.find("is infeasible"); at != std::string::npos;
+       at = err.find("is infeasible", at + 1))
+    ++warnings;
+  EXPECT_EQ(warnings, 1u) << err;
   EXPECT_EQ(capped.chain.calls, 4);
   EXPECT_EQ(capped.chain.tile, 1);  // every epoch ran untiled
   EXPECT_EQ(capped.chain.msgs_saved, 0);

@@ -1,4 +1,4 @@
-// Unit tests for the util module: stats, RNG, tables, options, errors.
+// Unit tests for the util module: RNG, tables, options, errors.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,44 +14,11 @@
 #include "op2ca/util/error.hpp"
 #include "op2ca/util/options.hpp"
 #include "op2ca/util/rng.hpp"
-#include "op2ca/util/stats.hpp"
 #include "op2ca/util/table.hpp"
 #include "op2ca/util/thread_pool.hpp"
 
 namespace op2ca {
 namespace {
-
-TEST(Accumulator, BasicMoments) {
-  Accumulator acc;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(x);
-  EXPECT_EQ(acc.count(), 8u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_NEAR(acc.stddev(), 2.138, 1e-3);
-  EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
-}
-
-TEST(Accumulator, EmptyRaises) {
-  Accumulator acc;
-  EXPECT_THROW(acc.mean(), Error);
-  EXPECT_THROW(acc.min(), Error);
-}
-
-TEST(Accumulator, SingleValueHasZeroVariance) {
-  Accumulator acc;
-  acc.add(3.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.cov(), 0.0);
-}
-
-TEST(Summary, FromSpan) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.0);
-  EXPECT_DOUBLE_EQ(s.sum, 6.0);
-}
 
 TEST(Rng, Deterministic) {
   Rng a(42), b(42);
