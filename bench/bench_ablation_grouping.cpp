@@ -63,7 +63,7 @@ void pipeline_table(const bench::BenchConfig& cfg) {
     for (std::int64_t kib : {16, 256}) {
       for (double compute_us : {0.0, 200.0, 2000.0}) {
         model::PipelineConfig pc;
-        pc.pcie = cirrus.device.pcie;
+        pc.pcie = cirrus.pcie;
         pc.net = cirrus.net;
         pc.compute_s = compute_us * 1e-6;
         std::vector<model::Transfer> transfers(

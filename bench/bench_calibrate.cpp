@@ -1,25 +1,17 @@
 // CommBench-style wire calibration across transport backends.
 //
-// Measures the cost model's per-tier (latency, bandwidth, effective
-// rails) triples on the backend actually selected — the in-process sim
-// fabric, the MPI stub, or real MPI under mpirun — and emits
-// BENCH_calibration.json for TierParams::from_calibration /
-// --calibration consumers. Three sweeps per tier, in the CommBench
-// pattern:
+// Measures the model's one wire (latency, bandwidth, effective rails) on
+// the backend actually selected — the in-process sim fabric, the MPI
+// stub, or real MPI under mpirun — and emits BENCH_calibration.json for
+// the fig drivers' --calibration. Three sweeps, in the CommBench
+// pattern, all at stride nranks/2:
 //
-//   latency     8-byte ping-pong between ranks (0, stride); RTT/2.
+//   latency     8-byte ping-pong between ranks 0 and nranks/2; RTT/2.
 //   bandwidth   large-message ping-pong on the same pair; bytes/(RTT/2).
 //   rails       every rank joins a disjoint pair at the same stride and
 //               streams concurrently; effective rails = aggregate
 //               bandwidth / single-pair bandwidth, clamped to
 //               [1, kMaxRails].
-//
-// The tier -> rank-pair mapping mirrors CostModel::tier_of: stride 1
-// stays inside a NUMA domain, stride --rpnuma crosses domains of one
-// node, stride --rpnode crosses nodes (each clamped to nranks-1; on an
-// in-process fabric the tiers are physically identical, so measurements
-// are clamped monotone before emission exactly as the loader and the CI
-// gate require).
 //
 // Measurements use the raw TransportBackend post/match interface and
 // WallTimer — below Comm, so no statistics bookkeeping colours the
@@ -28,7 +20,7 @@
 //
 // Usage:
 //   bench_calibrate [--backend=sim|mpi] [--nranks=N] [--bytes=B]
-//                   [--iters=N] [--rpnuma=N] [--rpnode=N] [--out=FILE]
+//                   [--iters=N] [--out=FILE]
 //
 // Under a real mpirun launch, --nranks is ignored: the MPI world size
 // wins, and only the local rank runs in this process (SPMD mode, same
@@ -43,9 +35,9 @@
 #include <thread>
 #include <vector>
 
-#include "op2ca/comm/cost_model.hpp"
 #include "op2ca/comm/mpi_backend.hpp"
 #include "op2ca/comm/transport.hpp"
+#include "op2ca/model/machine.hpp"
 #include "op2ca/util/error.hpp"
 #include "op2ca/util/options.hpp"
 #include "op2ca/util/table.hpp"
@@ -65,8 +57,6 @@ struct Config {
   int nranks = 4;
   std::size_t bytes = std::size_t{1} << 20;
   int iters = 16;
-  int rpnuma = 2;
-  int rpnode = 4;
   std::string out = "BENCH_calibration.json";
 };
 
@@ -131,7 +121,7 @@ rank_t pair_peer(rank_t r, int stride, int nranks, bool* initiator) {
   return *initiator ? r + stride : r - stride;
 }
 
-struct TierMeasurement {
+struct WireMeasurement {
   double latency_s = 0;
   double bandwidth_Bps = 0;
   int rails = 1;
@@ -139,13 +129,14 @@ struct TierMeasurement {
   int pairs = 1;
 };
 
-/// Runs the three sweeps of one tier. Every rank must call this
+/// Runs the three sweeps at stride nranks/2. Every rank must call this
 /// (collective: barriers fence each sweep); the result is meaningful on
 /// rank 0 only.
-TierMeasurement measure_tier(TransportBackend& tb, rank_t me, int stride,
+WireMeasurement measure_wire(TransportBackend& tb, rank_t me,
                              const Config& cfg) {
   const int nranks = tb.size();
-  TierMeasurement out;
+  const int stride = nranks / 2;
+  WireMeasurement out;
   out.stride = stride;
 
   // Latency + single-pair bandwidth: only the (0, stride) pair talks.
@@ -195,7 +186,7 @@ TierMeasurement measure_tier(TransportBackend& tb, rank_t me, int stride,
     out.pairs = pairs;
     const double ratio = aggregate / out.bandwidth_Bps;
     out.rails = static_cast<int>(
-        std::clamp(std::lround(ratio), long{1}, long{kMaxRails}));
+        std::clamp(std::lround(ratio), long{1}, long{model::kMaxRails}));
   } else if (peer >= 0 && initiator) {
     send_double(tb, me, 0, kTagResult, mine);
   }
@@ -203,35 +194,7 @@ TierMeasurement measure_tier(TransportBackend& tb, rank_t me, int stride,
   return out;
 }
 
-struct CalibrationRun {
-  TierMeasurement tiers[kNumTiers];
-};
-
-/// The per-rank SPMD body. Fills `out` on rank 0.
-void rank_body(TransportBackend& tb, rank_t me, const Config& cfg,
-               CalibrationRun* out) {
-  const int nranks = tb.size();
-  const int strides[kNumTiers] = {
-      1, std::min(cfg.rpnuma, nranks - 1), std::min(cfg.rpnode, nranks - 1)};
-  for (int t = 0; t < kNumTiers; ++t) {
-    const TierMeasurement m =
-        measure_tier(tb, me, std::max(strides[t], 1), cfg);
-    if (me == 0) out->tiers[t] = m;
-  }
-  if (me != 0) return;
-  // The loader (and the CI schema gate) require bandwidth monotone
-  // non-increasing and latency monotone non-decreasing up the hierarchy.
-  // On an in-process fabric all tiers share the same physical path, so
-  // jitter can invert the order — clamp before emission.
-  for (int t = 1; t < kNumTiers; ++t) {
-    out->tiers[t].bandwidth_Bps =
-        std::min(out->tiers[t].bandwidth_Bps, out->tiers[t - 1].bandwidth_Bps);
-    out->tiers[t].latency_s =
-        std::max(out->tiers[t].latency_s, out->tiers[t - 1].latency_s);
-  }
-}
-
-void write_json(const Config& cfg, const CalibrationRun& run,
+void write_json(const Config& cfg, const WireMeasurement& m,
                 const std::string& backend_label) {
   std::ofstream os(cfg.out);
   OP2CA_REQUIRE(os.good(), "calibrate: cannot write " + cfg.out);
@@ -240,17 +203,10 @@ void write_json(const Config& cfg, const CalibrationRun& run,
   os << "  \"nranks\": " << cfg.nranks << ",\n";
   os << "  \"iters\": " << cfg.iters << ",\n";
   os << "  \"bytes\": " << cfg.bytes << ",\n";
-  os << "  \"tiers\": {\n";
-  for (int t = 0; t < kNumTiers; ++t) {
-    const TierMeasurement& m = run.tiers[t];
-    os << "    \"" << tier_name(static_cast<Tier>(t)) << "\": "
-       << "{\"latency_s\": " << m.latency_s
-       << ", \"bandwidth_Bps\": " << m.bandwidth_Bps
-       << ", \"rails\": " << m.rails << ", \"stride\": " << m.stride
-       << ", \"pairs\": " << m.pairs << "}" << (t + 1 < kNumTiers ? "," : "")
-       << "\n";
-  }
-  os << "  }\n";
+  os << "  \"wire\": {\"latency_s\": " << m.latency_s
+     << ", \"bandwidth_Bps\": " << m.bandwidth_Bps
+     << ", \"rails\": " << m.rails << ", \"stride\": " << m.stride
+     << ", \"pairs\": " << m.pairs << "}\n";
   os << "}\n";
 }
 
@@ -260,15 +216,12 @@ int main(int argc, char** argv) {
   Config cfg;
   try {
     const Options opt(argc, argv,
-                      {"backend", "nranks", "bytes", "iters", "rpnuma",
-                       "rpnode", "out"});
+                      {"backend", "nranks", "bytes", "iters", "out"});
     cfg.backend = opt.get_string("backend", cfg.backend);
     cfg.nranks = static_cast<int>(opt.get_int("nranks", cfg.nranks));
     cfg.bytes = static_cast<std::size_t>(
         opt.get_int("bytes", static_cast<std::int64_t>(cfg.bytes)));
     cfg.iters = static_cast<int>(opt.get_int("iters", cfg.iters));
-    cfg.rpnuma = static_cast<int>(opt.get_int("rpnuma", cfg.rpnuma));
-    cfg.rpnode = static_cast<int>(opt.get_int("rpnode", cfg.rpnode));
     cfg.out = opt.get_string("out", cfg.out);
 
     TransportConfig tc;
@@ -289,15 +242,18 @@ int main(int argc, char** argv) {
     if (auto* mpi = dynamic_cast<MpiBackend*>(tb.get()))
       local = mpi->local_rank();
 
-    CalibrationRun run;
+    WireMeasurement wire;
+    const auto rank_body = [&](rank_t r) {
+      const WireMeasurement m = measure_wire(*tb, r, cfg);
+      if (r == 0) wire = m;
+    };
     if (local >= 0) {
-      rank_body(*tb, local, cfg, &run);
+      rank_body(local);
     } else {
       std::vector<std::thread> threads;
       threads.reserve(static_cast<std::size_t>(cfg.nranks));
       for (rank_t r = 0; r < cfg.nranks; ++r)
-        threads.emplace_back(
-            [&, r] { rank_body(*tb, r, cfg, &run); });
+        threads.emplace_back(rank_body, r);
       for (auto& t : threads) t.join();
     }
 
@@ -306,21 +262,17 @@ int main(int argc, char** argv) {
       std::string label = cfg.backend;
       if (tc.backend == BackendKind::Mpi && !MpiBackend::compiled_with_mpi())
         label = "mpi-stub";
-      write_json(cfg, run, label);
+      write_json(cfg, wire, label);
 
       Table table("wire calibration (" + label + ", " +
                   std::to_string(cfg.nranks) + " ranks)");
-      table.set_header({"tier", "stride", "pairs", "latency_us",
-                        "bandwidth_GBps", "rails"});
+      table.set_header({"stride", "pairs", "latency_us", "bandwidth_GBps",
+                        "rails"});
       table.set_precision(3);
-      for (int t = 0; t < kNumTiers; ++t) {
-        const TierMeasurement& m = run.tiers[t];
-        table.add_row({std::string(tier_name(static_cast<Tier>(t))),
-                       static_cast<std::int64_t>(m.stride),
-                       static_cast<std::int64_t>(m.pairs),
-                       m.latency_s * 1e6, m.bandwidth_Bps / 1e9,
-                       static_cast<std::int64_t>(m.rails)});
-      }
+      table.add_row({static_cast<std::int64_t>(wire.stride),
+                     static_cast<std::int64_t>(wire.pairs),
+                     wire.latency_s * 1e6, wire.bandwidth_Bps / 1e9,
+                     static_cast<std::int64_t>(wire.rails)});
       table.print(std::cout);
       std::cout << "wrote " << cfg.out << "\n";
     }

@@ -17,19 +17,11 @@
 //   --calibrate=0  skip kernel calibration (use default costs)
 //   --rails=N      model large messages spread over N network rails
 //                  (0 = keep the machine preset's rail count; overrides
-//                  Machine::net.net_rails)
-//   --calibration=F  fold a bench_calibrate BENCH_calibration.json into
-//                  the machine preset's network model (per-tier measured
-//                  latency/bandwidth/rails replace the preset's guesses;
-//                  an explicit --rails still wins over the measured rail
-//                  count)
-//   --device       model only: replace the GPU preset's extra_latency_s
-//                  lump with the derived Machine::DeviceTier Lambda
-//   --device-mode=K  modelled host<->device transfer schedule
-//                  {staged,pipelined} (pipelined overlaps PCIe with
-//                  compute; default)
-//   --pipeline-stages=N  modelled software-pipeline depth for pipelined
-//                  mode (default 3: H2D | compute | D2H)
+//                  Machine::net.rails)
+//   --calibration=F  replace the machine preset's wire latency,
+//                  bandwidth and rails with a bench_calibrate
+//                  BENCH_calibration.json (an explicit --rails still
+//                  wins over the measured rail count)
 //   --tile=N       temporal chain tiling: fuse N consecutive invocations
 //                  of each chain into one CA epoch (the model prices CA
 //                  with t_ca_chain_tiled). Default 1 = per-invocation.
@@ -42,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "op2ca/comm/cost_model.hpp"
 #include "op2ca/core/chain.hpp"
 #include "op2ca/core/recorder.hpp"
 #include "op2ca/core/runtime.hpp"
@@ -63,9 +54,6 @@ struct BenchConfig {
   bool calibrate = true;
   int rails = 0;  ///< 0 = machine preset's rail count.
   std::string calibration;  ///< BENCH_calibration.json path; empty = presets.
-  bool device = false;
-  bool device_pipelined = true;  ///< --device-mode: pipelined vs staged.
-  int pipeline_stages = 3;
   int tile = 1;
 
   static BenchConfig from_options(const Options& opt) {
@@ -75,40 +63,21 @@ struct BenchConfig {
     cfg.calibrate = opt.get_bool("calibrate", true);
     cfg.rails = static_cast<int>(opt.get_int("rails", 0));
     cfg.calibration = opt.get_string("calibration", "");
-    cfg.device = opt.get_bool("device", false);
-    const std::string mode = opt.get_string("device-mode", "pipelined");
-    OP2CA_REQUIRE(mode == "pipelined" || mode == "staged",
-                  "unknown device mode: " + mode + " (want staged|pipelined)");
-    cfg.device_pipelined = mode == "pipelined";
-    cfg.pipeline_stages =
-        static_cast<int>(opt.get_int("pipeline-stages", 3));
     cfg.tile = static_cast<int>(opt.get_int("tile", 1));
     OP2CA_REQUIRE(cfg.tile >= 1, "--tile must be >= 1");
     OP2CA_REQUIRE(cfg.scale >= 1, "--scale must be >= 1");
-    OP2CA_REQUIRE(cfg.rails >= 0 && cfg.rails <= sim::kMaxRails,
+    OP2CA_REQUIRE(cfg.rails >= 0 && cfg.rails <= model::kMaxRails,
                   "--rails must be in [0, 8]");
-    OP2CA_REQUIRE(cfg.pipeline_stages >= 1,
-                  "--pipeline-stages must be >= 1");
     return cfg;
   }
 
-  /// Applies the wire and device knobs to a machine preset.
+  /// Applies the wire options to a machine preset.
   model::Machine apply_to(model::Machine mach) const {
     // Measured wire parameters replace the preset's guesses first, so an
     // explicit --rails still wins over the calibrated rail count.
     if (!calibration.empty())
-      sim::apply_calibration(sim::load_calibration(calibration), &mach.net);
-    if (rails > 0) mach.net.net_rails = rails;
-    if (device) {
-      // Replace the preset's hand-tuned extra_latency_s lump with the
-      // derived PCIe tier: an S-stage software pipeline exposes ~1/S of
-      // each transfer, a fully-staged schedule exposes all of it.
-      mach.device.enabled = true;
-      mach.device.overlap =
-          device_pipelined
-              ? 1.0 - 1.0 / static_cast<double>(pipeline_stages)
-              : 0.0;
-    }
+      model::apply_calibration(model::load_calibration(calibration), &mach);
+    if (rails > 0) mach.net.rails = rails;
     return mach;
   }
 };
@@ -116,8 +85,7 @@ struct BenchConfig {
 /// The options the fig drivers read: every BenchConfig field. Drivers
 /// that ignore some fields list only the ones they read.
 inline std::set<std::string> fig_option_names() {
-  return {"scale",  "csv",         "calibrate",       "rails", "calibration",
-          "device", "device-mode", "pipeline-stages", "tile"};
+  return {"scale", "csv", "calibrate", "rails", "calibration", "tile"};
 }
 
 /// Paper mesh sizes by label.

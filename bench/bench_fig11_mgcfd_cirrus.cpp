@@ -8,10 +8,6 @@
 // the mesh is. Per-rank partitions are 1/scale of the paper's, which
 // shifts the compute/comm balance the same way for OP2 and CA (see
 // EXPERIMENTS.md).
-//
-// Pass --device to replace the preset's hand-tuned extra-latency lump
-// with the derived Machine::DeviceTier Lambda (pipelined transfers by
-// default; --device-mode=staged models the fully-exposed PCIe regime).
 #include "bench_mgcfd_common.hpp"
 
 using namespace op2ca;

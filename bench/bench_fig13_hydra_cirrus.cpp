@@ -2,10 +2,6 @@
 // and 24M meshes): cumulative chain time over 20 iterations, OP2 vs CA,
 // on 1-16 nodes x 4 V100 ranks. GPU ranks are not scaled down (they are
 // already few); only the mesh is.
-//
-// Pass --device to replace the preset's hand-tuned extra-latency lump
-// with the derived Machine::DeviceTier Lambda (pipelined transfers by
-// default; --device-mode=staged models the fully-exposed PCIe regime).
 #include "bench_hydra_common.hpp"
 
 using namespace op2ca;

@@ -18,28 +18,18 @@ Comm::Comm(TransportBackend& transport, rank_t rank)
     : transport_(&transport), rank_(rank) {
   OP2CA_REQUIRE(rank >= 0 && rank < transport.size(),
                 "Comm rank out of range");
-  dest_mu_ = std::make_unique<std::mutex[]>(
-      static_cast<std::size_t>(transport.size()));
 }
 
 Request Comm::isend(rank_t dst, tag_t tag,
                     std::span<const std::byte> payload) {
   Message msg;
   msg.payload.assign(payload.begin(), payload.end());
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.sends_copied += 1;
-  }
   return post_send(dst, tag, std::move(msg));
 }
 
 Request Comm::isend(rank_t dst, tag_t tag, ByteBuf payload) {
   Message msg;
   msg.payload = std::move(payload);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.sends_moved += 1;
-  }
   return post_send(dst, tag, std::move(msg));
 }
 
@@ -58,15 +48,7 @@ Request Comm::post_send(rank_t dst, tag_t tag, Message msg) {
   msg.dst = dst;
   msg.tag = tag;
   const std::size_t n = msg.payload.size();
-
-  // Pool workers of one rank may isend simultaneously. Sends
-  // serialise per destination — posts to the same peer keep their
-  // (src, dst, tag) FIFO order, posts to different peers proceed in
-  // parallel instead of queueing behind one global lock.
-  {
-    std::lock_guard<std::mutex> lock(dest_mu_[static_cast<std::size_t>(dst)]);
-    transport_->post(std::move(msg));
-  }
+  transport_->post(std::move(msg));
   record_send(dst, n);
 
   Request req;
@@ -78,10 +60,6 @@ Request Comm::post_send(rank_t dst, tag_t tag, Message msg) {
 
 void Comm::record_send(rank_t dst, std::size_t bytes) {
   const auto n = static_cast<std::int64_t>(bytes);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.msgs_sent += 1;
-  stats_.bytes_sent += n;
-  stats_.send_neighbors.insert(dst);
   stats_.epoch_msgs_sent += 1;
   stats_.epoch_bytes_sent += n;
   stats_.epoch_max_msg_bytes = std::max(stats_.epoch_max_msg_bytes, n);

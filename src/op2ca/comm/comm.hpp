@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <span>
 #include <vector>
@@ -16,17 +14,9 @@
 
 namespace op2ca::sim {
 
-/// Per-rank communication counters. `epoch_*` fields reset via
-/// `reset_epoch()` so a bench can meter one loop or one chain at a time.
+/// Per-rank send counters of the current epoch: `reset_epoch()` zeroes
+/// them, so the epoch executor meters one loop or one chain at a time.
 struct CommStats {
-  std::int64_t msgs_sent = 0;
-  std::int64_t bytes_sent = 0;
-  /// Sends whose payload was moved into the mailbox (zero-copy path) vs
-  /// copied from a caller-owned span.
-  std::int64_t sends_moved = 0;
-  std::int64_t sends_copied = 0;
-  std::set<rank_t> send_neighbors;
-
   std::int64_t epoch_msgs_sent = 0;
   std::int64_t epoch_bytes_sent = 0;
   std::int64_t epoch_max_msg_bytes = 0;
@@ -51,14 +41,9 @@ private:
   ByteBuf* recv_buffer = nullptr;  // Recv only.
 };
 
-/// One simulated process's communication endpoint.
-///
-/// A Comm belongs to exactly one rank thread, with one exception: isend
-/// is safe to call concurrently from that rank's pool workers. Sends
-/// serialise per DESTINATION — one mutex per peer — so concurrent posts
-/// aimed at different neighbours proceed without contending, while
-/// per-(src,dst,tag) FIFO order is preserved; a separate mutex guards the
-/// statistics. Receives, waits and collectives remain rank-thread-only.
+/// One simulated process's communication endpoint. A Comm belongs to
+/// its rank thread: every send, receive, wait and collective is called
+/// from that thread, never from the rank's pool workers.
 class Comm {
 public:
   Comm(TransportBackend& transport, rank_t rank);
@@ -110,10 +95,6 @@ private:
   TransportBackend* transport_;
   rank_t rank_;
   CommStats stats_;
-
-  /// Per-destination send serialisation (see class doc).
-  std::unique_ptr<std::mutex[]> dest_mu_;
-  std::mutex stats_mu_;
 };
 
 }  // namespace op2ca::sim

@@ -33,11 +33,10 @@ bool MpiBackend::launched_under_mpirun() {
 
 namespace op2ca::sim {
 
-// Real-MPI implementation. One MPI process per rank; worker threads of
-// the local rank may post concurrently (Comm sends are worker-safe), so
-// every MPI call runs under one mutex — MPI_THREAD_SERIALIZED is
-// sufficient — and blocking matches poll with the mutex released between
-// probes so concurrent posts make progress.
+// Real-MPI implementation. One MPI process per rank, driven by that
+// rank's thread. Every MPI call runs under one mutex —
+// MPI_THREAD_SERIALIZED is sufficient — and blocking matches poll with
+// the mutex released between probes.
 struct MpiBackend::Impl {
   std::mutex mu;
   std::deque<std::pair<MPI_Request, ByteBuf>> pending;
@@ -82,8 +81,8 @@ struct MpiEnv {
         "MpiBackend: the MPI library provides thread level " +
             std::to_string(provided) + " but MPI_THREAD_SERIALIZED (" +
             std::to_string(MPI_THREAD_SERIALIZED) +
-            ") is required — pool workers may post sends "
-            "concurrently under one mutex");
+            ") is required — MPI calls come from whichever thread "
+            "builds or runs a World");
   }
 
   ~MpiEnv() {
@@ -176,8 +175,7 @@ bool MpiBackend::try_match(rank_t dst, rank_t src, tag_t tag,
 }
 
 Message MpiBackend::match(rank_t dst, rank_t src, tag_t tag) {
-  // Polls with the mutex released between probes, so concurrent posts
-  // from the rank's pool workers make progress.
+  // Polls with the mutex released between probes.
   Message out;
   while (true) {
     if (impl_->poisoned.load())

@@ -21,9 +21,10 @@
 // guard (first MpiBackend or mpi_world_size() call initializes, a single
 // finalize runs at process exit), so test binaries that build several
 // Worlds in sequence neither double-init nor finalize under a live
-// sibling. A thread level below MPI_THREAD_SERIALIZED fails loudly: a
-// rank's pool workers may post sends concurrently under one mutex, which
-// SERIALIZED permits but SINGLE/FUNNELED do not.
+// sibling. A thread level below MPI_THREAD_SERIALIZED fails loudly: MPI
+// calls come from whichever thread builds or runs a World, one at a
+// time under one mutex, which SERIALIZED permits but SINGLE/FUNNELED do
+// not.
 #pragma once
 
 #include "op2ca/comm/transport.hpp"

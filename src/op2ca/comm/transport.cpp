@@ -36,8 +36,7 @@ void Transport::delay_post(rank_t dst) {
     if (!post_delay_s_.empty())
       delay = post_delay_s_[static_cast<std::size_t>(dst)];
   }
-  // Sleeping outside delay_mu_ keeps the delay per-destination: posts to
-  // other mailboxes (other Comm dest mutexes) proceed concurrently.
+  // Sleeping outside delay_mu_ lets other rank threads post meanwhile.
   if (delay > 0)
     std::this_thread::sleep_for(std::chrono::duration<double>(delay));
 }

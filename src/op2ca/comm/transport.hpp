@@ -14,7 +14,8 @@
 //    collectives). Ownership handover happens under the mailbox mutex,
 //    so the receiver may recycle the buffer freely after wait() — see
 //    util/buffer_pool.hpp for the staging-buffer lifecycle. Carries a
-//    per-destination post delay for contention tests and benches.
+//    per-destination post delay that the tiling bench uses as a wire
+//    cost.
 //
 //  - sim::MpiBackend (mpi_backend.hpp): the same contract over real MPI
 //    when built with -DOP2CA_MPI=ON and an MPI toolchain; a compile-only
@@ -121,9 +122,8 @@ public:
   void poison() override;
   bool poisoned() const override { return poisoned_.load(); }
 
-  /// Delays every post TO `dst` by `seconds` inside the destination's
-  /// serialisation scope. Lets the contention regression test observe
-  /// that sends to other destinations do not queue behind it.
+  /// Delays every post TO `dst` by `seconds`, inside the sender's post:
+  /// a stand-in wire cost for the tiling bench.
   void set_post_delay(rank_t dst, double seconds);
 
 private:

@@ -10,6 +10,14 @@
 #include "op2ca/util/log.hpp"
 
 namespace op2ca::core {
+namespace {
+
+/// True the first time rank 0 meets `key` (RankState::warned).
+bool warn_once(detail::RankState& st, std::string key) {
+  return st.rank == 0 && st.warned.insert(std::move(key)).second;
+}
+
+}  // namespace
 
 void Runtime::chain_begin(const std::string& name) {
   detail::Deferred& d = state_->deferred;
@@ -33,7 +41,8 @@ void Runtime::chain_end() {
   const ChainConfig& cfg = world_->config().chains;
   const bool enabled = cfg.enabled(name);
   const int expected = cfg.expected_loops(name);
-  if (enabled && expected > 0 && expected != static_cast<int>(n)) {
+  if (enabled && expected > 0 && expected != static_cast<int>(n) &&
+      warn_once(*state_, name + "#loops")) {
     OP2CA_LOG_WARN << "chain '" << name << "' configured with " << expected
                    << " loops but captured " << n;
   }
@@ -170,9 +179,7 @@ void run_disabled(RankState& st, const std::string& name,
 /// flushed at a sync point cache distinct plans and exchanges, and
 /// repeating the same geometry hits the cache. One invocation, or the
 /// loud fallback for an infeasible fused window, runs each invocation
-/// under the chain's own plan key, as the untiled executor does. Every
-/// rank reaches the same structural fallback, so rank 0 warns for the
-/// World.
+/// under the chain's own plan key, as the untiled executor does.
 void run_invocations(RankState& st, const std::string& name,
                      const LoopRecord* loops, std::size_t n, int inv) {
   if (inv >= 2) {
@@ -182,7 +189,7 @@ void run_invocations(RankState& st, const std::string& name,
       run_chain(st, name, key, loops, n, inv);
       return;
     }
-    if (st.tile_fallbacks.insert(key).second && st.rank == 0) {
+    if (warn_once(st, key)) {
       OP2CA_LOG_WARN << "chain '" << name << "': fused tile of " << inv
                      << " invocations is infeasible (inspector rejection, "
                         "halo plan too shallow, or over the chain's depth "

@@ -116,11 +116,14 @@ struct RankState {
   bool serial_dispatch = false;  ///< copy of WorldConfig::serial_dispatch.
 
   /// Chain capture, lazy loops and temporal tiles share this window and
-  /// flush_deferred. `tile_fallbacks` names the "<chain>#tile<n>" keys
-  /// already warned about, so rank 0 logs the loud per-invocation
-  /// fallback once per World, not every timestep.
+  /// flush_deferred.
   Deferred deferred;
-  std::set<std::string> tile_fallbacks;
+  /// The warnings rank 0 has logged, by key: "<chain>#tile<n>" for a
+  /// fused tile's per-invocation fallback, "<chain>#loops" for a chain
+  /// that captured another loop count than configured. Every rank hits
+  /// the same structural cause, so rank 0 warns once per World, not once
+  /// per rank and timestep.
+  std::set<std::string> warned;
 
   // Epoch windows: chains by plan key (chain name, "<name>#tile<k>" or
   // "lazy:<signature>"), single loops by structural hash. Separate maps,

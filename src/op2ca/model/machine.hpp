@@ -3,6 +3,14 @@
 // Slingshot) and a Cirrus-like V100 GPU cluster (4 GPUs/node, FDR
 // InfiniBand, staged host<->device transfers).
 //
+// A Machine holds exactly the numbers some table or figure reads: the
+// wire of Eqs (1)-(3) (latency L, bandwidth B, the pack bandwidth of c,
+// and the modelled rail count), the GPU path's staging lump folded into
+// Lambda (Section 3.3), the PCIe link of the staged-pipeline makespans,
+// the per-iteration compute scale and the ranks per node. The model is
+// evaluated on plan-level quantities, never on executed runs, which are
+// timed by the wall clock.
+//
 // Absolute times are not the reproduction target — shapes are — but the
 // parameters are chosen from the published system specs so the
 // computation/communication balance is realistic.
@@ -12,13 +20,38 @@
 #include <cstdint>
 #include <string>
 
-#include "op2ca/comm/cost_model.hpp"
-
 namespace op2ca::model {
 
-/// PCIe-generation-3 x16 class transfer parameters: the one host<->device
-/// link both the Lambda fold below and the staged-pipeline makespans of
-/// model/pipeline read.
+/// Upper bound on the modelled rail count (--rails, calibration).
+inline constexpr int kMaxRails = 8;
+
+/// Messages at or above this size spread over the wire's rails in the
+/// model (Machine::effective_bandwidth); smaller, latency-bound messages
+/// do not. Executed exchanges send every message whole.
+inline constexpr std::size_t kStripeMinBytes = std::size_t{64} * 1024;
+
+/// The network wire of Eqs (1)-(3).
+struct Wire {
+  double latency_s = 2.0e-6;         ///< L: per-message latency.
+  double bandwidth_Bps = 12.5e9;     ///< B: per-rail bandwidth.
+  double pack_bandwidth_Bps = 20e9;  ///< memcpy bandwidth of (un)packing.
+  /// Parallel rails (NICs) a large message spreads over in the model.
+  int rails = 1;
+
+  /// Time to move one `bytes`-sized message over one rail.
+  double message_time(std::int64_t bytes) const {
+    return latency_s + static_cast<double>(bytes) / bandwidth_Bps;
+  }
+
+  /// Pack or unpack cost for `bytes` of staged halo data (the `c` term of
+  /// Eq (3) is the grouped message's unpack).
+  double pack_time(std::int64_t bytes) const {
+    return static_cast<double>(bytes) / pack_bandwidth_Bps;
+  }
+};
+
+/// PCIe-generation-3 x16 class transfer parameters: the host<->device
+/// link of the staged-pipeline makespans (model/pipeline).
 struct PcieModel {
   double latency_s = 8.0e-6;       ///< per-transfer launch + DMA setup.
   double bandwidth_Bps = 12.0e9;   ///< sustained H2D/D2H.
@@ -27,72 +60,29 @@ struct PcieModel {
   }
 };
 
-/// Explicit PCIe/launch tier for the GPU path. When `enabled`, the
-/// staged host<->device copies that bracket every halo exchange stop
-/// being a hand-tuned `extra_latency_s` lump and are instead *derived*:
-/// each exchange pays one D2H (export rows) and one H2D (import rows)
-/// round-trip plus two kernel launches (pack + unpack). Pipelining
-/// overlaps a fraction `overlap` of the PCIe term with compute, so the
-/// exposed share enters the effective latency Lambda (Section 3.3) as
-///
-///   Lambda = L + 2*launch + 2*(1 - overlap)*pcie.latency_s
-///
-/// and the PCIe bus composes in series with the NIC on the bandwidth
-/// term (the bytes cross both), attenuated by the same overlap factor.
-struct DeviceTier {
-  bool enabled = false;
-  PcieModel pcie;
-  double kernel_launch_s = 5.0e-6;   ///< pack/unpack kernel launch.
-  /// Fraction of the PCIe transfer hidden behind compute (0 = fully
-  /// staged, matches the legacy extra_latency_s regime; 1 - 1/S for an
-  /// S-stage software pipeline).
-  double overlap = 0.0;
-  /// Exposed extra latency per exchange under this tier.
-  double lambda_extra_s() const {
-    return 2.0 * kernel_launch_s +
-           2.0 * (1.0 - overlap) * pcie.latency_s;
-  }
-};
-
 struct Machine {
-  std::string name;
-  sim::CostModel net;  ///< L (latency) and B (bandwidth) of Eqs (1)-(3).
+  Wire net;  ///< L, B, c and the rail count of Eqs (1)-(3).
   /// Multiplier applied to host-calibrated per-iteration kernel costs to
   /// approximate one target core / one target GPU rank.
   double compute_scale = 1.0;
   int ranks_per_node = 1;
-  bool is_gpu = false;
-  /// GPU path: the staged PCIe copies and kernel-launch overheads enter
-  /// the model as a larger effective latency Lambda (Section 3.3).
-  /// With `device.enabled` the extra term is derived from the PCIe tier
-  /// (and extra_latency_s is ignored); otherwise the legacy lump is used.
-  double effective_latency() const {
-    return net.latency_s +
-           (device.enabled ? device.lambda_extra_s() : extra_latency_s);
-  }
+  /// GPU path: the staged PCIe copies and kernel-launch overheads of
+  /// each exchange, one lump added to L to give the effective latency
+  /// Lambda (Section 3.3). 0 on a CPU cluster.
   double extra_latency_s = 0.0;
-  DeviceTier device;
-  /// Modelled multi-rail threshold: messages at or above this spread
-  /// across net.net_rails parallel links, which enters Eq (1)/(3) as an
-  /// effective bandwidth B * rails on the m/B serialisation term.
-  /// Latency-bound messages below it are unaffected — rails buy
-  /// bandwidth, not latency. With net_rails == 1 (the default CostModel)
-  /// every prediction is bitwise-identical to the flat model. Model only:
-  /// executed exchanges send every message whole.
-  std::size_t stripe_min_bytes = std::size_t{64} * 1024;
+  PcieModel pcie;
+
+  double effective_latency() const {
+    return net.latency_s + extra_latency_s;
+  }
   /// Effective wire bandwidth for one `bytes`-sized message: B times the
-  /// rail count once the message reaches stripe_min_bytes.
+  /// rail count once the message reaches kStripeMinBytes. This enters
+  /// Eq (1)/(3) on the m/B serialisation term only — rails buy
+  /// bandwidth, not latency — and with one rail every prediction is the
+  /// flat model's.
   double effective_bandwidth(std::size_t bytes) const {
-    const bool multi_rail =
-        net.net_rails > 1 && bytes >= stripe_min_bytes;
-    const double wire =
-        net.bandwidth_Bps * (multi_rail ? net.net_rails : 1);
-    if (!device.enabled) return wire;
-    // Halo bytes cross PCIe twice (D2H at the sender, H2D at the
-    // receiver) in series with the wire; overlap hides that share.
-    const double pcie_exposed =
-        2.0 * (1.0 - device.overlap) / device.pcie.bandwidth_Bps;
-    return 1.0 / (1.0 / wire + pcie_exposed);
+    const bool multi_rail = net.rails > 1 && bytes >= kStripeMinBytes;
+    return net.bandwidth_Bps * (multi_rail ? net.rails : 1);
   }
 };
 
@@ -101,7 +91,29 @@ Machine archer2();
 /// SGI/HPE 8600: 4 x V100/node, FDR InfiniBand 54.5 Gb/s.
 Machine cirrus_gpu();
 
-/// Look-up by name ("archer2" | "cirrus"); raises on unknown.
-Machine machine_by_name(const std::string& name);
+/// A parsed BENCH_calibration.json: the wire bench_calibrate measured
+/// between two ranks of one backend (sim fabric, mpi-stub, or real MPI
+/// under mpirun) — ping-pong latency, large-message bandwidth and the
+/// effective rail count of concurrent pairs.
+struct Calibration {
+  std::string backend;  ///< "sim" | "mpi" | "mpi-stub".
+  int nranks = 0;
+  double latency_s = 0;
+  double bandwidth_Bps = 0;
+  int rails = 1;
+};
+
+/// Parses the BENCH_calibration.json text: a "wire" object with
+/// latency > 0, bandwidth > 0 and whole rails in [1, kMaxRails], and a
+/// whole nranks >= 2. Raises with context on any violation.
+Calibration parse_calibration(const std::string& json_text);
+
+/// parse_calibration over a file's contents; raises if unreadable.
+Calibration load_calibration(const std::string& path);
+
+/// Replaces the machine's wire latency, bandwidth and rails with the
+/// measured ones. The pack bandwidth is a property of the runtime's
+/// memcpy, not of the wire, and keeps the preset's value.
+void apply_calibration(const Calibration& cal, Machine* m);
 
 }  // namespace op2ca::model

@@ -7,9 +7,9 @@ namespace op2ca::model {
 double t_op2_loop(const Machine& mach, const LoopTerms& t) {
   const double L = mach.effective_latency();
   // The modelled rail count folds into Eq (1) as an effective bandwidth
-  // on the serialisation term: a message >= Machine::stripe_min_bytes
-  // moves over net_rails links concurrently. The per-dat level-1
-  // messages are usually latency-bound and stay below it.
+  // on the serialisation term: a message >= kStripeMinBytes moves over
+  // the wire's rails concurrently. The per-dat level-1 messages are
+  // usually latency-bound and stay below it.
   const double B =
       mach.effective_bandwidth(static_cast<std::size_t>(t.m1));
   const double compute_core = t.g * static_cast<double>(t.core_iters);

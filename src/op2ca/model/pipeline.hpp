@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "op2ca/comm/cost_model.hpp"
 #include "op2ca/model/machine.hpp"
 
 namespace op2ca::model {
@@ -22,8 +21,8 @@ struct Transfer {
 };
 
 struct PipelineConfig {
-  PcieModel pcie{};  ///< a machine's DeviceTier::pcie.
-  sim::CostModel net{};
+  PcieModel pcie{};  ///< a machine's Machine::pcie.
+  Wire net{};        ///< a machine's Machine::net.
   /// Compute time available to overlap with (core iterations).
   double compute_s = 0.0;
 };

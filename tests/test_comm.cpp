@@ -11,7 +11,6 @@
 #include "op2ca/util/rng.hpp"
 
 #include "op2ca/comm/comm.hpp"
-#include "op2ca/comm/cost_model.hpp"
 #include "op2ca/util/buffer_pool.hpp"
 #include "op2ca/util/error.hpp"
 
@@ -231,27 +230,35 @@ TEST(CommStats, CountsMessagesAndNeighbors) {
       Request b = c.isend(2, 0, bytes_of("yy"));
       c.wait(a);
       c.wait(b);
-      EXPECT_EQ(c.stats().msgs_sent, 2);
-      EXPECT_EQ(c.stats().bytes_sent, 3);
-      EXPECT_EQ(c.stats().send_neighbors.size(), 2u);
+      EXPECT_EQ(c.stats().epoch_msgs_sent, 2);
+      EXPECT_EQ(c.stats().epoch_bytes_sent, 3);
       EXPECT_EQ(c.stats().epoch_max_msg_bytes, 2);
+      EXPECT_EQ(c.stats().epoch_neighbors, (std::set<rank_t>{1, 2}));
       c.stats().reset_epoch();
       EXPECT_EQ(c.stats().epoch_msgs_sent, 0);
-      EXPECT_EQ(c.stats().msgs_sent, 2);  // lifetime counters survive
+      EXPECT_EQ(c.stats().epoch_bytes_sent, 0);
+      EXPECT_EQ(c.stats().epoch_max_msg_bytes, 0);
+      EXPECT_TRUE(c.stats().epoch_neighbors.empty());
+      // The next epoch counts from zero.
+      Request d = c.isend(1, 1, bytes_of("zzzz"));
+      c.wait(d);
+      EXPECT_EQ(c.stats().epoch_msgs_sent, 1);
+      EXPECT_EQ(c.stats().epoch_bytes_sent, 4);
+      EXPECT_EQ(c.stats().epoch_max_msg_bytes, 4);
+      EXPECT_EQ(c.stats().epoch_neighbors, (std::set<rank_t>{1}));
+    } else if (c.rank() == 1) {
+      op2ca::ByteBuf buf;
+      Request r = c.irecv(0, 0, &buf);
+      c.wait(r);
+      Request r2 = c.irecv(0, 1, &buf);
+      c.wait(r2);
+      EXPECT_EQ(string_of(buf), "zzzz");
     } else {
       op2ca::ByteBuf buf;
       Request r = c.irecv(0, 0, &buf);
       c.wait(r);
     }
   });
-}
-
-TEST(CostModel, MessageTime) {
-  CostModel m;
-  m.latency_s = 1e-6;
-  m.bandwidth_Bps = 1e9;
-  EXPECT_DOUBLE_EQ(m.message_time(1000), 1e-6 + 1e-6);
-  EXPECT_GT(m.pack_time(1 << 20), 0.0);
 }
 
 TEST(Transport, PoisonUnblocksWaiters) {
@@ -275,7 +282,7 @@ TEST(Transport, SelfSendRejected) {
   op2ca::ByteBuf buf;
   EXPECT_THROW(c.irecv(0, 0, &buf), Error);
   // Peers outside [0, size) raise, naming the rank and the range, before
-  // a send takes a per-destination lock or a wait blocks on a match.
+  // a send posts or a wait blocks on a match.
   for (const rank_t bad : {-1, 2}) {
     const auto expect_named = [bad](const std::function<void()>& op) {
       try {

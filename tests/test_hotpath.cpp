@@ -255,9 +255,6 @@ TEST(ZeroCopy, MovedSendPreservesStorageIdentity) {
   EXPECT_EQ(recv.data(), storage);
   for (std::size_t i = 0; i < recv.size(); ++i)
     EXPECT_EQ(recv[i], static_cast<std::byte>(i));
-
-  EXPECT_EQ(c0.stats().sends_moved, 1);
-  EXPECT_EQ(c0.stats().sends_copied, 0);
 }
 
 TEST(ZeroCopy, SpanSendStillCopies) {
@@ -272,8 +269,6 @@ TEST(ZeroCopy, SpanSendStillCopies) {
   c0.wait(s);
   EXPECT_NE(recv.data(), buf.data());
   EXPECT_EQ(recv, buf);
-  EXPECT_EQ(c0.stats().sends_copied, 1);
-  EXPECT_EQ(c0.stats().sends_moved, 0);
 }
 
 // -- Region bodies: addressing paths and the validation guard. ----------

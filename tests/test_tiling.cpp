@@ -279,6 +279,26 @@ TEST(Tiling, LazyRunAndPartialTileRunInProgramOrder) {
   EXPECT_EQ(w.chain_metrics().at("t").tile, 1);
 }
 
+/// Runs `fn` at log level Warn and returns what it wrote to stderr.
+template <typename Fn>
+std::string warnings_of(Fn fn) {
+  const log::Level level = log::level();
+  log::set_level(log::Level::Warn);
+  testing::internal::CaptureStderr();
+  fn();
+  const std::string err = testing::internal::GetCapturedStderr();
+  log::set_level(level);
+  return err;
+}
+
+std::size_t occurrences(const std::string& text, const std::string& what) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(what); at != std::string::npos;
+       at = text.find(what, at + 1))
+    ++n;
+  return n;
+}
+
 TEST(Tiling, DepthCapFallsBackPerInvocation) {
   // max_depth=2 admits the single-invocation requirement exactly; the
   // fused 4-window needs 8 layers, so the clamp rejects it and the loud
@@ -286,22 +306,34 @@ TEST(Tiling, DepthCapFallsBackPerInvocation) {
   // identical to the untiled run and the metrics show no fusion. Every
   // rank falls back alike, and the World warns once, not once per rank.
   const TiledRun untiled = run_jacobi(1, 4, /*max_depth=*/2);
-  const log::Level level = log::level();
-  log::set_level(log::Level::Warn);
-  testing::internal::CaptureStderr();
-  const TiledRun capped = run_jacobi(4, 4, /*max_depth=*/2);
-  const std::string err = testing::internal::GetCapturedStderr();
-  log::set_level(level);
-  std::size_t warnings = 0;
-  for (std::size_t at = err.find("is infeasible"); at != std::string::npos;
-       at = err.find("is infeasible", at + 1))
-    ++warnings;
-  EXPECT_EQ(warnings, 1u) << err;
+  TiledRun capped;
+  const std::string err =
+      warnings_of([&] { capped = run_jacobi(4, 4, /*max_depth=*/2); });
+  EXPECT_EQ(occurrences(err, "is infeasible"), 1u) << err;
   EXPECT_EQ(capped.chain.calls, 4);
   EXPECT_EQ(capped.chain.tile, 1);  // every epoch ran untiled
   EXPECT_EQ(capped.chain.msgs_saved, 0);
   EXPECT_EQ(untiled.a, capped.a);  // same executor, same epochs: bitwise
   EXPECT_EQ(untiled.b, capped.b);
+}
+
+TEST(Tiling, LoopCountWarningLoggedOncePerChain) {
+  // A chain configured with 3 loops captures 2 on every rank at every
+  // invocation; rank 0 warns once for the World.
+  const mesh::MeshDef m = bump_mesh();
+  WorldConfig cfg;
+  cfg.nranks = 4;
+  cfg.chains.enable("a", /*loops=*/3);
+  World w(m, cfg);
+  const std::string err = warnings_of([&] {
+    w.run([](Runtime& rt) {
+      double x = 1.0;
+      for (int t = 0; t < 2; ++t) bumped_chain(rt, "a", {"u", "w"}, &x);
+    });
+  });
+  EXPECT_EQ(occurrences(err, "configured with 3 loops but captured 2"), 1u)
+      << err;
+  expect_bumped(w, m, 2.0, 2.0);
 }
 
 TEST(Tiling, PlanCacheHitsOnRepeatedTiles) {

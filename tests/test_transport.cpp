@@ -1,5 +1,5 @@
-// Transport-layer tests: the hierarchical cost model, backend selection
-// (sim / mpi-stub) and the calibration-file loader.
+// Transport-layer tests: backend selection (sim / mpi-stub) and the
+// stub's protocol.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "op2ca/comm/comm.hpp"
-#include "op2ca/comm/cost_model.hpp"
 #include "op2ca/comm/mpi_backend.hpp"
 #include "op2ca/comm/transport.hpp"
 #include "op2ca/util/error.hpp"
@@ -50,31 +49,6 @@ void spmd(TransportBackend& t, int nranks, Fn fn) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-// ---- Hierarchical cost model. ---------------------------------------------
-
-TEST(CostModelTiers, TierOfUsesCheapestContainingTier) {
-  CostModel cm;
-  // Flat default: everything crosses the network.
-  EXPECT_EQ(cm.tier_of(0, 1), Tier::Net);
-  cm.ranks_per_numa = 2;
-  cm.ranks_per_node = 4;
-  EXPECT_EQ(cm.tier_of(0, 1), Tier::Numa);
-  EXPECT_EQ(cm.tier_of(0, 2), Tier::Node);
-  EXPECT_EQ(cm.tier_of(0, 4), Tier::Net);
-  EXPECT_EQ(cm.tier_of(5, 6), Tier::Node);  // same node, NUMA domains 2/3.
-  EXPECT_EQ(cm.tier_of(6, 7), Tier::Numa);
-}
-
-TEST(CostModelTiers, IntraNodeTiersAreCheaper) {
-  CostModel cm;
-  cm.ranks_per_numa = 2;
-  cm.ranks_per_node = 4;
-  EXPECT_LT(cm.message_time(4096, Tier::Numa),
-            cm.message_time(4096, Tier::Node));
-  EXPECT_LT(cm.message_time(4096, Tier::Node),
-            cm.message_time(4096, Tier::Net));
-}
-
 // ---- Backend selection. ---------------------------------------------------
 
 TEST(Backends, NamesRoundtrip) {
@@ -112,110 +86,6 @@ TEST(Backends, MpiStubCarriesFullProtocol) {
     }
     c.barrier();
   });
-}
-
-// ---- calibration-file loader (BENCH_calibration.json round-trip) ----
-
-std::string calibration_json(const std::string& net_lat = "5e-6",
-                             const std::string& net_bw = "10e9",
-                             const std::string& net_rails = "2") {
-  return std::string("{\n"
-                     "  \"backend\": \"sim\", \"nranks\": 4, \"iters\": 16,\n"
-                     "  \"tiers\": {\n"
-                     "    \"numa\": {\"latency_s\": 5e-7, "
-                     "\"bandwidth_Bps\": 4e10, \"rails\": 1},\n"
-                     "    \"node\": {\"latency_s\": 1e-6, "
-                     "\"bandwidth_Bps\": 2e10, \"rails\": 1},\n"
-                     "    \"net\": {\"latency_s\": ") +
-         net_lat + ", \"bandwidth_Bps\": " + net_bw +
-         ", \"rails\": " + net_rails + "}\n  }\n}\n";
-}
-
-TEST(Calibration, ParsesBenchCalibrateSchema) {
-  const Calibration cal = parse_calibration(calibration_json());
-  EXPECT_EQ(cal.backend, "sim");
-  EXPECT_EQ(cal.nranks, 4);
-  EXPECT_DOUBLE_EQ(cal.tier(Tier::Numa).latency_s, 5e-7);
-  EXPECT_DOUBLE_EQ(cal.tier(Tier::Node).bandwidth_Bps, 2e10);
-  EXPECT_DOUBLE_EQ(cal.tier(Tier::Net).latency_s, 5e-6);
-  EXPECT_EQ(cal.tier(Tier::Net).rails, 2);
-  const TierParams node = TierParams::from_calibration(cal, Tier::Node);
-  EXPECT_DOUBLE_EQ(node.latency_s, 1e-6);
-}
-
-TEST(Calibration, AppliedModelUsesMeasuredTiers) {
-  const Calibration cal = parse_calibration(calibration_json());
-  CostModel cm;
-  cm.per_message_overhead_s = 4e-6;
-  cm.pack_bandwidth_Bps = 21e9;
-  apply_calibration(cal, &cm);
-  // Net tier lands in the legacy flat fields every Eq (1)-(3) term reads.
-  EXPECT_DOUBLE_EQ(cm.latency_s, 5e-6);
-  EXPECT_DOUBLE_EQ(cm.bandwidth_Bps, 10e9);
-  EXPECT_EQ(cm.net_rails, 2);
-  EXPECT_DOUBLE_EQ(cm.numa.bandwidth_Bps, 4e10);
-  EXPECT_DOUBLE_EQ(cm.node.latency_s, 1e-6);
-  // Host-side overheads are not wire-measured and must survive.
-  EXPECT_DOUBLE_EQ(cm.per_message_overhead_s, 4e-6);
-  EXPECT_DOUBLE_EQ(cm.pack_bandwidth_Bps, 21e9);
-  EXPECT_NE(cm.name.find("calibrated(sim)"), std::string::npos);
-}
-
-TEST(Calibration, RejectsMissingTierOrField) {
-  EXPECT_THROW(parse_calibration("{\"backend\": \"sim\", \"nranks\": 2}"),
-               Error);
-  // Drop the node tier.
-  std::string text = calibration_json();
-  text.replace(text.find("\"node\""), 6, "\"nope\"");
-  EXPECT_THROW(parse_calibration(text), Error);
-  // Drop a field inside one tier.
-  text = calibration_json();
-  text.replace(text.find("\"bandwidth_Bps\""), 15, "\"bandwidth_xxx\"");
-  EXPECT_THROW(parse_calibration(text), Error);
-}
-
-TEST(Calibration, RejectsNonPositiveAndNonMonotoneTiers) {
-  // Net bandwidth above the node tier: monotonicity violation.
-  EXPECT_THROW(parse_calibration(calibration_json("5e-6", "3e10")), Error);
-  // Net latency below the node tier.
-  EXPECT_THROW(parse_calibration(calibration_json("5e-7", "10e9")), Error);
-  // Zero rails.
-  EXPECT_THROW(parse_calibration(calibration_json("5e-6", "10e9", "0")),
-               Error);
-  // Too-small world.
-  std::string text = calibration_json();
-  text.replace(text.find("\"nranks\": 4"), 11, "\"nranks\": 1");
-  EXPECT_THROW(parse_calibration(text), Error);
-}
-
-TEST(Calibration, RejectsFractionalAndOutOfRangeCounts) {
-  // rails and nranks are counts: a fractional value is not truncated, an
-  // out-of-range one is not cast, and rails stays within kMaxRails. The
-  // error names the field.
-  const auto expect_error = [](const std::string& text,
-                               const std::string& field) {
-    try {
-      parse_calibration(text);
-      ADD_FAILURE() << field << " accepted";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("\"" + field + "\""),
-                std::string::npos)
-          << e.what();
-    }
-  };
-  for (const char* rails : {"2.5", "1e10", "100"})
-    expect_error(calibration_json("5e-6", "10e9", rails), "rails");
-  for (const char* nranks : {"4.9", "1e12"}) {
-    std::string text = calibration_json();
-    text.replace(text.find("\"nranks\": 4"), 11,
-                 std::string("\"nranks\": ") + nranks);
-    expect_error(text, "nranks");
-  }
-}
-
-TEST(Calibration, LoadReportsUnreadablePath) {
-  EXPECT_THROW(load_calibration("/nonexistent/BENCH_calibration.json"),
-               Error);
 }
 
 }  // namespace

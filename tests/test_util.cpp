@@ -1,21 +1,17 @@
 // Unit tests for the util module: RNG, tables, options, errors.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "op2ca/comm/comm.hpp"
-#include "op2ca/comm/transport.hpp"
 #include "op2ca/util/aligned.hpp"
 #include "op2ca/util/buffer_pool.hpp"
 #include "op2ca/util/error.hpp"
 #include "op2ca/util/options.hpp"
 #include "op2ca/util/rng.hpp"
 #include "op2ca/util/table.hpp"
-#include "op2ca/util/thread_pool.hpp"
 
 namespace op2ca {
 namespace {
@@ -243,31 +239,6 @@ TEST(AlignedAlloc, VectorStorageIsCacheAligned) {
     util::AlignedDVec moved = std::move(v);  // moves keep the allocation
     EXPECT_TRUE(util::cache_aligned(moved.data())) << n;
   }
-}
-
-TEST(ThreadPoolContention, SendsToDistinctDestinationsDoNotSerialise) {
-  // Regression for the comm layer's send locking: pool workers may post
-  // isends concurrently, and a single send mutex would queue a fast send
-  // to one neighbour behind a slow send to another. Sends
-  // serialise per DESTINATION, so a worker posting to rank 2 must return
-  // promptly while a post to rank 1 sits in an injected 250 ms delay.
-  sim::Transport t(3);
-  t.set_post_delay(1, 0.25);
-  sim::Comm c(t, 0);
-  util::ThreadPool pool(2);
-  double elapsed[2] = {0.0, 0.0};
-  pool.run([&](int w) {
-    const auto start = std::chrono::steady_clock::now();
-    auto req = c.isend(w == 0 ? 1 : 2, 0, ByteBuf(64));
-    c.wait(req);
-    elapsed[w] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-  });
-  EXPECT_GE(elapsed[0], 0.2);   // the delayed destination pays its delay
-  EXPECT_LT(elapsed[1], 0.15);  // the other destination must not queue
-  EXPECT_EQ(c.stats().msgs_sent, 2);
 }
 
 }  // namespace
