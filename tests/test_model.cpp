@@ -87,10 +87,11 @@ TEST(PerfModel, Equation3UsesGroupedMessage) {
 TEST(PerfModel, PresetPredictionsPinned) {
   // Eqs (1), (3) and the tiled Eq (3) on both presets over fixed
   // comm-bound terms, with the message below and above kStripeMinBytes:
-  // ARCHER2's two rails price the large rows and the tiled 4 x m_r
-  // message of the large row. The doubles were printed by the model
-  // before its machine description shrank to the values these
-  // equations read; they pin every preset number the figures use.
+  // ARCHER2's two rails price every term of the large row, and the
+  // small row stays under the threshold even tiled (4 x 12000 B). The
+  // doubles were printed by the model before its machine description
+  // shrank to the values these equations read; they pin every preset
+  // number the figures use.
   struct Row {
     std::int64_t m;
     double op2, ca, tiled4;
